@@ -17,6 +17,7 @@ import struct
 import sys
 import tempfile
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -40,14 +41,17 @@ from .mixture import Mixture
 from .phase import beta_c_dyn, beta_c_stat, classify
 
 TRIANGLE_MAGIC = b"SPGL2T\x00\x00"
+_CSV_CHUNK_ROWS = 1 << 15
 
 
-def _atomic_write(path: Path, data: bytes):
+def _atomic_write(path: Path, parts: Iterable[bytes]):
+    """Write the byte chunks to a temp file beside path, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -72,17 +76,30 @@ def _manifest(command: str, config: dict, seed) -> tuple[dict, str]:
     return man, digest
 
 
-def _write_csv(path: Path, header: str, rows, digest: str):
-    lines = [f"# manifest={digest}", header]
-    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                       for v in row) for row in rows]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+def _write_csv(path: Path, header: str, columns, digest: str):
+    """Write equal-length columns as CSV rows: floats as %.12g, the rest str.
+
+    Rows are formatted and streamed one chunk at a time, so memory stays
+    near that of the columns themselves.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    # one object column makes the stacked block object too, keeping floats floats
+    cols = [c if c.dtype.kind == "f" else c.astype(object) for c in cols]
+
+    def chunks():
+        yield f"# manifest={digest}\n{header}\n".encode()
+        for k in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
+            block = np.column_stack([c[k: k + _CSV_CHUNK_ROWS] for c in cols])
+            yield ((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode()
+
+    _atomic_write(path, chunks())
 
 
 def _write_json(path: Path, obj: dict, digest: str):
     obj = dict(obj)
     obj["manifest_hash"] = digest
-    _atomic_write(path, (json.dumps(obj, indent=2, default=_jsonable) + "\n").encode())
+    _atomic_write(path, [(json.dumps(obj, indent=2, default=_jsonable) + "\n").encode()])
 
 
 def _jsonable(x):
@@ -131,12 +148,11 @@ def cmd_phase(args, out: Path):
     man, digest = _manifest("phase", {"mixture": m.coeffs,
                                       "beta_grid": args.beta_grid}, None)
     bcd, bcs = beta_c_dyn(m), beta_c_stat(m)
-    rows = []
-    for beta in betas:
-        pp = classify(m, beta, bcd=bcd, bcs=bcs)
-        rows.append((float(beta), float(pp.q_d), pp.regime, bcd, bcs))
+    points = [classify(m, beta, bcd=bcd, bcs=bcs) for beta in betas]
     _write_csv(out / "phase.csv", "beta,q_d,regime,beta_c_dyn,beta_c_stat",
-               rows, digest)
+               [betas, [float(pp.q_d) for pp in points],
+                [pp.regime for pp in points],
+                np.full(len(betas), bcd), np.full(len(betas), bcs)], digest)
     _write_json(out / "manifest.json", man, digest)
     print(f"wrote {out / 'phase.csv'} (beta_c_dyn={bcd:.6f}, beta_c_stat={bcs:.6f})")
     return 0
@@ -173,8 +189,7 @@ def cmd_fdt(args, out: Path):
                                     "gamma": args.gamma, "T": args.T,
                                     "h": args.h}, None)
     sol = solve_fdt(m, args.beta, args.gamma, args.T, args.h)
-    rows = list(zip(sol.tau.tolist(), sol.c.tolist(), sol.r.tolist()))
-    _write_csv(out / "fdt.csv", "tau,c,r", rows, digest)
+    _write_csv(out / "fdt.csv", "tau,c,r", [sol.tau, sol.c, sol.r], digest)
     man["c_inf"] = sol.c_inf
     man["plateaued"] = bool(sol.plateaued)
     _write_json(out / "manifest.json", man, digest)
@@ -184,13 +199,10 @@ def cmd_fdt(args, out: Path):
 
 def _dump_triangle(path: Path, sol):
     """Raw lower triangle, row-major little-endian doubles after the magic."""
-    n = sol.n
-    buf = [TRIANGLE_MAGIC, struct.pack("<qd", n, sol.h)]
-    for i in range(n + 1):
-        buf.append(sol.C[i, : i + 1].astype("<f8").tobytes())
-    for i in range(n + 1):
-        buf.append(sol.R[i, : i + 1].astype("<f8").tobytes())
-    _atomic_write(path, b"".join(buf))
+    tri = np.tril_indices(sol.n + 1)
+    _atomic_write(path, [TRIANGLE_MAGIC, struct.pack("<qd", sol.n, sol.h),
+                         sol.C[tri].astype("<f8").tobytes(),
+                         sol.R[tri].astype("<f8").tobytes()])
 
 
 def cmd_solve(args, out: Path):
@@ -204,16 +216,15 @@ def cmd_solve(args, out: Path):
                                       "h": args.h, "variant": args.variant},
                             None)
     sol = solve_dynamics(m, ic, cfg)
-    stride = max(1, args.stride)
-    rows = []
-    for i in range(0, sol.n + 1, stride):
-        for j in range(0, i + 1, stride):
-            rows.append((i * sol.h, j * sol.h, float(sol.C[i, j]),
-                         float(sol.R[i, j])))
-    _write_csv(out / "triangle.csv", "s,t,C,R", rows, digest)
-    one = [(i * sol.h, float(sol.q[i]), float(sol.K[i]), float(sol.mu[i]),
-            float(sol.L[i]), float(sol.H[i])) for i in range(sol.n + 1)]
-    _write_csv(out / "onetime.csv", "s,q,K,mu,L,H", one, digest)
+    grid = np.arange(0, sol.n + 1, max(1, args.stride))
+    ti, tj = np.tril_indices(len(grid))
+    I, J = grid[ti], grid[tj]
+    # each grid time recurs along the triangle: format it once, as %.12g
+    times = np.array(["%.12g" % s for s in (grid * sol.h).tolist()], dtype=object)
+    _write_csv(out / "triangle.csv", "s,t,C,R",
+               [times[ti], times[tj], sol.C[I, J], sol.R[I, J]], digest)
+    _write_csv(out / "onetime.csv", "s,q,K,mu,L,H",
+               [sol.s, sol.q, sol.K, sol.mu, sol.L, sol.H], digest)
     checks = {
         "gram_min_eig": sol.gram_min_eig(30),
         "cbar_gram_min_eig": (sol.cbar_gram_min_eig(30)
@@ -269,17 +280,17 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     grid = np.arange(lcfg.n_obs + 1) * h_obs
     Cbar = np.mean([o.C for o in obs], axis=0)
     chibar = np.mean([o.chi for o in obs], axis=0)
-    rows = [(grid[i], grid[j], float(Cbar[i, j]))
-            for i in range(len(grid)) for j in range(i + 1)]
-    _write_csv(out / "C_N.csv", "s,t,C_N", rows, digest)
-    rows = [(grid[i], grid[j], float(chibar[i, j]))
-            for i in range(len(grid)) for j in range(len(grid))]
-    _write_csv(out / "chi_N.csv", "s,t,chi_N", rows, digest)
-    one = [(grid[i], float(np.mean([o.q[i] for o in obs])),
-            float(np.mean([o.H[i] for o in obs])),
-            float(np.mean([o.K[i] for o in obs])))
-           for i in range(len(grid))]
-    _write_csv(out / "onetime_N.csv", "s,q_N,H_N,K_N", one, digest)
+    ti, tj = np.tril_indices(len(grid))
+    _write_csv(out / "C_N.csv", "s,t,C_N", [grid[ti], grid[tj], Cbar[ti, tj]],
+               digest)
+    _write_csv(out / "chi_N.csv", "s,t,chi_N",
+               [np.repeat(grid, len(grid)), np.tile(grid, len(grid)),
+                chibar.ravel()], digest)
+    # one 1-D mean per time: a mean over axis 0 would sum the paths in
+    # another order and move the last digits
+    one = np.array([[np.mean([getattr(o, key)[i] for o in obs])
+                     for key in ("q", "H", "K")] for i in range(len(grid))])
+    _write_csv(out / "onetime_N.csv", "s,q_N,H_N,K_N", [grid, *one.T], digest)
 
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:

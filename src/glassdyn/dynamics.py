@@ -15,8 +15,10 @@ scaling: unit coupling with mu equal to the diagonal kernel).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +65,19 @@ class SolverConfig:
     corrector_iters: int = 2
 
     def __post_init__(self):
+        for name in ("beta", "T", "h"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.h <= 0.0 or self.T <= 0.0:
             raise ConfigError("T and h must be positive")
         if abs(self.T / self.h - round(self.T / self.h)) > 1e-9:
             raise ConfigError("T must be an integer multiple of h")
         if self.variant not in (VARIANT_SPHERICAL, VARIANT_F, VARIANT_GRADFLOW):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_F and (self.ell is None or self.ell <= 0.0):
-            raise ConfigError("variant 'f' needs a positive ell")
+        if self.variant == VARIANT_F and not (self.ell is not None
+                                               and 0.0 < self.ell < math.inf):
+            raise ConfigError("variant 'f' needs a positive finite ell")
         if self.corrector_iters < 0:
             raise ConfigError("corrector_iters must be >= 0")
 
@@ -132,11 +139,29 @@ def _trapz(vec: np.ndarray, h: float) -> float:
     return h * (vec.sum() - 0.5 * (vec[0] + vec[-1]))
 
 
+class _Row(NamedTuple):
+    """Kernel inputs of row a that go through nu, evaluated once per state.
+
+    d1, d2: nu'(C[a, :a+1]) and nu''(C[a, :a+1]); vx, vy: drift-source
+    partials at (q[a], C[a, 0]); dq: nu'(q[:a+1]); d2q: nu''(q[a]).  dq and
+    d2q are None when q_star = 0, where no kernel reads them.
+    """
+
+    d1: np.ndarray
+    d2: np.ndarray
+    vx: float
+    vy: float
+    dq: np.ndarray | None
+    d2q: float | None
+
+
 class _Kernels:
     """Memory-integral evaluators over the raw solver arrays.
 
     Quantities follow the drift decomposition of the limit equations; the
     returned A_C / A_q are the unscaled kernels (the drifts use beta * A).
+    Every evaluator of row a takes that row's ``_Row`` from ``row``, which
+    must be built from the current C[a, :a+1] and q[:a+1].
     """
 
     def __init__(self, m: Mixture, vf: VFunction, beta: float, h: float,
@@ -149,13 +174,24 @@ class _Kernels:
         self.q_o = q_o
         self.dnu_qs2 = m.nu(q_star**2, 1) if q_star > 0.0 else 0.0
 
-    def row_AC(self, C, R, q, L, a):
+    def row(self, C, q, a) -> _Row:
+        m, vf = self.m, self.vf
+        Crow = C[a, : a + 1]
+        # Python floats take the scalar path of Mixture.nu inside vx and vy
+        qa, c0 = float(q[a]), float(Crow[0])
+        if self.q_star > 0.0:
+            dq, d2q = m.nu(q[: a + 1], 1), m.nu(qa, 2)
+        else:
+            dq = d2q = None
+        return _Row(m.nu(Crow, 1), m.nu(Crow, 2), vf.vx(qa, c0), vf.vy(qa, c0),
+                    dq, d2q)
+
+    def row_AC(self, C, R, q, L, a, rw: _Row):
         """Unscaled A_C(s_a, t_j) for all j <= a, as one vector."""
-        m, beta, h = self.m, self.beta, self.h
+        beta, h = self.beta, self.h
         Ct = C[: a + 1, : a + 1]
         Rrow = R[a, : a + 1]
-        Crow = C[a, : a + 1]
-        w1 = Rrow * m.nu(Crow, 2)
+        w1 = Rrow * rw.d2
         if a > 0:
             w1 = w1 * h
             w1[0] *= 0.5
@@ -163,64 +199,60 @@ class _Kernels:
             term1 = beta * (Ct.T @ w1 + Ct @ w1 - np.diagonal(Ct) * w1)
         else:
             term1 = np.zeros(1)
-        g = m.nu(Crow, 1)
+        g = rw.d1
         Rt = R[: a + 1, : a + 1]
         term2 = beta * h * (Rt @ g - 0.5 * R[: a + 1, 0] * g[0]
                             - 0.5 * np.diagonal(Rt) * g)
-        qs, qa = q[: a + 1], q[a]
+        qs = q[: a + 1]
         co = C[: a + 1, 0]
-        vx = self.vf.vx(qa, Crow[0])
-        vy = self.vf.vy(qa, Crow[0])
-        out = term1 + term2 + qs * vx + co * vy
+        out = term1 + term2 + qs * rw.vx + co * rw.vy
         if self.q_star > 0.0:
-            out = out - beta * qs * m.nu(qa, 2) * L[a] - beta * m.nu(qa, 1) * L[: a + 1]
+            out = out - beta * qs * rw.d2q * L[a] - beta * rw.dq[-1] * L[: a + 1]
         return out
 
-    def AC_diag(self, C, R, q, L, a):
+    def AC_diag(self, C, R, q, L, a, rw: _Row):
         """Unscaled A_C(s_a, s_a); only row a of the triangles is touched."""
-        m, beta, h = self.m, self.beta, self.h
+        beta, h = self.beta, self.h
         Rrow, Crow = R[a, : a + 1], C[a, : a + 1]
-        term1 = beta * _trapz(Rrow * m.nu(Crow, 2) * Crow, h)
-        term2 = beta * _trapz(Rrow * m.nu(Crow, 1), h)
+        term1 = beta * _trapz(Rrow * rw.d2 * Crow, h)
+        term2 = beta * _trapz(Rrow * rw.d1, h)
         qa = q[a]
-        out = (term1 + term2 + qa * self.vf.vx(qa, Crow[0])
-               + C[a, 0] * self.vf.vy(qa, Crow[0]))
+        out = term1 + term2 + qa * rw.vx + C[a, 0] * rw.vy
         if self.q_star > 0.0:
-            out -= beta * (qa * m.nu(qa, 2) + m.nu(qa, 1)) * L[a]
+            out -= beta * (qa * rw.d2q + rw.dq[-1]) * L[a]
         return out
 
-    def row_IR(self, C, R, a):
+    def row_IR(self, R, a, rw: _Row):
         """beta^2 * int_{t_j}^{s_a} R(u, t_j) R(s_a, u) nu''(C(s_a, u)) du."""
-        m, beta, h = self.m, self.beta, self.h
+        beta, h = self.beta, self.h
         Rrow = R[a, : a + 1]
-        mv = Rrow * m.nu(C[a, : a + 1], 2)
+        mv = Rrow * rw.d2
         Rt = R[: a + 1, : a + 1]
         full = Rt.T @ mv
         return beta**2 * h * (full - 0.5 * np.diagonal(Rt) * mv - 0.5 * Rrow * mv[-1])
 
-    def A_q(self, C, R, q, L, a):
-        m, beta, h = self.m, self.beta, self.h
+    def A_q(self, R, q, L, a, rw: _Row):
+        beta, h = self.beta, self.h
         if self.q_star == 0.0:
             return 0.0
-        Rrow, Crow = R[a, : a + 1], C[a, : a + 1]
-        qa = q[a]
+        Rrow = R[a, : a + 1]
         qs2 = self.q_star**2
-        out = beta * _trapz(Rrow * q[: a + 1] * m.nu(Crow, 2), h)
-        out += (-beta * qs2 * m.nu(qa, 2) * L[a]
-                + qs2 * self.vf.vx(qa, Crow[0]) + self.q_o * self.vf.vy(qa, Crow[0]))
+        out = beta * _trapz(Rrow * q[: a + 1] * rw.d2, h)
+        out += (-beta * qs2 * rw.d2q * L[a]
+                + qs2 * rw.vx + self.q_o * rw.vy)
         return out
 
-    def L_at(self, C, R, q, a):
+    def L_at(self, R, a, rw: _Row):
         if self.q_star == 0.0:
             return 0.0
-        return _trapz(R[a, : a + 1] * self.m.nu(q[: a + 1], 1), self.h) / self.dnu_qs2
+        return _trapz(R[a, : a + 1] * rw.dq, self.h) / self.dnu_qs2
 
-    def H_at(self, C, R, q, L, a):
-        m, beta, h = self.m, self.beta, self.h
-        Rrow, Crow = R[a, : a + 1], C[a, : a + 1]
-        out = beta * _trapz(Rrow * m.nu(Crow, 1), h) + self.vf.v(q[a], Crow[0])
+    def H_at(self, C, R, q, L, a, rw: _Row):
+        beta, h = self.beta, self.h
+        out = (beta * _trapz(R[a, : a + 1] * rw.d1, h)
+               + self.vf.v(float(q[a]), float(C[a, 0])))
         if self.q_star > 0.0:
-            out -= beta * m.nu(q[a], 1) * L[a]
+            out -= beta * rw.dq[-1] * L[a]
         return out
 
 
@@ -249,7 +281,8 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     C[0, 0] = 1.0
     R[0, 0] = 1.0
     q[0] = ic.q_o
-    H[0] = ker.H_at(C, R, q, L, 0)
+    rw = ker.row(C, q, 0)
+    H[0] = ker.H_at(C, R, q, L, 0, rw)
 
     if cfg.variant == VARIANT_F:
         c0 = cfg.f0_slope if cfg.f0_slope is not None else default_f0_slope(vf, beta, ic.q_o)
@@ -257,55 +290,62 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     else:
         c0 = ell = None
 
-    def close(i1):
-        """Set K, diagonal C, L and mu at slice i1 from the current rows."""
+    def close(i1) -> _Row:
+        """Set K, diagonal C, L and mu at slice i1; return the row it leaves."""
         if cfg.variant == VARIANT_F:
             C[i1, i1] = K[i1 - 1]
             for _ in range(2):
-                L[i1] = ker.L_at(C, R, q, i1)
-                ad = ker.AC_diag(C, R, q, L, i1)
+                rw = ker.row(C, q, i1)
+                L[i1] = ker.L_at(R, i1, rw)
+                ad = ker.AC_diag(C, R, q, L, i1, rw)
                 K[i1] = (K[i1 - 1] + h * (1.0 + 2.0 * beta * ad) + 4.0 * ell * h) / (
                     1.0 + 4.0 * ell * h + 2.0 * c0 * h)
                 C[i1, i1] = K[i1]
             mu[i1] = 2.0 * ell * (K[i1] - 1.0) + c0
-        else:
-            K[i1] = 1.0
-            C[i1, i1] = 1.0
-            L[i1] = ker.L_at(C, R, q, i1)
-            ad = ker.AC_diag(C, R, q, L, i1)
-            mu[i1] = ad if cfg.variant == VARIANT_GRADFLOW else 0.5 + beta * ad
+            return ker.row(C, q, i1)
+        K[i1] = 1.0
+        C[i1, i1] = 1.0
+        rw = ker.row(C, q, i1)
+        L[i1] = ker.L_at(R, i1, rw)
+        ad = ker.AC_diag(C, R, q, L, i1, rw)
+        mu[i1] = ad if cfg.variant == VARIANT_GRADFLOW else 0.5 + beta * ad
+        return rw
 
     if cfg.variant == VARIANT_F:
         mu[0] = c0
     else:
-        ad0 = ker.AC_diag(C, R, q, L, 0)
+        ad0 = ker.AC_diag(C, R, q, L, 0, rw)
         mu[0] = ad0 if cfg.variant == VARIANT_GRADFLOW else 0.5 + beta * ad0
 
+    # rw always describes the current C[a, :a+1] and q[:a+1] of the row the
+    # next kernels read: close() rebuilds it after every update of row i + 1
     for i in range(n):
-        FR_i = -mu[i] * R[i, : i + 1] + ker.row_IR(C, R, i)
-        FC_i = -mu[i] * C[i, : i + 1] + beta * ker.row_AC(C, R, q, L, i)
-        Fq_i = -mu[i] * q[i] + beta * ker.A_q(C, R, q, L, i)
+        FR_i = -mu[i] * R[i, : i + 1] + ker.row_IR(R, i, rw)
+        FC_i = -mu[i] * C[i, : i + 1] + beta * ker.row_AC(C, R, q, L, i, rw)
+        Fq_i = -mu[i] * q[i] + beta * ker.A_q(R, q, L, i, rw)
 
         R[i + 1, : i + 1] = R[i, : i + 1] + h * FR_i
         C[i + 1, : i + 1] = C[i, : i + 1] + h * FC_i
         q[i + 1] = q[i] + h * Fq_i
         R[i + 1, i + 1] = 1.0
-        close(i + 1)
+        rw = close(i + 1)
 
         for _ in range(cfg.corrector_iters):
-            FR_n = -mu[i + 1] * R[i + 1, : i + 1] + ker.row_IR(C, R, i + 1)[: i + 1]
+            FR_n = -mu[i + 1] * R[i + 1, : i + 1] + ker.row_IR(R, i + 1, rw)[: i + 1]
             FC_n = (-mu[i + 1] * C[i + 1, : i + 1]
-                    + beta * ker.row_AC(C, R, q, L, i + 1)[: i + 1])
-            Fq_n = -mu[i + 1] * q[i + 1] + beta * ker.A_q(C, R, q, L, i + 1)
+                    + beta * ker.row_AC(C, R, q, L, i + 1, rw)[: i + 1])
+            Fq_n = -mu[i + 1] * q[i + 1] + beta * ker.A_q(R, q, L, i + 1, rw)
             R[i + 1, : i + 1] = R[i, : i + 1] + 0.5 * h * (FR_i + FR_n)
             C[i + 1, : i + 1] = C[i, : i + 1] + 0.5 * h * (FC_i + FC_n)
             q[i + 1] = q[i] + 0.5 * h * (Fq_i + Fq_n)
-            close(i + 1)
+            rw = close(i + 1)
 
-        H[i + 1] = ker.H_at(C, R, q, L, i + 1)
-        if (abs(C[i + 1, : i + 2]).max() > _BLOWUP
-                or abs(R[i + 1, : i + 2]).max() > _BLOWUP):
-            raise BlowUpError(f"|C| or |R| exceeded {_BLOWUP} at slice {i + 1}")
+        H[i + 1] = ker.H_at(C, R, q, L, i + 1, rw)
+        # written so that NaN fails it too
+        if not (abs(C[i + 1, : i + 2]).max() <= _BLOWUP
+                and abs(R[i + 1, : i + 2]).max() <= _BLOWUP):
+            raise BlowUpError(f"|C| or |R| exceeded {_BLOWUP} or is not finite "
+                              f"at slice {i + 1}")
 
     sol = TwoTimeSolution(h, n, C, R, q, K, mu, L, H, beta,
                           ic.q_star, ic.q_o, cfg.variant)
@@ -341,14 +381,15 @@ def rhs_kernels(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
     beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
     ker = _Kernels(m, vf, beta, sol.h, sol.q_star, sol.q_o)
     C, R, q, L = sol.C, sol.R, sol.q, sol.L
-    ac = ker.row_AC(C, R, q, L, i)[j]
-    ir = ker.row_IR(C, R, i)[j]
+    rw = ker.row(C, q, i)
+    ac = ker.row_AC(C, R, q, L, i, rw)[j]
+    ir = ker.row_IR(R, i, rw)[j]
     return KernelValues(
         A_C=beta * ac,
-        A_q=beta * ker.A_q(C, R, q, L, i),
+        A_q=beta * ker.A_q(R, q, L, i, rw),
         dR=-sol.mu[i] * R[i, j] + ir,
-        H=ker.H_at(C, R, q, L, i),
-        L=ker.L_at(C, R, q, i),
+        H=ker.H_at(C, R, q, L, i, rw),
+        L=ker.L_at(R, i, rw),
     )
 
 
@@ -377,16 +418,17 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
         j = slice(0, i)
         fd_R = (R[i + 1, j] - R[i - 1, j]) / (2.0 * h)
         fd_C = (C[i + 1, j] - C[i - 1, j]) / (2.0 * h)
-        rhs_R = -mu[i] * R[i, j] + ker.row_IR(C, R, i)[j]
-        rhs_C = -mu[i] * C[i, j] + beta * ker.row_AC(C, R, q, L, i)[j]
-        if i > 0:
-            res_R = max(res_R, float(abs(fd_R - rhs_R).max(initial=0.0)))
-            res_C = max(res_C, float(abs(fd_C - rhs_C).max(initial=0.0)))
+        rw = ker.row(C, q, i)
+        rhs_R = -mu[i] * R[i, j] + ker.row_IR(R, i, rw)[j]
+        rhs_C = -mu[i] * C[i, j] + beta * ker.row_AC(C, R, q, L, i, rw)[j]
+        res_R = max(res_R, float(abs(fd_R - rhs_R).max(initial=0.0)))
+        res_C = max(res_C, float(abs(fd_C - rhs_C).max(initial=0.0)))
         fd_q = (q[i + 1] - q[i - 1]) / (2.0 * h)
-        res_q = max(res_q, abs(fd_q - (-mu[i] * q[i] + beta * ker.A_q(C, R, q, L, i))))
+        res_q = max(res_q, abs(fd_q - (-mu[i] * q[i] + beta * ker.A_q(R, q, L, i, rw))))
     for i in range(sol.n + 1):
-        res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, R, q, L, i)))
-        ad = ker.AC_diag(C, R, q, L, i)
+        rw = ker.row(C, q, i)
+        res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, R, q, L, i, rw)))
+        ad = ker.AC_diag(C, R, q, L, i, rw)
         if cfg.variant == VARIANT_F:
             c0 = cfg.f0_slope if cfg.f0_slope is not None else default_f0_slope(
                 vf, beta, sol.q_o)

@@ -49,10 +49,19 @@ class LangevinConfig:
     r_guard: float = 2.0
 
     def __post_init__(self):
+        for name in ("T", "h_obs"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.beta):
+            raise ConfigError(f"beta must be finite, got {self.beta}")
+        if self.substeps < 1:
+            raise ConfigError(f"substeps must be >= 1, got {self.substeps}")
         if self.variant not in (VARIANT_SPHERE, VARIANT_FCONF):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_FCONF and (self.ell is None or self.ell <= 0):
-            raise ConfigError("fconfined variant needs a positive ell")
+        if self.variant == VARIANT_FCONF and not (self.ell is not None
+                                                  and 0.0 < self.ell < math.inf):
+            raise ConfigError("fconfined variant needs a positive finite ell")
         if abs(self.T / self.h_obs - round(self.T / self.h_obs)) > 1e-9:
             raise ConfigError("T must be an integer multiple of h_obs")
 

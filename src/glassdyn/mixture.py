@@ -40,6 +40,9 @@ class Mixture:
     radius_bound: float = math.inf
     # dense ascending coefficient arrays for nu and its three derivatives
     _c: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # the same coefficients as descending Python floats, for scalar Horner
+    _c_desc: tuple[tuple[float, ...], ...] = field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -48,6 +51,8 @@ class Mixture:
             b = float(b)
             if p < 2:
                 raise ConfigError(f"mixture power p={p} below 2")
+            if not math.isfinite(b):
+                raise ConfigError(f"non-finite weight b_{p}^2 = {b}")
             if b < 0.0:
                 raise ConfigError(f"negative weight b_{p}^2 = {b}")
             if b > 0.0:
@@ -66,6 +71,8 @@ class Mixture:
             prev = cs[-1]
             cs.append(prev[1:] * np.arange(1, len(prev)))
         object.__setattr__(self, "_c", tuple(cs))
+        object.__setattr__(self, "_c_desc",
+                           tuple(tuple(c[::-1].tolist()) for c in cs))
 
     @property
     def p_max(self) -> int:
@@ -88,11 +95,21 @@ class Mixture:
         """Evaluate nu (order 0) or its derivative of the given order at r.
 
         Horner over the dense ascending coefficients; r may be a scalar or an
-        ndarray.  Guarded by |r| <= radius_bound**2.
+        ndarray.  Guarded by |r| <= radius_bound**2.  A float r (including
+        np.float64) takes the same Horner steps on Python floats, so the
+        result is bitwise equal to the array path and is a Python float.
         """
         if order not in (0, 1, 2, 3):
             raise ConfigError(f"order must be in 0..3, got {order}")
         guard = self.radius_bound**2
+        if isinstance(r, float):
+            r = float(r)
+            if abs(r) > guard:
+                raise DomainError(f"|r| exceeds radius_bound^2 = {guard}")
+            acc = 0.0
+            for c in self._c_desc[order]:
+                acc = acc * r + c
+            return acc
         if np.any(np.abs(r) > guard):
             raise DomainError(f"|r| exceeds radius_bound^2 = {guard}")
         coeffs = self._c[order]

@@ -1,12 +1,36 @@
 """Command-line interface: outputs, manifests, exit codes, reproducibility."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glassdyn
 from glassdyn.cli import TRIANGLE_MAGIC, main
+from glassdyn.dynamics import SolverConfig, solve_dynamics
+from glassdyn.init_params import InitCondition
+from glassdyn.mixture import Mixture
+from glassdyn.phase import beta_c_dyn, beta_c_stat, classify
+
+GENERIC_INIT = {"q_star": 0.8,
+                "V": {"E": 0.5, "E_star": -0.3, "G_star": 0.4, "q_o": 0.35}}
+
+
+def reference_csv(digest, header, rows):
+    """The row-tuple formatter the streamed writer replaced: the byte oracle."""
+    lines = [f"# manifest={digest}", header]
+    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def manifest_hash(out):
+    return json.loads((out / "manifest.json").read_text())["manifest_hash"]
 
 
 @pytest.fixture
@@ -42,6 +66,21 @@ class TestPhase:
                    str(files["mix"]), "--beta-grid", "nope"])
         assert rc == 2
 
+    def test_csv_bytes_match_row_formatter(self, files):
+        out = files["dir"] / "out"
+        assert main(["--out-dir", str(out), "phase", "--mixture",
+                     str(files["mix"]), "--beta-grid", "0.05:2.5:30"]) == 0
+        m = Mixture({2: 1.0, 3: 1.0})
+        bcd, bcs = beta_c_dyn(m), beta_c_stat(m)
+        rows = []
+        for beta in np.linspace(0.05, 2.5, 30):
+            pp = classify(m, beta, bcd=bcd, bcs=bcs)
+            rows.append((float(beta), float(pp.q_d), pp.regime, bcd, bcs))
+        assert {r[2] for r in rows} == {"RS", "RSB-region"}
+        want = reference_csv(manifest_hash(out),
+                             "beta,q_d,regime,beta_c_dyn,beta_c_stat", rows)
+        assert (out / "phase.csv").read_bytes() == want
+
 
 class TestParams:
     def test_report(self, files, capsys):
@@ -76,6 +115,30 @@ class TestSolve:
         assert len(blob) == 8 + 16 + 2 * 8 * (n + 1) * (n + 2) // 2
         first_row = np.frombuffer(blob, dtype="<f8", count=1, offset=24)
         assert first_row[0] == 1.0
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_csv_bytes_match_row_formatter(self, files, stride):
+        init = files["dir"] / "generic.json"
+        init.write_text(json.dumps(GENERIC_INIT))
+        out = files["dir"] / f"out{stride}"
+        assert main(["--out-dir", str(out), "solve", "--mixture",
+                     str(files["mix"]), "--init", str(init), "--beta", "0.5",
+                     "--T", "0.5", "--h", "0.01", "--stride", str(stride)]) == 0
+        m = Mixture({2: 1.0, 3: 1.0})
+        ic = InitCondition.from_dict(GENERIC_INIT, m)
+        sol = solve_dynamics(m, ic, SolverConfig(beta=0.5, T=0.5, h=0.01))
+        digest = manifest_hash(out)
+        rows = []
+        for i in range(0, sol.n + 1, stride):
+            for j in range(0, i + 1, stride):
+                rows.append((i * sol.h, j * sol.h, float(sol.C[i, j]),
+                             float(sol.R[i, j])))
+        assert (out / "triangle.csv").read_bytes() == reference_csv(
+            digest, "s,t,C,R", rows)
+        one = [(i * sol.h, float(sol.q[i]), float(sol.K[i]), float(sol.mu[i]),
+                float(sol.L[i]), float(sol.H[i])) for i in range(sol.n + 1)]
+        assert (out / "onetime.csv").read_bytes() == reference_csv(
+            digest, "s,q,K,mu,L,H", one)
 
     def test_beta0_matches_closed_form(self, files):
         out = files["dir"] / "out"
@@ -118,6 +181,20 @@ class TestErrors:
         rc = main(["--out-dir", str(files["dir"] / "x"), "phase", "--mixture",
                    str(files["dir"] / "absent.json"), "--beta-grid", "0:1:2"])
         assert rc == 2
+
+    def test_nan_beta_is_config_error_without_traceback(self, files):
+        src = str(Path(glassdyn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "glassdyn.cli", "--out-dir",
+             str(files["dir"] / "z"), "solve", "--mixture", str(files["mix"]),
+             "--init", str(files["init"]), "--beta", "nan", "--T", "0.5",
+             "--h", "0.01"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "beta" in proc.stderr
 
     def test_malformed_config(self, files):
         bad = files["dir"] / "bad.json"

@@ -1,5 +1,7 @@
 """Two-time solver: closed forms, invariants, kernels, variants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from glassdyn.dynamics import (
     EllRecord, SolverConfig, TwoTimeSolution, ell_limit_check,
     integrated_response, residual, rhs_kernels, solve_dynamics,
 )
-from glassdyn.errors import ConfigError
+from glassdyn.errors import BlowUpError, ConfigError
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
 from glassdyn.mixture import Mixture
 
@@ -155,6 +157,26 @@ class TestVariants:
             SolverConfig(beta=0.3, T=1.0, h=0.01, variant="f")
         with pytest.raises(ConfigError):
             SolverConfig(beta=0.3, T=1.0, h=0.01, variant="nope")
+
+    @pytest.mark.parametrize("field", ["beta", "T", "h"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, field, bad):
+        args = dict(beta=0.3, T=1.0, h=0.01)
+        args[field] = bad
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(**args)
+
+    @pytest.mark.parametrize("ell", [None, 0.0, -1.0, float("nan"), float("inf")])
+    def test_f_variant_needs_finite_positive_ell(self, ell):
+        with pytest.raises(ConfigError, match="ell"):
+            SolverConfig(beta=0.3, T=1.0, h=0.01, variant="f", ell=ell)
+
+    def test_non_finite_state_stops_at_first_slice(self):
+        # a NaN drift source makes row 1 NaN; the march must stop right there
+        vf = solve_w(IC_GEN, M23)
+        vf = dataclasses.replace(vf, w=np.full_like(vf.w, np.nan))
+        with pytest.raises(BlowUpError, match="slice 1$"):
+            solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01), vf)
 
 
 class TestIntegratedResponse:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glassdyn.dynamics import SolverConfig, solve_dynamics
-from glassdyn.errors import EscapeError, GridMismatchError
+from glassdyn.errors import ConfigError, EscapeError, GridMismatchError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditioned_field, make_x_star, sample_band_point,
     sample_system,
@@ -32,6 +32,25 @@ class ZeroField:
 
     def value_batch(self, X):
         return np.zeros(X.shape[0])
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"h_obs": 0.0}, {"h_obs": -0.05}, {"h_obs": float("nan")},
+        {"h_obs": float("inf")}, {"T": 0.0}, {"T": -1.0},
+        {"T": float("nan")}, {"T": float("inf")}, {"substeps": 0},
+        {"substeps": -2}, {"variant": "fconfined", "ell": float("nan")},
+        {"variant": "fconfined", "ell": float("inf")},
+        {"variant": "fconfined", "ell": 0.0}, {"beta": float("nan")},
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        args = dict(beta=0.3, T=0.5, h_obs=0.05)
+        args.update(kwargs)
+        with pytest.raises(ConfigError):
+            LangevinConfig(**args)
+
+    def test_accepts_valid_values(self):
+        assert LangevinConfig(beta=0.3, T=0.5, h_obs=0.05, substeps=1).n_obs == 10
 
 
 class TestIntegrate:

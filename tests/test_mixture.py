@@ -31,6 +31,26 @@ class TestNuEval:
         with pytest.raises(DomainError):
             m.nu(2.5)
 
+    def test_radius_guard_array(self):
+        m = Mixture({2: 1.0}, radius_bound=1.5)
+        with pytest.raises(DomainError):
+            m.nu(np.array([0.1, -2.5, 0.3]), 1)
+        with pytest.raises(DomainError):
+            m.nu(np.float64(-2.5), 2)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_scalar_path_equals_array_path(self, order):
+        m = Mixture({2: 1.0, 3: 0.7, 5: 0.25, 8: 0.1})
+        rng = np.random.default_rng(order)
+        r = np.concatenate([rng.uniform(-1.2, 1.2, 200), [0.0, -0.0, 1.0, -1.0]])
+        arr = m.nu(r, order)
+        for x, want in zip(r, arr):
+            for scalar in (float(x), x):  # a Python float and an np.float64
+                got = m.nu(scalar, order)
+                assert type(got) is float
+                assert got == want or (np.isnan(got) and np.isnan(want))
+                assert np.signbit(got) == np.signbit(want)
+
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(0)
         eps = 1e-5
@@ -134,6 +154,13 @@ class TestValidationAndJson:
     def test_rejects_negative_weight(self):
         with pytest.raises(ConfigError):
             Mixture({2: -1.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ConfigError, match="b_2"):
+            Mixture({2: bad, 3: 1.0})
+        with pytest.raises(ConfigError, match="b_2"):
+            Mixture({2: bad})
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
