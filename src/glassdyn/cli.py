@@ -18,7 +18,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +249,9 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     h_obs = float(cfg_obj.get("h_obs", 0.02))
     paths = int(cfg_obj.get("paths", 8))
     seed = int(cfg_obj.get("seed", 0))
-    threads = int(cfg_obj.get("threads", 1))
+    if "threads" in cfg_obj:
+        raise ConfigError("config key 'threads' is no longer supported: paths "
+                          "share one tensor pass per step")
     variant = cfg_obj.get("variant", "spherical")
     ell = cfg_obj.get("ell")
     man, digest = _manifest("simulate", cfg_obj, seed)
@@ -263,18 +264,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs,
                           substeps=int(cfg_obj.get("substeps", 5)),
                           variant=variant, ell=ell)
-    if threads > 1 and paths > 1:
-        # paths are independent; BLAS releases the GIL inside the tensor passes
-        chunk = max(1, paths // threads)
-        starts = list(range(0, paths, chunk))
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(
-                lambda s: integrate_ensemble(f, x0, lcfg,
-                                             min(chunk, paths - s),
-                                             seed + 10 + s), starts))
-        trajs = [t for part in parts for t in part]
-    else:
-        trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
+    trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
     obs = [observables(t, f, x_star) for t in trajs]
 
     grid = np.arange(lcfg.n_obs + 1) * h_obs
@@ -314,15 +304,11 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
 
 def cmd_simulate(args, out: Path):
     cfg_obj = json.loads(Path(args.config).read_text())
-    if args.threads:
-        cfg_obj["threads"] = args.threads
     return _simulate_core(cfg_obj, out, want_compare=False)
 
 
 def cmd_compare(args, out: Path):
     cfg_obj = json.loads(Path(args.config).read_text())
-    if args.threads:
-        cfg_obj["threads"] = args.threads
     return _simulate_core(cfg_obj, out, want_compare=True)
 
 
@@ -341,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="glassdyn",
         description="Two-time spin-glass dynamics: limit solver and finite-N validator")
     ap.add_argument("--out-dir", default="glassdyn_out", help="output directory")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="parallelize independent sub-runs (Monte Carlo paths)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phase", help="critical temperatures and plateau curve")

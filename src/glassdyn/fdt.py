@@ -9,6 +9,7 @@ from c by diagonal transport.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,6 +58,10 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
     freshly integrated c.  Raises if gamma admits no plateau; warns if the
     window ends more than 10 h away from the plateau level.
     """
+    for name, value in (("beta", beta), ("gamma", gamma), ("T_tau", T_tau),
+                        ("h_tau", h_tau)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     ci = plateau_level(m, beta, gamma)
     n = round(T_tau / h_tau)
     if abs(T_tau / h_tau - n) > 1e-9 or n < 1:

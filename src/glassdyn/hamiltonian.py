@@ -1,18 +1,24 @@
 """Finite-N mixed p-spin Gaussian field: sampling, evaluation, conditioning.
 
 The random energy is a sum over dense coupling tensors, one per active power
-p, with i.i.d. entries of variance N^(1-p), which gives the covariance
-Cov(H(x), H(y)) = N nu(<x,y>/N) by construction.  Conditioning on the value
-at the start point and on value/gradient at a critical point is exact for a
-Gaussian field and is realized by a mean swap: subtract the conditional mean
-at the observed data, add it back at the target data.  The orthogonal
-complement of the two distinguished directions is never materialized; its
-contribution enters through a single projected gradient vector.
+p.  Each tensor is drawn with i.i.d. entries of variance N^(1-p), which gives
+the covariance Cov(H(x), H(y)) = N nu(<x,y>/N), and is then stored
+symmetrized: averaged over all axis permutations.  The stored entries are no
+longer i.i.d., but H is the same function of x, so the covariance law is
+unchanged; symmetry lets one matrix product give the gradient for a whole
+batch of points.  Conditioning on the value at the start point and on
+value/gradient at a critical point is exact for a Gaussian field and is
+realized by a mean swap: subtract the conditional mean at the observed data,
+add it back at the target data.  The orthogonal complement of the two
+distinguished directions is never materialized; its contribution enters
+through a single projected gradient vector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +43,12 @@ __all__ = [
 _P_MAX = 4
 _MAX_TENSOR_ENTRIES = 3e8
 _R_GUARD = 4.0
+_SYM_BLOCK = 25  # slab thickness of the draw, edge of the averaged sub-blocks
 
 
 @dataclass
 class SpinSystem:
-    """One realization of the coupling tensors at size N."""
+    """One realization of the symmetrized coupling tensors at size N."""
 
     N: int
     mixture: Mixture
@@ -54,100 +61,106 @@ class SpinSystem:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return eval_field(self, x, "gradH")
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of X with one tensor pass per contraction.
+    def _contract(self, X: np.ndarray):
+        """Values and gradients at the rows of X, one GEMM per power p.
 
-        The dominant cost is streaming the p = 3 tensor through BLAS; doing
-        it once for a whole ensemble of paths is what makes the Monte Carlo
-        comparison affordable.
+        With J symmetric, grad H_p(x) = p sqrt(b_p) J(x, ..., x, .), the
+        contraction of p - 1 axes with x: the rows of x (x) ... (x) x times
+        J reshaped to (N^(p-1), N).  Euler's identity x . grad H_p = p H_p
+        gives the values from the same product.  The dominant cost is
+        streaming each tensor once for the whole batch.
         """
         k, N = X.shape
-        out = np.zeros((k, N))
+        values, grads = np.zeros(k), np.zeros((k, N))
         for p, b in self.mixture.coeffs.items():
+            K = X
+            for _ in range(p - 2):
+                K = (K[:, :, None] * X[:, None, :]).reshape(k, -1)
+            G = K @ self.tensors[p].reshape(-1, N)
             bp = math.sqrt(b)
-            J = self.tensors[p]
-            if p == 2:
-                out += bp * X @ (J + J.T)
-            elif p == 3:
-                B_all = (J.reshape(N * N, N) @ X.T).T.reshape(k, N, N)
-                O_all = np.einsum("ki,kj->kij", X, X).reshape(k, N * N)
-                A2 = O_all @ J.reshape(N * N, N)
-                for i in range(k):
-                    out[i] += bp * (B_all[i] @ X[i] + B_all[i].T @ X[i] + A2[i])
-            else:
-                for i in range(k):
-                    out[i] += bp * _grad_p(J, X[i], p)
-        return out
+            values += bp * (G * X).sum(axis=1)
+            grads += (p * bp) * G
+        return values, grads
+
+    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
+        """Gradients at the rows of X: one tensor pass per power p."""
+        return self._contract(X)[1]
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        k, N = X.shape
-        out = np.zeros(k)
-        for p, b in self.mixture.coeffs.items():
-            bp = math.sqrt(b)
-            J = self.tensors[p]
-            if p == 2:
-                out += bp * np.einsum("ki,ij,kj->k", X, J, X)
-            elif p == 3:
-                O_all = np.einsum("ki,kj->kij", X, X).reshape(k, N * N)
-                out += bp * ((O_all @ J.reshape(N * N, N)) * X).sum(axis=1)
-            else:
-                out += bp * np.array([_value_p(J, X[i], p) for i in range(k)])
-        return out
+        """Energies at the rows of X: one tensor pass per power p."""
+        return self._contract(X)[0]
+
+
+def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
+    """Standard normals times N^(-(p-1)/2), averaged over all axis permutations.
+
+    The draw goes in slabs of _SYM_BLOCK along the first axis, which is the
+    same stream as one standard_normal call, on a worker thread that runs
+    ahead: the generator releases the GIL, so the draw overlaps the averaging.
+    Once slab b is drawn, each sorted tuple of block starts that ends in b has
+    its p! permuted sub-blocks read, averaged and written back transposed, in
+    place, so the only extra memory is a few sub-blocks.
+    """
+    J = np.empty((N,) * p)
+    perms = list(itertools.permutations(range(p)))
+    w = N ** (-(p - 1) / 2.0) / len(perms)
+    sorted_at = {}
+    with ThreadPoolExecutor(1) as pool:
+        slabs = [(b, pool.submit(rng.standard_normal, out=J[b:b + _SYM_BLOCK]))
+                 for b in range(0, N, _SYM_BLOCK)]
+        for b, slab in slabs:
+            slab.result()
+            for head in itertools.combinations_with_replacement(
+                    range(0, b + 1, _SYM_BLOCK), p - 1):
+                _average_orbit(J, head + (b,), perms, w, sorted_at)
+    return J
+
+
+def _average_orbit(J: np.ndarray, starts: tuple, perms: list, w: float,
+                   sorted_at: dict):
+    """Set the sub-blocks at all permutations of sorted starts to w times their sum.
+
+    Inside a sub-block whose tuple repeats a start, every entry takes the
+    value at its sorted index, so the stored tensor equals each of its
+    transposes bit for bit; sorted_at caches that gather by repeat pattern
+    and shape.
+    """
+    p, N = J.ndim, J.shape[0]
+    sl = [slice(s, min(s + _SYM_BLOCK, N)) for s in starts]
+    S = J[tuple(sl)].copy()  # perms[0] is the identity
+    for sg in perms[1:]:
+        S += J[tuple(sl[a] for a in sg)].transpose(np.argsort(sg))
+    S *= w
+    if len(set(starts)) < p:
+        key = (tuple(starts.index(s) for s in starts), S.shape)
+        if key not in sorted_at:
+            off = np.reshape(starts, (p,) + (1,) * p)
+            idx = np.sort(np.indices(S.shape) + off, axis=0) - off
+            sorted_at[key] = np.ravel_multi_index(tuple(idx), S.shape)
+        S = S.ravel()[sorted_at[key]]
+    for sg in perms:
+        J[tuple(sl[a] for a in sg)] = S.transpose(sg)
 
 
 def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
-    """Draw the dense coupling tensors; deterministic given the seed."""
+    """Draw the symmetrized coupling tensors; deterministic given the seed."""
     if m.p_max > _P_MAX:
         raise ConfigError(f"dense tensors limited to p <= {_P_MAX}")
     if N ** m.p_max > _MAX_TENSOR_ENTRIES:
         raise ConfigError(f"N^{m.p_max} tensor would exceed the memory guard")
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for p in m.coeffs:
-        scale = N ** (-(p - 1) / 2.0)
-        tensors[p] = rng.standard_normal(size=(N,) * p) * scale
+    tensors = {p: _draw_symmetric(rng, N, p) for p in m.coeffs}
     return SpinSystem(N, m, tensors, seed)
-
-
-def _value_p(J: np.ndarray, x: np.ndarray, p: int) -> float:
-    out = J
-    for _ in range(p):
-        out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
-    return float(out)
-
-
-def _grad_p(J: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    if p == 2:
-        return J @ x + J.T @ x
-    if p == 3:
-        B = np.tensordot(J, x, axes=([2], [0]))   # B_ij = sum_k J_ijk x_k
-        D = np.tensordot(J, x, axes=([0], [0]))   # D_jk = sum_i x_i J_ijk
-        return B @ x + B.T @ x + D.T @ x
-    # generic: keep one axis, contract the rest from the highest index down
-    g = np.zeros_like(x)
-    for keep in range(p):
-        out = J
-        for a in range(p - 1, -1, -1):
-            if a == keep:
-                continue
-            out = np.tensordot(out, x, axes=([a], [0]))
-        g += out
-    return g
 
 
 def eval_field(sys: SpinSystem, x: np.ndarray, what: str = "H"):
     """Energy or gradient of the raw field at x (radius-guarded)."""
     if np.linalg.norm(x) > _R_GUARD * math.sqrt(sys.N):
         raise DomainError("evaluation point outside the radius guard")
-    if what == "H":
-        return sum(math.sqrt(b) * _value_p(sys.tensors[p], x, p)
-                   for p, b in sys.mixture.coeffs.items())
-    if what == "gradH":
-        g = np.zeros(sys.N)
-        for p, b in sys.mixture.coeffs.items():
-            g += math.sqrt(b) * _grad_p(sys.tensors[p], x, p)
-        return g
-    raise ConfigError(f"what must be 'H' or 'gradH', got {what!r}")
+    if what not in ("H", "gradH"):
+        raise ConfigError(f"what must be 'H' or 'gradH', got {what!r}")
+    values, grads = sys._contract(np.asarray(x, dtype=float)[None, :])
+    return float(values[0]) if what == "H" else grads[0]
 
 
 def make_x_star(q_star: float, N: int) -> np.ndarray:
@@ -383,20 +396,10 @@ class ConditionedField:
         return self.sys.N
 
     def value(self, x: np.ndarray) -> float:
-        spec, sys = self.spec, self.sys
-        raw = sys.value(x)
-        obs = _mean_eval(spec, sys.mixture, self._w_obs,
-                         spec.observed_uperp, x, "value")
-        tgt = _mean_eval(spec, sys.mixture, self._w_tgt, None, x, "value")
-        return raw - obs + tgt
+        return self.sys.value(x) + self._mean_swap(x, "value")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        spec, sys = self.spec, self.sys
-        raw = sys.gradient(x)
-        obs = _mean_eval(spec, sys.mixture, self._w_obs,
-                         spec.observed_uperp, x, "gradient")
-        tgt = _mean_eval(spec, sys.mixture, self._w_tgt, None, x, "gradient")
-        return raw - obs + tgt
+        return self.sys.gradient(x) + self._mean_swap(x, "gradient")
 
     def _mean_swap(self, x: np.ndarray, what: str):
         spec, m = self.spec, self.sys.mixture

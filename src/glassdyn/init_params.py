@@ -57,6 +57,9 @@ class InitCondition:
     def __post_init__(self):
         if not 0.0 <= self.q_star <= 1.0:
             raise ConfigError("q_star must lie in [0, 1]")
+        for name in ("E", "E_star", "G_star", "q_o"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.is_rs:
             if self.E_star != 0.0 or self.G_star != 0.0 or self.q_o != 0.0:
                 raise ConfigError("q_star = 0 forces E_star = G_star = q_o = 0")

@@ -29,6 +29,15 @@ def reference_csv(digest, header, rows):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(glassdyn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "glassdyn.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def manifest_hash(out):
     return json.loads((out / "manifest.json").read_text())["manifest_hash"]
 
@@ -166,15 +175,6 @@ class TestSimulateCompare:
         main(["--out-dir", str(out2), "simulate", "--config", str(files["sim"])])
         assert (out1 / "C_N.csv").read_text() == (out2 / "C_N.csv").read_text()
 
-    def test_threads_flag_reproducible(self, files):
-        # bit-identity is promised per config; threads is part of the config
-        # because path grouping changes BLAS kernel shapes
-        out1, out2 = files["dir"] / "t1", files["dir"] / "t2"
-        for out in (out1, out2):
-            main(["--out-dir", str(out), "--threads", "2", "simulate",
-                  "--config", str(files["sim"])])
-        assert (out1 / "C_N.csv").read_text() == (out2 / "C_N.csv").read_text()
-
 
 class TestErrors:
     def test_missing_mixture_file(self, files):
@@ -183,18 +183,24 @@ class TestErrors:
         assert rc == 2
 
     def test_nan_beta_is_config_error_without_traceback(self, files):
-        src = str(Path(glassdyn.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "glassdyn.cli", "--out-dir",
-             str(files["dir"] / "z"), "solve", "--mixture", str(files["mix"]),
-             "--init", str(files["init"]), "--beta", "nan", "--T", "0.5",
-             "--h", "0.01"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_cli(["--out-dir", str(files["dir"] / "z"), "solve",
+                         "--mixture", str(files["mix"]), "--init",
+                         str(files["init"]), "--beta", "nan", "--T", "0.5",
+                         "--h", "0.01"])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "beta" in proc.stderr
+
+    def test_threads_key_is_config_error_without_traceback(self, files):
+        cfg = json.loads(files["sim"].read_text())
+        cfg["threads"] = 2
+        sim = files["dir"] / "threads.json"
+        sim.write_text(json.dumps(cfg))
+        proc = _run_cli(["--out-dir", str(files["dir"] / "t"), "simulate",
+                         "--config", str(sim)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "'threads'" in proc.stderr
 
     def test_malformed_config(self, files):
         bad = files["dir"] / "bad.json"

@@ -55,6 +55,13 @@ class TestSolveFdt:
         with pytest.raises(GammaTooSmallError):
             solve_fdt(M23, 0.2, 0.1, 5.0, 0.01)
 
+    @pytest.mark.parametrize("name", ["beta", "gamma", "T_tau", "h_tau"])
+    def test_non_finite_argument_names_it(self, name):
+        kw = {"beta": 0.3, "gamma": 0.5, "T_tau": 1.0, "h_tau": 0.01}
+        kw[name] = float("nan")
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            solve_fdt(M23, **kw)
+
     def test_did_not_plateau_warns(self):
         with pytest.warns(PlateauWarning):
             solve_fdt(M23, 0.3, 0.5, 0.5, 0.005)

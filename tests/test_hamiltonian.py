@@ -1,6 +1,8 @@
 """Finite-N field: covariance law, gradients, exact conditioning."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from glassdyn.errors import ConfigError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
-    conditioned_field, make_x_star, sample_band_point,
+    _SYM_BLOCK, conditioned_field, make_x_star, sample_band_point,
     sample_system,
 )
 from glassdyn.init_params import InitCondition, sigma_nu
@@ -57,6 +59,52 @@ class TestSampling:
     def test_memory_guard(self):
         with pytest.raises(ConfigError):
             sample_system(Mixture.pure(4), 5000, 0)
+
+    @pytest.mark.parametrize("p, N", [(2, 53), (3, 53), (4, 27)])
+    def test_stored_tensor_symmetric_bit_for_bit(self, p, N):
+        # N is not a multiple of the symmetrization block edge
+        assert N % _SYM_BLOCK
+        J = sample_system(Mixture.pure(p), N, 4).tensors[p]
+        for perm in itertools.permutations(range(p)):
+            np.testing.assert_array_equal(J, J.transpose(perm))
+
+    @pytest.mark.parametrize("p, N", [(2, 53), (3, 53), (4, 27)])
+    def test_matches_unsymmetrized_draw(self, p, N):
+        # symmetrizing changes the stored entries, not H as a function
+        seed = 6
+        raw = (np.random.default_rng(seed).standard_normal((N,) * p)
+               * N ** (-(p - 1) / 2.0))
+        sys = sample_system(Mixture.pure(p), N, seed)
+        perms = list(itertools.permutations(range(p)))
+        np.testing.assert_allclose(
+            sys.tensors[p], sum(raw.transpose(sg) for sg in perms) / len(perms),
+            rtol=1e-13, atol=1e-15 * np.abs(raw).max())
+        x = _random_sphere_point(np.random.default_rng(p), N)
+        letters = "abcd"[:p]
+        h = np.einsum(f"{letters},{','.join(letters)}->", raw, *[x] * p)
+        grad = sum(np.einsum(f"{letters},{','.join(letters[:a] + letters[a + 1:])}"
+                             f"->{letters[a]}", raw, *[x] * (p - 1))
+                   for a in range(p))
+        assert sys.value(x) == pytest.approx(h, rel=1e-12)
+        np.testing.assert_allclose(sys.gradient(x), grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad).max())
+
+    def test_overlapped_draw_is_reproducible(self):
+        # a worker thread draws one slab ahead of the averaging
+        N = 3 * _SYM_BLOCK + 4
+        first = sample_system(Mixture.pure(3), N, 9).tensors[3]
+        for _ in range(5):
+            np.testing.assert_array_equal(
+                sample_system(Mixture.pure(3), N, 9).tensors[3], first)
+
+    def test_symmetrization_does_not_double_memory(self):
+        tracemalloc.start()
+        try:
+            sys = sample_system(Mixture.pure(3), 200, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * sys.tensors[3].nbytes + 8 * 2**20
 
 
 class TestEvalField:

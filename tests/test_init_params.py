@@ -16,6 +16,16 @@ from glassdyn.phase import c_inf
 M23 = Mixture({2: 1.0, 3: 1.0})
 
 
+class TestInitConditionValidation:
+    @pytest.mark.parametrize("name", ["E", "E_star", "G_star", "q_o"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_field_names_it(self, name, bad):
+        kw = {"q_star": 0.8, "E": 0.5, "E_star": -0.3, "G_star": 0.4, "q_o": 0.35}
+        kw[name] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            InitCondition(**kw)
+
+
 class TestSigmaNu:
     def test_example_matrix(self):
         expect = np.array([[2, 0, 0, 0], [0, 2, 5, 0], [0, 5, 13, 0], [0, 0, 0, 5]],
