@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -111,18 +112,27 @@ def _jsonable(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
-def _load_mixture(path: str) -> Mixture:
+def _read_json(path: str, what: str):
+    """Contents of a JSON input file; a missing or malformed file is a ConfigError."""
     try:
-        return Mixture.from_json(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as err:
-        raise ConfigError(f"mixture file not found: {path}") from err
+        raise ConfigError(f"{what} file not found: {path}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {err}") from err
 
 
-def _load_init(path: str, m: Mixture) -> InitCondition:
+def _config_value(cfg_obj: dict, key: str, convert, default=None):
+    """convert(cfg_obj[key]); an absent key takes the default, unless that is None.
+
+    A value that convert rejects is a ConfigError naming the key.
+    """
     try:
-        return InitCondition.from_dict(json.loads(Path(path).read_text()), m)
-    except FileNotFoundError as err:
-        raise ConfigError(f"init file not found: {path}") from err
+        return convert(cfg_obj[key] if default is None else cfg_obj.get(key, default))
+    except GlassdynError:
+        raise
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ConfigError(f"config key {key!r}: {err}") from err
 
 
 def _parse_grid(spec: str):
@@ -137,12 +147,15 @@ def _parse_variant(spec: str):
     if spec in ("spherical", "gradflow"):
         return spec, None
     if spec.startswith("f:"):
-        return "f", float(spec[2:])
+        try:
+            return "f", float(spec[2:])
+        except ValueError as err:
+            raise ConfigError(f"bad variant {spec!r}: ELL must be a number") from err
     raise ConfigError(f"unknown variant {spec!r}; use spherical|f:ELL|gradflow")
 
 
 def cmd_phase(args, out: Path):
-    m = _load_mixture(args.mixture)
+    m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
     betas = _parse_grid(args.beta_grid)
     man, digest = _manifest("phase", {"mixture": m.coeffs,
                                       "beta_grid": args.beta_grid}, None)
@@ -158,11 +171,11 @@ def cmd_phase(args, out: Path):
 
 
 def cmd_params(args, out: Path):
-    m = _load_mixture(args.mixture)
-    ic = _load_init(args.init, m)
+    m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
+    ic = InitCondition.from_dict(_read_json(args.init, "init"), m)
     vf = solve_w(ic, m)
     rep = check_stationary(ic, m, args.beta)
-    man, digest = _manifest("params", {"mixture": m.coeffs, "init": vars_of(ic),
+    man, digest = _manifest("params", {"mixture": m.coeffs, "init": asdict(ic),
                                        "beta": args.beta}, None)
     report = {
         "w": vf.w.tolist(),
@@ -177,13 +190,8 @@ def cmd_params(args, out: Path):
     return 0
 
 
-def vars_of(ic: InitCondition) -> dict:
-    return {"q_star": ic.q_star, "E": ic.E, "E_star": ic.E_star,
-            "G_star": ic.G_star, "q_o": ic.q_o}
-
-
 def cmd_fdt(args, out: Path):
-    m = _load_mixture(args.mixture)
+    m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
     man, digest = _manifest("fdt", {"mixture": m.coeffs, "beta": args.beta,
                                     "gamma": args.gamma, "T": args.T,
                                     "h": args.h}, None)
@@ -205,12 +213,12 @@ def _dump_triangle(path: Path, sol):
 
 
 def cmd_solve(args, out: Path):
-    m = _load_mixture(args.mixture)
-    ic = _load_init(args.init, m)
+    m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
+    ic = InitCondition.from_dict(_read_json(args.init, "init"), m)
     variant, ell = _parse_variant(args.variant)
     cfg = SolverConfig(beta=args.beta, T=args.T, h=args.h, variant=variant,
                        ell=ell)
-    man, digest = _manifest("solve", {"mixture": m.coeffs, "init": vars_of(ic),
+    man, digest = _manifest("solve", {"mixture": m.coeffs, "init": asdict(ic),
                                       "beta": args.beta, "T": args.T,
                                       "h": args.h, "variant": args.variant},
                             None)
@@ -241,19 +249,19 @@ def cmd_solve(args, out: Path):
 
 
 def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
-    m = Mixture({int(p): float(b) for p, b in cfg_obj["mixture"]["coeffs"].items()})
-    ic = InitCondition.from_dict(cfg_obj["init"], m)
-    N = int(cfg_obj["N"])
-    beta = float(cfg_obj["beta"])
-    T = float(cfg_obj["T"])
-    h_obs = float(cfg_obj.get("h_obs", 0.02))
-    paths = int(cfg_obj.get("paths", 8))
-    seed = int(cfg_obj.get("seed", 0))
+    m = _config_value(cfg_obj, "mixture", Mixture.from_dict)
+    ic = _config_value(cfg_obj, "init", lambda obj: InitCondition.from_dict(obj, m))
+    N = _config_value(cfg_obj, "N", int)
+    beta = _config_value(cfg_obj, "beta", float)
+    T = _config_value(cfg_obj, "T", float)
+    h_obs = _config_value(cfg_obj, "h_obs", float, 0.02)
+    paths = _config_value(cfg_obj, "paths", int, 8)
+    seed = _config_value(cfg_obj, "seed", int, 0)
     if "threads" in cfg_obj:
         raise ConfigError("config key 'threads' is no longer supported: paths "
                           "share one tensor pass per step")
     variant = cfg_obj.get("variant", "spherical")
-    ell = cfg_obj.get("ell")
+    ell = _config_value(cfg_obj, "ell", float) if "ell" in cfg_obj else None
     man, digest = _manifest("simulate", cfg_obj, seed)
 
     sys_ = sample_system(m, N, seed)
@@ -262,7 +270,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     spec = ConditioningSpec(x_star if ic.q_star > 0 else np.zeros(N), x0, ic)
     f = conditioned_field(sys_, spec)
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs,
-                          substeps=int(cfg_obj.get("substeps", 5)),
+                          substeps=_config_value(cfg_obj, "substeps", int, 5),
                           variant=variant, ell=ell)
     trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
     obs = [observables(t, f, x_star) for t in trajs]
@@ -284,7 +292,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
 
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
-        h_lim = float(cfg_obj.get("h_limit", h_obs / 2))
+        h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
         sol = solve_dynamics(m, ic, SolverConfig(beta=beta, T=T, h=h_lim))
         err_mean, err_se = average_error(obs, sol, T)
         report.update({
@@ -303,13 +311,11 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
 
 
 def cmd_simulate(args, out: Path):
-    cfg_obj = json.loads(Path(args.config).read_text())
-    return _simulate_core(cfg_obj, out, want_compare=False)
+    return _simulate_core(_read_json(args.config, "config"), out, want_compare=False)
 
 
 def cmd_compare(args, out: Path):
-    cfg_obj = json.loads(Path(args.config).read_text())
-    return _simulate_core(cfg_obj, out, want_compare=True)
+    return _simulate_core(_read_json(args.config, "config"), out, want_compare=True)
 
 
 def cmd_accept(args, out: Path):
@@ -387,7 +393,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (GlassdynError, json.JSONDecodeError, KeyError) as err:
+    except (GlassdynError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1 if isinstance(err, GlassdynError) else 2
 

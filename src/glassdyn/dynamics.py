@@ -29,11 +29,9 @@ from .mixture import Mixture
 __all__ = [
     "SolverConfig",
     "TwoTimeSolution",
-    "KernelValues",
     "ResidualReport",
     "EllRecord",
     "solve_dynamics",
-    "rhs_kernels",
     "residual",
     "ell_limit_check",
     "integrated_response",
@@ -161,7 +159,8 @@ class _Kernels:
     Quantities follow the drift decomposition of the limit equations; the
     returned A_C / A_q are the unscaled kernels (the drifts use beta * A).
     Every evaluator of row a takes that row's ``_Row`` from ``row``, which
-    must be built from the current C[a, :a+1] and q[:a+1].
+    must be built from the current C[a, :a+1] and q[:a+1].  ``rhs`` is the
+    slice right-hand side shared by the solver and ``residual``.
     """
 
     def __init__(self, m: Mixture, vf: VFunction, beta: float, h: float,
@@ -185,6 +184,26 @@ class _Kernels:
             dq = d2q = None
         return _Row(m.nu(Crow, 1), m.nu(Crow, 2), vf.vx(qa, c0), vf.vy(qa, c0),
                     dq, d2q)
+
+    def rhs(self, C, R, q, L, mu, a, rw: _Row):
+        """(F_R, F_C, F_q) of row a: d/ds of R[a, :a+1], C[a, :a+1] and q[a].
+
+        F_R carries beta^2 int_{t_j}^{s_a} R(u, t_j) R(s_a, u) nu''(C(s_a, u)) du;
+        F_C and F_q carry beta times the kernels A_C and A_q.
+        """
+        beta, h = self.beta, self.h
+        Rrow = R[a, : a + 1]
+        mv = Rrow * rw.d2
+        Rt = R[: a + 1, : a + 1]
+        IR = beta**2 * h * (Rt.T @ mv - 0.5 * np.diagonal(Rt) * mv - 0.5 * Rrow * mv[-1])
+        A_q = 0.0
+        if self.q_star > 0.0:
+            qs2 = self.q_star**2
+            A_q = beta * _trapz(Rrow * q[: a + 1] * rw.d2, h) + (
+                -beta * qs2 * rw.d2q * L[a] + qs2 * rw.vx + self.q_o * rw.vy)
+        return (-mu[a] * Rrow + IR,
+                -mu[a] * C[a, : a + 1] + beta * self.row_AC(C, R, q, L, a, rw),
+                -mu[a] * q[a] + beta * A_q)
 
     def row_AC(self, C, R, q, L, a, rw: _Row):
         """Unscaled A_C(s_a, t_j) for all j <= a, as one vector."""
@@ -222,26 +241,6 @@ class _Kernels:
             out -= beta * (qa * rw.d2q + rw.dq[-1]) * L[a]
         return out
 
-    def row_IR(self, R, a, rw: _Row):
-        """beta^2 * int_{t_j}^{s_a} R(u, t_j) R(s_a, u) nu''(C(s_a, u)) du."""
-        beta, h = self.beta, self.h
-        Rrow = R[a, : a + 1]
-        mv = Rrow * rw.d2
-        Rt = R[: a + 1, : a + 1]
-        full = Rt.T @ mv
-        return beta**2 * h * (full - 0.5 * np.diagonal(Rt) * mv - 0.5 * Rrow * mv[-1])
-
-    def A_q(self, R, q, L, a, rw: _Row):
-        beta, h = self.beta, self.h
-        if self.q_star == 0.0:
-            return 0.0
-        Rrow = R[a, : a + 1]
-        qs2 = self.q_star**2
-        out = beta * _trapz(Rrow * q[: a + 1] * rw.d2, h)
-        out += (-beta * qs2 * rw.d2q * L[a]
-                + qs2 * rw.vx + self.q_o * rw.vy)
-        return out
-
     def L_at(self, R, a, rw: _Row):
         if self.q_star == 0.0:
             return 0.0
@@ -259,6 +258,11 @@ class _Kernels:
 def default_f0_slope(vf: VFunction, beta: float, q_o: float) -> float:
     """Slope giving zero initial radial drift: 1/2 + beta (q_o vx + vy)(q_o, 1)."""
     return 0.5 + beta * (q_o * vf.vx(q_o, 1.0) + vf.vy(q_o, 1.0))
+
+
+def _mu_closure(variant: str, beta: float, ad: float) -> float:
+    """Multiplier of the hard-constraint variants from the diagonal kernel A_C(s, s)."""
+    return ad if variant == VARIANT_GRADFLOW else 0.5 + beta * ad
 
 
 def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
@@ -307,23 +311,18 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
         C[i1, i1] = 1.0
         rw = ker.row(C, q, i1)
         L[i1] = ker.L_at(R, i1, rw)
-        ad = ker.AC_diag(C, R, q, L, i1, rw)
-        mu[i1] = ad if cfg.variant == VARIANT_GRADFLOW else 0.5 + beta * ad
+        mu[i1] = _mu_closure(cfg.variant, beta, ker.AC_diag(C, R, q, L, i1, rw))
         return rw
 
     if cfg.variant == VARIANT_F:
         mu[0] = c0
     else:
-        ad0 = ker.AC_diag(C, R, q, L, 0, rw)
-        mu[0] = ad0 if cfg.variant == VARIANT_GRADFLOW else 0.5 + beta * ad0
+        mu[0] = _mu_closure(cfg.variant, beta, ker.AC_diag(C, R, q, L, 0, rw))
 
     # rw always describes the current C[a, :a+1] and q[:a+1] of the row the
     # next kernels read: close() rebuilds it after every update of row i + 1
     for i in range(n):
-        FR_i = -mu[i] * R[i, : i + 1] + ker.row_IR(R, i, rw)
-        FC_i = -mu[i] * C[i, : i + 1] + beta * ker.row_AC(C, R, q, L, i, rw)
-        Fq_i = -mu[i] * q[i] + beta * ker.A_q(R, q, L, i, rw)
-
+        FR_i, FC_i, Fq_i = ker.rhs(C, R, q, L, mu, i, rw)
         R[i + 1, : i + 1] = R[i, : i + 1] + h * FR_i
         C[i + 1, : i + 1] = C[i, : i + 1] + h * FC_i
         q[i + 1] = q[i] + h * Fq_i
@@ -331,12 +330,9 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
         rw = close(i + 1)
 
         for _ in range(cfg.corrector_iters):
-            FR_n = -mu[i + 1] * R[i + 1, : i + 1] + ker.row_IR(R, i + 1, rw)[: i + 1]
-            FC_n = (-mu[i + 1] * C[i + 1, : i + 1]
-                    + beta * ker.row_AC(C, R, q, L, i + 1, rw)[: i + 1])
-            Fq_n = -mu[i + 1] * q[i + 1] + beta * ker.A_q(R, q, L, i + 1, rw)
-            R[i + 1, : i + 1] = R[i, : i + 1] + 0.5 * h * (FR_i + FR_n)
-            C[i + 1, : i + 1] = C[i, : i + 1] + 0.5 * h * (FC_i + FC_n)
+            FR_n, FC_n, Fq_n = ker.rhs(C, R, q, L, mu, i + 1, rw)
+            R[i + 1, : i + 1] = R[i, : i + 1] + 0.5 * h * (FR_i + FR_n[: i + 1])
+            C[i + 1, : i + 1] = C[i, : i + 1] + 0.5 * h * (FC_i + FC_n[: i + 1])
             q[i + 1] = q[i] + 0.5 * h * (Fq_i + Fq_n)
             rw = close(i + 1)
 
@@ -363,37 +359,6 @@ def _warn_on_psd(sol: TwoTimeSolution):
 
 
 @dataclass(frozen=True)
-class KernelValues:
-    """Drift contributions at one grid point: A_C/A_q carry the beta scaling."""
-
-    A_C: float
-    A_q: float
-    dR: float
-    H: float
-    L: float
-
-
-def rhs_kernels(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
-                cfg: SolverConfig, i: int, j: int) -> KernelValues:
-    """Evaluate the memory kernels of slice i (entry j <= i) on a solution."""
-    if not 0 <= j <= i <= sol.n:
-        raise ConfigError("need 0 <= j <= i <= n")
-    beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
-    ker = _Kernels(m, vf, beta, sol.h, sol.q_star, sol.q_o)
-    C, R, q, L = sol.C, sol.R, sol.q, sol.L
-    rw = ker.row(C, q, i)
-    ac = ker.row_AC(C, R, q, L, i, rw)[j]
-    ir = ker.row_IR(R, i, rw)[j]
-    return KernelValues(
-        A_C=beta * ac,
-        A_q=beta * ker.A_q(R, q, L, i, rw),
-        dR=-sol.mu[i] * R[i, j] + ir,
-        H=ker.H_at(C, R, q, L, i, rw),
-        L=ker.L_at(R, i, rw),
-    )
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     sup_res_R: float
     sup_res_C: float
@@ -413,30 +378,25 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
     beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
     ker = _Kernels(m, vf, beta, sol.h, sol.q_star, sol.q_o)
     C, R, q, L, mu, h = sol.C, sol.R, sol.q, sol.L, sol.mu, sol.h
+    if cfg.variant == VARIANT_F:
+        c0 = cfg.f0_slope if cfg.f0_slope is not None else default_f0_slope(
+            vf, beta, sol.q_o)
     res_R = res_C = res_q = res_H = res_mu = 0.0
-    for i in range(1, sol.n):
-        j = slice(0, i)
-        fd_R = (R[i + 1, j] - R[i - 1, j]) / (2.0 * h)
-        fd_C = (C[i + 1, j] - C[i - 1, j]) / (2.0 * h)
-        rw = ker.row(C, q, i)
-        rhs_R = -mu[i] * R[i, j] + ker.row_IR(R, i, rw)[j]
-        rhs_C = -mu[i] * C[i, j] + beta * ker.row_AC(C, R, q, L, i, rw)[j]
-        res_R = max(res_R, float(abs(fd_R - rhs_R).max(initial=0.0)))
-        res_C = max(res_C, float(abs(fd_C - rhs_C).max(initial=0.0)))
-        fd_q = (q[i + 1] - q[i - 1]) / (2.0 * h)
-        res_q = max(res_q, abs(fd_q - (-mu[i] * q[i] + beta * ker.A_q(R, q, L, i, rw))))
     for i in range(sol.n + 1):
         rw = ker.row(C, q, i)
+        if 0 < i < sol.n:
+            F_R, F_C, F_q = ker.rhs(C, R, q, L, mu, i, rw)
+            fd_R = (R[i + 1, :i] - R[i - 1, :i]) / (2.0 * h)
+            fd_C = (C[i + 1, :i] - C[i - 1, :i]) / (2.0 * h)
+            res_R = max(res_R, float(abs(fd_R - F_R[:i]).max()))
+            res_C = max(res_C, float(abs(fd_C - F_C[:i]).max()))
+            res_q = max(res_q, abs((q[i + 1] - q[i - 1]) / (2.0 * h) - F_q))
         res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, R, q, L, i, rw)))
-        ad = ker.AC_diag(C, R, q, L, i, rw)
         if cfg.variant == VARIANT_F:
-            c0 = cfg.f0_slope if cfg.f0_slope is not None else default_f0_slope(
-                vf, beta, sol.q_o)
-            res_mu = max(res_mu, abs(mu[i] - 2.0 * cfg.ell * (sol.K[i] - 1.0) - c0))
-        elif cfg.variant == VARIANT_GRADFLOW:
-            res_mu = max(res_mu, abs(mu[i] - ad))
+            mu_i = 2.0 * cfg.ell * (sol.K[i] - 1.0) + c0
         else:
-            res_mu = max(res_mu, abs(mu[i] - 0.5 - beta * ad))
+            mu_i = _mu_closure(cfg.variant, beta, ker.AC_diag(C, R, q, L, i, rw))
+        res_mu = max(res_mu, abs(mu[i] - mu_i))
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "ConditioningSpec",
     "ConditionedField",
     "sample_system",
-    "eval_field",
     "conditional_mean",
     "conditional_mean_hessian",
     "conditioned_field",
@@ -56,10 +55,17 @@ class SpinSystem:
     seed: int
 
     def value(self, x: np.ndarray) -> float:
-        return eval_field(self, x, "H")
+        """Energy at one point (radius-guarded)."""
+        return float(self._contract(self._guarded(x))[0][0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return eval_field(self, x, "gradH")
+        """Gradient at one point (radius-guarded)."""
+        return self._contract(self._guarded(x))[1][0]
+
+    def _guarded(self, x: np.ndarray) -> np.ndarray:
+        if np.linalg.norm(x) > _R_GUARD * math.sqrt(self.N):
+            raise DomainError("evaluation point outside the radius guard")
+        return np.asarray(x, dtype=float)[None, :]
 
     def _contract(self, X: np.ndarray):
         """Values and gradients at the rows of X, one GEMM per power p.
@@ -153,16 +159,6 @@ def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
     return SpinSystem(N, m, tensors, seed)
 
 
-def eval_field(sys: SpinSystem, x: np.ndarray, what: str = "H"):
-    """Energy or gradient of the raw field at x (radius-guarded)."""
-    if np.linalg.norm(x) > _R_GUARD * math.sqrt(sys.N):
-        raise DomainError("evaluation point outside the radius guard")
-    if what not in ("H", "gradH"):
-        raise ConfigError(f"what must be 'H' or 'gradH', got {what!r}")
-    values, grads = sys._contract(np.asarray(x, dtype=float)[None, :])
-    return float(values[0]) if what == "H" else grads[0]
-
-
 def make_x_star(q_star: float, N: int) -> np.ndarray:
     """Critical-point location pinned to the first coordinate axis."""
     x = np.zeros(N)
@@ -243,38 +239,41 @@ class ConditioningSpec:
         return xs, y, z
 
     def observe(self, sys: SpinSystem):
-        """Record the realized conditioned values of one field sample."""
+        """Record the realized conditioned values of one field sample.
+
+        One tensor pass over the stacked points (x_0, x_star) gives both
+        energies and the gradient at x_star.
+        """
         N = self.N
-        ic = self.target
-        h0 = sys.value(self.x_0)
-        if ic.q_star == 0.0:
+        if self.target.q_star == 0.0:
+            h0 = sys.value(self.x_0)
             self.observed_Vhat = np.array([-h0 / N, 0.0, 0.0, 0.0])
             self.observed_uperp = np.zeros(N)
             return
+        # x_0 lies on the sphere; only x_star can fail the radius guard
+        (h0, hs), grads = sys._contract(np.vstack([self.x_0, sys._guarded(self.x_star)]))
+        gs = grads[1]
         norm_star = np.linalg.norm(self.x_star)
-        hs = sys.value(self.x_star)
-        gs = sys.gradient(self.x_star)
         g1 = gs @ self.xhat_star
         g2 = gs @ self.zhat
         self.observed_Vhat = np.array([-h0 / N, -hs / N, -g1 / norm_star, -g2 / norm_star])
         self.observed_uperp = -(gs - g1 * self.xhat_star - g2 * self.zhat)
 
 
-def _vhat(m: Mixture, q_star: float, xs, y, z) -> np.ndarray:
-    return np.array([m.nu(y), m.nu(xs), xs * m.nu(xs, 1) / q_star**2,
-                     z * m.nu(xs, 1)])
-
-
-def conditioning_weights(m: Mixture, q_star: float, q_o: float,
-                         Vhat: np.ndarray) -> np.ndarray:
+def _weights(m: Mixture, ic: InitCondition, Vhat: np.ndarray) -> np.ndarray:
     """Solve Sigma w = Vhat for the conditioning weights.
 
-    Pure models make Sigma rank deficient (their radial derivative row is a
-    multiple of the value row); any exact solution yields the same mean, so a
-    least-squares solve with a consistency check covers every branch.
+    q_star = 0 conditions on the start value only.  Pure models make Sigma
+    rank deficient (their radial derivative row is a multiple of the value
+    row); any exact solution yields the same mean, so a least-squares solve
+    with a consistency check covers every branch.
     """
-    sigma = sigma_nu(m, q_star, q_o)
-    w, _, rank, _ = np.linalg.lstsq(sigma, Vhat, rcond=1e-12)
+    if ic.q_star == 0.0:
+        return np.array([Vhat[0] / m.nu(1.0), 0.0, 0.0, 0.0])
+    if abs(ic.q_o) >= 1.0 - 1e-12:
+        raise ConfigError("conditioning mean undefined at |q_o| = 1")
+    sigma = sigma_nu(m, ic.q_star, ic.q_o)
+    w = np.linalg.lstsq(sigma, Vhat, rcond=1e-12)[0]
     res = np.linalg.norm(sigma @ w - Vhat)
     if res > 1e-8 * (1.0 + np.linalg.norm(Vhat)):
         raise ConfigError(
@@ -293,46 +292,47 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     (xhat_star, zhat), kept as a plain N-vector.  The q_star = 0 branch
     conditions on the start value only.
     """
-    ic = spec.target
-    if ic.q_star == 0.0:
-        w = np.array([Vhat[0] / m.nu(1.0), 0.0, 0.0, 0.0])
-    else:
-        if abs(ic.q_o) >= 1.0 - 1e-12:
-            raise ConfigError("conditioning mean undefined at |q_o| = 1")
-        w = conditioning_weights(m, ic.q_star, ic.q_o, Vhat)
-    return _mean_eval(spec, m, w, u_perp, x, what)
+    return _mean_eval(spec, m, _weights(m, spec.target, Vhat), u_perp, x, what)
 
 
 def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
                u_perp: np.ndarray | None, x: np.ndarray, what: str):
+    """Conditional mean or its gradient at one point x, or at the rows of a batch."""
+    if what not in ("value", "gradient"):
+        raise ConfigError(f"unknown what {what!r}")
     N = spec.N
     ic = spec.target
+    X = np.atleast_2d(x)
     if ic.q_star == 0.0:
-        y = x @ spec.x_0 / N
+        y = X @ spec.x_0 / N
         if what == "value":
-            return float(-N * w[0] * m.nu(y))
-        if what == "gradient":
-            return -w[0] * m.nu(y, 1) * spec.x_0
-        raise ConfigError(f"unknown what {what!r}")
-    gam = m.nu(ic.q_star**2, 1)
-    xs, y, z = spec.coords(x)
-    uterm = 0.0 if u_perp is None else float(u_perp @ x)
-    if what == "value":
-        return float(-N * (w @ _vhat(m, ic.q_star, xs, y, z))
-                     - m.nu(xs, 1) * uterm / gam)
-    if what != "gradient":
-        raise ConfigError(f"unknown what {what!r}")
-    qs2 = ic.q_star**2
-    a = spec.x_star / N                       # grad of xs
-    b = spec.x_0 / N                          # grad of y
-    c = spec.zhat / np.linalg.norm(spec.x_star)  # grad of z
-    grad = -N * (w[0] * m.nu(y, 1) * b
-                 + (w[1] * m.nu(xs, 1) + w[2] * m.psi(xs) / qs2
-                    + w[3] * z * m.nu(xs, 2)) * a
-                 + w[3] * m.nu(xs, 1) * c)
-    if u_perp is not None:
-        grad = grad - (m.nu(xs, 2) * uterm * a + m.nu(xs, 1) * u_perp) / gam
-    return grad
+            out = -N * w[0] * m.nu(y)
+        else:
+            out = (-w[0] * m.nu(y, 1))[:, None] * spec.x_0
+    else:
+        qs2 = ic.q_star**2
+        gam = m.nu(qs2, 1)
+        xs, y, z = spec.coords(X)
+        uterm = 0.0 if u_perp is None else X @ u_perp
+        d1 = m.nu(xs, 1)
+        if what == "value":
+            # w . vhat, with vhat(xs, y, z) the covariances of H(x) and the values
+            out = (-N * (w[0] * m.nu(y) + w[1] * m.nu(xs) + w[2] * xs * d1 / qs2
+                         + w[3] * z * d1) - d1 * uterm / gam)
+        else:
+            d2 = m.nu(xs, 2)
+            a = spec.x_star / N                       # grad of xs
+            b = spec.x_0 / N                          # grad of y
+            c = spec.zhat / np.linalg.norm(spec.x_star)  # grad of z
+            out = -N * ((w[0] * m.nu(y, 1))[:, None] * b
+                        + (w[1] * d1 + w[2] * m.psi(xs) / qs2
+                           + w[3] * z * d2)[:, None] * a
+                        + (w[3] * d1)[:, None] * c)
+            if u_perp is not None:
+                out = out - ((d2 * uterm)[:, None] * a + d1[:, None] * u_perp) / gam
+    if np.ndim(x) == 2:
+        return out
+    return float(out[0]) if what == "value" else out[0]
 
 
 def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
@@ -341,12 +341,12 @@ def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
     """Dense Hessian of the conditional mean at x (analytic, standard basis)."""
     N = spec.N
     ic = spec.target
+    w = _weights(m, ic, Vhat)
     if ic.q_star == 0.0:
         b = spec.x_0 / N
         y = x @ spec.x_0 / N
-        return -N * Vhat[0] * m.nu(y, 2) / m.nu(1.0) * np.outer(b, b)
+        return -N * w[0] * m.nu(y, 2) * np.outer(b, b)
     gam = m.nu(ic.q_star**2, 1)
-    w = conditioning_weights(m, ic.q_star, ic.q_o, Vhat)
     xs, y, z = spec.coords(x)
     qs2 = ic.q_star**2
     a = spec.x_star / N
@@ -380,16 +380,9 @@ class ConditionedField:
         self.sys = sys
         self.spec = spec
         ic = spec.target
-        m = sys.mixture
         self.target_Vhat = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
-        if ic.q_star == 0.0:
-            self._w_obs = np.array([spec.observed_Vhat[0] / m.nu(1.0), 0, 0, 0])
-            self._w_tgt = np.array([ic.E / m.nu(1.0), 0, 0, 0])
-        else:
-            self._w_obs = conditioning_weights(m, ic.q_star, ic.q_o,
-                                               spec.observed_Vhat)
-            self._w_tgt = conditioning_weights(m, ic.q_star, ic.q_o,
-                                               self.target_Vhat)
+        self._w_obs = _weights(sys.mixture, ic, spec.observed_Vhat)
+        self._w_tgt = _weights(sys.mixture, ic, self.target_Vhat)
 
     @property
     def N(self) -> int:
@@ -402,22 +395,17 @@ class ConditionedField:
         return self.sys.gradient(x) + self._mean_swap(x, "gradient")
 
     def _mean_swap(self, x: np.ndarray, what: str):
+        """Target minus observed conditional mean, at one point or a batch."""
         spec, m = self.spec, self.sys.mixture
         obs = _mean_eval(spec, m, self._w_obs, spec.observed_uperp, x, what)
         tgt = _mean_eval(spec, m, self._w_tgt, None, x, what)
         return tgt - obs
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        out = self.sys.gradient_batch(X)
-        for i in range(X.shape[0]):
-            out[i] += self._mean_swap(X[i], "gradient")
-        return out
+        return self.sys.gradient_batch(X) + self._mean_swap(X, "gradient")
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        out = self.sys.value_batch(X)
-        for i in range(X.shape[0]):
-            out[i] += self._mean_swap(X[i], "value")
-        return out
+        return self.sys.value_batch(X) + self._mean_swap(X, "value")
 
 
 def conditioned_field(sys: SpinSystem, spec: ConditioningSpec) -> ConditionedField:

@@ -27,7 +27,6 @@ __all__ = [
     "LocalizedBand",
     "sigma_nu",
     "solve_w",
-    "v_eval",
     "gibbs_init",
     "gamma_star",
     "check_stationary",
@@ -89,19 +88,26 @@ class InitCondition:
     @classmethod
     def from_dict(cls, obj: dict, m: Mixture | None = None) -> "InitCondition":
         """Build from an init-spec dict: explicit V or a "gibbs" block."""
-        if "gibbs" in obj:
-            g = obj["gibbs"]
-            if m is None:
-                raise ConfigError("gibbs init spec needs the mixture")
-            return gibbs_init(m, float(g["beta0"]), float(g.get("q_EA", 0.0)),
-                              float(g.get("GS", 0.0)))
         try:
-            v = obj["V"]
-            return cls(float(obj["q_star"]), float(v["E"]),
-                       float(v.get("E_star", 0.0)), float(v.get("G_star", 0.0)),
-                       float(v.get("q_o", 0.0)))
+            gibbs = "gibbs" in obj
+            if gibbs:
+                g = obj["gibbs"]
+                args = (float(g["beta0"]), float(g.get("q_EA", 0.0)),
+                        float(g.get("GS", 0.0)))
+            else:
+                v = obj["V"]
+                args = (float(obj["q_star"]), float(v["E"]),
+                        float(v.get("E_star", 0.0)), float(v.get("G_star", 0.0)),
+                        float(v.get("q_o", 0.0)))
         except KeyError as err:
             raise ConfigError(f"init spec missing key {err}") from err
+        except (AttributeError, TypeError, ValueError) as err:
+            raise ConfigError(f"init spec has a malformed value: {err}") from err
+        if not gibbs:
+            return cls(*args)
+        if m is None:
+            raise ConfigError("gibbs init spec needs the mixture")
+        return gibbs_init(m, *args)
 
 
 def sigma_nu(m: Mixture, q_star: float, q_o: float) -> np.ndarray:
@@ -177,26 +183,6 @@ class VFunction:
         return out
 
 
-def v_eval(vf: VFunction, x, y, order: str = "v"):
-    """Evaluate v (order "v"), or the partial "vx" / "vy", at (x, y)."""
-    if order == "v":
-        return vf.v(x, y)
-    if order == "vx":
-        return vf.vx(x, y)
-    if order == "vy":
-        return vf.vy(x, y)
-    raise ConfigError(f"unknown order {order!r}")
-
-
-def _check_residual(sigma, w, rhs):
-    res = np.linalg.norm(sigma @ w - rhs)
-    if res > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-        raise SingularMatrixError(
-            f"conditioning data inconsistent with the covariance (residual {res:.3e}); "
-            "on a degenerate band the on-ray values are constrained when the "
-            "mixture has fewer than three active powers")
-
-
 def solve_w(ic: InitCondition, m: Mixture) -> VFunction:
     """Solve the conditioning system for w and wrap it as a VFunction.
 
@@ -222,10 +208,10 @@ def solve_w(ic: InitCondition, m: Mixture) -> VFunction:
                 "|q_o| = 1 requires E matching E_star (up to mixture parity)")
         raise SingularMatrixError("conditioning covariance singular at |q_o| = 1")
 
-    qs2 = ic.q_star**2
+    if branch in (BRANCH_PURE_P, BRANCH_PURE_P_DEGENERATE):
+        _require_pure_consistency(ic, m.p_max)
     if branch == BRANCH_PURE_P_DEGENERATE:
         p = m.p_max
-        _require_pure_consistency(ic, p)
         e_star_implied = ic.E * ic.q_o**p
         if abs(ic.E_star - e_star_implied) > 1e-8 * (1.0 + abs(ic.E)):
             raise ConfigError(
@@ -234,26 +220,13 @@ def solve_w(ic: InitCondition, m: Mixture) -> VFunction:
         w = np.array([ic.E / m.coeffs[p], 0.0, 0.0, 0.0])
         return VFunction(w, ic.q_star, ic.q_o, m, branch)
 
-    sigma = sigma_nu(m, ic.q_star, ic.q_o)
-    rhs = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
-
-    if branch == BRANCH_PURE_P:
-        _require_pure_consistency(ic, m.p_max)
-        keep = [0, 1, 3]
-        w = np.zeros(4)
-        w[keep] = _pd_solve(sigma[np.ix_(keep, keep)], rhs[keep])
-        _check_residual(sigma[np.ix_(keep, keep)], w[keep], rhs[keep])
-        return VFunction(w, ic.q_star, ic.q_o, m, branch)
-
-    if branch == BRANCH_DEGENERATE:
-        keep = [0, 1, 2]
-        w = np.zeros(4)
-        w[keep] = _pd_solve(sigma[np.ix_(keep, keep)], rhs[keep])
-        _check_residual(sigma[np.ix_(keep, keep)], w[keep], rhs[keep])
-        return VFunction(w, ic.q_star, ic.q_o, m, branch)
-
-    w = _pd_solve(sigma, rhs)
-    _check_residual(sigma, w, rhs)
+    # the solved components: pure drops w3, a degenerate band drops w4
+    keep = {BRANCH_PURE_P: [0, 1, 3], BRANCH_DEGENERATE: [0, 1, 2]}.get(
+        branch, [0, 1, 2, 3])
+    sigma = sigma_nu(m, ic.q_star, ic.q_o)[np.ix_(keep, keep)]
+    rhs = np.array([ic.E, ic.E_star, ic.G_star, 0.0])[keep]
+    w = np.zeros(4)
+    w[keep] = _pd_solve(sigma, rhs)
     return VFunction(w, ic.q_star, ic.q_o, m, branch)
 
 
@@ -266,17 +239,24 @@ def _require_pure_consistency(ic: InitCondition, p: int):
 
 
 def _pd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve with least-squares fallback for near-singular systems."""
+    """Cholesky solve with least-squares fallback; an inconsistent system raises."""
+    tol = 1e-8 * (1.0 + np.linalg.norm(b))
     try:
         L = np.linalg.cholesky(a)
         w = np.linalg.solve(L.T, np.linalg.solve(L, b))
-        if np.linalg.norm(a @ w - b) <= 1e-8 * (1.0 + np.linalg.norm(b)):
+        if np.linalg.norm(a @ w - b) <= tol:
             return w
     except np.linalg.LinAlgError:
         pass
     w, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-12)
     if rank < a.shape[0]:
         warnings.warn("conditioning matrix rank-deficient; least-squares w")
+    res = np.linalg.norm(a @ w - b)
+    if res > tol:
+        raise SingularMatrixError(
+            f"conditioning data inconsistent with the covariance (residual {res:.3e}); "
+            "on a degenerate band the on-ray values are constrained when the "
+            "mixture has fewer than three active powers")
     return w
 
 

@@ -80,68 +80,16 @@ class Trajectory:
     seed: int | None
 
 
-def integrate(field, x0: np.ndarray, cfg: LangevinConfig,
-              seed: int | None = None,
-              increments: np.ndarray | None = None) -> Trajectory:
-    """Run one path; deterministic given the seed (or explicit increments).
+def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
+                    draw) -> list[Trajectory]:
+    """Step one copy of x0 per seed in lockstep, one row of X per path.
 
-    ``field`` must expose value(x) and gradient(x).  ``increments``, when
-    given, is the (n_steps, N) array of Brownian increments at the SDE step
-    and overrides the seed.
+    ``draw(k)`` returns the (len(seeds), N) Brownian increments of SDE step
+    k; each step makes one field.gradient_batch call for all rows.
     """
-    N = len(x0)
+    N, n_paths = len(x0), len(seeds)
     n_obs, sub = cfg.n_obs, cfg.substeps
     h = cfg.h_obs / sub
-    n_steps = n_obs * sub
-    if increments is None:
-        rng = np.random.default_rng(seed)
-        increments = rng.standard_normal((n_steps, N)) * math.sqrt(h)
-    elif increments.shape != (n_steps, N):
-        raise ConfigError("increments array has the wrong shape")
-
-    x = x0.astype(float).copy()
-    B = np.zeros(N)
-    xs = np.empty((n_obs + 1, N))
-    Bs = np.empty((n_obs + 1, N))
-    xs[0], Bs[0] = x, B
-    rootN = math.sqrt(N)
-    spherical = cfg.variant == VARIANT_SPHERE
-    for k in range(n_steps):
-        dB = increments[k]
-        if spherical:
-            g = field.gradient(x)
-            xx = x @ x
-            gsp = g - (g @ x / xx) * x
-            noise = dB - (dB @ x / xx) * x
-            x = x + h * (-cfg.beta * gsp - (N - 1) / (2.0 * N) * x) + noise
-            x *= rootN / np.linalg.norm(x)
-        else:
-            r = x @ x / N
-            drift = -(2.0 * cfg.ell * (r - 1.0) + cfg.f0_slope) * x \
-                - cfg.beta * field.gradient(x)
-            x = x + h * drift + dB
-        B = B + dB
-        if (k + 1) % sub == 0:
-            j = (k + 1) // sub
-            xs[j], Bs[j] = x, B
-            rad = np.linalg.norm(x) / rootN
-            if not 0.5 < rad < cfg.r_guard:
-                raise EscapeError(f"path radius {rad:.3f} left (0.5, {cfg.r_guard})")
-    return Trajectory(cfg.h_obs, xs, Bs, seed)
-
-
-def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
-                       n_paths: int, master_seed: int) -> list[Trajectory]:
-    """Independent Brownian paths from one start point, stepped in lockstep.
-
-    All paths share the field realization, so each step needs a single pass
-    over the coupling tensors through field.gradient_batch.  Path seeds are
-    derived from the master seed by a counter.
-    """
-    N = len(x0)
-    n_obs, sub = cfg.n_obs, cfg.substeps
-    h = cfg.h_obs / sub
-    rngs = [np.random.default_rng(master_seed + i) for i in range(n_paths)]
     X = np.tile(x0.astype(float), (n_paths, 1))
     B = np.zeros((n_paths, N))
     xs = np.empty((n_paths, n_obs + 1, N))
@@ -150,7 +98,7 @@ def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
     rootN = math.sqrt(N)
     spherical = cfg.variant == VARIANT_SPHERE
     for k in range(n_obs * sub):
-        dB = np.stack([r.standard_normal(N) for r in rngs]) * math.sqrt(h)
+        dB = draw(k)
         G = field.gradient_batch(X)
         if spherical:
             xx = (X * X).sum(axis=1, keepdims=True)
@@ -168,9 +116,48 @@ def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
             xs[:, j], Bs[:, j] = X, B
             rad = np.linalg.norm(X, axis=1) / rootN
             if not ((rad > 0.5) & (rad < cfg.r_guard)).all():
-                raise EscapeError("a path radius left the confinement interval")
-    return [Trajectory(cfg.h_obs, xs[i], Bs[i], master_seed + i)
-            for i in range(n_paths)]
+                raise EscapeError(f"path radii {rad.min():.3f}..{rad.max():.3f} "
+                                  f"left (0.5, {cfg.r_guard}) at step {k + 1}")
+    return [Trajectory(cfg.h_obs, xs[i], Bs[i], s) for i, s in enumerate(seeds)]
+
+
+def integrate(field, x0: np.ndarray, cfg: LangevinConfig,
+              seed: int | None = None,
+              increments: np.ndarray | None = None) -> Trajectory:
+    """Run one path; deterministic given the seed (or explicit increments).
+
+    ``field`` must expose gradient_batch(X).  ``increments``, when given, is
+    the (n_steps, N) array of Brownian increments at the SDE step and
+    overrides the seed.
+    """
+    N = len(x0)
+    n_steps = cfg.n_obs * cfg.substeps
+    if increments is None:
+        rng = np.random.default_rng(seed)
+        increments = rng.standard_normal((n_steps, N)) * math.sqrt(
+            cfg.h_obs / cfg.substeps)
+    elif increments.shape != (n_steps, N):
+        raise ConfigError("increments array has the wrong shape")
+    return _euler_maruyama(field, x0, cfg, [seed], lambda k: increments[k:k + 1])[0]
+
+
+def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
+                       n_paths: int, master_seed: int) -> list[Trajectory]:
+    """Independent Brownian paths from one start point, stepped in lockstep.
+
+    All paths share the field realization, so each step needs a single pass
+    over the coupling tensors through field.gradient_batch.  Path seeds are
+    derived from the master seed by a counter.
+    """
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    N = len(x0)
+    sqrt_h = math.sqrt(cfg.h_obs / cfg.substeps)
+    seeds = [master_seed + i for i in range(n_paths)]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    return _euler_maruyama(
+        field, x0, cfg, seeds,
+        lambda k: np.stack([r.standard_normal(N) for r in rngs]) * sqrt_h)
 
 
 @dataclass
@@ -192,10 +179,7 @@ def observables(traj: Trajectory, field, x_star: np.ndarray | None) -> Observabl
     C = X @ X.T / N
     chi = X @ B.T / N
     q = X @ x_star / N if x_star is not None else np.zeros(X.shape[0])
-    if hasattr(field, "value_batch"):
-        H = -field.value_batch(X) / N
-    else:
-        H = np.array([-field.value(x) / N for x in X])
+    H = -field.value_batch(X) / N
     return ObservableSet(traj.h_obs, C, chi, q, H, np.diagonal(C).copy())
 
 
@@ -264,11 +248,11 @@ class RotatedField:
         self.field = field
         self.O = O
 
-    def value(self, x):
-        return self.field.value(self.O.T @ x)
+    def gradient_batch(self, X):
+        return self.field.gradient_batch(X @ self.O) @ self.O.T
 
-    def gradient(self, x):
-        return self.O @ self.field.gradient(self.O.T @ x)
+    def value_batch(self, X):
+        return self.field.value_batch(X @ self.O)
 
 
 def random_orthogonal(N: int, seed: int) -> np.ndarray:

@@ -18,9 +18,6 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "Mixture",
-    "nu_eval",
-    "psi_eval",
-    "theta_eval",
     "g_beta",
     "phi_gamma",
     "effective_mixture",
@@ -136,27 +133,24 @@ class Mixture:
 
     @classmethod
     def from_json(cls, text: str) -> "Mixture":
-        obj = json.loads(text)
-        if "coeffs" not in obj:
-            raise ConfigError('mixture JSON must contain a "coeffs" object')
-        rb = float(obj.get("radius_bound", math.inf))
-        return cls({int(p): float(b) for p, b in obj["coeffs"].items()}, rb)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, obj) -> "Mixture":
+        """Build from {"coeffs": {"p": b_p^2, ...}} with an optional "radius_bound"."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
+            raise ConfigError('mixture must contain a "coeffs" object')
+        try:
+            coeffs = {int(p): float(b) for p, b in obj["coeffs"].items()}
+            rb = float(obj.get("radius_bound", math.inf))
+        except (TypeError, ValueError) as err:
+            raise ConfigError("mixture coeffs must map integer powers to numbers "
+                              f"and radius_bound must be a number: {err}") from err
+        return cls(coeffs, rb)
 
     @classmethod
     def pure(cls, p: int, weight: float = 1.0) -> "Mixture":
         return cls({p: weight})
-
-
-def nu_eval(m: Mixture, r, order: int = 0):
-    return m.nu(r, order)
-
-
-def psi_eval(m: Mixture, r):
-    return m.psi(r)
-
-
-def theta_eval(m: Mixture, x):
-    return m.theta(x)
 
 
 def g_beta(m: Mixture, beta: float, x, order: int = 0):

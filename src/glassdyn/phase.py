@@ -65,24 +65,20 @@ def _bisect_beta(predicate, rel_tol=1e-8):
     return 0.5 * (lo + hi)
 
 
+def _beta_sup_positive(m: Mixture, order: int) -> float:
+    """Smallest beta at which sup of g_beta (order 0) or g_beta' on [0,1) is positive."""
+    return _bisect_beta(
+        lambda beta: _sup_scan(lambda x: g_beta(m, beta, x, order))[1] > 0.0)
+
+
 def beta_c_stat(m: Mixture) -> float:
     """Inverse temperature above which sup g_beta on [0,1] turns positive."""
-
-    def predicate(beta):
-        _, v = _sup_scan(lambda x: g_beta(m, beta, x, 0))
-        return v > 0.0
-
-    return _bisect_beta(predicate)
+    return _beta_sup_positive(m, 0)
 
 
 def beta_c_dyn(m: Mixture) -> float:
     """Inverse temperature above which sup g_beta' on [0,1) turns positive."""
-
-    def predicate(beta):
-        _, v = _sup_scan(lambda x: g_beta(m, beta, x, 1))
-        return v > 0.0
-
-    return _bisect_beta(predicate)
+    return _beta_sup_positive(m, 1)
 
 
 def _descending_level_root(f, level: float, x_tol: float):

@@ -38,6 +38,14 @@ def _run_cli(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def _sim_config(files, **changes):
+    """The fixture's simulate config with some keys replaced, as a file path."""
+    cfg = dict(json.loads(files["sim"].read_text()), **changes)
+    path = files["dir"] / f"sim_{'_'.join(changes)}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 def manifest_hash(out):
     return json.loads((out / "manifest.json").read_text())["manifest_hash"]
 
@@ -169,6 +177,19 @@ class TestSimulateCompare:
         assert 0.0 < rep["err_mean"] <= 4.0
         assert rep["invariants"]["H0_matches"]
 
+    def test_radius_bound_is_honoured(self, files):
+        # nu(1) exceeds the guard radius_bound^2 = 0.25: simulate and compare
+        # must fail like solve does, not drop the bound
+        mixture = {"coeffs": {"2": 1.0}, "radius_bound": 0.5}
+        mix = files["dir"] / "bounded.json"
+        mix.write_text(json.dumps(mixture))
+        assert main(["--out-dir", str(files["dir"] / "s"), "solve", "--mixture",
+                     str(mix), "--init", str(files["init"]), "--beta", "0.3",
+                     "--T", "0.1", "--h", "0.01"]) == 1
+        for command in ("simulate", "compare"):
+            assert main(["--out-dir", str(files["dir"] / command), command,
+                         "--config", _sim_config(files, mixture=mixture)]) == 1
+
     def test_reproducible_given_seed(self, files):
         out1, out2 = files["dir"] / "a", files["dir"] / "b"
         main(["--out-dir", str(out1), "simulate", "--config", str(files["sim"])])
@@ -201,6 +222,22 @@ class TestErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "'threads'" in proc.stderr
+
+    @pytest.mark.parametrize("argv, named", [
+        (lambda f: ["simulate", "--config", str(f["dir"] / "missing.json")],
+         "missing.json"),
+        (lambda f: ["simulate", "--config",
+                    _sim_config(f, mixture={"coeffs": {"two": 1.0}})], "coeffs"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--variant", "f:abc"], "f:abc"),
+        (lambda f: ["simulate", "--config", _sim_config(f, N="abc")], "'N'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, paths=0)], "paths"),
+    ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths"])
+    def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
+        proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
 
     def test_malformed_config(self, files):
         bad = files["dir"] / "bad.json"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from glassdyn.dynamics import (
-    EllRecord, SolverConfig, TwoTimeSolution, ell_limit_check,
-    integrated_response, residual, rhs_kernels, solve_dynamics,
+    EllRecord, SolverConfig, TwoTimeSolution, _Kernels, ell_limit_check,
+    integrated_response, residual, solve_dynamics,
 )
 from glassdyn.errors import BlowUpError, ConfigError, PsdViolationWarning
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
@@ -19,6 +19,12 @@ IC_GEN = InitCondition(0.8, 0.5, -0.3, 0.4, 0.35)
 
 def _beta0_solution(T=2.0, h=0.01, ic=IC_GEN):
     return solve_dynamics(M23, ic, SolverConfig(beta=0.0, T=T, h=h))
+
+
+def _kernels_at(sol, i):
+    """The solver's kernels at beta = 0 and the row state of slice i."""
+    ker = _Kernels(M23, solve_w(IC_GEN, M23), 0.0, sol.h, sol.q_star, sol.q_o)
+    return ker, ker.row(sol.C, sol.q, i)
 
 
 class TestFreeDynamics:
@@ -77,19 +83,20 @@ class TestStructure:
 class TestKernels:
     def test_beta0_drift_contributions_vanish(self):
         sol = _beta0_solution(T=0.5)
-        vf = solve_w(IC_GEN, M23)
-        cfg = SolverConfig(beta=0.0, T=0.5, h=0.01)
-        kv = rhs_kernels(sol, vf, M23, cfg, 30, 10)
-        assert kv.A_C == 0.0 and kv.A_q == 0.0
-        assert kv.dR == pytest.approx(-sol.mu[30] * sol.R[30, 10])
-        assert kv.L == pytest.approx(sol.L[30], abs=1e-12)
+        ker, rw = _kernels_at(sol, 30)
+        F_R, F_C, F_q = ker.rhs(sol.C, sol.R, sol.q, sol.L, sol.mu, 30, rw)
+        # with beta = 0 the drift terms A_C and A_q enter times an exact zero
+        np.testing.assert_array_equal(F_C, -sol.mu[30] * sol.C[30, :31])
+        assert F_q == -sol.mu[30] * sol.q[30]
+        assert F_R[10] == pytest.approx(-sol.mu[30] * sol.R[30, 10])
+        assert ker.L_at(sol.R, 30, rw) == pytest.approx(sol.L[30], abs=1e-12)
 
     def test_L_starts_at_zero(self):
         sol = _beta0_solution(T=0.5)
-        vf = solve_w(IC_GEN, M23)
-        kv = rhs_kernels(sol, vf, M23, SolverConfig(beta=0.0, T=0.5, h=0.01), 0, 0)
-        assert kv.L == 0.0
-        assert kv.H == pytest.approx(IC_GEN.E, abs=1e-12)
+        ker, rw = _kernels_at(sol, 0)
+        assert ker.L_at(sol.R, 0, rw) == 0.0
+        assert ker.H_at(sol.C, sol.R, sol.q, sol.L, 0, rw) == pytest.approx(
+            IC_GEN.E, abs=1e-12)
 
     def test_solver_output_residual_small(self):
         cfg = SolverConfig(beta=0.5, T=1.0, h=0.01)

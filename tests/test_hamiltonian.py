@@ -342,3 +342,20 @@ class TestConditionedField:
         # a generic second point keeps a random residual
         other = sample_band_point(0.0, 0.0, N, 35)
         assert abs(f.value(other) + N * ic.E) > 1e-3
+
+    @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.9),
+                                    InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)])
+    def test_batch_matches_rows(self, ic):
+        # the batched mean swap against one point at a time
+        N = 20
+        x_star = make_x_star(ic.q_star, N)
+        x0 = sample_band_point(ic.q_star, ic.q_o, N, 36)
+        f = conditioned_field(sample_system(M23, N, 37),
+                              ConditioningSpec(x_star, x0, ic))
+        rng = np.random.default_rng(38)
+        X = np.stack([x0, x_star] + [_random_sphere_point(rng, N) for _ in range(5)])
+        rows = np.stack([f.gradient(x) for x in X])
+        np.testing.assert_allclose(f.gradient_batch(X), rows, rtol=1e-12,
+                                   atol=1e-12 * np.abs(rows).max())
+        np.testing.assert_allclose(f.value_batch(X),
+                                   np.array([f.value(x) for x in X]), rtol=1e-12)

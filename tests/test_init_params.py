@@ -8,7 +8,7 @@ import pytest
 from glassdyn.errors import ConfigError, DomainError, NoRootError, SingularMatrixError
 from glassdyn.init_params import (
     InitCondition, check_stationary, fdt_regime_residual, gamma_star,
-    gibbs_init, pure_p_localized, sigma_nu, solve_w, v_eval,
+    gibbs_init, pure_p_localized, sigma_nu, solve_w,
 )
 from glassdyn.mixture import Mixture, g_beta
 from glassdyn.phase import c_inf
@@ -137,10 +137,10 @@ class TestVEval:
             qo = rng.uniform(-qs * 0.9, qs * 0.9)
             ic = InitCondition(qs, rng.normal(), rng.normal(), rng.normal(), qo)
             vf = solve_w(ic, M23)
-            assert v_eval(vf, qo, 1.0) == pytest.approx(ic.E, abs=1e-9)
-            assert v_eval(vf, qs**2, qo) == pytest.approx(ic.E_star, abs=1e-9)
-            assert v_eval(vf, qs**2, qo, "vx") == pytest.approx(ic.G_star, abs=1e-9)
-            assert v_eval(vf, qs**2, qo, "vy") == pytest.approx(0.0, abs=1e-9)
+            assert vf.v(qo, 1.0) == pytest.approx(ic.E, abs=1e-9)
+            assert vf.v(qs**2, qo) == pytest.approx(ic.E_star, abs=1e-9)
+            assert vf.vx(qs**2, qo) == pytest.approx(ic.G_star, abs=1e-9)
+            assert vf.vy(qs**2, qo) == pytest.approx(0.0, abs=1e-9)
 
     def test_partials_match_finite_differences(self):
         ic = InitCondition(0.8, 0.6, -0.3, 0.4, 0.35)

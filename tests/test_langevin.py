@@ -21,12 +21,6 @@ M23 = Mixture({2: 1.0, 3: 0.1})
 
 
 class ZeroField:
-    def value(self, x):
-        return 0.0
-
-    def gradient(self, x):
-        return np.zeros(len(x))
-
     def gradient_batch(self, X):
         return np.zeros_like(X)
 
@@ -91,11 +85,8 @@ class TestIntegrate:
 
     def test_escape_guard(self):
         class Repulsive:
-            def value(self, x):
-                return 0.0
-
-            def gradient(self, x):
-                return -20.0 * x
+            def gradient_batch(self, X):
+                return -20.0 * X
 
         N = 30
         x0 = sample_band_point(0.0, 0.0, N, 8)

@@ -7,10 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glassdyn.errors import ConfigError, DomainError
-from glassdyn.mixture import (
-    Mixture, effective_mixture, g_beta, nu_eval, phi_gamma, psi_eval,
-    theta_eval, truncate,
-)
+from glassdyn.mixture import Mixture, effective_mixture, g_beta, phi_gamma, truncate
 
 M23 = Mixture({2: 1.0, 3: 1.0})
 PURE2 = Mixture.pure(2)
@@ -18,13 +15,13 @@ PURE2 = Mixture.pure(2)
 
 class TestNuEval:
     def test_pure2_value(self):
-        assert nu_eval(PURE2, 0.5, 0) == 0.25
+        assert PURE2.nu(0.5, 0) == 0.25
 
     def test_mixed_first_derivative(self):
-        assert nu_eval(M23, 1.0, 1) == 5.0
+        assert M23.nu(1.0, 1) == 5.0
 
     def test_mixed_second_derivative(self):
-        assert nu_eval(M23, 1.0, 2) == 8.0
+        assert M23.nu(1.0, 2) == 8.0
 
     def test_radius_guard(self):
         m = Mixture({2: 1.0}, radius_bound=1.5)
@@ -63,14 +60,14 @@ class TestNuEval:
 
 class TestPsiTheta:
     def test_psi_example(self):
-        assert psi_eval(M23, 1.0) == 13.0
+        assert M23.psi(1.0) == 13.0
 
     def test_psi_at_zero(self):
-        assert psi_eval(M23, 0.0) == 0.0
+        assert M23.psi(0.0) == 0.0
 
     def test_psi_pure2(self):
         # nu'(0.5) + 0.5 * nu''(0.5) = 1 + 1
-        assert psi_eval(PURE2, 0.5) == 2.0
+        assert PURE2.psi(0.5) == 2.0
 
     def test_psi_identity_random(self):
         rng = np.random.default_rng(1)
@@ -79,19 +76,19 @@ class TestPsiTheta:
                                    rtol=1e-13)
 
     def test_theta_at_one_is_zero(self):
-        assert theta_eval(M23, 1.0) == 0.0
+        assert M23.theta(1.0) == 0.0
 
     def test_theta_pure2_at_zero(self):
-        assert theta_eval(PURE2, 0.0) == 1.0
+        assert PURE2.theta(0.0) == 1.0
 
     def test_theta_mixed_example(self):
         # 2 - 0.375 - 1.75 * 0.5, checked by direct arithmetic
-        assert theta_eval(M23, 0.5) == pytest.approx(0.75, abs=1e-14)
+        assert M23.theta(0.5) == pytest.approx(0.75, abs=1e-14)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_theta_nonnegative_on_unit_interval(self, x):
-        assert theta_eval(M23, x) >= -1e-14
+        assert M23.theta(x) >= -1e-14
 
 
 class TestGBeta:
