@@ -35,7 +35,7 @@ for N in (50, 100, 200):
     x0 = sample_band_point(0.0, 0.0, N, seed=60 + N)
     field = conditioned_field(sysN, ConditioningSpec(np.zeros(N), x0, ic))
     trajs = integrate_ensemble(field, x0, cfg, n_paths=8, master_seed=70 + N)
-    obs = [observables(t, field, np.zeros(N)) for t in trajs]
+    obs = observables(trajs, field, np.zeros(N))
     per_path, _ = average_error(obs, sol, T)
     averaged = ensemble_error(obs, sol, T)
     print(f"{N:5d}   {per_path:10.4f}   {averaged:12.4f}   {time.time() - t0:7.1f}")

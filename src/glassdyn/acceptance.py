@@ -322,7 +322,7 @@ def criterion_10_finite_n_convergence() -> CriterionResult:
         x0 = sample_band_point(0.0, 0.0, N, seed=60 + N)
         f = conditioned_field(sysN, ConditioningSpec(np.zeros(N), x0, ic))
         trajs = integrate_ensemble(f, x0, cfg, 8, master_seed=70 + N)
-        obs = [observables(t, f, np.zeros(N)) for t in trajs]
+        obs = observables(trajs, f, np.zeros(N))
         per_path.append(average_error(obs, sol, T)[0])
         averaged.append(ensemble_error(obs, sol, T))
     mono = (all(a > b for a, b in zip(per_path, per_path[1:]))

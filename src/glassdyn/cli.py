@@ -125,14 +125,27 @@ def _read_json(path: str, what: str):
 def _config_value(cfg_obj: dict, key: str, convert, default=None):
     """convert(cfg_obj[key]); an absent key takes the default, unless that is None.
 
-    A value that convert rejects is a ConfigError naming the key.
+    A missing required key, or a value that convert rejects, is a ConfigError
+    naming the key.
     """
     try:
         return convert(cfg_obj[key] if default is None else cfg_obj.get(key, default))
     except GlassdynError:
         raise
+    except KeyError as err:
+        raise ConfigError(f"config key {key!r} is missing") from err
     except (AttributeError, TypeError, ValueError) as err:
         raise ConfigError(f"config key {key!r}: {err}") from err
+
+
+def _int_at_least(lo: int):
+    """int() that also rejects values below lo."""
+    def convert(value) -> int:
+        n = int(value)
+        if n < lo:
+            raise ValueError(f"must be >= {lo}, got {n}")
+        return n
+    return convert
 
 
 def _parse_grid(spec: str):
@@ -251,12 +264,12 @@ def cmd_solve(args, out: Path):
 def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     m = _config_value(cfg_obj, "mixture", Mixture.from_dict)
     ic = _config_value(cfg_obj, "init", lambda obj: InitCondition.from_dict(obj, m))
-    N = _config_value(cfg_obj, "N", int)
+    N = _config_value(cfg_obj, "N", _int_at_least(1))
     beta = _config_value(cfg_obj, "beta", float)
     T = _config_value(cfg_obj, "T", float)
     h_obs = _config_value(cfg_obj, "h_obs", float, 0.02)
-    paths = _config_value(cfg_obj, "paths", int, 8)
-    seed = _config_value(cfg_obj, "seed", int, 0)
+    paths = _config_value(cfg_obj, "paths", _int_at_least(1), 8)
+    seed = _config_value(cfg_obj, "seed", _int_at_least(0), 0)
     if "threads" in cfg_obj:
         raise ConfigError("config key 'threads' is no longer supported: paths "
                           "share one tensor pass per step")
@@ -273,7 +286,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
                           substeps=_config_value(cfg_obj, "substeps", int, 5),
                           variant=variant, ell=ell)
     trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
-    obs = [observables(t, f, x_star) for t in trajs]
+    obs = observables(trajs, f, x_star)
 
     grid = np.arange(lcfg.n_obs + 1) * h_obs
     Cbar = np.mean([o.C for o in obs], axis=0)
@@ -393,9 +406,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (GlassdynError, KeyError) as err:
+    except GlassdynError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1 if isinstance(err, GlassdynError) else 2
+        return 1
 
 
 if __name__ == "__main__":

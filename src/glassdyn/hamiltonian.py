@@ -2,24 +2,30 @@
 
 The random energy is a sum over dense coupling tensors, one per active power
 p.  Each tensor is drawn with i.i.d. entries of variance N^(1-p), which gives
-the covariance Cov(H(x), H(y)) = N nu(<x,y>/N), and is then stored
-symmetrized: averaged over all axis permutations.  The stored entries are no
-longer i.i.d., but H is the same function of x, so the covariance law is
-unchanged; symmetry lets one matrix product give the gradient for a whole
-batch of points.  Conditioning on the value at the start point and on
-value/gradient at a critical point is exact for a Gaussian field and is
-realized by a mean swap: subtract the conditional mean at the observed data,
-add it back at the target data.  The orthogonal complement of the two
-distinguished directions is never materialized; its contribution enters
-through a single projected gradient vector.
+the covariance Cov(H(x), H(y)) = N nu(<x,y>/N), and is then symmetrized:
+averaged over all axis permutations.  The stored entries are no longer
+i.i.d., but H is the same function of x, so the covariance law is unchanged.
+A symmetric tensor is kept as its packed rows J[i1, ..., i_(p-1), :] with
+i1 <= ... <= i_(p-1), in lexicographic order: N(N+1)/2 rows for p = 3, half
+the bytes of the full tensor, and J itself for p = 2.  One matrix product
+with those rows gives the gradient for a whole batch of points, so each SDE
+step streams half the bytes it would over the full tensor.  Conditioning on
+the value at the start point and on value/gradient at a critical point is
+exact for a Gaussian field and is realized by a mean swap: subtract the
+conditional mean at the observed data, add it back at the target data.  The
+orthogonal complement of the two distinguished directions is never
+materialized; its contribution enters through a single projected gradient
+vector.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +53,12 @@ _SYM_BLOCK = 25  # slab thickness of the draw, edge of the averaged sub-blocks
 
 @dataclass
 class SpinSystem:
-    """One realization of the symmetrized coupling tensors at size N."""
+    """One realization of the symmetrized coupling tensors at size N.
+
+    tensors[p] holds the packed rows of the p-tensor (see _layout): an
+    (N(N+1)/2, N) array for p = 3, (N, N) for p = 2.  After the draw the
+    full tensor is released, so a p = 3 system keeps 4 N^2 (N + 1) bytes.
+    """
 
     N: int
     mixture: Mixture
@@ -70,22 +81,23 @@ class SpinSystem:
     def _contract(self, X: np.ndarray):
         """Values and gradients at the rows of X, one GEMM per power p.
 
-        With J symmetric, grad H_p(x) = p sqrt(b_p) J(x, ..., x, .), the
-        contraction of p - 1 axes with x: the rows of x (x) ... (x) x times
-        J reshaped to (N^(p-1), N).  Euler's identity x . grad H_p = p H_p
-        gives the values from the same product.  The dominant cost is
-        streaming each tensor once for the whole batch.
+        With J symmetric, grad H_p(x) = p sqrt(b_p) J(x, ..., x, .), and a
+        packed row (i1 <= ... <= i_(p-1)) stands for every ordering of its
+        indices, so the contraction is K from _row_factor times the packed
+        tensor.  Euler's identity x . grad H_p = p H_p gives the values from
+        the same product.  Rows of X go in chunks of at most N, so K is never
+        larger than the packed tensor; the dominant cost is streaming each
+        tensor once per chunk.
         """
         k, N = X.shape
         values, grads = np.zeros(k), np.zeros((k, N))
-        for p, b in self.mixture.coeffs.items():
-            K = X
-            for _ in range(p - 2):
-                K = (K[:, :, None] * X[:, None, :]).reshape(k, -1)
-            G = K @ self.tensors[p].reshape(-1, N)
-            bp = math.sqrt(b)
-            values += bp * (G * X).sum(axis=1)
-            grads += (p * bp) * G
+        for a in range(0, k, N):
+            Xc = X[a:a + N]
+            for p, b in self.mixture.coeffs.items():
+                G = _row_factor(Xc, p) @ self.tensors[p]
+                bp = math.sqrt(b)
+                values[a:a + N] += bp * (G * Xc).sum(axis=1)
+                grads[a:a + N] += (p * bp) * G
         return values, grads
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
@@ -97,16 +109,71 @@ class SpinSystem:
         return self._contract(X)[0]
 
 
+class _Layout(NamedTuple):
+    starts: list              # starts[m][i]: first sorted m-tuple beginning with i
+    source: np.ndarray        # row of each packed row in the (N^(p-1), N) reshape
+    repeats: np.ndarray       # packed rows with a repeated index
+    repeat_scale: np.ndarray  # their mult / (p-1)!
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(N: int, p: int) -> _Layout:
+    """Packed rows of a symmetric p-tensor: the sorted (p-1)-tuples, in order.
+
+    A row stands for mult = (p-1)!/prod(run length)! orderings of its
+    indices; the product of the run-length factorials is accumulated one
+    position at a time as the length of the run so far.
+    """
+    digits = np.indices((N,) * (p - 1)).reshape(p - 1, -1)
+    source = np.flatnonzero((np.diff(digits, axis=0) >= 0).all(axis=0))
+    run, denom = np.ones(len(source), int), np.ones(len(source), int)
+    for prev, cur in itertools.pairwise(digits[:, source]):
+        run = np.where(cur == prev, run + 1, 1)
+        denom *= run
+    repeats = np.flatnonzero(denom > 1)
+    # in lexicographic order the C(N - i + m - 1, m) sorted m-tuples
+    # beginning with i or more end the list
+    starts = [None] + [[math.comb(N + m - 1, m) - math.comb(N - i + m - 1, m)
+                        for i in range(N + 1)] for m in range(1, p)]
+    return _Layout(starts, source, repeats, 1.0 / denom[repeats])
+
+
+def _row_factor(X: np.ndarray, p: int) -> np.ndarray:
+    """K[:, r] = mult_r x_i1 ... x_i(p-1) over the packed rows r of a p-tensor.
+
+    Built transposed, one contiguous product per level and first index i:
+    level m rows beginning with i are x_i times the level m - 1 suffix.  The
+    factor (p-1)! rides on the first level; the rows with a repeated index
+    are then scaled back to their mult (exactly, for p = 3).
+    """
+    if p == 2:
+        return X
+    N = X.shape[1]
+    lay = _layout(N, p)
+    XT = X.T.copy()
+    K = math.factorial(p - 1) * XT
+    for m in range(2, p):
+        prev, new = lay.starts[m - 1], lay.starts[m]
+        out = np.empty((new[N], len(X)))
+        for i in range(N):
+            np.multiply(K[prev[i]:], XT[i], out=out[new[i]:new[i + 1]])
+        K = out
+    K[lay.repeats] *= lay.repeat_scale[:, None]
+    return K.T
+
+
 def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
-    """Standard normals times N^(-(p-1)/2), averaged over all axis permutations.
+    """Packed rows of standard normals times N^(-(p-1)/2), symmetrized.
 
     The draw goes in slabs of _SYM_BLOCK along the first axis, which is the
     same stream as one standard_normal call, on a worker thread that runs
     ahead: the generator releases the GIL, so the draw overlaps the averaging.
     Once slab b is drawn, each sorted tuple of block starts that ends in b has
     its p! permuted sub-blocks read, averaged and written back transposed, in
-    place, so the only extra memory is a few sub-blocks.
+    place, so the only extra memory is a few sub-blocks.  The packed rows are
+    then moved to the front of the same buffer, which is shrunk to them.
     """
+    source = _layout(N, p).source  # before J, so its temporaries add no peak
     J = np.empty((N,) * p)
     perms = list(itertools.permutations(range(p)))
     w = N ** (-(p - 1) / 2.0) / len(perms)
@@ -119,6 +186,18 @@ def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
             for head in itertools.combinations_with_replacement(
                     range(0, b + 1, _SYM_BLOCK), p - 1):
                 _average_orbit(J, head + (b,), perms, w, sorted_at)
+    del slabs, slab  # each future holds a view of J
+    # compact the packed rows to the front: a row never moves back, so a
+    # forward copy reads every source before anything overwrites it
+    flat = J.reshape(-1)
+    for a, z in itertools.pairwise([0, *(np.flatnonzero(np.diff(source) != 1) + 1),
+                                    len(source)]):
+        if source[a] != a:
+            flat[a * N:z * N] = flat[source[a] * N:(source[a] + z - a) * N]
+    del flat
+    # no view of J is left, so shrinking in place is safe; the reference
+    # check would also count a tracer's copy of this frame's locals
+    J.resize((len(source), N), refcheck=False)
     return J
 
 
@@ -150,6 +229,10 @@ def _average_orbit(J: np.ndarray, starts: tuple, perms: list, w: float,
 
 def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
     """Draw the symmetrized coupling tensors; deterministic given the seed."""
+    if N < 1:
+        raise ConfigError(f"N must be >= 1, got {N}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if m.p_max > _P_MAX:
         raise ConfigError(f"dense tensors limited to p <= {_P_MAX}")
     if N ** m.p_max > _MAX_TENSOR_ENTRIES:
@@ -295,6 +378,21 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     return _mean_eval(spec, m, _weights(m, spec.target, Vhat), u_perp, x, what)
 
 
+def _frame(spec: ConditioningSpec, X: np.ndarray):
+    """Coordinates of the rows of X and their gradients, constant in x.
+
+    Returns (xs, y, z, a, b, c): the overlaps xs, y, z of spec.coords and
+    their gradients a, b, c.  The q_star = 0 branch conditions on the start
+    value only, so xs, z, a and c are None there.
+    """
+    N = spec.N
+    b = spec.x_0 / N
+    if spec.target.q_star == 0.0:
+        return None, X @ spec.x_0 / N, None, None, b, None
+    xs, y, z = spec.coords(X)
+    return xs, y, z, spec.x_star / N, b, spec.zhat / np.linalg.norm(spec.x_star)
+
+
 def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
                u_perp: np.ndarray | None, x: np.ndarray, what: str):
     """Conditional mean or its gradient at one point x, or at the rows of a batch."""
@@ -303,8 +401,8 @@ def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
     N = spec.N
     ic = spec.target
     X = np.atleast_2d(x)
-    if ic.q_star == 0.0:
-        y = X @ spec.x_0 / N
+    xs, y, z, a, b, c = _frame(spec, X)
+    if xs is None:
         if what == "value":
             out = -N * w[0] * m.nu(y)
         else:
@@ -312,7 +410,6 @@ def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
     else:
         qs2 = ic.q_star**2
         gam = m.nu(qs2, 1)
-        xs, y, z = spec.coords(X)
         uterm = 0.0 if u_perp is None else X @ u_perp
         d1 = m.nu(xs, 1)
         if what == "value":
@@ -321,9 +418,6 @@ def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
                          + w[3] * z * d1) - d1 * uterm / gam)
         else:
             d2 = m.nu(xs, 2)
-            a = spec.x_star / N                       # grad of xs
-            b = spec.x_0 / N                          # grad of y
-            c = spec.zhat / np.linalg.norm(spec.x_star)  # grad of z
             out = -N * ((w[0] * m.nu(y, 1))[:, None] * b
                         + (w[1] * d1 + w[2] * m.psi(xs) / qs2
                            + w[3] * z * d2)[:, None] * a
@@ -342,16 +436,11 @@ def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
     N = spec.N
     ic = spec.target
     w = _weights(m, ic, Vhat)
-    if ic.q_star == 0.0:
-        b = spec.x_0 / N
-        y = x @ spec.x_0 / N
+    xs, y, z, a, b, c = _frame(spec, x)
+    if xs is None:
         return -N * w[0] * m.nu(y, 2) * np.outer(b, b)
     gam = m.nu(ic.q_star**2, 1)
-    xs, y, z = spec.coords(x)
     qs2 = ic.q_star**2
-    a = spec.x_star / N
-    b = spec.x_0 / N
-    c = spec.zhat / np.linalg.norm(spec.x_star)
     psi_p = 2.0 * m.nu(xs, 2) + xs * m.nu(xs, 3)
     aa, bb = np.outer(a, a), np.outer(b, b)
     ac = np.outer(a, c)

@@ -172,15 +172,24 @@ class ObservableSet:
     K: np.ndarray
 
 
-def observables(traj: Trajectory, field, x_star: np.ndarray | None) -> ObservableSet:
-    """Inner-product observables; the energy uses the supplied field."""
-    X, B = traj.x, traj.B
-    N = X.shape[1]
-    C = X @ X.T / N
-    chi = X @ B.T / N
-    q = X @ x_star / N if x_star is not None else np.zeros(X.shape[0])
-    H = -field.value_batch(X) / N
-    return ObservableSet(traj.h_obs, C, chi, q, H, np.diagonal(C).copy())
+def observables(trajs: list[Trajectory], field,
+                x_star: np.ndarray | None) -> list[ObservableSet]:
+    """Inner-product observables of each path; the energy uses the supplied field.
+
+    One field.value_batch call covers the grid points of every path, so the
+    energies cost one pass over the coupling tensors for the whole ensemble.
+    """
+    N = trajs[0].x.shape[1]
+    H_all = -field.value_batch(np.concatenate([t.x for t in trajs])) / N
+    ends = np.cumsum([len(t.x) for t in trajs])[:-1]
+    out = []
+    for t, H in zip(trajs, np.split(H_all, ends)):
+        X, B = t.x, t.B
+        C = X @ X.T / N
+        chi = X @ B.T / N
+        q = X @ x_star / N if x_star is not None else np.zeros(X.shape[0])
+        out.append(ObservableSet(t.h_obs, C, chi, q, H, np.diagonal(C).copy()))
+    return out
 
 
 def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
@@ -281,11 +290,11 @@ def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
     h = cfg.h_obs / cfg.substeps
     dB = rng.standard_normal((cfg.n_obs * cfg.substeps, N)) * math.sqrt(h)
     t1 = integrate(field, x0, cfg, increments=dB)
-    o1 = observables(t1, field, x_star)
+    o1 = observables([t1], field, x_star)[0]
     dB2 = dB @ O.T if rotate_noise else dB
     f2 = RotatedField(field, O)
     t2 = integrate(f2, O @ x0, cfg, increments=dB2)
-    o2 = observables(t2, f2, O @ x_star)
+    o2 = observables([t2], f2, O @ x_star)[0]
     dev = max(
         float(np.abs(o1.C - o2.C).max()),
         float(np.abs(o1.chi - o2.chi).max()),

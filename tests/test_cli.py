@@ -39,8 +39,12 @@ def _run_cli(argv):
 
 
 def _sim_config(files, **changes):
-    """The fixture's simulate config with some keys replaced, as a file path."""
+    """The fixture's simulate config with some keys replaced, as a file path.
+
+    A change to None removes the key.
+    """
     cfg = dict(json.loads(files["sim"].read_text()), **changes)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     path = files["dir"] / f"sim_{'_'.join(changes)}.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -232,7 +236,13 @@ class TestErrors:
                     "--beta", "0.3", "--variant", "f:abc"], "f:abc"),
         (lambda f: ["simulate", "--config", _sim_config(f, N="abc")], "'N'"),
         (lambda f: ["simulate", "--config", _sim_config(f, paths=0)], "paths"),
-    ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths"])
+        (lambda f: ["simulate", "--config", _sim_config(f, N=0)], "'N'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, N=-3)], "'N'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, seed=-1)], "'seed'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, N=None)],
+         "config key 'N' is missing"),
+    ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
+            "N-zero", "N-negative", "seed-negative", "N-missing"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2

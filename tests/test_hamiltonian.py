@@ -3,9 +3,11 @@
 import itertools
 import math
 import tracemalloc
+from sys import gettrace, settrace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glassdyn.errors import ConfigError
 from glassdyn.hamiltonian import (
@@ -22,6 +24,20 @@ M23 = Mixture({2: 1.0, 3: 0.5})
 def _random_sphere_point(rng, N):
     x = rng.standard_normal(N)
     return x * math.sqrt(N) / np.linalg.norm(x)
+
+
+def _unpack(P, N, p):
+    """The full p-tensor from its packed rows.
+
+    Row r of P is J[h_r, :] for the r-th sorted (p-1)-tuple h_r in
+    lexicographic order; every other row of J repeats the row of its sorted
+    index tuple.
+    """
+    heads = list(itertools.combinations_with_replacement(range(N), p - 1))
+    assert P.shape == (len(heads), N)
+    row = {h: r for r, h in enumerate(heads)}
+    idx = [row[tuple(sorted(t))] for t in itertools.product(range(N), repeat=p - 1)]
+    return P[idx].reshape((N,) * p)
 
 
 class TestSampling:
@@ -64,7 +80,7 @@ class TestSampling:
     def test_stored_tensor_symmetric_bit_for_bit(self, p, N):
         # N is not a multiple of the symmetrization block edge
         assert N % _SYM_BLOCK
-        J = sample_system(Mixture.pure(p), N, 4).tensors[p]
+        J = _unpack(sample_system(Mixture.pure(p), N, 4).tensors[p], N, p)
         for perm in itertools.permutations(range(p)):
             np.testing.assert_array_equal(J, J.transpose(perm))
 
@@ -77,7 +93,8 @@ class TestSampling:
         sys = sample_system(Mixture.pure(p), N, seed)
         perms = list(itertools.permutations(range(p)))
         np.testing.assert_allclose(
-            sys.tensors[p], sum(raw.transpose(sg) for sg in perms) / len(perms),
+            _unpack(sys.tensors[p], N, p),
+            sum(raw.transpose(sg) for sg in perms) / len(perms),
             rtol=1e-13, atol=1e-15 * np.abs(raw).max())
         x = _random_sphere_point(np.random.default_rng(p), N)
         letters = "abcd"[:p]
@@ -97,14 +114,33 @@ class TestSampling:
             np.testing.assert_array_equal(
                 sample_system(Mixture.pure(3), N, 9).tensors[3], first)
 
+    def test_draw_under_a_tracer_that_reads_locals(self):
+        # a tracer's copy of the frame locals is one more reference to the
+        # tensor while its buffer shrinks to the packed rows
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        previous = gettrace()
+        settrace(tracer)
+        try:
+            traced = sample_system(Mixture.pure(3), 12, 0).tensors[3]
+        finally:
+            settrace(previous)
+        plain = sample_system(Mixture.pure(3), 12, 0).tensors[3]
+        np.testing.assert_array_equal(traced, plain)
+
     def test_symmetrization_does_not_double_memory(self):
+        N = 200
         tracemalloc.start()
         try:
-            sys = sample_system(Mixture.pure(3), 200, 0)
+            sys = sample_system(Mixture.pure(3), N, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * sys.tensors[3].nbytes + 8 * 2**20
+        assert peak <= 1.05 * 8 * N**3 + 8 * 2**20
+        # only the packed rows are kept after the draw
+        assert sys.tensors[3].nbytes == 8 * N * N * (N + 1) // 2
 
 
 class TestEvalField:
@@ -146,6 +182,60 @@ class TestEvalField:
         np.testing.assert_allclose(sys.value_batch(X),
                                    np.array([sys.value(x) for x in X]),
                                    atol=1e-12)
+
+    def test_batch_across_row_chunks(self):
+        # 2N + 3 rows go through the contraction in three chunks
+        N = 9
+        sys = sample_system(Mixture({2: 0.7, 3: 0.4, 4: 0.3}), N, 10)
+        X = np.random.default_rng(11).standard_normal((2 * N + 3, N))
+        rows = np.stack([sys.gradient(x) for x in X])
+        np.testing.assert_allclose(sys.gradient_batch(X), rows, rtol=1e-12,
+                                   atol=1e-12 * np.abs(rows).max())
+        vals = np.array([sys.value(x) for x in X])
+        np.testing.assert_allclose(sys.value_batch(X), vals, rtol=1e-12,
+                                   atol=1e-12 * np.abs(vals).max())
+
+
+class TestPackedProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_batch_matches_einsum_on_unpacked(self, data):
+        N = data.draw(st.integers(1, 20), label="N")
+        powers = data.draw(st.sets(st.sampled_from([2, 3, 4]), min_size=1),
+                           label="powers")
+        m = Mixture({p: data.draw(st.floats(0.05, 2.0), label=f"b{p}")
+                     for p in sorted(powers)})
+        k = data.draw(st.integers(1, 2 * N + 1), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        sys = sample_system(m, N, seed)
+        X = np.random.default_rng(seed).standard_normal((k, N))
+        val, grad = np.zeros(k), np.zeros((k, N))
+        val_scale, grad_scale = np.zeros(k), np.zeros((k, N))
+        for p, b in m.coeffs.items():
+            J = _unpack(sys.tensors[p], N, p)
+            axes = "abcd"[:p]
+            spec = f"{axes},{','.join('n' + a for a in axes[:-1])}->n{axes[-1]}"
+            G = np.einsum(spec, J, *[X] * (p - 1))
+            G_abs = np.einsum(spec, np.abs(J), *[np.abs(X)] * (p - 1))
+            val += math.sqrt(b) * (G * X).sum(axis=1)
+            val_scale += math.sqrt(b) * (G_abs * np.abs(X)).sum(axis=1)
+            grad += p * math.sqrt(b) * G
+            grad_scale += p * math.sqrt(b) * G_abs
+        # relative to the magnitude of the summed terms, so cancellation is fair
+        assert np.all(np.abs(sys.value_batch(X) - val) <= 1e-12 * val_scale)
+        assert np.all(np.abs(sys.gradient_batch(X) - grad) <= 1e-12 * grad_scale)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(-50, 0), seed=st.integers(0, 100))
+    def test_size_below_one_is_config_error(self, N, seed):
+        with pytest.raises(ConfigError, match="N"):
+            sample_system(M23, N, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 20), seed=st.integers(-2**63, -1))
+    def test_negative_seed_is_config_error(self, N, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            sample_system(M23, N, seed)
 
 
 class TestBandPoint:

@@ -69,7 +69,8 @@ class TestIntegrate:
         cfg = LangevinConfig(beta=0.0, T=T, h_obs=0.05)
         x0 = sample_band_point(0.0, 0.0, N, 4)
         trajs = integrate_ensemble(ZeroField(), x0, cfg, 8, master_seed=5)
-        C = np.mean([observables(t, ZeroField(), None).C for t in trajs], axis=0)
+        obs = observables(trajs, ZeroField(), None)
+        C = np.mean([o.C for o in obs], axis=0)
         s = np.arange(cfg.n_obs + 1) * cfg.h_obs
         expect = np.exp(-0.5 * np.abs(s[:, None] - s[None, :]))
         assert np.abs(C - expect).max() < 0.05
@@ -116,15 +117,35 @@ class TestObservables:
 
     def test_diagonal_is_radius(self):
         f, x0, tr = self._traj()
-        obs = observables(tr, f, None)
+        obs = observables([tr], f, None)[0]
         np.testing.assert_allclose(np.diagonal(obs.C), obs.K)
 
     def test_initial_values(self):
         f, x0, tr = self._traj()
-        obs = observables(tr, f, None)
+        obs = observables([tr], f, None)[0]
         assert obs.C[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert obs.chi[:, 0].max() == 0.0
         assert obs.H[0] == pytest.approx(f.spec.target.E, abs=1e-10)
+
+    def test_ensemble_energy_pass_matches_each_path(self):
+        N = 30
+        ic = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
+        x_star = make_x_star(ic.q_star, N)
+        x0 = sample_band_point(ic.q_star, ic.q_o, N, 15)
+        f = conditioned_field(sample_system(M23, N, 16),
+                              ConditioningSpec(x_star, x0, ic))
+        trajs = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
+                                   3, master_seed=17)
+        obs = observables(trajs, f, x_star)
+        assert len(obs) == len(trajs)
+        for o, t in zip(obs, trajs):
+            H = -f.value_batch(t.x) / N
+            np.testing.assert_allclose(o.H, H, rtol=1e-12, atol=1e-12 * np.abs(H).max())
+            C = t.x @ t.x.T / N
+            np.testing.assert_array_equal(o.C, C)
+            np.testing.assert_array_equal(o.chi, t.x @ t.B.T / N)
+            np.testing.assert_array_equal(o.q, t.x @ x_star / N)
+            np.testing.assert_array_equal(o.K, np.diagonal(C))
 
     def test_overlap_starts_at_qo(self):
         N = 30
@@ -134,7 +155,7 @@ class TestObservables:
         spec = ConditioningSpec(x_star, x0, ic)
         f = conditioned_field(sample_system(M23, N, 13), spec)
         tr = integrate(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05), seed=14)
-        obs = observables(tr, f, x_star)
+        obs = observables([tr], f, x_star)[0]
         assert obs.q[0] == pytest.approx(ic.q_o, abs=1e-12)
 
 
@@ -177,7 +198,7 @@ class TestErrorFunctional:
         f = conditioned_field(sample_system(M23, N, 16), spec)
         cfg = LangevinConfig(beta=0.3, T=1.0, h_obs=0.02)
         trajs = integrate_ensemble(f, x0, cfg, 6, master_seed=17)
-        obs = [observables(t, f, np.zeros(N)) for t in trajs]
+        obs = observables(trajs, f, np.zeros(N))
         mean_err, _ = average_error(obs, sol, 1.0)
         ens_err = ensemble_error(obs, sol, 1.0)
         assert ens_err < mean_err
@@ -203,7 +224,7 @@ class TestConfinedVariant:
         cfg = LangevinConfig(beta=beta, T=T, h_obs=0.05, substeps=10,
                              variant="fconfined", ell=ell, f0_slope=slope)
         trajs = integrate_ensemble(f, x0, cfg, 8, master_seed=63)
-        K_N = np.mean([observables(t, f, None).K for t in trajs], axis=0)
+        K_N = np.mean([o.K for o in observables(trajs, f, None)], axis=0)
         K_lim = sol.K[:: round(0.05 / 0.01)]
         assert np.abs(K_N - K_lim).max() < 0.05
 
@@ -222,7 +243,7 @@ class TestFiniteNStationarity:
                               ConditioningSpec(x_star, x0, ic))
         cfg = LangevinConfig(beta=beta, T=2.0, h_obs=0.05)
         trajs = integrate_ensemble(f, x0, cfg, 8, master_seed=53)
-        C = np.mean([observables(t, f, x_star).C for t in trajs], axis=0)
+        C = np.mean([o.C for o in observables(trajs, f, x_star)], axis=0)
         i1, i2, lags = 10, 20, 16  # t = 0.5 and t = 1.0, tau up to 0.8
         slice1 = np.array([C[i1 + k, i1] for k in range(lags)])
         slice2 = np.array([C[i2 + k, i2] for k in range(lags)])
