@@ -139,8 +139,10 @@ def _config_value(cfg_obj: dict, key: str, convert, default=None):
 
 
 def _int_at_least(lo: int):
-    """int() that also rejects values below lo."""
+    """int() that also rejects values below lo and non-integral numbers."""
     def convert(value) -> int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"must be an integer, got {value}")
         n = int(value)
         if n < lo:
             raise ValueError(f"must be >= {lo}, got {n}")
@@ -283,7 +285,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     spec = ConditioningSpec(x_star if ic.q_star > 0 else np.zeros(N), x0, ic)
     f = conditioned_field(sys_, spec)
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs,
-                          substeps=_config_value(cfg_obj, "substeps", int, 5),
+                          substeps=_config_value(cfg_obj, "substeps", _int_at_least(1), 5),
                           variant=variant, ell=ell)
     trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
     obs = observables(trajs, f, x_star)

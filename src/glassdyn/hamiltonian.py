@@ -7,9 +7,12 @@ averaged over all axis permutations.  The stored entries are no longer
 i.i.d., but H is the same function of x, so the covariance law is unchanged.
 A symmetric tensor is kept as its packed rows J[i1, ..., i_(p-1), :] with
 i1 <= ... <= i_(p-1), in lexicographic order: N(N+1)/2 rows for p = 3, half
-the bytes of the full tensor, and J itself for p = 2.  One matrix product
-with those rows gives the gradient for a whole batch of points, so each SDE
-step streams half the bytes it would over the full tensor.  Conditioning on
+the bytes of the full tensor, and J itself for p = 2.  The i.i.d. entries
+are drawn slab by slab and summed straight into those rows, so the full
+tensor never exists and the result is the same, bit for bit, as averaging
+the whole drawn tensor.  One matrix product with those rows gives the
+gradient for a whole batch of points, so each SDE step streams half the
+bytes it would over the full tensor.  Conditioning on
 the value at the start point and on value/gradient at a critical point is
 exact for a Gaussian field and is realized by a mean swap: subtract the
 conditional mean at the observed data, add it back at the target data.  The
@@ -56,8 +59,10 @@ class SpinSystem:
     """One realization of the symmetrized coupling tensors at size N.
 
     tensors[p] holds the packed rows of the p-tensor (see _layout): an
-    (N(N+1)/2, N) array for p = 3, (N, N) for p = 2.  After the draw the
-    full tensor is released, so a p = 3 system keeps 4 N^2 (N + 1) bytes.
+    (N(N+1)/2, N) array for p = 3, (N, N) for p = 2.  The draw writes them
+    directly and the full tensor never exists: a p = 3 system keeps
+    4 N^2 (N + 1) bytes, and its draw needs two slabs of _SYM_BLOCK N^2
+    entries more.
     """
 
     N: int
@@ -112,6 +117,7 @@ class SpinSystem:
 class _Layout(NamedTuple):
     starts: list              # starts[m][i]: first sorted m-tuple beginning with i
     source: np.ndarray        # row of each packed row in the (N^(p-1), N) reshape
+    row_of: np.ndarray        # packed row of each (p-1)-tuple's sorted order
     repeats: np.ndarray       # packed rows with a repeated index
     repeat_scale: np.ndarray  # their mult / (p-1)!
 
@@ -126,6 +132,9 @@ def _layout(N: int, p: int) -> _Layout:
     """
     digits = np.indices((N,) * (p - 1)).reshape(p - 1, -1)
     source = np.flatnonzero((np.diff(digits, axis=0) >= 0).all(axis=0))
+    row_of = np.empty(digits.shape[1], np.intp)
+    row_of[source] = np.arange(len(source))
+    row_of = row_of[np.ravel_multi_index(np.sort(digits, axis=0), (N,) * (p - 1))]
     run, denom = np.ones(len(source), int), np.ones(len(source), int)
     for prev, cur in itertools.pairwise(digits[:, source]):
         run = np.where(cur == prev, run + 1, 1)
@@ -135,7 +144,7 @@ def _layout(N: int, p: int) -> _Layout:
     # beginning with i or more end the list
     starts = [None] + [[math.comb(N + m - 1, m) - math.comb(N - i + m - 1, m)
                         for i in range(N + 1)] for m in range(1, p)]
-    return _Layout(starts, source, repeats, 1.0 / denom[repeats])
+    return _Layout(starts, source, row_of, repeats, 1.0 / denom[repeats])
 
 
 def _row_factor(X: np.ndarray, p: int) -> np.ndarray:
@@ -165,66 +174,108 @@ def _row_factor(X: np.ndarray, p: int) -> np.ndarray:
 def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
     """Packed rows of standard normals times N^(-(p-1)/2), symmetrized.
 
-    The draw goes in slabs of _SYM_BLOCK along the first axis, which is the
-    same stream as one standard_normal call, on a worker thread that runs
-    ahead: the generator releases the GIL, so the draw overlaps the averaging.
-    Once slab b is drawn, each sorted tuple of block starts that ends in b has
-    its p! permuted sub-blocks read, averaged and written back transposed, in
-    place, so the only extra memory is a few sub-blocks.  The packed rows are
-    then moved to the front of the same buffer, which is shrunk to them.
+    The i.i.d. draw is the stream of one standard_normal call of N^p values,
+    taken in slabs of _SYM_BLOCK along the first axis into two reused
+    buffers: a worker thread draws the next slab while this one is added
+    (the generator releases the GIL).  The entry at a sorted index tuple t is
+    w times the sum of the drawn entries at t permuted by each sg, added in
+    itertools.permutations order.  sg[0] never decreases in that order, so
+    for a sorted tuple s of block starts the terms arrive slab by slab in
+    that same order, and each slab's terms are added to the partial sums
+    kept in the packed box of s (see _add_slab).  The full tensor never
+    exists: the draw peaks at the packed rows plus two slabs, 306 MiB for
+    p = 3 at N = 400.
     """
-    source = _layout(N, p).source  # before J, so its temporaries add no peak
-    J = np.empty((N,) * p)
+    lay = _layout(N, p)
+    P = np.empty((len(lay.source), N))
     perms = list(itertools.permutations(range(p)))
     w = N ** (-(p - 1) / 2.0) / len(perms)
-    sorted_at = {}
+    blocks = range(0, N, _SYM_BLOCK)
+    tuples = list(itertools.combinations_with_replacement(blocks, p))
+    bufs = [np.empty((min(_SYM_BLOCK, N),) + (N,) * (p - 1)) for _ in range(2)]
+    slabs = [bufs[a % 2][:min(_SYM_BLOCK, N - b)] for a, b in enumerate(blocks)]
     with ThreadPoolExecutor(1) as pool:
-        slabs = [(b, pool.submit(rng.standard_normal, out=J[b:b + _SYM_BLOCK]))
-                 for b in range(0, N, _SYM_BLOCK)]
-        for b, slab in slabs:
-            slab.result()
-            for head in itertools.combinations_with_replacement(
-                    range(0, b + 1, _SYM_BLOCK), p - 1):
-                _average_orbit(J, head + (b,), perms, w, sorted_at)
-    del slabs, slab  # each future holds a view of J
-    # compact the packed rows to the front: a row never moves back, so a
-    # forward copy reads every source before anything overwrites it
-    flat = J.reshape(-1)
-    for a, z in itertools.pairwise([0, *(np.flatnonzero(np.diff(source) != 1) + 1),
-                                    len(source)]):
-        if source[a] != a:
-            flat[a * N:z * N] = flat[source[a] * N:(source[a] + z - a) * N]
-    del flat
-    # no view of J is left, so shrinking in place is safe; the reference
-    # check would also count a tracer's copy of this frame's locals
-    J.resize((len(source), N), refcheck=False)
-    return J
+        drawn = pool.submit(rng.standard_normal, out=slabs[0])
+        for a, b in enumerate(blocks):
+            drawn.result()
+            if a + 1 < len(slabs):  # its buffer held the slab before this one
+                drawn = pool.submit(rng.standard_normal, out=slabs[a + 1])
+            for s in tuples:
+                if b in s:
+                    _add_slab(P, slabs[a], s, b, perms, w)
+    return P
 
 
-def _average_orbit(J: np.ndarray, starts: tuple, perms: list, w: float,
-                   sorted_at: dict):
-    """Set the sub-blocks at all permutations of sorted starts to w times their sum.
+def _add_slab(P: np.ndarray, slab: np.ndarray, s: tuple, b: int, perms: list,
+              w: float):
+    """Add the terms drawn in slab b to the packed box of sorted block starts s.
 
-    Inside a sub-block whose tuple repeats a start, every entry takes the
-    value at its sorted index, so the stored tensor equals each of its
-    transposes bit for bit; sorted_at caches that gather by repeat pattern
-    and shape.
+    The box of s holds the packed rows of the index tuples in the blocks of
+    s[:-1], at the columns of block s[-1].  At b = s[0] the identity term
+    starts the sum; until b = s[-1] the partial sum waits in the box.  After
+    the last term the sum is scaled by w, each entry takes the value at its
+    sorted index, and the result goes, transposed, to every box whose blocks
+    are a reordering of s with sorted row blocks.
     """
-    p, N = J.ndim, J.shape[0]
-    sl = [slice(s, min(s + _SYM_BLOCK, N)) for s in starts]
-    S = J[tuple(sl)].copy()  # perms[0] is the identity
-    for sg in perms[1:]:
-        S += J[tuple(sl[a] for a in sg)].transpose(np.argsort(sg))
+    N = P.shape[1]
+    sl = [slice(t, min(t + _SYM_BLOCK, N)) for t in s]
+    terms = [slab[(slice(None),) + tuple(sl[a] for a in sg[1:])].transpose(np.argsort(sg))
+             for sg in perms if s[sg[0]] == b]
+    if b == s[0]:  # perms[0] is the identity
+        S = terms.pop(0).copy()
+    else:
+        S = P[_box_rows(N, s[:-1])[0], sl[-1]]
+    for A in terms:
+        S += A
+    if b < s[-1]:
+        _put(P, S, s)
+        return
     S *= w
-    if len(set(starts)) < p:
-        key = (tuple(starts.index(s) for s in starts), S.shape)
-        if key not in sorted_at:
-            off = np.reshape(starts, (p,) + (1,) * p)
-            idx = np.sort(np.indices(S.shape) + off, axis=0) - off
-            sorted_at[key] = np.ravel_multi_index(tuple(idx), S.shape)
-        S = S.ravel()[sorted_at[key]]
+    if len(set(s)) < len(s):
+        S = S.ravel()[_sorted_in_box(tuple(s.index(t) for t in s), S.shape)]
+    placed = set()
     for sg in perms:
-        J[tuple(sl[a] for a in sg)] = S.transpose(sg)
+        u = tuple(s[a] for a in sg)
+        if u not in placed and list(u[:-1]) == sorted(u[:-1]):
+            placed.add(u)
+            _put(P, S.transpose(sg), u)
+
+
+@functools.lru_cache(maxsize=1024)
+def _box_rows(N: int, heads: tuple):
+    """Packed rows of the index tuples in the blocks starting at heads.
+
+    An unsorted tuple gets the row of its sorted one; keep marks the sorted
+    tuples, whose rows are their own, and is None when all of them are.
+    """
+    flat = np.ravel_multi_index(
+        np.ix_(*[np.arange(h, min(h + _SYM_BLOCK, N)) for h in heads]), (N,) * len(heads))
+    lay = _layout(N, len(heads) + 1)
+    rows = lay.row_of[flat]
+    keep = lay.source[rows] == flat
+    return rows, None if keep.all() else keep
+
+
+def _put(P: np.ndarray, T: np.ndarray, u: tuple):
+    """Write box T to the packed rows of block starts u[:-1], columns block u[-1]."""
+    rows, keep = _box_rows(P.shape[1], u[:-1])
+    cols = slice(u[-1], u[-1] + T.shape[-1])
+    if keep is None:
+        P[rows, cols] = T
+    else:
+        P[rows[keep], cols] = T[keep]
+
+
+@functools.lru_cache(maxsize=32)
+def _sorted_in_box(pattern: tuple, shape: tuple) -> np.ndarray:
+    """Flat position in a box of the sorted index of each of its entries.
+
+    pattern[a] names the block of axis a (equal for a repeated block); a box
+    never spans two different blocks, so sorting stays inside each block.
+    """
+    off = np.reshape(pattern, (len(shape),) + (1,) * len(shape)) * _SYM_BLOCK
+    idx = np.sort(np.indices(shape) + off, axis=0) - off
+    return np.ravel_multi_index(tuple(idx), shape)
 
 
 def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:

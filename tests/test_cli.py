@@ -200,6 +200,17 @@ class TestSimulateCompare:
         main(["--out-dir", str(out2), "simulate", "--config", str(files["sim"])])
         assert (out1 / "C_N.csv").read_text() == (out2 / "C_N.csv").read_text()
 
+    def test_integral_floats_are_integers(self, files):
+        # 40.0 is the integer 40; only the manifest line differs
+        out1, out2 = files["dir"] / "int", files["dir"] / "float"
+        main(["--out-dir", str(out1), "simulate", "--config", str(files["sim"])])
+        assert main(["--out-dir", str(out2), "simulate", "--config",
+                     _sim_config(files, N=40.0, paths=2.0, seed=3.0,
+                                 substeps=5.0)]) == 0
+        body1, body2 = ((out / "C_N.csv").read_text().split("\n", 1)[1]
+                        for out in (out1, out2))
+        assert body1 == body2
+
 
 class TestErrors:
     def test_missing_mixture_file(self, files):
@@ -241,8 +252,13 @@ class TestErrors:
         (lambda f: ["simulate", "--config", _sim_config(f, seed=-1)], "'seed'"),
         (lambda f: ["simulate", "--config", _sim_config(f, N=None)],
          "config key 'N' is missing"),
+        (lambda f: ["simulate", "--config", _sim_config(f, N=40.7)], "'N'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, paths=2.5)], "'paths'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, seed=1.5)], "'seed'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, substeps=2.9)], "'substeps'"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
-            "N-zero", "N-negative", "seed-negative", "N-missing"])
+            "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
+            "paths-fraction", "seed-fraction", "substeps-fraction"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2

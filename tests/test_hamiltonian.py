@@ -142,6 +142,38 @@ class TestSampling:
         # only the packed rows are kept after the draw
         assert sys.tensors[3].nbytes == 8 * N * N * (N + 1) // 2
 
+    def test_draw_peaks_at_packed_rows_plus_two_slabs(self):
+        # the full tensor is never allocated
+        N = 200
+        tracemalloc.start()
+        try:
+            sample_system(Mixture.pure(3), N, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        packed, slab = 8 * N * N * (N + 1) // 2, 8 * _SYM_BLOCK * N * N
+        assert peak <= packed + 2 * slab + 8 * 2**20
+
+    @pytest.mark.parametrize("p, N", [
+        (2, 53), (3, 53), (4, 27),
+        *((p, N) for N in (1, _SYM_BLOCK, 2 * _SYM_BLOCK + 1) for p in (2, 3, 4))])
+    def test_equals_average_of_full_draw_bit_for_bit(self, p, N):
+        # the average of the whole drawn tensor over its transposes, summed
+        # in permutation order and then scaled, read at each packed entry's
+        # sorted index
+        seed = 8
+        J = np.random.default_rng(seed).standard_normal((N,) * p)
+        perms = list(itertools.permutations(range(p)))
+        S = sum(J.transpose(np.argsort(sg)) for sg in perms)
+        S *= N ** (-(p - 1) / 2.0) / len(perms)
+        heads = list(itertools.combinations_with_replacement(range(N), p - 1))
+        index = np.empty((len(heads), N, p), dtype=int)
+        index[..., :-1] = np.array(heads)[:, None]
+        index[..., -1] = np.arange(N)
+        expected = S[tuple(np.moveaxis(np.sort(index, axis=2), 2, 0))]
+        np.testing.assert_array_equal(
+            sample_system(Mixture.pure(p), N, seed).tensors[p], expected)
+
 
 class TestEvalField:
     def test_pure2_quadratic_form(self):
