@@ -248,8 +248,8 @@ def cmd_solve(args, out: Path):
     _write_csv(out / "onetime.csv", "s,q,K,mu,L,H",
                [sol.s, sol.q, sol.K, sol.mu, sol.L, sol.H], digest)
     checks = {
-        "gram_min_eig": sol.gram_min_eig(30),
-        "cbar_gram_min_eig": (sol.cbar_gram_min_eig(30)
+        "gram_min_eig": sol.gram_min_eig(),
+        "cbar_gram_min_eig": (sol.cbar_gram_min_eig()
                               if ic.q_star > 0 else None),
         "diag_R": float(np.abs(np.diagonal(sol.R) - 1.0).max()),
         "H0_minus_E": float(sol.H[0] - ic.E),
@@ -315,7 +315,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
             "err_se": err_se,
             "err_ensemble": ensemble_error(obs, sol, T),
             "invariants": {
-                "gram_min_eig": sol.gram_min_eig(30),
+                "gram_min_eig": sol.gram_min_eig(),
                 "H0_matches": bool(abs(obs[0].H[0] - ic.E) < 1e-8),
             },
         })

@@ -1,12 +1,13 @@
 """Causal solver for the two-time correlation/response limit equations.
 
-State lives on a uniform grid s_i = i h.  C and R are stored as dense
-lower-triangular arrays (row = later time); q, K, mu, L, H are one-time
-arrays.  Each slice advance is a Heun-type predictor--corrector with
-trapezoidal memory quadrature; the Lagrange-multiplier closure mu at the new
-slice is evaluated on predicted values and refreshed every corrector pass.
+State lives on a uniform grid s_i = i h.  C is stored as a dense symmetric
+array, both halves written; R is stored lower-triangular (row = later time,
+zero above the diagonal).  q, K, mu, L, H are one-time arrays.  Each slice
+advance is one loop of Heun-type passes with trapezoidal memory quadrature:
+the first pass is the Euler predictor, the others correct it, and the
+Lagrange-multiplier closure mu at the new slice is refreshed after every pass.
 All memory integrals for one slice reduce to matrix-vector products against
-the stored triangles, so a full solve is O(n^3) work and O(n^2) memory.
+the stored C and R, so a full solve is O(n^3) work and O(n^2) memory.
 
 Variants: hard spherical constraint (K = 1), soft radial confinement with
 stiffness ell (K solved semi-implicitly), and gradient flow (noise-free
@@ -43,15 +44,16 @@ VARIANT_GRADFLOW = "gradflow"
 
 _BLOWUP = 1e6
 _TOL_PSD = 1e-6
+_CORRECTOR_PASSES = 2
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid and closure choice for one two-time solve.
 
-    For the soft-confinement variant, ``ell`` is the stiffness and
-    ``f0_slope`` the constant slope of the smooth radial part; when left
-    unset the slope is chosen so the radius has zero initial drift.
+    For the soft-confinement variant, ``ell`` is the stiffness; the constant
+    slope of the smooth radial part is ``default_f0_slope``, which gives the
+    radius zero initial drift.
     """
 
     beta: float
@@ -59,8 +61,6 @@ class SolverConfig:
     h: float
     variant: str = VARIANT_SPHERICAL
     ell: float | None = None
-    f0_slope: float | None = None
-    corrector_iters: int = 2
 
     def __post_init__(self):
         for name in ("beta", "T", "h"):
@@ -76,8 +76,6 @@ class SolverConfig:
         if self.variant == VARIANT_F and not (self.ell is not None
                                                and 0.0 < self.ell < math.inf):
             raise ConfigError("variant 'f' needs a positive finite ell")
-        if self.corrector_iters < 0:
-            raise ConfigError("corrector_iters must be >= 0")
 
     @property
     def n(self) -> int:
@@ -86,7 +84,11 @@ class SolverConfig:
 
 @dataclass
 class TwoTimeSolution:
-    """Lower-triangular two-time grids plus the one-time bookkeeping arrays."""
+    """Two-time grids plus the one-time bookkeeping arrays.
+
+    C[i, j] = C(s_i, s_j) is symmetric (checked on construction); R[i, j] =
+    R(s_i, s_j) is lower-triangular, zero above the diagonal.
+    """
 
     h: float
     n: int
@@ -102,32 +104,34 @@ class TwoTimeSolution:
     q_o: float
     variant: str = VARIANT_SPHERICAL
 
+    def __post_init__(self):
+        if not np.array_equal(self.C, self.C.T):
+            raise ConfigError("C must be a symmetric array (C == C.T)")
+
     @property
     def s(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
-
-    def C_sym(self) -> np.ndarray:
-        return self.C + self.C.T - np.diag(np.diagonal(self.C))
 
     def diag_slice(self, t_index: int) -> np.ndarray:
         """C(t + tau, t) over tau >= 0 for t = t_index * h."""
         return self.C[t_index:, t_index].copy()
 
-    def _subgrid(self, n_sub: int) -> np.ndarray:
-        return np.unique(np.linspace(0, self.n, n_sub).round().astype(int))
+    def _subgrid(self) -> np.ndarray:
+        """At most 30 evenly spread grid indices: where the Gram checks look."""
+        return np.unique(np.linspace(0, self.n, 30).round().astype(int))
 
-    def gram_min_eig(self, n_sub: int = 30) -> float:
-        idx = self._subgrid(n_sub)
-        g = self.C_sym()[np.ix_(idx, idx)]
+    def gram_min_eig(self) -> float:
+        idx = self._subgrid()
+        g = self.C[np.ix_(idx, idx)]
         return float(np.linalg.eigvalsh(g)[0])
 
-    def cbar_gram_min_eig(self, n_sub: int = 30) -> float:
+    def cbar_gram_min_eig(self) -> float:
         """Smallest eigenvalue of the band-centered correlation Gram matrix."""
         if self.q_star <= 0.0:
             raise ConfigError("centered correlation needs q_star > 0")
-        idx = self._subgrid(n_sub)
+        idx = self._subgrid()
         qi = self.q[idx]
-        g = self.C_sym()[np.ix_(idx, idx)] - np.outer(qi, qi) / self.q_star**2
+        g = self.C[np.ix_(idx, idx)] - np.outer(qi, qi) / self.q_star**2
         return float(np.linalg.eigvalsh(g)[0])
 
 
@@ -159,8 +163,8 @@ class _Kernels:
     Quantities follow the drift decomposition of the limit equations; the
     returned A_C / A_q are the unscaled kernels (the drifts use beta * A).
     Every evaluator of row a takes that row's ``_Row`` from ``row``, which
-    must be built from the current C[a, :a+1] and q[:a+1].  ``rhs`` is the
-    slice right-hand side shared by the solver and ``residual``.
+    must be built from the current C[a, :a+1] and q[:a+1], with C[:a+1, :a+1]
+    symmetric.  ``rhs`` is the slice right-hand side of solver and ``residual``.
     """
 
     def __init__(self, m: Mixture, vf: VFunction, beta: float, h: float,
@@ -215,7 +219,7 @@ class _Kernels:
             w1 = w1 * h
             w1[0] *= 0.5
             w1[-1] *= 0.5
-            term1 = beta * (Ct.T @ w1 + Ct @ w1 - np.diagonal(Ct) * w1)
+            term1 = beta * (Ct @ w1)
         else:
             term1 = np.zeros(1)
         g = rw.d1
@@ -260,9 +264,19 @@ def default_f0_slope(vf: VFunction, beta: float, q_o: float) -> float:
     return 0.5 + beta * (q_o * vf.vx(q_o, 1.0) + vf.vy(q_o, 1.0))
 
 
-def _mu_closure(variant: str, beta: float, ad: float) -> float:
-    """Multiplier of the hard-constraint variants from the diagonal kernel A_C(s, s)."""
-    return ad if variant == VARIANT_GRADFLOW else 0.5 + beta * ad
+def _closure(m: Mixture, vf: VFunction, cfg: SolverConfig, q_star: float,
+             q_o: float):
+    """Kernels of one solve, the radial slope c0 (None off variant 'f') and
+    mu_of(K, ad), the multiplier from the squared radius K and ad = A_C(s, s).
+    """
+    beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
+    ker = _Kernels(m, vf, beta, cfg.h, q_star, q_o)
+    if cfg.variant == VARIANT_F:
+        c0 = default_f0_slope(vf, beta, q_o)
+        return ker, c0, lambda K, ad: 2.0 * cfg.ell * (K - 1.0) + c0
+    if cfg.variant == VARIANT_GRADFLOW:
+        return ker, None, lambda K, ad: ad
+    return ker, None, lambda K, ad: 0.5 + beta * ad
 
 
 def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
@@ -270,32 +284,25 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     """March the two-time system from the conditioned start to s = T."""
     if vf is None:
         vf = solve_w(ic, m)
-    beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
-    n, h = cfg.n, cfg.h
-    ker = _Kernels(m, vf, beta, h, ic.q_star, ic.q_o)
+    ker, c0, mu_of = _closure(m, vf, cfg, ic.q_star, ic.q_o)
+    beta, n, h, ell = ker.beta, cfg.n, cfg.h, cfg.ell
 
-    C = np.zeros((n + 1, n + 1))
-    R = np.zeros((n + 1, n + 1))
+    # unit diagonals from the start; variant 'f' overwrites C's with K
+    C = np.eye(n + 1)
+    R = np.eye(n + 1)
     q = np.zeros(n + 1)
     K = np.ones(n + 1)
     mu = np.zeros(n + 1)
     L = np.zeros(n + 1)
     H = np.zeros(n + 1)
 
-    C[0, 0] = 1.0
-    R[0, 0] = 1.0
     q[0] = ic.q_o
     rw = ker.row(C, q, 0)
     H[0] = ker.H_at(C, R, q, L, 0, rw)
-
-    if cfg.variant == VARIANT_F:
-        c0 = cfg.f0_slope if cfg.f0_slope is not None else default_f0_slope(vf, beta, ic.q_o)
-        ell = cfg.ell
-    else:
-        c0 = ell = None
+    mu[0] = mu_of(K[0], ker.AC_diag(C, R, q, L, 0, rw))
 
     def close(i1) -> _Row:
-        """Set K, diagonal C, L and mu at slice i1; return the row it leaves."""
+        """Set L, mu and (variant 'f') K and diagonal C at slice i1; return the row."""
         if cfg.variant == VARIANT_F:
             C[i1, i1] = K[i1 - 1]
             for _ in range(2):
@@ -305,36 +312,29 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
                 K[i1] = (K[i1 - 1] + h * (1.0 + 2.0 * beta * ad) + 4.0 * ell * h) / (
                     1.0 + 4.0 * ell * h + 2.0 * c0 * h)
                 C[i1, i1] = K[i1]
-            mu[i1] = 2.0 * ell * (K[i1] - 1.0) + c0
-            return ker.row(C, q, i1)
-        K[i1] = 1.0
-        C[i1, i1] = 1.0
-        rw = ker.row(C, q, i1)
-        L[i1] = ker.L_at(R, i1, rw)
-        mu[i1] = _mu_closure(cfg.variant, beta, ker.AC_diag(C, R, q, L, i1, rw))
+            rw = ker.row(C, q, i1)
+        else:
+            rw = ker.row(C, q, i1)
+            L[i1] = ker.L_at(R, i1, rw)
+            ad = ker.AC_diag(C, R, q, L, i1, rw)
+        mu[i1] = mu_of(K[i1], ad)
         return rw
 
-    if cfg.variant == VARIANT_F:
-        mu[0] = c0
-    else:
-        mu[0] = _mu_closure(cfg.variant, beta, ker.AC_diag(C, R, q, L, 0, rw))
-
     # rw always describes the current C[a, :a+1] and q[:a+1] of the row the
-    # next kernels read: close() rebuilds it after every update of row i + 1
+    # next kernels read: close() rebuilds it after every update of row i + 1.
+    # F is the latest right-hand side; the first pass pairs row i's F with
+    # itself, and 0.5 * h * (F + F) is the Euler step h * F bit for bit
+    F = ker.rhs(C, R, q, L, mu, 0, rw)
     for i in range(n):
-        FR_i, FC_i, Fq_i = ker.rhs(C, R, q, L, mu, i, rw)
-        R[i + 1, : i + 1] = R[i, : i + 1] + h * FR_i
-        C[i + 1, : i + 1] = C[i, : i + 1] + h * FC_i
-        q[i + 1] = q[i] + h * Fq_i
-        R[i + 1, i + 1] = 1.0
-        rw = close(i + 1)
-
-        for _ in range(cfg.corrector_iters):
-            FR_n, FC_n, Fq_n = ker.rhs(C, R, q, L, mu, i + 1, rw)
+        FR_i, FC_i, Fq_i = F
+        for _ in range(1 + _CORRECTOR_PASSES):
+            FR_n, FC_n, Fq_n = F
             R[i + 1, : i + 1] = R[i, : i + 1] + 0.5 * h * (FR_i + FR_n[: i + 1])
             C[i + 1, : i + 1] = C[i, : i + 1] + 0.5 * h * (FC_i + FC_n[: i + 1])
+            C[: i + 1, i + 1] = C[i + 1, : i + 1]
             q[i + 1] = q[i] + 0.5 * h * (Fq_i + Fq_n)
             rw = close(i + 1)
+            F = ker.rhs(C, R, q, L, mu, i + 1, rw)
 
         H[i + 1] = ker.H_at(C, R, q, L, i + 1, rw)
         # written so that NaN fails it too
@@ -375,12 +375,10 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
     over the strict triangle; H and mu are checked as identities (a zeroed
     solution is caught by the constant forcing in the mu bookkeeping).
     """
-    beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
-    ker = _Kernels(m, vf, beta, sol.h, sol.q_star, sol.q_o)
+    if cfg.h != sol.h:
+        raise ConfigError(f"h {cfg.h} of the config differs from the solution's {sol.h}")
+    ker, _, mu_of = _closure(m, vf, cfg, sol.q_star, sol.q_o)
     C, R, q, L, mu, h = sol.C, sol.R, sol.q, sol.L, sol.mu, sol.h
-    if cfg.variant == VARIANT_F:
-        c0 = cfg.f0_slope if cfg.f0_slope is not None else default_f0_slope(
-            vf, beta, sol.q_o)
     res_R = res_C = res_q = res_H = res_mu = 0.0
     for i in range(sol.n + 1):
         rw = ker.row(C, q, i)
@@ -392,10 +390,7 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
             res_C = max(res_C, float(abs(fd_C - F_C[:i]).max()))
             res_q = max(res_q, abs((q[i + 1] - q[i - 1]) / (2.0 * h) - F_q))
         res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, R, q, L, i, rw)))
-        if cfg.variant == VARIANT_F:
-            mu_i = 2.0 * cfg.ell * (sol.K[i] - 1.0) + c0
-        else:
-            mu_i = _mu_closure(cfg.variant, beta, ker.AC_diag(C, R, q, L, i, rw))
+        mu_i = mu_of(sol.K[i], ker.AC_diag(C, R, q, L, i, rw))
         res_mu = max(res_mu, abs(mu[i] - mu_i))
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
@@ -429,10 +424,9 @@ def ell_limit_check(m: Mixture, ic: InitCondition, beta: float, T: float,
     out = []
     for ell in ell_list:
         sol = solve_dynamics(m, ic, SolverConfig(beta, T, h, VARIANT_F, ell=ell))
-        tri = np.tril_indices(sol.n + 1)
         dist = max(
-            float(abs(sol.C[tri] - sph.C[tri]).max()),
-            float(abs(sol.R[tri] - sph.R[tri]).max()),
+            float(abs(sol.C - sph.C).max()),
+            float(abs(sol.R - sph.R).max()),
             float(abs(sol.q - sph.q).max()),
             float(abs(sol.H - sph.H).max()),
         )

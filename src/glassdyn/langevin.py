@@ -200,7 +200,7 @@ def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
     if n_obs * r > sol.n:
         raise GridMismatchError("solution horizon shorter than the observable window")
     idx = np.arange(n_obs + 1) * r
-    Cs = sol.C_sym()[np.ix_(idx, idx)]
+    Cs = sol.C[np.ix_(idx, idx)]
     chi = integrated_response(sol)[np.ix_(idx, idx)]
     return Cs, chi, sol.q[idx], sol.H[idx]
 

@@ -15,17 +15,9 @@ _RESULTS = {}
 
 def _run(fn):
     if fn.__name__ not in _RESULTS:
-        import time
-        t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = fn()
-        res.seconds = time.perf_counter() - t0
-        cap = acceptance.RUNTIME_CAPS.get(res.cid)
-        if cap is not None and res.seconds > cap:
-            res.passed = False
-            res.stats["runtime_cap_exceeded"] = cap
-        _RESULTS[fn.__name__] = res
+            _RESULTS[fn.__name__] = acceptance.run_criterion(fn)
     return _RESULTS[fn.__name__]
 
 

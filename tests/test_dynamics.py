@@ -1,6 +1,7 @@
 """Two-time solver: closed forms, invariants, kernels, variants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -72,8 +73,8 @@ class TestStructure:
 
     def test_psd_gram_matrices(self):
         sol = solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.6, T=2.0, h=0.01))
-        assert sol.gram_min_eig(30) >= -1e-6
-        assert sol.cbar_gram_min_eig(30) >= -1e-6
+        assert sol.gram_min_eig() >= -1e-6
+        assert sol.cbar_gram_min_eig() >= -1e-6
 
     def test_overlap_bounded_by_qstar(self):
         sol = solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.6, T=2.0, h=0.01))
@@ -188,6 +189,34 @@ class TestVariants:
         vf = dataclasses.replace(vf, w=np.full_like(vf.w, np.nan))
         with pytest.raises(BlowUpError, match="slice 1$"):
             solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01), vf)
+
+
+class TestStorage:
+    """C is stored symmetric and R lower-triangular, by every variant."""
+
+    @pytest.mark.parametrize("variant,ell", [("spherical", None), ("f", 20.0),
+                                             ("gradflow", None)])
+    @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.3), IC_GEN],
+                             ids=["rs", "band"])
+    def test_solver_writes_both_halves_of_C(self, variant, ell, ic):
+        cfg = SolverConfig(beta=0.5, T=0.5, h=0.01, variant=variant, ell=ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PsdViolationWarning)
+            sol = solve_dynamics(M23, ic, cfg)
+        assert np.array_equal(sol.C, sol.C.T)
+        assert np.array_equal(sol.R, np.tril(sol.R))
+
+    def test_lower_only_C_is_refused(self):
+        sol = solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=0.2, h=0.01))
+        with pytest.raises(ConfigError, match="C"):
+            dataclasses.replace(sol, C=np.tril(sol.C))
+
+    def test_residual_refuses_another_step(self):
+        cfg = SolverConfig(beta=0.3, T=0.2, h=0.01)
+        sol = solve_dynamics(M23, IC_GEN, cfg)
+        with pytest.raises(ConfigError, match="h"):
+            residual(sol, solve_w(IC_GEN, M23), M23,
+                     SolverConfig(beta=0.3, T=0.2, h=0.02))
 
 
 class TestIntegratedResponse:

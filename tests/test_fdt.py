@@ -84,6 +84,12 @@ class TestStationaryTwoTime:
         np.testing.assert_allclose(sol.K, 1.0)
         assert sol.C[5, 2] == fdt.c[3]
 
+    def test_C_is_stored_symmetric(self):
+        ic, fdt = self._gibbs_pair()
+        sol = stationary_two_time(fdt, ic)
+        assert np.array_equal(sol.C, sol.C.T)
+        assert np.array_equal(sol.R, np.tril(sol.R))
+
     def test_refuses_non_stationary_data(self):
         ic, fdt = self._gibbs_pair()
         bad = InitCondition(ic.q_star, ic.E + 0.5, ic.E_star, ic.G_star, ic.q_o)

@@ -165,7 +165,7 @@ class TestErrorFunctional:
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
         from glassdyn.dynamics import integrated_response
         from glassdyn.langevin import ObservableSet
-        obs = ObservableSet(h=0.02, C=sol.C_sym(), chi=integrated_response(sol),
+        obs = ObservableSet(h=0.02, C=sol.C, chi=integrated_response(sol),
                             q=sol.q, H=sol.H, K=sol.K)
         assert error_functional(obs, sol, 1.0) == 0.0
 
@@ -216,8 +216,7 @@ class TestConfinedVariant:
         from glassdyn.init_params import solve_w
         slope = default_f0_slope(solve_w(ic, m), beta, ic.q_o)
         sol = solve_dynamics(m, ic, SolverConfig(beta=beta, T=T, h=0.01,
-                                                 variant="f", ell=ell,
-                                                 f0_slope=slope))
+                                                 variant="f", ell=ell))
         x0 = sample_band_point(0.0, 0.0, N, 61)
         f = conditioned_field(sample_system(m, N, 62),
                               ConditioningSpec(np.zeros(N), x0, ic))
