@@ -420,13 +420,12 @@ def run_criterion(fn) -> CriterionResult:
     return res
 
 
-def run_all(verbose: bool = True) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run every criterion, printing one line each and then the pass count."""
     results = []
     for fn in CRITERIA:
         results.append(run_criterion(fn))
-        if verbose:
-            print(results[-1].line(), flush=True)
-    if verbose:
-        n_pass = sum(r.passed for r in results)
-        print(f"{n_pass}/{len(results)} acceptance criteria passed", flush=True)
+        print(results[-1].line(), flush=True)
+    n_pass = sum(r.passed for r in results)
+    print(f"{n_pass}/{len(results)} acceptance criteria passed", flush=True)
     return results

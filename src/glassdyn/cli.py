@@ -18,14 +18,14 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .dynamics import SolverConfig, solve_dynamics
+from .dynamics import VARIANT_F, SolverConfig, default_f0_slope, solve_dynamics
 from .errors import ConfigError, GlassdynError
 from .fdt import solve_fdt
 from .hamiltonian import (
@@ -34,8 +34,8 @@ from .hamiltonian import (
 )
 from .init_params import InitCondition, check_stationary, solve_w
 from .langevin import (
-    LangevinConfig, average_error, ensemble_error, integrate_ensemble,
-    observables,
+    VARIANT_FCONF, LangevinConfig, average_error, ensemble_error,
+    integrate_ensemble, observables,
 )
 from .mixture import Mixture
 from .phase import beta_c_dyn, beta_c_stat, classify
@@ -287,6 +287,12 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs,
                           substeps=_config_value(cfg_obj, "substeps", _int_at_least(1), 5),
                           variant=variant, ell=ell)
+    vf = None
+    if variant == VARIANT_FCONF:
+        # the slope of the limit variant 'f', which starts the radius without
+        # drift; compare scores these paths against that limit
+        vf = solve_w(ic, m)
+        lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta, ic.q_o))
     trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
     obs = observables(trajs, f, x_star)
 
@@ -308,7 +314,9 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
         h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
-        sol = solve_dynamics(m, ic, SolverConfig(beta=beta, T=T, h=h_lim))
+        limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
+                 SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell))
+        sol = solve_dynamics(m, ic, limit, vf)
         err_mean, err_se = average_error(obs, sol, T)
         report.update({
             "err_mean": err_mean,
@@ -334,7 +342,7 @@ def cmd_compare(args, out: Path):
 
 
 def cmd_accept(args, out: Path):
-    results = run_all(verbose=True)
+    results = run_all()
     man, digest = _manifest("accept", {}, None)
     table = [{"id": r.cid, "name": r.name, "passed": bool(r.passed),
               "seconds": round(r.seconds, 2), "stats": r.stats}

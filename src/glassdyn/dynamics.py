@@ -6,8 +6,10 @@ zero above the diagonal).  q, K, mu, L, H are one-time arrays.  Each slice
 advance is one loop of Heun-type passes with trapezoidal memory quadrature:
 the first pass is the Euler predictor, the others correct it, and the
 Lagrange-multiplier closure mu at the new slice is refreshed after every pass.
-All memory integrals for one slice reduce to matrix-vector products against
-the stored C and R, so a full solve is O(n^3) work and O(n^2) memory.
+Each pass evaluates the new row once, and takes L, the diagonal kernel
+A_C(s, s) and H from its trapezoid integrals.  All memory integrals for one
+slice reduce to matrix-vector products against the stored C and R, so a full
+solve is O(n^3) work and O(n^2) memory.
 
 Variants: hard spherical constraint (K = 1), soft radial confinement with
 stiffness ell (K solved semi-implicitly), and gradient flow (noise-free
@@ -142,11 +144,14 @@ def _trapz(vec: np.ndarray, h: float) -> float:
 
 
 class _Row(NamedTuple):
-    """Kernel inputs of row a that go through nu, evaluated once per state.
+    """Row a's state, built once per pass from C[a, :a+1], R[a, :a+1], q[:a+1].
 
-    d1, d2: nu'(C[a, :a+1]) and nu''(C[a, :a+1]); vx, vy: drift-source
-    partials at (q[a], C[a, 0]); dq: nu'(q[:a+1]); d2q: nu''(q[a]).  dq and
-    d2q are None when q_star = 0, where no kernel reads them.
+    d1, d2: nu' and nu'' of C[a, :a+1]; vx, vy: drift-source partials at
+    (q[a], C[a, 0]); dq: nu'(q[:a+1]); d2q: nu''(q[a]).  Trapezoid integrals
+    against R[a, :a+1] give L = L(s_a), I1 = beta int R(s_a, u) nu'(C(s_a, u)) du
+    (in both A_C(s_a, s_a) and H(s_a)) and the unscaled A_C(s_a, s_a) =
+    ad0 - ad_L L(s_a), whose L each reader applies.  dq, d2q and ad_L are None
+    when q_star = 0, where L = 0 and nothing reads them.
     """
 
     d1: np.ndarray
@@ -155,16 +160,24 @@ class _Row(NamedTuple):
     vy: float
     dq: np.ndarray | None
     d2q: float | None
+    L: float
+    I1: float
+    ad0: float
+    ad_L: float | None
+
+    def ad(self, La: float) -> float:
+        """Unscaled A_C(s_a, s_a) with L(s_a) = La."""
+        return self.ad0 if self.ad_L is None else self.ad0 - self.ad_L * La
 
 
 class _Kernels:
     """Memory-integral evaluators over the raw solver arrays.
 
-    Quantities follow the drift decomposition of the limit equations; the
-    returned A_C / A_q are the unscaled kernels (the drifts use beta * A).
-    Every evaluator of row a takes that row's ``_Row`` from ``row``, which
-    must be built from the current C[a, :a+1] and q[:a+1], with C[:a+1, :a+1]
-    symmetric.  ``rhs`` is the slice right-hand side of solver and ``residual``.
+    Quantities follow the drift decomposition of the limit equations; A_C and
+    A_q are the unscaled kernels (the drifts use beta * A).  ``row`` evaluates
+    row a once per pass, from the current C[a, :a+1], R[a, :a+1] and q[:a+1]
+    with C[:a+1, :a+1] symmetric; ``rhs``, the slice right-hand side of solver
+    and ``residual``, and ``H_at`` read that row state.
     """
 
     def __init__(self, m: Mixture, vf: VFunction, beta: float, h: float,
@@ -177,85 +190,58 @@ class _Kernels:
         self.q_o = q_o
         self.dnu_qs2 = m.nu(q_star**2, 1) if q_star > 0.0 else 0.0
 
-    def row(self, C, q, a) -> _Row:
-        m, vf = self.m, self.vf
-        Crow = C[a, : a + 1]
+    def row(self, C, R, q, a) -> _Row:
+        m, vf, beta, h = self.m, self.vf, self.beta, self.h
+        Crow, Rrow = C[a, : a + 1], R[a, : a + 1]
         # Python floats take the scalar path of Mixture.nu inside vx and vy
         qa, c0 = float(q[a]), float(Crow[0])
+        d1, d2 = m.nu(Crow, 1), m.nu(Crow, 2)
+        vx, vy = vf.vx(qa, c0), vf.vy(qa, c0)
+        I1 = beta * _trapz(Rrow * d1, h)
+        ad0 = beta * _trapz(Rrow * d2 * Crow, h) + I1 + qa * vx + c0 * vy
         if self.q_star > 0.0:
             dq, d2q = m.nu(q[: a + 1], 1), m.nu(qa, 2)
+            L = _trapz(Rrow * dq, h) / self.dnu_qs2
+            ad_L = beta * (qa * d2q + dq[-1])
         else:
-            dq = d2q = None
-        return _Row(m.nu(Crow, 1), m.nu(Crow, 2), vf.vx(qa, c0), vf.vy(qa, c0),
-                    dq, d2q)
+            dq = d2q = ad_L = None
+            L = 0.0
+        return _Row(d1, d2, vx, vy, dq, d2q, L, I1, ad0, ad_L)
 
     def rhs(self, C, R, q, L, mu, a, rw: _Row):
         """(F_R, F_C, F_q) of row a: d/ds of R[a, :a+1], C[a, :a+1] and q[a].
 
         F_R carries beta^2 int_{t_j}^{s_a} R(u, t_j) R(s_a, u) nu''(C(s_a, u)) du;
-        F_C and F_q carry beta times the kernels A_C and A_q.
+        F_C and F_q carry beta times A_C(s_a, t_j), j <= a, and A_q(s_a).
         """
         beta, h = self.beta, self.h
         Rrow = R[a, : a + 1]
         mv = Rrow * rw.d2
         Rt = R[: a + 1, : a + 1]
         IR = beta**2 * h * (Rt.T @ mv - 0.5 * np.diagonal(Rt) * mv - 0.5 * Rrow * mv[-1])
+        w1 = mv * h
+        w1[0] *= 0.5
+        w1[-1] *= 0.5
+        term1 = beta * (C[: a + 1, : a + 1] @ w1) if a > 0 else np.zeros(1)
+        term2 = beta * h * (Rt @ rw.d1 - 0.5 * R[: a + 1, 0] * rw.d1[0]
+                            - 0.5 * np.diagonal(Rt) * rw.d1)
+        qs = q[: a + 1]
+        A_C = term1 + term2 + qs * rw.vx + C[: a + 1, 0] * rw.vy
         A_q = 0.0
         if self.q_star > 0.0:
             qs2 = self.q_star**2
-            A_q = beta * _trapz(Rrow * q[: a + 1] * rw.d2, h) + (
+            A_C = A_C - beta * qs * rw.d2q * L[a] - beta * rw.dq[-1] * L[: a + 1]
+            A_q = beta * _trapz(Rrow * qs * rw.d2, h) + (
                 -beta * qs2 * rw.d2q * L[a] + qs2 * rw.vx + self.q_o * rw.vy)
         return (-mu[a] * Rrow + IR,
-                -mu[a] * C[a, : a + 1] + beta * self.row_AC(C, R, q, L, a, rw),
+                -mu[a] * C[a, : a + 1] + beta * A_C,
                 -mu[a] * q[a] + beta * A_q)
 
-    def row_AC(self, C, R, q, L, a, rw: _Row):
-        """Unscaled A_C(s_a, t_j) for all j <= a, as one vector."""
-        beta, h = self.beta, self.h
-        Ct = C[: a + 1, : a + 1]
-        Rrow = R[a, : a + 1]
-        w1 = Rrow * rw.d2
-        if a > 0:
-            w1 = w1 * h
-            w1[0] *= 0.5
-            w1[-1] *= 0.5
-            term1 = beta * (Ct @ w1)
-        else:
-            term1 = np.zeros(1)
-        g = rw.d1
-        Rt = R[: a + 1, : a + 1]
-        term2 = beta * h * (Rt @ g - 0.5 * R[: a + 1, 0] * g[0]
-                            - 0.5 * np.diagonal(Rt) * g)
-        qs = q[: a + 1]
-        co = C[: a + 1, 0]
-        out = term1 + term2 + qs * rw.vx + co * rw.vy
+    def H_at(self, C, q, a, rw: _Row, La: float):
+        """H(s_a) from row a's state with L(s_a) = La; the one call of v."""
+        out = rw.I1 + self.vf.v(float(q[a]), float(C[a, 0]))
         if self.q_star > 0.0:
-            out = out - beta * qs * rw.d2q * L[a] - beta * rw.dq[-1] * L[: a + 1]
-        return out
-
-    def AC_diag(self, C, R, q, L, a, rw: _Row):
-        """Unscaled A_C(s_a, s_a); only row a of the triangles is touched."""
-        beta, h = self.beta, self.h
-        Rrow, Crow = R[a, : a + 1], C[a, : a + 1]
-        term1 = beta * _trapz(Rrow * rw.d2 * Crow, h)
-        term2 = beta * _trapz(Rrow * rw.d1, h)
-        qa = q[a]
-        out = term1 + term2 + qa * rw.vx + C[a, 0] * rw.vy
-        if self.q_star > 0.0:
-            out -= beta * (qa * rw.d2q + rw.dq[-1]) * L[a]
-        return out
-
-    def L_at(self, R, a, rw: _Row):
-        if self.q_star == 0.0:
-            return 0.0
-        return _trapz(R[a, : a + 1] * rw.dq, self.h) / self.dnu_qs2
-
-    def H_at(self, C, R, q, L, a, rw: _Row):
-        beta, h = self.beta, self.h
-        out = (beta * _trapz(R[a, : a + 1] * rw.d1, h)
-               + self.vf.v(float(q[a]), float(C[a, 0])))
-        if self.q_star > 0.0:
-            out -= beta * rw.dq[-1] * L[a]
+            out -= self.beta * rw.dq[-1] * La
         return out
 
 
@@ -297,31 +283,29 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     H = np.zeros(n + 1)
 
     q[0] = ic.q_o
-    rw = ker.row(C, q, 0)
-    H[0] = ker.H_at(C, R, q, L, 0, rw)
-    mu[0] = mu_of(K[0], ker.AC_diag(C, R, q, L, 0, rw))
+    rw = ker.row(C, R, q, 0)
+    H[0] = ker.H_at(C, q, 0, rw, L[0])
+    mu[0] = mu_of(K[0], rw.ad(L[0]))
 
     def close(i1) -> _Row:
         """Set L, mu and (variant 'f') K and diagonal C at slice i1; return the row."""
         if cfg.variant == VARIANT_F:
+            # mu_of ignores ad in this variant: the final row's serves
             C[i1, i1] = K[i1 - 1]
             for _ in range(2):
-                rw = ker.row(C, q, i1)
-                L[i1] = ker.L_at(R, i1, rw)
-                ad = ker.AC_diag(C, R, q, L, i1, rw)
+                rw = ker.row(C, R, q, i1)
+                ad = rw.ad(rw.L)
                 K[i1] = (K[i1 - 1] + h * (1.0 + 2.0 * beta * ad) + 4.0 * ell * h) / (
                     1.0 + 4.0 * ell * h + 2.0 * c0 * h)
                 C[i1, i1] = K[i1]
-            rw = ker.row(C, q, i1)
-        else:
-            rw = ker.row(C, q, i1)
-            L[i1] = ker.L_at(R, i1, rw)
-            ad = ker.AC_diag(C, R, q, L, i1, rw)
-        mu[i1] = mu_of(K[i1], ad)
+        rw = ker.row(C, R, q, i1)
+        L[i1] = rw.L
+        mu[i1] = mu_of(K[i1], rw.ad(rw.L))
         return rw
 
-    # rw always describes the current C[a, :a+1] and q[:a+1] of the row the
-    # next kernels read: close() rebuilds it after every update of row i + 1.
+    # rw always describes the current C[a, :a+1], R[a, :a+1] and q[:a+1] of
+    # the row the next kernels read: close() rebuilds it after every update
+    # of row i + 1.
     # F is the latest right-hand side; the first pass pairs row i's F with
     # itself, and 0.5 * h * (F + F) is the Euler step h * F bit for bit
     F = ker.rhs(C, R, q, L, mu, 0, rw)
@@ -336,7 +320,7 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
             rw = close(i + 1)
             F = ker.rhs(C, R, q, L, mu, i + 1, rw)
 
-        H[i + 1] = ker.H_at(C, R, q, L, i + 1, rw)
+        H[i + 1] = ker.H_at(C, q, i + 1, rw, L[i + 1])
         # written so that NaN fails it too
         if not (abs(C[i + 1, : i + 2]).max() <= _BLOWUP
                 and abs(R[i + 1, : i + 2]).max() <= _BLOWUP):
@@ -381,7 +365,7 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
     C, R, q, L, mu, h = sol.C, sol.R, sol.q, sol.L, sol.mu, sol.h
     res_R = res_C = res_q = res_H = res_mu = 0.0
     for i in range(sol.n + 1):
-        rw = ker.row(C, q, i)
+        rw = ker.row(C, R, q, i)
         if 0 < i < sol.n:
             F_R, F_C, F_q = ker.rhs(C, R, q, L, mu, i, rw)
             fd_R = (R[i + 1, :i] - R[i - 1, :i]) / (2.0 * h)
@@ -389,9 +373,8 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
             res_R = max(res_R, float(abs(fd_R - F_R[:i]).max()))
             res_C = max(res_C, float(abs(fd_C - F_C[:i]).max()))
             res_q = max(res_q, abs((q[i + 1] - q[i - 1]) / (2.0 * h) - F_q))
-        res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, R, q, L, i, rw)))
-        mu_i = mu_of(sol.K[i], ker.AC_diag(C, R, q, L, i, rw))
-        res_mu = max(res_mu, abs(mu[i] - mu_i))
+        res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, q, i, rw, L[i])))
+        res_mu = max(res_mu, abs(mu[i] - mu_of(sol.K[i], rw.ad(L[i]))))
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
 
@@ -400,13 +383,10 @@ def integrated_response(sol: TwoTimeSolution) -> np.ndarray:
 
     R vanishes above the diagonal, so chi(s, t) = chi(s, s) for t >= s.
     """
-    n, h = sol.n, sol.h
-    chi = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        r = sol.R[i, : i + 1]
-        cs = np.concatenate(([0.0], np.cumsum(0.5 * h * (r[:-1] + r[1:]))))
-        chi[i, : i + 1] = cs
-        chi[i, i + 1:] = cs[-1]
+    R = sol.R
+    chi = np.zeros_like(R)
+    # each row's trapezoid steps up to its diagonal, zero beyond it
+    chi[:, 1:] = np.cumsum(np.tril(0.5 * sol.h * (R[:, :-1] + R[:, 1:]), -1), axis=1)
     return chi
 
 

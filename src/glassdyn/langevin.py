@@ -35,6 +35,7 @@ __all__ = [
 
 VARIANT_SPHERE = "spherical"
 VARIANT_FCONF = "fconfined"
+_R_GUARD = 2.0  # a path whose radius leaves (0.5, _R_GUARD) has escaped
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class LangevinConfig:
     variant: str = VARIANT_SPHERE
     ell: float | None = None
     f0_slope: float = 0.5
-    r_guard: float = 2.0
 
     def __post_init__(self):
         for name in ("T", "h_obs"):
@@ -115,9 +115,9 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
             j = (k + 1) // sub
             xs[:, j], Bs[:, j] = X, B
             rad = np.linalg.norm(X, axis=1) / rootN
-            if not ((rad > 0.5) & (rad < cfg.r_guard)).all():
+            if not ((rad > 0.5) & (rad < _R_GUARD)).all():
                 raise EscapeError(f"path radii {rad.min():.3f}..{rad.max():.3f} "
-                                  f"left (0.5, {cfg.r_guard}) at step {k + 1}")
+                                  f"left (0.5, {_R_GUARD}) at step {k + 1}")
     return [Trajectory(cfg.h_obs, xs[i], Bs[i], s) for i, s in enumerate(seeds)]
 
 
@@ -205,29 +205,36 @@ def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
     return Cs, chi, sol.q[idx], sol.H[idx]
 
 
+def _errors(obs_list, sol: TwoTimeSolution, T: float) -> list[float]:
+    """error_functional of each observable set, all scored against one copy
+    of the limit on their common grid."""
+    h = obs_list[0].h
+    n_obs = round(T / h)
+    if abs(T / h - n_obs) > 1e-9 or any(o.h != h or n_obs > len(o.q) - 1
+                                        for o in obs_list):
+        raise GridMismatchError("T incompatible with the observable grid")
+    sl = slice(0, n_obs + 1)
+    C_lim, chi_lim, q_lim, H_lim = _limit_on_grid(sol, h, n_obs)
+    return [float(sum([
+        min(float(np.abs(o.C[sl, sl] - C_lim).max()), 1.0),
+        min(float(np.abs(o.chi[sl, sl] - chi_lim).max()), 1.0),
+        min(float(np.abs(o.q[sl] - q_lim).max()), 1.0),
+        min(float(np.abs(o.H[sl] - H_lim).max()), 1.0),
+    ])) for o in obs_list]
+
+
 def error_functional(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> float:
     """Capped sup-norm distance between empirical and limit observables.
 
     Sum of min(sup-difference, 1) over correlation, integrated response,
     critical-point overlap and energy; bounded by 4.
     """
-    n_obs = round(T / obs.h)
-    if abs(T / obs.h - n_obs) > 1e-9 or n_obs > len(obs.q) - 1:
-        raise GridMismatchError("T incompatible with the observable grid")
-    sl = slice(0, n_obs + 1)
-    C_lim, chi_lim, q_lim, H_lim = _limit_on_grid(sol, obs.h, n_obs)
-    terms = [
-        min(float(np.abs(obs.C[sl, sl] - C_lim).max()), 1.0),
-        min(float(np.abs(obs.chi[sl, sl] - chi_lim).max()), 1.0),
-        min(float(np.abs(obs.q[sl] - q_lim).max()), 1.0),
-        min(float(np.abs(obs.H[sl] - H_lim).max()), 1.0),
-    ]
-    return float(sum(terms))
+    return _errors([obs], sol, T)[0]
 
 
 def average_error(obs_list, sol: TwoTimeSolution, T: float):
     """Monte Carlo mean and standard error of the path-error metric."""
-    errs = np.array([error_functional(o, sol, T) for o in obs_list])
+    errs = np.array(_errors(obs_list, sol, T))
     se = errs.std(ddof=1) / math.sqrt(len(errs)) if len(errs) > 1 else 0.0
     return float(errs.mean()), float(se)
 

@@ -75,10 +75,6 @@ class Mixture:
     def p_max(self) -> int:
         return max(self.coeffs)
 
-    @property
-    def p_min(self) -> int:
-        return min(self.coeffs)
-
     def is_pure(self) -> bool:
         return len(self.coeffs) == 1
 

@@ -181,6 +181,22 @@ class TestSimulateCompare:
         assert 0.0 < rep["err_mean"] <= 4.0
         assert rep["invariants"]["H0_matches"]
 
+    def test_confined_paths_are_scored_against_the_f_limit(self, files):
+        # fconfined paths run at the slope of the limit variant 'f' and are
+        # scored against f:ELL, not against the hard sphere
+        out = files["dir"] / "out"
+        rc = main(["--out-dir", str(out), "compare", "--config",
+                   _sim_config(files, variant="fconfined", ell=2.0)])
+        assert rc == 0
+        rep = json.loads((out / "report.json").read_text())
+        m = Mixture({2: 1.0})
+        ic = InitCondition(0.0, 0.12)
+        f_lim, sph = (solve_dynamics(m, ic, SolverConfig(
+            beta=0.3, T=0.5, h=0.025, variant=v, ell=2.0)).gram_min_eig()
+            for v in ("f", "spherical"))
+        assert f_lim != sph
+        assert rep["invariants"]["gram_min_eig"] == f_lim
+
     def test_radius_bound_is_honoured(self, files):
         # nu(1) exceeds the guard radius_bound^2 = 0.25: simulate and compare
         # must fail like solve does, not drop the bound

@@ -25,7 +25,7 @@ def _beta0_solution(T=2.0, h=0.01, ic=IC_GEN):
 def _kernels_at(sol, i):
     """The solver's kernels at beta = 0 and the row state of slice i."""
     ker = _Kernels(M23, solve_w(IC_GEN, M23), 0.0, sol.h, sol.q_star, sol.q_o)
-    return ker, ker.row(sol.C, sol.q, i)
+    return ker, ker.row(sol.C, sol.R, sol.q, i)
 
 
 class TestFreeDynamics:
@@ -90,13 +90,13 @@ class TestKernels:
         np.testing.assert_array_equal(F_C, -sol.mu[30] * sol.C[30, :31])
         assert F_q == -sol.mu[30] * sol.q[30]
         assert F_R[10] == pytest.approx(-sol.mu[30] * sol.R[30, 10])
-        assert ker.L_at(sol.R, 30, rw) == pytest.approx(sol.L[30], abs=1e-12)
+        assert rw.L == pytest.approx(sol.L[30], abs=1e-12)
 
     def test_L_starts_at_zero(self):
         sol = _beta0_solution(T=0.5)
         ker, rw = _kernels_at(sol, 0)
-        assert ker.L_at(sol.R, 0, rw) == 0.0
-        assert ker.H_at(sol.C, sol.R, sol.q, sol.L, 0, rw) == pytest.approx(
+        assert rw.L == 0.0
+        assert ker.H_at(sol.C, sol.q, 0, rw, sol.L[0]) == pytest.approx(
             IC_GEN.E, abs=1e-12)
 
     def test_solver_output_residual_small(self):
@@ -105,6 +105,19 @@ class TestKernels:
         rep = residual(sol, solve_w(IC_GEN, M23), M23, cfg)
         for v in (rep.sup_res_R, rep.sup_res_C, rep.sup_res_q, rep.sup_res_H):
             assert v < 5 * cfg.h
+
+    def test_stored_L_that_disagrees_with_R_is_flagged(self):
+        # residual must apply the stored L, not the one the row state takes
+        # from R: a wrong L[k] shows in C, q, H and mu
+        cfg = SolverConfig(beta=0.5, T=1.0, h=0.01)
+        sol = solve_dynamics(M23, IC_GEN, cfg)
+        vf = solve_w(IC_GEN, M23)
+        base = residual(sol, vf, M23, cfg)
+        sol.L[50] += 0.1
+        bad = residual(sol, vf, M23, cfg)
+        for name in ("sup_res_C", "sup_res_q", "sup_res_H", "sup_res_mu"):
+            before = getattr(base, name)
+            assert getattr(bad, name) > (100 * before if before > 0 else 1e-3), name
 
     def test_zeroed_solution_flagged_by_mu_bookkeeping(self):
         cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
@@ -229,6 +242,22 @@ class TestIntegratedResponse:
             t = np.minimum(s, s[i])
             expect = 2.0 * np.exp(-0.5 * s[i]) * (np.exp(0.5 * t) - 1.0)
             assert np.abs(chi[i] - expect).max() < 5 * sol.h
+
+    def test_matches_the_per_row_loop(self):
+        def per_row(sol):
+            """The per-row loop the masked cumulative sum replaced: the oracle."""
+            n, h = sol.n, sol.h
+            chi = np.zeros((n + 1, n + 1))
+            for i in range(n + 1):
+                r = sol.R[i, : i + 1]
+                cs = np.concatenate(([0.0], np.cumsum(0.5 * h * (r[:-1] + r[1:]))))
+                chi[i, : i + 1] = cs
+                chi[i, i + 1:] = cs[-1]
+            return chi
+
+        for sol in (_beta0_solution(T=1.0),
+                    solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.5, T=1.0, h=0.01))):
+            np.testing.assert_array_equal(integrated_response(sol), per_row(sol))
 
     def test_flat_beyond_diagonal(self):
         sol = _beta0_solution(T=1.0)

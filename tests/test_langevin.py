@@ -92,7 +92,7 @@ class TestIntegrate:
         N = 30
         x0 = sample_band_point(0.0, 0.0, N, 8)
         cfg = LangevinConfig(beta=1.0, T=2.0, h_obs=0.05, variant="fconfined",
-                             ell=0.01, r_guard=1.5)
+                             ell=0.01)
         with pytest.raises(EscapeError):
             integrate(Repulsive(), x0, cfg, seed=9)
 
