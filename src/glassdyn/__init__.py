@@ -30,8 +30,8 @@ from .hamiltonian import (
     sample_system,
 )
 from .langevin import (
-    LangevinConfig, error_functional, integrate, integrate_ensemble,
-    observables, rotation_invariance_test,
+    LangevinConfig, error_functional, integrate_ensemble, observables,
+    rotation_invariance_test,
 )
 
 __all__ = [
@@ -44,6 +44,6 @@ __all__ = [
     "solve_dynamics",
     "ConditioningSpec", "SpinSystem", "conditioned_field",
     "sample_band_point", "sample_system",
-    "LangevinConfig", "error_functional", "integrate", "integrate_ensemble",
+    "LangevinConfig", "error_functional", "integrate_ensemble",
     "observables", "rotation_invariance_test",
 ]

@@ -42,6 +42,8 @@ from .phase import beta_c_dyn, beta_c_stat, classify
 
 TRIANGLE_MAGIC = b"SPGL2T\x00\x00"
 _CSV_CHUNK_ROWS = 1 << 15
+_SIM_KEYS = frozenset({"mixture", "init", "N", "beta", "T", "h_obs", "paths", "seed",
+                       "variant", "ell", "substeps", "h_limit"})
 
 
 def _atomic_write(path: Path, parts: Iterable[bytes]):
@@ -272,20 +274,15 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     h_obs = _config_value(cfg_obj, "h_obs", float, 0.02)
     paths = _config_value(cfg_obj, "paths", _int_at_least(1), 8)
     seed = _config_value(cfg_obj, "seed", _int_at_least(0), 0)
-    if "threads" in cfg_obj:
-        raise ConfigError("config key 'threads' is no longer supported: paths "
-                          "share one tensor pass per step")
     variant = cfg_obj.get("variant", "spherical")
     ell = _config_value(cfg_obj, "ell", float) if "ell" in cfg_obj else None
-    man, digest = _manifest("simulate", cfg_obj, seed)
-
-    sys_ = sample_system(m, N, seed)
-    x_star = make_x_star(ic.q_star, N)
-    x0 = sample_band_point(ic.q_star, ic.q_o, N, seed + 1)
-    spec = ConditioningSpec(x_star if ic.q_star > 0 else np.zeros(N), x0, ic)
-    f = conditioned_field(sys_, spec)
-    lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs,
-                          substeps=_config_value(cfg_obj, "substeps", _int_at_least(1), 5),
+    substeps = _config_value(cfg_obj, "substeps", _int_at_least(1), 5)
+    unknown = sorted(set(cfg_obj) - _SIM_KEYS)
+    if unknown:
+        raise ConfigError(f"config key {unknown[0]!r} is not known; the keys are "
+                          + ", ".join(sorted(_SIM_KEYS)))
+    # both configs are built before the tensor draw, so a bad one costs no draw
+    lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs, substeps=substeps,
                           variant=variant, ell=ell)
     vf = None
     if variant == VARIANT_FCONF:
@@ -293,6 +290,17 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
         # drift; compare scores these paths against that limit
         vf = solve_w(ic, m)
         lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta, ic.q_o))
+    if want_compare:
+        h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
+        limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
+                 SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell))
+    man, digest = _manifest("simulate", cfg_obj, seed)
+
+    sys_ = sample_system(m, N, seed)
+    x_star = make_x_star(ic.q_star, N)
+    x0 = sample_band_point(ic.q_star, ic.q_o, N, seed + 1)
+    spec = ConditioningSpec(x_star if ic.q_star > 0 else np.zeros(N), x0, ic)
+    f = conditioned_field(sys_, spec)
     trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
     obs = observables(trajs, f, x_star)
 
@@ -313,9 +321,6 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
 
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
-        h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
-        limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
-                 SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell))
         sol = solve_dynamics(m, ic, limit, vf)
         err_mean, err_se = average_error(obs, sol, T)
         report.update({

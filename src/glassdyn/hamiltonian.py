@@ -70,19 +70,6 @@ class SpinSystem:
     tensors: dict[int, np.ndarray]
     seed: int
 
-    def value(self, x: np.ndarray) -> float:
-        """Energy at one point (radius-guarded)."""
-        return float(self._contract(self._guarded(x))[0][0])
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient at one point (radius-guarded)."""
-        return self._contract(self._guarded(x))[1][0]
-
-    def _guarded(self, x: np.ndarray) -> np.ndarray:
-        if np.linalg.norm(x) > _R_GUARD * math.sqrt(self.N):
-            raise DomainError("evaluation point outside the radius guard")
-        return np.asarray(x, dtype=float)[None, :]
-
     def _contract(self, X: np.ndarray):
         """Values and gradients at the rows of X, one GEMM per power p.
 
@@ -92,9 +79,12 @@ class SpinSystem:
         tensor.  Euler's identity x . grad H_p = p H_p gives the values from
         the same product.  Rows of X go in chunks of at most N, so K is never
         larger than the packed tensor; the dominant cost is streaming each
-        tensor once per chunk.
+        tensor once per chunk.  A row outside the radius _R_GUARD sqrt(N)
+        is a DomainError.
         """
         k, N = X.shape
+        if (np.linalg.norm(X, axis=1) > _R_GUARD * math.sqrt(N)).any():
+            raise DomainError("evaluation point outside the radius guard")
         values, grads = np.zeros(k), np.zeros((k, N))
         for a in range(0, k, N):
             Xc = X[a:a + N]
@@ -326,17 +316,15 @@ class ConditioningSpec:
     """Geometry and target data of the critical-point conditioning event.
 
     Holds the pinned point x_star, the start point x_0, the target values,
-    the distinguished orthonormal pair (xhat_star, zhat), and, once attached,
-    the observed values of one field realization.
+    and the distinguished orthonormal pair (xhat_star, zhat), which the
+    constructor derives from them (None when q_star = 0).
     """
 
     x_star: np.ndarray
     x_0: np.ndarray
     target: InitCondition
-    xhat_star: np.ndarray | None = None
-    zhat: np.ndarray | None = None
-    observed_Vhat: np.ndarray | None = field(default=None, repr=False)
-    observed_uperp: np.ndarray | None = field(default=None, repr=False)
+    xhat_star: np.ndarray | None = field(init=False, default=None)
+    zhat: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         N = len(self.x_0)
@@ -372,27 +360,6 @@ class ConditioningSpec:
         z = x @ self.zhat / np.linalg.norm(self.x_star)
         return xs, y, z
 
-    def observe(self, sys: SpinSystem):
-        """Record the realized conditioned values of one field sample.
-
-        One tensor pass over the stacked points (x_0, x_star) gives both
-        energies and the gradient at x_star.
-        """
-        N = self.N
-        if self.target.q_star == 0.0:
-            h0 = sys.value(self.x_0)
-            self.observed_Vhat = np.array([-h0 / N, 0.0, 0.0, 0.0])
-            self.observed_uperp = np.zeros(N)
-            return
-        # x_0 lies on the sphere; only x_star can fail the radius guard
-        (h0, hs), grads = sys._contract(np.vstack([self.x_0, sys._guarded(self.x_star)]))
-        gs = grads[1]
-        norm_star = np.linalg.norm(self.x_star)
-        g1 = gs @ self.xhat_star
-        g2 = gs @ self.zhat
-        self.observed_Vhat = np.array([-h0 / N, -hs / N, -g1 / norm_star, -g2 / norm_star])
-        self.observed_uperp = -(gs - g1 * self.xhat_star - g2 * self.zhat)
-
 
 def _weights(m: Mixture, ic: InitCondition, Vhat: np.ndarray) -> np.ndarray:
     """Solve Sigma w = Vhat for the conditioning weights.
@@ -424,9 +391,13 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     Vhat is the 4-vector of conditioned (sign-flipped, N-normalized) values;
     u_perp is the component of -grad H(x_star) orthogonal to the pair
     (xhat_star, zhat), kept as a plain N-vector.  The q_star = 0 branch
-    conditions on the start value only.
+    conditions on the start value only.  x is one point or a batch of rows.
     """
-    return _mean_eval(spec, m, _weights(m, spec.target, Vhat), u_perp, x, what)
+    out = _mean_eval(spec, m, _weights(m, spec.target, Vhat), u_perp,
+                     np.atleast_2d(x), what)
+    if np.ndim(x) == 2:
+        return out
+    return float(out[0]) if what == "value" else out[0]
 
 
 def _frame(spec: ConditioningSpec, X: np.ndarray):
@@ -445,13 +416,16 @@ def _frame(spec: ConditioningSpec, X: np.ndarray):
 
 
 def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
-               u_perp: np.ndarray | None, x: np.ndarray, what: str):
-    """Conditional mean or its gradient at one point x, or at the rows of a batch."""
+               u_perp: np.ndarray | None, X: np.ndarray, what: str):
+    """Conditional mean or its gradient at the rows of X.
+
+    Linear in (w, u_perp): the mean with weights w1 - w2 and handle
+    u1 - u2 is the difference of the two means.
+    """
     if what not in ("value", "gradient"):
         raise ConfigError(f"unknown what {what!r}")
     N = spec.N
     ic = spec.target
-    X = np.atleast_2d(x)
     xs, y, z, a, b, c = _frame(spec, X)
     if xs is None:
         if what == "value":
@@ -475,9 +449,7 @@ def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
                         + (w[3] * d1)[:, None] * c)
             if u_perp is not None:
                 out = out - ((d2 * uterm)[:, None] * a + d1[:, None] * u_perp) / gam
-    if np.ndim(x) == 2:
-        return out
-    return float(out[0]) if what == "value" else out[0]
+    return out
 
 
 def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
@@ -509,43 +481,45 @@ def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
 class ConditionedField:
     """Field realization conditioned on the critical-point event, by mean swap.
 
-    value/gradient interpolate the target data exactly: the start-point energy
-    is -N E, the critical-point energy -N E_star and its gradient
-    -G_star x_star, up to round-off.
+    The constructor observes the realization: one tensor pass over the
+    stacked points (x_0, x_star) gives both energies and the gradient at
+    x_star.  The swap adds the conditional mean at the target data and
+    subtracts it at the observed data; the mean is linear in its weights and
+    in its perpendicular-gradient handle, so the field keeps their
+    differences, w = w_tgt - w_obs and u = -u_obs, and each batch call makes
+    one mean evaluation.  The batch values and gradients interpolate the
+    target data exactly: the start-point energy is -N E, the critical-point
+    energy -N E_star and its gradient -G_star x_star, up to round-off.
     """
 
     def __init__(self, sys: SpinSystem, spec: ConditioningSpec):
-        if spec.observed_Vhat is None:
-            spec.observe(sys)
         self.sys = sys
         self.spec = spec
-        ic = spec.target
-        self.target_Vhat = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
-        self._w_obs = _weights(sys.mixture, ic, spec.observed_Vhat)
-        self._w_tgt = _weights(sys.mixture, ic, self.target_Vhat)
+        m, ic, N = sys.mixture, spec.target, spec.N
+        (h0, hs), grads = sys._contract(np.vstack([spec.x_0, spec.x_star]))
+        if ic.q_star == 0.0:
+            Vhat_obs, self._u = np.array([-h0 / N, 0.0, 0.0, 0.0]), None
+        else:
+            gs = grads[1]
+            norm_star = np.linalg.norm(spec.x_star)
+            g1 = gs @ spec.xhat_star
+            g2 = gs @ spec.zhat
+            Vhat_obs = np.array([-h0 / N, -hs / N, -g1 / norm_star, -g2 / norm_star])
+            self._u = gs - g1 * spec.xhat_star - g2 * spec.zhat
+        Vhat_tgt = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
+        self._w = _weights(m, ic, Vhat_tgt) - _weights(m, ic, Vhat_obs)
 
     @property
     def N(self) -> int:
         return self.sys.N
 
-    def value(self, x: np.ndarray) -> float:
-        return self.sys.value(x) + self._mean_swap(x, "value")
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.sys.gradient(x) + self._mean_swap(x, "gradient")
-
-    def _mean_swap(self, x: np.ndarray, what: str):
-        """Target minus observed conditional mean, at one point or a batch."""
-        spec, m = self.spec, self.sys.mixture
-        obs = _mean_eval(spec, m, self._w_obs, spec.observed_uperp, x, what)
-        tgt = _mean_eval(spec, m, self._w_tgt, None, x, what)
-        return tgt - obs
-
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.gradient_batch(X) + self._mean_swap(X, "gradient")
+        return self.sys.gradient_batch(X) + _mean_eval(
+            self.spec, self.sys.mixture, self._w, self._u, X, "gradient")
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.value_batch(X) + self._mean_swap(X, "value")
+        return self.sys.value_batch(X) + _mean_eval(
+            self.spec, self.sys.mixture, self._w, self._u, X, "value")
 
 
 def conditioned_field(sys: SpinSystem, spec: ConditioningSpec) -> ConditionedField:

@@ -22,7 +22,6 @@ __all__ = [
     "LangevinConfig",
     "Trajectory",
     "ObservableSet",
-    "integrate",
     "integrate_ensemble",
     "observables",
     "error_functional",
@@ -121,33 +120,14 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
     return [Trajectory(cfg.h_obs, xs[i], Bs[i], s) for i, s in enumerate(seeds)]
 
 
-def integrate(field, x0: np.ndarray, cfg: LangevinConfig,
-              seed: int | None = None,
-              increments: np.ndarray | None = None) -> Trajectory:
-    """Run one path; deterministic given the seed (or explicit increments).
-
-    ``field`` must expose gradient_batch(X).  ``increments``, when given, is
-    the (n_steps, N) array of Brownian increments at the SDE step and
-    overrides the seed.
-    """
-    N = len(x0)
-    n_steps = cfg.n_obs * cfg.substeps
-    if increments is None:
-        rng = np.random.default_rng(seed)
-        increments = rng.standard_normal((n_steps, N)) * math.sqrt(
-            cfg.h_obs / cfg.substeps)
-    elif increments.shape != (n_steps, N):
-        raise ConfigError("increments array has the wrong shape")
-    return _euler_maruyama(field, x0, cfg, [seed], lambda k: increments[k:k + 1])[0]
-
-
 def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
                        n_paths: int, master_seed: int) -> list[Trajectory]:
     """Independent Brownian paths from one start point, stepped in lockstep.
 
     All paths share the field realization, so each step needs a single pass
     over the coupling tensors through field.gradient_batch.  Path seeds are
-    derived from the master seed by a counter.
+    derived from the master seed by a counter; a single path is the one-path
+    ensemble, integrate_ensemble(field, x0, cfg, 1, seed)[0].
     """
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
@@ -296,11 +276,11 @@ def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
     rng = np.random.default_rng(seed)
     h = cfg.h_obs / cfg.substeps
     dB = rng.standard_normal((cfg.n_obs * cfg.substeps, N)) * math.sqrt(h)
-    t1 = integrate(field, x0, cfg, increments=dB)
+    t1 = _euler_maruyama(field, x0, cfg, [seed], lambda k: dB[k:k + 1])[0]
     o1 = observables([t1], field, x_star)[0]
     dB2 = dB @ O.T if rotate_noise else dB
     f2 = RotatedField(field, O)
-    t2 = integrate(f2, O @ x0, cfg, increments=dB2)
+    t2 = _euler_maruyama(f2, O @ x0, cfg, [seed], lambda k: dB2[k:k + 1])[0]
     o2 = observables([t2], f2, O @ x_star)[0]
     dev = max(
         float(np.abs(o1.C - o2.C).max()),

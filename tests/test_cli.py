@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import glassdyn
+from glassdyn import cli
 from glassdyn.cli import TRIANGLE_MAGIC, main
 from glassdyn.dynamics import SolverConfig, solve_dynamics
 from glassdyn.init_params import InitCondition
@@ -272,14 +273,29 @@ class TestErrors:
         (lambda f: ["simulate", "--config", _sim_config(f, paths=2.5)], "'paths'"),
         (lambda f: ["simulate", "--config", _sim_config(f, seed=1.5)], "'seed'"),
         (lambda f: ["simulate", "--config", _sim_config(f, substeps=2.9)], "'substeps'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, substep=10)], "'substep'"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
-            "paths-fraction", "seed-fraction", "substeps-fraction"])
+            "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+
+    @pytest.mark.parametrize("command, changes", [
+        ("simulate", {"variant": "fconfined"}),
+        ("compare", {"h_limit": 0.03}),
+    ], ids=["fconfined-without-ell", "h_limit-off-grid"])
+    def test_bad_run_config_is_refused_before_the_draw(self, files, monkeypatch,
+                                                       command, changes):
+        def no_draw(*args):
+            raise AssertionError("the tensor was drawn")
+
+        monkeypatch.setattr(cli, "sample_system", no_draw)
+        rc = main(["--out-dir", str(files["dir"] / "d"), command,
+                   "--config", _sim_config(files, **changes)])
+        assert rc == 2
 
     def test_malformed_config(self, files):
         bad = files["dir"] / "bad.json"

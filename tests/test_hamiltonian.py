@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glassdyn.acceptance import _basis_hessian_gap
-from glassdyn.errors import ConfigError
+from glassdyn import hamiltonian
+from glassdyn.errors import ConfigError, DomainError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
     _SYM_BLOCK, conditioned_field, make_x_star, sample_band_point,
@@ -25,6 +26,16 @@ M23 = Mixture({2: 1.0, 3: 0.5})
 def _random_sphere_point(rng, N):
     x = rng.standard_normal(N)
     return x * math.sqrt(N) / np.linalg.norm(x)
+
+
+def _value(field, x):
+    """Energy of a field at one point: its one-row batch."""
+    return field.value_batch(x[None])[0]
+
+
+def _gradient(field, x):
+    """Gradient of a field at one point: its one-row batch."""
+    return field.gradient_batch(x[None])[0]
 
 
 def _unpack(P, N, p):
@@ -53,7 +64,7 @@ class TestSampling:
         N, n_draws = 30, 200
         rng = np.random.default_rng(0)
         x = _random_sphere_point(rng, N)
-        vals = np.array([sample_system(M23, N, s).value(x) for s in range(n_draws)])
+        vals = np.array([_value(sample_system(M23, N, s), x) for s in range(n_draws)])
         assert vals.var() / (N * M23.nu(1.0)) == pytest.approx(1.0, abs=0.25)
 
     def test_cross_covariance_on_random_pair(self):
@@ -63,15 +74,15 @@ class TestSampling:
         hx, hy = [], []
         for s in range(n_draws):
             sys = sample_system(M23, N, 1000 + s)
-            hx.append(sys.value(x))
-            hy.append(sys.value(y))
+            hx.append(_value(sys, x))
+            hy.append(_value(sys, y))
         cov = np.cov(hx, hy)[0, 1]
         assert cov / N == pytest.approx(M23.nu(x @ y / N), abs=0.3)
 
     def test_zero_point(self):
         sys = sample_system(M23, 10, 2)
-        assert sys.value(np.zeros(10)) == 0.0
-        np.testing.assert_array_equal(sys.gradient(np.zeros(10)), 0.0)
+        assert _value(sys, np.zeros(10)) == 0.0
+        np.testing.assert_array_equal(_gradient(sys, np.zeros(10)), 0.0)
 
     def test_memory_guard(self):
         with pytest.raises(ConfigError):
@@ -103,8 +114,8 @@ class TestSampling:
         grad = sum(np.einsum(f"{letters},{','.join(letters[:a] + letters[a + 1:])}"
                              f"->{letters[a]}", raw, *[x] * (p - 1))
                    for a in range(p))
-        assert sys.value(x) == pytest.approx(h, rel=1e-12)
-        np.testing.assert_allclose(sys.gradient(x), grad, rtol=1e-12,
+        assert _value(sys, x) == pytest.approx(h, rel=1e-12)
+        np.testing.assert_allclose(_gradient(sys, x), grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(grad).max())
 
     def test_overlapped_draw_is_reproducible(self):
@@ -184,8 +195,8 @@ class TestEvalField:
         J = sys.tensors[2]
         rng = np.random.default_rng(4)
         x = _random_sphere_point(rng, N)
-        assert sys.value(x) == pytest.approx(x @ J @ x)
-        np.testing.assert_allclose(sys.gradient(x), (J + J.T) @ x, rtol=1e-12)
+        assert _value(sys, x) == pytest.approx(x @ J @ x)
+        np.testing.assert_allclose(_gradient(sys, x), (J + J.T) @ x, rtol=1e-12)
 
     def test_gradient_matches_directional_difference(self):
         N = 12
@@ -195,8 +206,8 @@ class TestEvalField:
         u = rng.standard_normal(N)
         u /= np.linalg.norm(u)
         eps = 1e-4
-        fd = (sys.value(x + eps * u) - sys.value(x - eps * u)) / (2 * eps)
-        assert sys.gradient(x) @ u == pytest.approx(fd, rel=1e-5)
+        fd = (_value(sys, x + eps * u) - _value(sys, x - eps * u)) / (2 * eps)
+        assert _gradient(sys, x) @ u == pytest.approx(fd, rel=1e-5)
 
     def test_euler_identity_pure_p(self):
         for p in (2, 3, 4):
@@ -204,17 +215,17 @@ class TestEvalField:
             sys = sample_system(Mixture.pure(p), N, 7)
             rng = np.random.default_rng(p)
             x = _random_sphere_point(rng, N)
-            assert x @ sys.gradient(x) == pytest.approx(p * sys.value(x), rel=1e-12)
+            assert x @ _gradient(sys, x) == pytest.approx(p * _value(sys, x), rel=1e-12)
 
     def test_batch_consistency(self):
         N = 20
         sys = sample_system(Mixture({2: 0.7, 3: 0.4}), N, 8)
         X = np.random.default_rng(9).standard_normal((5, N))
         np.testing.assert_allclose(sys.gradient_batch(X),
-                                   np.stack([sys.gradient(x) for x in X]),
+                                   np.stack([_gradient(sys, x) for x in X]),
                                    atol=1e-12)
         np.testing.assert_allclose(sys.value_batch(X),
-                                   np.array([sys.value(x) for x in X]),
+                                   np.array([_value(sys, x) for x in X]),
                                    atol=1e-12)
 
     def test_batch_across_row_chunks(self):
@@ -222,12 +233,23 @@ class TestEvalField:
         N = 9
         sys = sample_system(Mixture({2: 0.7, 3: 0.4, 4: 0.3}), N, 10)
         X = np.random.default_rng(11).standard_normal((2 * N + 3, N))
-        rows = np.stack([sys.gradient(x) for x in X])
+        rows = np.stack([_gradient(sys, x) for x in X])
         np.testing.assert_allclose(sys.gradient_batch(X), rows, rtol=1e-12,
                                    atol=1e-12 * np.abs(rows).max())
-        vals = np.array([sys.value(x) for x in X])
+        vals = np.array([_value(sys, x) for x in X])
         np.testing.assert_allclose(sys.value_batch(X), vals, rtol=1e-12,
                                    atol=1e-12 * np.abs(vals).max())
+
+    def test_radius_guard_covers_every_row(self):
+        N = 10
+        sys = sample_system(M23, N, 12)
+        X = np.random.default_rng(13).standard_normal((3, N))
+        X[2] *= 3.99 * math.sqrt(N) / np.linalg.norm(X[2])
+        sys.value_batch(X)
+        X[2] *= 4.01 / 3.99
+        for evaluate in (sys.value_batch, sys.gradient_batch):
+            with pytest.raises(DomainError, match="radius guard"):
+                evaluate(X)
 
 
 class TestPackedProperty:
@@ -414,9 +436,9 @@ class TestConditionedField:
         x0 = sample_band_point(ic.q_star, ic.q_o, N, 31)
         spec = ConditioningSpec(x_star, x0, ic)
         f = conditioned_field(sample_system(M23, N, 32), spec)
-        assert f.value(x0) == pytest.approx(-N * ic.E, abs=1e-9)
-        assert f.value(x_star) == pytest.approx(-N * ic.E_star, abs=1e-9)
-        np.testing.assert_allclose(f.gradient(x_star), -ic.G_star * x_star,
+        assert _value(f, x0) == pytest.approx(-N * ic.E, abs=1e-9)
+        assert _value(f, x_star) == pytest.approx(-N * ic.E_star, abs=1e-9)
+        np.testing.assert_allclose(_gradient(f, x_star), -ic.G_star * x_star,
                                    atol=1e-9)
 
     def test_rs_case_conditions_start_value_only(self):
@@ -425,10 +447,10 @@ class TestConditionedField:
         x0 = sample_band_point(0.0, 0.0, N, 33)
         spec = ConditioningSpec(np.zeros(N), x0, ic)
         f = conditioned_field(sample_system(M23, N, 34), spec)
-        assert f.value(x0) == pytest.approx(-N * ic.E, abs=1e-9)
+        assert _value(f, x0) == pytest.approx(-N * ic.E, abs=1e-9)
         # a generic second point keeps a random residual
         other = sample_band_point(0.0, 0.0, N, 35)
-        assert abs(f.value(other) + N * ic.E) > 1e-3
+        assert abs(_value(f, other) + N * ic.E) > 1e-3
 
     @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.9),
                                     InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)])
@@ -441,8 +463,86 @@ class TestConditionedField:
                               ConditioningSpec(x_star, x0, ic))
         rng = np.random.default_rng(38)
         X = np.stack([x0, x_star] + [_random_sphere_point(rng, N) for _ in range(5)])
-        rows = np.stack([f.gradient(x) for x in X])
+        rows = np.stack([_gradient(f, x) for x in X])
         np.testing.assert_allclose(f.gradient_batch(X), rows, rtol=1e-12,
                                    atol=1e-12 * np.abs(rows).max())
         np.testing.assert_allclose(f.value_batch(X),
-                                   np.array([f.value(x) for x in X]), rtol=1e-12)
+                                   np.array([_value(f, x) for x in X]), rtol=1e-12)
+
+    def test_spec_shared_by_two_realizations(self):
+        # each field observes its own realization; the spec holds no field data
+        N = 20
+        ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
+        x_star = make_x_star(ic.q_star, N)
+        x0 = sample_band_point(ic.q_star, ic.q_o, N, 46)
+        spec = ConditioningSpec(x_star, x0, ic)
+        for seed in (47, 48):
+            f = conditioned_field(sample_system(M23, N, seed), spec)
+            np.testing.assert_allclose(f.value_batch(np.stack([x0, x_star])),
+                                       [-N * ic.E, -N * ic.E_star], atol=1e-9)
+
+    def test_x_star_outside_radius_guard_raises(self):
+        # x_star at 5 sqrt(N) on the first axis; x_0 keeps the target overlap
+        N = 20
+        ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
+        x_star = 5.0 * make_x_star(1.0, N)
+        x0 = sample_band_point(1.0, ic.q_o / 5.0, N, 39)
+        spec = ConditioningSpec(x_star, x0, ic)
+        with pytest.raises(DomainError, match="radius guard"):
+            conditioned_field(sample_system(M23, N, 40), spec)
+
+    @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.9),
+                                    InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)])
+    def test_matches_two_evaluation_swap(self, ic):
+        N = 20
+        x_star = make_x_star(ic.q_star, N)
+        x0 = sample_band_point(ic.q_star, ic.q_o, N, 41)
+        sys = sample_system(M23, N, 42)
+        spec = ConditioningSpec(x_star, x0, ic)
+        f = conditioned_field(sys, spec)
+        rng = np.random.default_rng(43)
+        X = np.stack([x0, x_star] + [_random_sphere_point(rng, N) for _ in range(5)])
+        for what, batch in (("value", f.value_batch), ("gradient", f.gradient_batch)):
+            base = sys.value_batch(X) if what == "value" else sys.gradient_batch(X)
+            ref = base + _two_evaluation_swap(sys, spec, X, what)
+            np.testing.assert_allclose(batch(X), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    def test_one_mean_evaluation_per_batch_call(self, monkeypatch):
+        N = 20
+        ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
+        x0 = sample_band_point(ic.q_star, ic.q_o, N, 44)
+        f = conditioned_field(sample_system(M23, N, 45),
+                              ConditioningSpec(make_x_star(ic.q_star, N), x0, ic))
+        calls, mean_eval = [], hamiltonian._mean_eval
+
+        def counted(*args):
+            calls.append(args[-1])
+            return mean_eval(*args)
+
+        monkeypatch.setattr(hamiltonian, "_mean_eval", counted)
+        f.value_batch(x0[None])
+        f.gradient_batch(np.stack([x0, x0]))
+        assert calls == ["value", "gradient"]
+
+
+def _two_evaluation_swap(sys, spec, X, what):
+    """Reference mean swap: the conditional mean at the target data minus the
+    conditional mean at the observed data, two evaluations.
+
+    The observation is recomputed from the realization: the energies at x_0
+    and x_star and the gradient at x_star, split along (xhat_star, zhat).
+    """
+    m, ic, N = sys.mixture, spec.target, spec.N
+    target = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
+    h0 = _value(sys, spec.x_0)
+    if ic.q_star == 0.0:
+        observed, u_obs = np.array([-h0 / N, 0.0, 0.0, 0.0]), None
+    else:
+        hs, gs = _value(sys, spec.x_star), _gradient(sys, spec.x_star)
+        norm_star = np.linalg.norm(spec.x_star)
+        g1, g2 = gs @ spec.xhat_star, gs @ spec.zhat
+        observed = np.array([-h0 / N, -hs / N, -g1 / norm_star, -g2 / norm_star])
+        u_obs = -(gs - g1 * spec.xhat_star - g2 * spec.zhat)
+    return (conditional_mean(spec, m, target, None, X, what)
+            - conditional_mean(spec, m, observed, u_obs, X, what))

@@ -11,9 +11,8 @@ from glassdyn.hamiltonian import (
 )
 from glassdyn.init_params import InitCondition, gibbs_init
 from glassdyn.langevin import (
-    LangevinConfig, average_error, ensemble_error, error_functional, integrate,
-    integrate_ensemble, observables, random_orthogonal,
-    rotation_invariance_test,
+    LangevinConfig, average_error, ensemble_error, error_functional,
+    integrate_ensemble, observables, random_orthogonal, rotation_invariance_test,
 )
 from glassdyn.mixture import Mixture
 
@@ -51,16 +50,16 @@ class TestIntegrate:
     def test_reproducible_given_seed(self):
         x0 = sample_band_point(0.0, 0.0, 30, 1)
         cfg = LangevinConfig(beta=0.0, T=0.5, h_obs=0.05)
-        a = integrate(ZeroField(), x0, cfg, seed=9)
-        b = integrate(ZeroField(), x0, cfg, seed=9)
+        a = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)[0]
+        b = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)[0]
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.B, b.B)
 
     def test_spherical_radius_preserved(self):
         N = 40
         x0 = sample_band_point(0.0, 0.0, N, 2)
-        tr = integrate(ZeroField(), x0, LangevinConfig(beta=0.0, T=1.0, h_obs=0.05),
-                       seed=3)
+        tr = integrate_ensemble(ZeroField(), x0,
+                                LangevinConfig(beta=0.0, T=1.0, h_obs=0.05), 1, 3)[0]
         np.testing.assert_allclose((tr.x**2).sum(axis=1) / N, 1.0, atol=1e-12)
 
     def test_free_sphere_correlation(self):
@@ -80,7 +79,7 @@ class TestIntegrate:
         x0 = sample_band_point(0.0, 0.0, N, 6)
         cfg = LangevinConfig(beta=0.0, T=1.0, h_obs=0.02, substeps=10,
                              variant="fconfined", ell=ell)
-        tr = integrate(ZeroField(), x0, cfg, seed=7)
+        tr = integrate_ensemble(ZeroField(), x0, cfg, 1, 7)[0]
         K = (tr.x**2).sum(axis=1) / N
         assert np.abs(K - 1.0).max() < 10.0 / ell
 
@@ -94,16 +93,18 @@ class TestIntegrate:
         cfg = LangevinConfig(beta=1.0, T=2.0, h_obs=0.05, variant="fconfined",
                              ell=0.01)
         with pytest.raises(EscapeError):
-            integrate(Repulsive(), x0, cfg, seed=9)
+            integrate_ensemble(Repulsive(), x0, cfg, 1, 9)
 
     def test_ensemble_matches_single_paths(self):
+        # path i of an ensemble is the one-path ensemble seeded master_seed + i
         N = 25
         x0 = sample_band_point(0.0, 0.0, N, 10)
         cfg = LangevinConfig(beta=0.0, T=0.3, h_obs=0.05)
         ens = integrate_ensemble(ZeroField(), x0, cfg, 3, master_seed=40)
         for i, tr in enumerate(ens):
-            single = integrate(ZeroField(), x0, cfg, seed=40 + i)
-            np.testing.assert_allclose(tr.x, single.x, atol=1e-12)
+            single = integrate_ensemble(ZeroField(), x0, cfg, 1, 40 + i)[0]
+            np.testing.assert_array_equal(tr.x, single.x)
+            np.testing.assert_array_equal(tr.B, single.B)
 
 
 class TestObservables:
@@ -113,7 +114,7 @@ class TestObservables:
         spec = ConditioningSpec(np.zeros(N), x0, ic)
         f = conditioned_field(sample_system(M23, N, seed + 1), spec)
         cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05)
-        return f, x0, integrate(f, x0, cfg, seed=seed + 2)
+        return f, x0, integrate_ensemble(f, x0, cfg, 1, seed + 2)[0]
 
     def test_diagonal_is_radius(self):
         f, x0, tr = self._traj()
@@ -154,7 +155,8 @@ class TestObservables:
         x0 = sample_band_point(ic.q_star, ic.q_o, N, 12)
         spec = ConditioningSpec(x_star, x0, ic)
         f = conditioned_field(sample_system(M23, N, 13), spec)
-        tr = integrate(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05), seed=14)
+        tr = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05),
+                                1, 14)[0]
         obs = observables([tr], f, x_star)[0]
         assert obs.q[0] == pytest.approx(ic.q_o, abs=1e-12)
 
