@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
 from .dynamics import VARIANT_F, SolverConfig, default_f0_slope, solve_dynamics
 from .errors import ConfigError, GlassdynError
 from .fdt import solve_fdt
@@ -78,22 +77,31 @@ def _manifest(command: str, config: dict, seed) -> tuple[dict, str]:
     return man, digest
 
 
-def _write_csv(path: Path, header: str, columns, digest: str):
-    """Write equal-length columns as CSV rows: floats as %.12g, the rest str.
+def _write_csv(path: Path, header: str, blocks: Iterable, digest: str):
+    """Write blocks of equal-length columns as CSV rows: floats as %.12g, the rest str.
 
-    Rows are formatted and streamed one chunk at a time, so memory stays
-    near that of the columns themselves.
+    Each block holds the next rows as a sequence of columns (arrays or
+    sequences); the first block's dtypes set each column's format.  Rows are
+    formatted and streamed one block, or one chunk of a long block, at a
+    time, so memory stays near that of one block.
     """
-    cols = [np.asarray(c) for c in columns]
-    row_fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    # one object column makes the stacked block object too, keeping floats floats
-    cols = [c if c.dtype.kind == "f" else c.astype(object) for c in cols]
-
     def chunks():
         yield f"# manifest={digest}\n{header}\n".encode()
-        for k in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
-            block = np.column_stack([c[k: k + _CSV_CHUNK_ROWS] for c in cols])
-            yield ((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode()
+        row_fmt = None
+        for block in blocks:
+            if row_fmt is None:
+                row_fmt = ",".join("%.12g" if np.asarray(c).dtype.kind == "f" else "%s"
+                                   for c in block) + "\n"
+            cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            width = len(cols)
+            for k in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
+                part = [c[k: k + _CSV_CHUNK_ROWS] for c in cols]
+                rows = len(part[0])
+                # interleave the columns into one flat row-major list
+                flat = [None] * (width * rows)
+                for j, c in enumerate(part):
+                    flat[j::width] = c
+                yield ((row_fmt * rows) % tuple(flat)).encode()
 
     _atomic_write(path, chunks())
 
@@ -179,9 +187,9 @@ def cmd_phase(args, out: Path):
     bcd, bcs = beta_c_dyn(m), beta_c_stat(m)
     points = [classify(m, beta, bcd=bcd, bcs=bcs) for beta in betas]
     _write_csv(out / "phase.csv", "beta,q_d,regime,beta_c_dyn,beta_c_stat",
-               [betas, [float(pp.q_d) for pp in points],
-                [pp.regime for pp in points],
-                np.full(len(betas), bcd), np.full(len(betas), bcs)], digest)
+               [[betas, [float(pp.q_d) for pp in points],
+                 [pp.regime for pp in points],
+                 np.full(len(betas), bcd), np.full(len(betas), bcs)]], digest)
     _write_json(out / "manifest.json", man, digest)
     print(f"wrote {out / 'phase.csv'} (beta_c_dyn={bcd:.6f}, beta_c_stat={bcs:.6f})")
     return 0
@@ -213,7 +221,7 @@ def cmd_fdt(args, out: Path):
                                     "gamma": args.gamma, "T": args.T,
                                     "h": args.h}, None)
     sol = solve_fdt(m, args.beta, args.gamma, args.T, args.h)
-    _write_csv(out / "fdt.csv", "tau,c,r", [sol.tau, sol.c, sol.r], digest)
+    _write_csv(out / "fdt.csv", "tau,c,r", [[sol.tau, sol.c, sol.r]], digest)
     man["c_inf"] = sol.c_inf
     man["plateaued"] = bool(sol.plateaued)
     _write_json(out / "manifest.json", man, digest)
@@ -240,15 +248,16 @@ def cmd_solve(args, out: Path):
                                       "h": args.h, "variant": args.variant},
                             None)
     sol = solve_dynamics(m, ic, cfg)
-    grid = np.arange(0, sol.n + 1, max(1, args.stride))
-    ti, tj = np.tril_indices(len(grid))
-    I, J = grid[ti], grid[tj]
+    stride = max(1, args.stride)
     # each grid time recurs along the triangle: format it once, as %.12g
-    times = np.array(["%.12g" % s for s in (grid * sol.h).tolist()], dtype=object)
-    _write_csv(out / "triangle.csv", "s,t,C,R",
-               [times[ti], times[tj], sol.C[I, J], sol.R[I, J]], digest)
+    times = ["%.12g" % s for s in (np.arange(0, sol.n + 1, stride) * sol.h).tolist()]
+    # one block per grid row i: the times s_i and t_j, C and R at j <= i on the grid
+    rows = ([[times[k]] * (k + 1), times[: k + 1],
+             sol.C[i, : i + 1: stride], sol.R[i, : i + 1: stride]]
+            for k, i in enumerate(range(0, sol.n + 1, stride)))
+    _write_csv(out / "triangle.csv", "s,t,C,R", rows, digest)
     _write_csv(out / "onetime.csv", "s,q,K,mu,L,H",
-               [sol.s, sol.q, sol.K, sol.mu, sol.L, sol.H], digest)
+               [[sol.s, sol.q, sol.K, sol.mu, sol.L, sol.H]], digest)
     checks = {
         "gram_min_eig": sol.gram_min_eig(),
         "cbar_gram_min_eig": (sol.cbar_gram_min_eig()
@@ -275,6 +284,9 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     paths = _config_value(cfg_obj, "paths", _int_at_least(1), 8)
     seed = _config_value(cfg_obj, "seed", _int_at_least(0), 0)
     variant = cfg_obj.get("variant", "spherical")
+    if "ell" in cfg_obj and variant != VARIANT_FCONF:
+        raise ConfigError(f"config key 'ell' applies only to variant {VARIANT_FCONF!r}, "
+                          f"not {variant!r}")
     ell = _config_value(cfg_obj, "ell", float) if "ell" in cfg_obj else None
     substeps = _config_value(cfg_obj, "substeps", _int_at_least(1), 5)
     unknown = sorted(set(cfg_obj) - _SIM_KEYS)
@@ -294,6 +306,9 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
         h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
         limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
                  SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell))
+        # the paths are scored on the observable grid, which the limit's must hold
+        if abs(h_obs / h_lim - round(h_obs / h_lim)) > 1e-9:
+            raise ConfigError(f"config key 'h_limit' ({h_lim}) must divide h_obs ({h_obs})")
     man, digest = _manifest("simulate", cfg_obj, seed)
 
     sys_ = sample_system(m, N, seed)
@@ -308,16 +323,16 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     Cbar = np.mean([o.C for o in obs], axis=0)
     chibar = np.mean([o.chi for o in obs], axis=0)
     ti, tj = np.tril_indices(len(grid))
-    _write_csv(out / "C_N.csv", "s,t,C_N", [grid[ti], grid[tj], Cbar[ti, tj]],
+    _write_csv(out / "C_N.csv", "s,t,C_N", [[grid[ti], grid[tj], Cbar[ti, tj]]],
                digest)
     _write_csv(out / "chi_N.csv", "s,t,chi_N",
-               [np.repeat(grid, len(grid)), np.tile(grid, len(grid)),
-                chibar.ravel()], digest)
+               [[np.repeat(grid, len(grid)), np.tile(grid, len(grid)),
+                 chibar.ravel()]], digest)
     # one 1-D mean per time: a mean over axis 0 would sum the paths in
     # another order and move the last digits
     one = np.array([[np.mean([getattr(o, key)[i] for o in obs])
                      for key in ("q", "H", "K")] for i in range(len(grid))])
-    _write_csv(out / "onetime_N.csv", "s,q_N,H_N,K_N", [grid, *one.T], digest)
+    _write_csv(out / "onetime_N.csv", "s,q_N,H_N,K_N", [[grid, *one.T]], digest)
 
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
@@ -347,6 +362,9 @@ def cmd_compare(args, out: Path):
 
 
 def cmd_accept(args, out: Path):
+    # imported here: no other command needs the suite's code
+    from .acceptance import run_all
+
     results = run_all()
     man, digest = _manifest("accept", {}, None)
     table = [{"id": r.cid, "name": r.name, "passed": bool(r.passed),

@@ -8,8 +8,15 @@ the first pass is the Euler predictor, the others correct it, and the
 Lagrange-multiplier closure mu at the new slice is refreshed after every pass.
 Each pass evaluates the new row once, and takes L, the diagonal kernel
 A_C(s, s) and H from its trapezoid integrals.  All memory integrals for one
-slice reduce to matrix-vector products against the stored C and R, so a full
-solve is O(n^3) work and O(n^2) memory.
+slice reduce to dot and matrix-vector products against the stored C and R,
+so a full solve is O(n^3) work and O(n^2) memory.
+
+Per pass the row state is built from the new row alone: nu'(q) is a history
+of the solve, one entry added per pass (only q at the new slice moves during
+a slice); the mixture's radius guard is checked once per row, and not at all
+when it is infinite; Heun's base rows, row i + h/2 times its right-hand side,
+are built once per slice, so a pass writes row i + 1 of R and C with one
+multiply and one add each.
 
 Variants: hard spherical constraint (K = 1), soft radial confinement with
 stiffness ell (K solved semi-implicitly), and gradient flow (noise-free
@@ -137,25 +144,21 @@ class TwoTimeSolution:
         return float(np.linalg.eigvalsh(g)[0])
 
 
-def _trapz(vec: np.ndarray, h: float) -> float:
-    if len(vec) < 2:
-        return 0.0
-    return h * (vec.sum() - 0.5 * (vec[0] + vec[-1]))
-
-
 class _Row(NamedTuple):
     """Row a's state, built once per pass from C[a, :a+1], R[a, :a+1], q[:a+1].
 
-    d1, d2: nu' and nu'' of C[a, :a+1]; vx, vy: drift-source partials at
-    (q[a], C[a, 0]); dq: nu'(q[:a+1]); d2q: nu''(q[a]).  Trapezoid integrals
-    against R[a, :a+1] give L = L(s_a), I1 = beta int R(s_a, u) nu'(C(s_a, u)) du
-    (in both A_C(s_a, s_a) and H(s_a)) and the unscaled A_C(s_a, s_a) =
-    ad0 - ad_L L(s_a), whose L each reader applies.  dq, d2q and ad_L are None
-    when q_star = 0, where L = 0 and nothing reads them.
+    d1, d2: nu' and nu'' of C[a, :a+1]; mv: R[a, :a+1] nu''(C[a, :a+1]);
+    vx, vy: drift-source partials at (q[a], C[a, 0]); dq: nu'(q[:a+1]); d2q:
+    nu''(q[a]).  Trapezoid integrals against R[a, :a+1] give L = L(s_a),
+    I1 = beta int R(s_a, u) nu'(C(s_a, u)) du (in both A_C(s_a, s_a) and
+    H(s_a)) and the unscaled A_C(s_a, s_a) = ad0 - ad_L L(s_a), whose L each
+    reader applies.  dq, d2q and ad_L are None when q_star = 0, where L = 0
+    and nothing reads them.
     """
 
     d1: np.ndarray
     d2: np.ndarray
+    mv: np.ndarray
     vx: float
     vy: float
     dq: np.ndarray | None
@@ -177,7 +180,10 @@ class _Kernels:
     A_q are the unscaled kernels (the drifts use beta * A).  ``row`` evaluates
     row a once per pass, from the current C[a, :a+1], R[a, :a+1] and q[:a+1]
     with C[:a+1, :a+1] symmetric; ``rhs``, the slice right-hand side of solver
-    and ``residual``, and ``H_at`` read that row state.
+    and ``residual``, and ``H_at`` read that row state.  Every trapezoid rule
+    is a dot product or matvec over whole rows plus endpoint corrections, and
+    those corrections take R(s, s) = 1, the boundary condition, instead of
+    reading R's diagonal; ``residual`` checks that diagonal.
     """
 
     def __init__(self, m: Mixture, vf: VFunction, beta: float, h: float,
@@ -190,23 +196,37 @@ class _Kernels:
         self.q_o = q_o
         self.dnu_qs2 = m.nu(q_star**2, 1) if q_star > 0.0 else 0.0
 
-    def row(self, C, R, q, a) -> _Row:
+    def row(self, C, R, q, a, dq_hist=None) -> _Row:
+        """Row a's state.  dq_hist, the caller's nu'(q) history, is read at
+        entries below a and written at entry a; without it nu'(q[:a+1]) is
+        evaluated afresh, to the same numbers.
+        """
         m, vf, beta, h = self.m, self.vf, self.beta, self.h
         Crow, Rrow = C[a, : a + 1], R[a, : a + 1]
         # Python floats take the scalar path of Mixture.nu inside vx and vy
         qa, c0 = float(q[a]), float(Crow[0])
-        d1, d2 = m.nu(Crow, 1), m.nu(Crow, 2)
+        m.check_radius(Crow)
+        d1, d2 = m.horner(Crow, 1), m.horner(Crow, 2)
+        mv = Rrow * d2
         vx, vy = vf.vx(qa, c0), vf.vy(qa, c0)
-        I1 = beta * _trapz(Rrow * d1, h)
-        ad0 = beta * _trapz(Rrow * d2 * Crow, h) + I1 + qa * vx + c0 * vy
+        r0 = float(Rrow[0])
+        I1 = beta * h * (float(Rrow @ d1) - 0.5 * (r0 * float(d1[0]) + float(d1[a])))
+        ad0 = (beta * h * (float(mv @ Crow)
+                           - 0.5 * (float(mv[0]) * c0 + float(d2[a]) * float(Crow[a])))
+               + I1 + qa * vx + c0 * vy)
         if self.q_star > 0.0:
-            dq, d2q = m.nu(q[: a + 1], 1), m.nu(qa, 2)
-            L = _trapz(Rrow * dq, h) / self.dnu_qs2
-            ad_L = beta * (qa * d2q + dq[-1])
+            if dq_hist is None:
+                dq = m.nu(q[: a + 1], 1)
+            else:
+                dq_hist[a] = m.nu(qa, 1)
+                dq = dq_hist[: a + 1]
+            d2q, dqa = m.nu(qa, 2), float(dq[a])
+            L = h * (float(Rrow @ dq) - 0.5 * (r0 * float(dq[0]) + dqa)) / self.dnu_qs2
+            ad_L = beta * (qa * d2q + dqa)
         else:
             dq = d2q = ad_L = None
             L = 0.0
-        return _Row(d1, d2, vx, vy, dq, d2q, L, I1, ad0, ad_L)
+        return _Row(d1, d2, mv, vx, vy, dq, d2q, L, I1, ad0, ad_L)
 
     def rhs(self, C, R, q, L, mu, a, rw: _Row):
         """(F_R, F_C, F_q) of row a: d/ds of R[a, :a+1], C[a, :a+1] and q[a].
@@ -215,33 +235,33 @@ class _Kernels:
         F_C and F_q carry beta times A_C(s_a, t_j), j <= a, and A_q(s_a).
         """
         beta, h = self.beta, self.h
-        Rrow = R[a, : a + 1]
-        mv = Rrow * rw.d2
-        Rt = R[: a + 1, : a + 1]
-        IR = beta**2 * h * (Rt.T @ mv - 0.5 * np.diagonal(Rt) * mv - 0.5 * Rrow * mv[-1])
-        w1 = mv * h
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
-        term1 = beta * (C[: a + 1, : a + 1] @ w1) if a > 0 else np.zeros(1)
-        term2 = beta * h * (Rt @ rw.d1 - 0.5 * R[: a + 1, 0] * rw.d1[0]
-                            - 0.5 * np.diagonal(Rt) * rw.d1)
-        qs = q[: a + 1]
-        A_C = term1 + term2 + qs * rw.vx + C[: a + 1, 0] * rw.vy
-        A_q = 0.0
+        Rrow, Crow = R[a, : a + 1], C[a, : a + 1]
+        Rt, Ct, qs = R[: a + 1, : a + 1], C[: a + 1, : a + 1], q[: a + 1]
+        mv, d1, mua = rw.mv, rw.d1, float(mu[a])
+        mv0, mv_a = float(mv[0]), float(mv[a])
+        bh = beta * h
+        # each trapezoid is a matvec over whole rows plus its endpoint terms;
+        # C's columns 0 and a are its rows 0 and a, C being symmetric
+        F_R = beta * bh * (Rt.T @ mv - 0.5 * mv) - (0.5 * beta * bh * mv_a + mua) * Rrow
+        # A_C(s_a, t_j) = int_0^{s_a} C(t_j, u) R(s_a, u) nu''(C(s_a, u)) du
+        #   + int_0^{t_j} R(t_j, u) nu'(C(s_a, u)) du + drift-source terms
+        A_C = (bh * (Ct @ mv + Rt @ d1 - 0.5 * d1 - (0.5 * float(d1[0])) * R[: a + 1, 0])
+               + (rw.vy - 0.5 * bh * mv0) * C[0, : a + 1])
+        vx, A_q = rw.vx, 0.0
         if self.q_star > 0.0:
-            qs2 = self.q_star**2
-            A_C = A_C - beta * qs * rw.d2q * L[a] - beta * rw.dq[-1] * L[: a + 1]
-            A_q = beta * _trapz(Rrow * qs * rw.d2, h) + (
-                -beta * qs2 * rw.d2q * L[a] + qs2 * rw.vx + self.q_o * rw.vy)
-        return (-mu[a] * Rrow + IR,
-                -mu[a] * C[a, : a + 1] + beta * A_C,
-                -mu[a] * q[a] + beta * A_q)
+            qs2, La, dqa = self.q_star**2, float(L[a]), float(rw.dq[a])
+            vx -= beta * rw.d2q * La
+            A_C -= (beta * dqa) * L[: a + 1]
+            A_q = (bh * (float(mv @ qs) - 0.5 * (mv0 * float(qs[0]) + mv_a * float(qs[a])))
+                   - beta * qs2 * rw.d2q * La + qs2 * rw.vx + self.q_o * rw.vy)
+        F_C = beta * (A_C + vx * qs) - (0.5 * beta * bh * mv_a + mua) * Crow
+        return F_R, F_C, -mua * float(q[a]) + beta * A_q
 
     def H_at(self, C, q, a, rw: _Row, La: float):
         """H(s_a) from row a's state with L(s_a) = La; the one call of v."""
         out = rw.I1 + self.vf.v(float(q[a]), float(C[a, 0]))
         if self.q_star > 0.0:
-            out -= self.beta * rw.dq[-1] * La
+            out -= self.beta * float(rw.dq[a]) * La
         return out
 
 
@@ -282,8 +302,11 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     L = np.zeros(n + 1)
     H = np.zeros(n + 1)
 
+    # nu'(q[j]), one entry per pass: only q[i + 1] moves during slice i
+    dq = np.zeros(n + 1)
+
     q[0] = ic.q_o
-    rw = ker.row(C, R, q, 0)
+    rw = ker.row(C, R, q, 0, dq)
     H[0] = ker.H_at(C, q, 0, rw, L[0])
     mu[0] = mu_of(K[0], rw.ad(L[0]))
 
@@ -293,12 +316,12 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
             # mu_of ignores ad in this variant: the final row's serves
             C[i1, i1] = K[i1 - 1]
             for _ in range(2):
-                rw = ker.row(C, R, q, i1)
+                rw = ker.row(C, R, q, i1, dq)
                 ad = rw.ad(rw.L)
                 K[i1] = (K[i1 - 1] + h * (1.0 + 2.0 * beta * ad) + 4.0 * ell * h) / (
                     1.0 + 4.0 * ell * h + 2.0 * c0 * h)
                 C[i1, i1] = K[i1]
-        rw = ker.row(C, R, q, i1)
+        rw = ker.row(C, R, q, i1, dq)
         L[i1] = rw.L
         mu[i1] = mu_of(K[i1], rw.ad(rw.L))
         return rw
@@ -306,17 +329,23 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     # rw always describes the current C[a, :a+1], R[a, :a+1] and q[:a+1] of
     # the row the next kernels read: close() rebuilds it after every update
     # of row i + 1.
-    # F is the latest right-hand side; the first pass pairs row i's F with
-    # itself, and 0.5 * h * (F + F) is the Euler step h * F bit for bit
+    # F is the latest right-hand side.  Heun's step is row i + h/2 F_i, built
+    # once per slice, plus h/2 times the latest F; the first pass takes row
+    # i's own F there, the Euler predictor.
+    hh = 0.5 * h
     F = ker.rhs(C, R, q, L, mu, 0, rw)
     for i in range(n):
         FR_i, FC_i, Fq_i = F
+        baseR = R[i, : i + 1] + hh * FR_i
+        baseC = C[i, : i + 1] + hh * FC_i
+        baseq = float(q[i]) + hh * Fq_i
+        Rnew, Cnew = R[i + 1, : i + 1], C[i + 1, : i + 1]
         for _ in range(1 + _CORRECTOR_PASSES):
             FR_n, FC_n, Fq_n = F
-            R[i + 1, : i + 1] = R[i, : i + 1] + 0.5 * h * (FR_i + FR_n[: i + 1])
-            C[i + 1, : i + 1] = C[i, : i + 1] + 0.5 * h * (FC_i + FC_n[: i + 1])
-            C[: i + 1, i + 1] = C[i + 1, : i + 1]
-            q[i + 1] = q[i] + 0.5 * h * (Fq_i + Fq_n)
+            np.add(baseR, hh * FR_n[: i + 1], out=Rnew)
+            np.add(baseC, hh * FC_n[: i + 1], out=Cnew)
+            C[: i + 1, i + 1] = Cnew
+            q[i + 1] = baseq + hh * Fq_n
             rw = close(i + 1)
             F = ker.rhs(C, R, q, L, mu, i + 1, rw)
 
@@ -357,13 +386,16 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
 
     Central differences in the later time against the right-hand sides, sup
     over the strict triangle; H and mu are checked as identities (a zeroed
-    solution is caught by the constant forcing in the mu bookkeeping).
+    solution is caught by the constant forcing in the mu bookkeeping).  The
+    kernels take R(s, s) = 1 as given, so sup_res_R also covers R's diagonal
+    against that boundary value.
     """
     if cfg.h != sol.h:
         raise ConfigError(f"h {cfg.h} of the config differs from the solution's {sol.h}")
     ker, _, mu_of = _closure(m, vf, cfg, sol.q_star, sol.q_o)
     C, R, q, L, mu, h = sol.C, sol.R, sol.q, sol.L, sol.mu, sol.h
-    res_R = res_C = res_q = res_H = res_mu = 0.0
+    res_R = float(abs(np.diagonal(R) - 1.0).max())
+    res_C = res_q = res_H = res_mu = 0.0
     for i in range(sol.n + 1):
         rw = ker.row(C, R, q, i)
         if 0 < i < sol.n:

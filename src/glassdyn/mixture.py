@@ -35,11 +35,12 @@ class Mixture:
 
     coeffs: dict[int, float]
     radius_bound: float = math.inf
-    # dense ascending coefficient arrays for nu and its three derivatives
-    _c: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    # the same coefficients as descending Python floats, for scalar Horner
+    # dense coefficients of nu and its three derivatives, highest power
+    # first, as Python floats for Horner
     _c_desc: tuple[tuple[float, ...], ...] = field(init=False, repr=False,
                                                    compare=False)
+    # radius_bound**2, the bound on |r|
+    _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -67,9 +68,9 @@ class Mixture:
         for _ in range(3):
             prev = cs[-1]
             cs.append(prev[1:] * np.arange(1, len(prev)))
-        object.__setattr__(self, "_c", tuple(cs))
         object.__setattr__(self, "_c_desc",
                            tuple(tuple(c[::-1].tolist()) for c in cs))
+        object.__setattr__(self, "_guard", self.radius_bound**2)
 
     @property
     def p_max(self) -> int:
@@ -87,29 +88,42 @@ class Mixture:
     def nu(self, r, order: int = 0):
         """Evaluate nu (order 0) or its derivative of the given order at r.
 
-        Horner over the dense ascending coefficients; r may be a scalar or an
-        ndarray.  Guarded by |r| <= radius_bound**2.  A float r (including
-        np.float64) takes the same Horner steps on Python floats, so the
-        result is bitwise equal to the array path and is a Python float.
+        Horner over the coefficients, from the top one down; r may be a scalar
+        or an ndarray.  Guarded by |r| <= radius_bound**2.  A float r
+        (including np.float64) takes the same Horner steps on Python floats,
+        so the result is bitwise equal to the array path and is a Python float.
         """
         if order not in (0, 1, 2, 3):
             raise ConfigError(f"order must be in 0..3, got {order}")
-        guard = self.radius_bound**2
         if isinstance(r, float):
             r = float(r)
-            if abs(r) > guard:
-                raise DomainError(f"|r| exceeds radius_bound^2 = {guard}")
-            acc = 0.0
-            for c in self._c_desc[order]:
+            if abs(r) > self._guard:
+                raise DomainError(f"|r| exceeds radius_bound^2 = {self._guard}")
+            cs = self._c_desc[order]
+            acc = cs[0] if cs else 0.0
+            for c in cs[1:]:
                 acc = acc * r + c
             return acc
-        if np.any(np.abs(r) > guard):
-            raise DomainError(f"|r| exceeds radius_bound^2 = {guard}")
-        coeffs = self._c[order]
-        acc = np.zeros_like(np.asarray(r, dtype=float))
-        for c in coeffs[::-1]:
-            acc = acc * r + c
+        r = np.asarray(r, dtype=float)
+        self.check_radius(r)
+        acc = self.horner(r, order)
         return acc if acc.ndim else float(acc)
+
+    def check_radius(self, r: np.ndarray):
+        """Raise DomainError if some |r| exceeds radius_bound**2; free when it is inf."""
+        if self._guard < math.inf and np.any(np.abs(r) > self._guard):
+            raise DomainError(f"|r| exceeds radius_bound^2 = {self._guard}")
+
+    def horner(self, r: np.ndarray, order: int) -> np.ndarray:
+        """``nu(r, order)`` for a float array r without the radius check: the
+        scalar path's steps, in place on one new array.
+        """
+        cs = self._c_desc[order]
+        acc = np.full_like(r, cs[0] if cs else 0.0)
+        for c in cs[1:]:
+            acc *= r
+            acc += c
+        return acc
 
     def psi(self, r):
         """(r nu'(r))' = nu'(r) + r nu''(r)."""

@@ -104,6 +104,31 @@ class TestPhase:
         assert (out / "phase.csv").read_bytes() == want
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize("chunk_rows", [2, 1 << 15])
+    def test_blocks_match_row_formatter(self, tmp_path, monkeypatch, chunk_rows):
+        # blocks of arrays and lists, float/str/int columns, blocks of uneven
+        # length, and (chunk_rows 2) blocks longer than one chunk
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        blocks = [
+            [np.array([0.1]), ["a"], np.array([3]), [1.0 / 3.0]],
+            [np.array([2.5, -1e-20, 7.0]), ["b", "c", "d"], np.array([4, 5, 6]),
+             [np.pi, 2.0, float("inf")]],
+            [[0.5, 0.25], ("e", "f"), [7, 8], np.array([1e300, -0.0])],
+        ]
+        rows = [row for block in blocks
+                for row in zip(*(np.asarray(c).tolist() for c in block))]
+        cli._write_csv(tmp_path / "x.csv", "a,b,c,d", blocks, "abc")
+        assert (tmp_path / "x.csv").read_bytes() == reference_csv("abc", "a,b,c,d", rows)
+
+    def test_generator_of_blocks(self, tmp_path):
+        # the triangle writers pass a generator, which can be read only once
+        blocks = ([[float(i)] * (i + 1), np.arange(i + 1) * 0.5] for i in range(4))
+        cli._write_csv(tmp_path / "g.csv", "s,t", blocks, "d")
+        rows = [(float(i), 0.5 * j) for i in range(4) for j in range(i + 1)]
+        assert (tmp_path / "g.csv").read_bytes() == reference_csv("d", "s,t", rows)
+
+
 class TestParams:
     def test_report(self, files, capsys):
         out = files["dir"] / "out"
@@ -274,9 +299,12 @@ class TestErrors:
         (lambda f: ["simulate", "--config", _sim_config(f, seed=1.5)], "'seed'"),
         (lambda f: ["simulate", "--config", _sim_config(f, substeps=2.9)], "'substeps'"),
         (lambda f: ["simulate", "--config", _sim_config(f, substep=10)], "'substep'"),
+        (lambda f: ["compare", "--config", _sim_config(f, h_limit=0.02)], "'h_limit'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, ell=5.0)], "'ell'"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
-            "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo"])
+            "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
+            "h_limit-not-dividing-h_obs", "ell-without-fconfined"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
@@ -286,7 +314,11 @@ class TestErrors:
     @pytest.mark.parametrize("command, changes", [
         ("simulate", {"variant": "fconfined"}),
         ("compare", {"h_limit": 0.03}),
-    ], ids=["fconfined-without-ell", "h_limit-off-grid"])
+        # 0.02 divides T = 0.5 but not h_obs = 0.05
+        ("compare", {"h_limit": 0.02}),
+        ("compare", {"ell": 5.0}),
+    ], ids=["fconfined-without-ell", "h_limit-off-grid", "h_limit-off-observable-grid",
+            "ell-on-the-sphere"])
     def test_bad_run_config_is_refused_before_the_draw(self, files, monkeypatch,
                                                        command, changes):
         def no_draw(*args):

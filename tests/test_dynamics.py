@@ -1,16 +1,17 @@
 """Two-time solver: closed forms, invariants, kernels, variants."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from glassdyn.dynamics import (
-    EllRecord, SolverConfig, TwoTimeSolution, _Kernels, ell_limit_check,
+    EllRecord, SolverConfig, TwoTimeSolution, _closure, _Kernels, ell_limit_check,
     integrated_response, residual, solve_dynamics,
 )
-from glassdyn.errors import BlowUpError, ConfigError, PsdViolationWarning
+from glassdyn.errors import BlowUpError, ConfigError, DomainError, PsdViolationWarning
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
 from glassdyn.mixture import Mixture
 
@@ -119,6 +120,46 @@ class TestKernels:
             before = getattr(base, name)
             assert getattr(bad, name) > (100 * before if before > 0 else 1e-3), name
 
+    @pytest.mark.parametrize("variant,ell", [("spherical", None), ("f", 20.0),
+                                             ("gradflow", None)])
+    def test_cold_row_equals_marching_row(self, monkeypatch, variant, ell):
+        # the march keeps nu'(q) as a history filled one entry per pass; a
+        # cold row call on the finished arrays must rebuild the row state of
+        # the march's last pass at every slice
+        marched = {}
+        row = _Kernels.row
+
+        def recording(ker, C, R, q, a, dq_hist=None):
+            rw = row(ker, C, R, q, a, dq_hist)
+            marched[a] = rw._replace(dq=rw.dq.copy())
+            return rw
+
+        monkeypatch.setattr(_Kernels, "row", recording)
+        cfg = SolverConfig(beta=0.5, T=0.5, h=0.01, variant=variant, ell=ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PsdViolationWarning)
+            sol = solve_dynamics(M23, IC_GEN, cfg)
+        monkeypatch.undo()
+        ker = _closure(M23, solve_w(IC_GEN, M23), cfg, sol.q_star, sol.q_o)[0]
+        assert sorted(marched) == list(range(sol.n + 1))
+        for a, want in marched.items():
+            got = ker.row(sol.C, sol.R, sol.q, a)
+            for name, value in zip(want._fields, want):
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(getattr(got, name), value)
+                else:
+                    assert getattr(got, name) == value, (a, name)
+
+    def test_residual_checks_the_unit_diagonal_of_R(self):
+        # the kernels take R(s, s) = 1 as given, so residual checks it itself;
+        # no central difference reads the last diagonal entry
+        cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
+        sol = solve_dynamics(M23, IC_GEN, cfg)
+        vf = solve_w(IC_GEN, M23)
+        assert residual(sol, vf, M23, cfg).sup_res_R < 5 * cfg.h
+        sol.R[-1, -1] = 0.5
+        assert residual(sol, vf, M23, cfg).sup_res_R == 0.5
+
     def test_zeroed_solution_flagged_by_mu_bookkeeping(self):
         cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
@@ -195,6 +236,18 @@ class TestVariants:
     def test_f_variant_needs_finite_positive_ell(self, ell):
         with pytest.raises(ConfigError, match="ell"):
             SolverConfig(beta=0.3, T=1.0, h=0.01, variant="f", ell=ell)
+
+    def test_radius_bound_left_by_a_later_row_raises(self):
+        # variant 'f' lets K = C(s, s) grow past 1 (to 1.065 at s = 1 here);
+        # with radius_bound^2 = 1.03 the early rows are inside the bound and
+        # a later row leaves it
+        m = Mixture({2: 1.0, 3: 1.0}, radius_bound=math.sqrt(1.03))
+        early = solve_dynamics(m, IC_GEN, SolverConfig(beta=0.3, T=0.1, h=0.01,
+                                                       variant="f", ell=2.0))
+        assert 1.0 < early.K.max() <= 1.03
+        with pytest.raises(DomainError, match="radius_bound"):
+            solve_dynamics(m, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01,
+                                                   variant="f", ell=2.0))
 
     def test_non_finite_state_stops_at_first_slice(self):
         # a NaN drift source makes row 1 NaN; the march must stop right there

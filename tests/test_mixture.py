@@ -48,6 +48,33 @@ class TestNuEval:
                 assert got == want or (np.isnan(got) and np.isnan(want))
                 assert np.signbit(got) == np.signbit(want)
 
+    @pytest.mark.parametrize("coeffs", [{2: 1.0}, {3: 0.5}, {2: 1.0, 3: 1.0},
+                                        {2: 1.0, 3: 0.7, 5: 0.25, 8: 0.1}])
+    def test_top_down_horner_equals_zero_start_horner(self, coeffs):
+        # the array Horner starts at the top coefficient; the loop it replaced,
+        # which started from zeros, is the bitwise reference on finite r
+        m = Mixture(coeffs)
+        c = np.zeros(max(coeffs) + 1)
+        for p, b in coeffs.items():
+            c[p] = b
+        r = np.concatenate([np.random.default_rng(1).uniform(-1.2, 1.2, 300),
+                            [0.0, -0.0, 1.0, -1.0]])
+        for order in range(4):
+            acc = np.zeros_like(r)
+            for coef in c[::-1]:
+                acc = acc * r + coef
+            np.testing.assert_array_equal(m.nu(r, order), acc)
+            assert np.array_equal(np.signbit(m.nu(r, order)), np.signbit(acc))
+            c = c[1:] * np.arange(1, len(c))
+
+    def test_check_radius(self):
+        m = Mixture({2: 1.0}, radius_bound=1.5)
+        m.check_radius(np.array([0.1, -2.25, 2.25]))
+        with pytest.raises(DomainError):
+            m.check_radius(np.array([0.1, -2.26]))
+        # the default bound is infinite: nothing is refused
+        M23.check_radius(np.array([1e300, -np.inf]))
+
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(0)
         eps = 1e-5
