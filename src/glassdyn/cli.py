@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -230,11 +231,12 @@ def cmd_fdt(args, out: Path):
 
 
 def _dump_triangle(path: Path, sol):
-    """Raw lower triangle, row-major little-endian doubles after the magic."""
-    tri = np.tril_indices(sol.n + 1)
-    _atomic_write(path, [TRIANGLE_MAGIC, struct.pack("<qd", sol.n, sol.h),
-                         sol.C[tri].astype("<f8").tobytes(),
-                         sol.R[tri].astype("<f8").tobytes()])
+    """Raw lower triangles of C, then of R, row-major little-endian doubles
+    after the magic, written one row at a time."""
+    rows = (M[i, : i + 1].astype("<f8").tobytes()
+            for M in (sol.C, sol.R) for i in range(sol.n + 1))
+    _atomic_write(path, itertools.chain(
+        [TRIANGLE_MAGIC, struct.pack("<qd", sol.n, sol.h)], rows))
 
 
 def cmd_solve(args, out: Path):

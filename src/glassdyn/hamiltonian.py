@@ -16,9 +16,11 @@ bytes it would over the full tensor.  Conditioning on
 the value at the start point and on value/gradient at a critical point is
 exact for a Gaussian field and is realized by a mean swap: subtract the
 conditional mean at the observed data, add it back at the target data.  The
-orthogonal complement of the two distinguished directions is never
-materialized; its contribution enters through a single projected gradient
-vector.
+conditional mean is -N v(q, y) for the drift source v of init_params, with
+q and y the overlaps of a point with x_star and x_0, so both engines share
+one conditioning algebra.  The orthogonal complement of the conditioned
+directions is never materialized; its contribution enters through a single
+projected gradient vector.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .init_params import InitCondition, sigma_nu
+from .init_params import InitCondition, VFunction, solve_w, solve_weights
 from .mixture import Mixture
 
 __all__ = [
@@ -316,8 +318,10 @@ class ConditioningSpec:
     """Geometry and target data of the critical-point conditioning event.
 
     Holds the pinned point x_star, the start point x_0, the target values,
-    and the distinguished orthonormal pair (xhat_star, zhat), which the
-    constructor derives from them (None when q_star = 0).
+    and the unit vectors xhat_star (None when q_star = 0) and zhat, the
+    direction of x_0 orthogonal to x_star, which the constructor derives
+    from them.  zhat is None off the branches with the z coordinate: at
+    q_star = 0 and on a degenerate band |q_o| = q_star.
     """
 
     x_star: np.ndarray
@@ -331,56 +335,20 @@ class ConditioningSpec:
         if abs(self.x_0 @ self.x_0 - N) > 1e-8 * N:
             raise ConfigError("x_0 must lie on the sphere of radius sqrt(N)")
         ic = self.target
-        if ic.q_star > 0.0:
-            qo_obs = self.x_0 @ self.x_star / N
-            if abs(qo_obs - ic.q_o) > 1e-10:
-                raise ConfigError(
-                    f"x_0 overlap {qo_obs:.3e} does not match target q_o {ic.q_o:.3e}")
-            self.xhat_star = self.x_star / np.linalg.norm(self.x_star)
-            alpha = ic.alpha
-            if abs(alpha) < 1.0 - 1e-12:
-                z = self.x_0 / math.sqrt(N) - alpha * self.xhat_star
-                self.zhat = z / np.linalg.norm(z)
-            else:
-                # degenerate band: any unit vector orthogonal to xhat works
-                z = np.zeros(N)
-                z[1] = 1.0
-                z -= (z @ self.xhat_star) * self.xhat_star
-                self.zhat = z / np.linalg.norm(z)
+        if ic.is_rs:
+            return
+        qo_obs = self.x_0 @ self.x_star / N
+        if abs(qo_obs - ic.q_o) > 1e-10:
+            raise ConfigError(
+                f"x_0 overlap {qo_obs:.3e} does not match target q_o {ic.q_o:.3e}")
+        self.xhat_star = self.x_star / np.linalg.norm(self.x_star)
+        if not ic.is_degenerate:
+            z = self.x_0 / math.sqrt(N) - ic.alpha * self.xhat_star
+            self.zhat = z / np.linalg.norm(z)
 
     @property
     def N(self) -> int:
         return len(self.x_0)
-
-    def coords(self, x: np.ndarray):
-        """(x, y, z) projections of a point: overlaps with x_star, x_0, zhat."""
-        N = self.N
-        xs = x @ self.x_star / N
-        y = x @ self.x_0 / N
-        z = x @ self.zhat / np.linalg.norm(self.x_star)
-        return xs, y, z
-
-
-def _weights(m: Mixture, ic: InitCondition, Vhat: np.ndarray) -> np.ndarray:
-    """Solve Sigma w = Vhat for the conditioning weights.
-
-    q_star = 0 conditions on the start value only.  Pure models make Sigma
-    rank deficient (their radial derivative row is a multiple of the value
-    row); any exact solution yields the same mean, so a least-squares solve
-    with a consistency check covers every branch.
-    """
-    if ic.q_star == 0.0:
-        return np.array([Vhat[0] / m.nu(1.0), 0.0, 0.0, 0.0])
-    if abs(ic.q_o) >= 1.0 - 1e-12:
-        raise ConfigError("conditioning mean undefined at |q_o| = 1")
-    sigma = sigma_nu(m, ic.q_star, ic.q_o)
-    w = np.linalg.lstsq(sigma, Vhat, rcond=1e-12)[0]
-    res = np.linalg.norm(sigma @ w - Vhat)
-    if res > 1e-8 * (1.0 + np.linalg.norm(Vhat)):
-        raise ConfigError(
-            f"conditioning values inconsistent with the model (residual {res:.2e}); "
-            "pure models require G entries matching p E / q_star^2")
-    return w
 
 
 def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
@@ -389,88 +357,75 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     """Mean of the field given the conditioned values, or its gradient.
 
     Vhat is the 4-vector of conditioned (sign-flipped, N-normalized) values;
-    u_perp is the component of -grad H(x_star) orthogonal to the pair
-    (xhat_star, zhat), kept as a plain N-vector.  The q_star = 0 branch
-    conditions on the start value only.  x is one point or a batch of rows.
+    u_perp is the component of -grad H(x_star) orthogonal to xhat_star and,
+    where the spec has one, zhat, kept as a plain N-vector.  The q_star = 0
+    branch conditions on the start value only.  x is one point or a batch
+    of rows.
     """
-    out = _mean_eval(spec, m, _weights(m, spec.target, Vhat), u_perp,
+    out = _mean_eval(spec, solve_weights(spec.target, m, Vhat), u_perp,
                      np.atleast_2d(x), what)
+    if not np.isfinite(out).all():
+        raise DomainError("conditional mean overflows at these conditioned values")
     if np.ndim(x) == 2:
         return out
     return float(out[0]) if what == "value" else out[0]
 
 
-def _frame(spec: ConditioningSpec, X: np.ndarray):
-    """Coordinates of the rows of X and their gradients, constant in x.
-
-    Returns (xs, y, z, a, b, c): the overlaps xs, y, z of spec.coords and
-    their gradients a, b, c.  The q_star = 0 branch conditions on the start
-    value only, so xs, z, a and c are None there.
-    """
-    N = spec.N
-    b = spec.x_0 / N
-    if spec.target.q_star == 0.0:
-        return None, X @ spec.x_0 / N, None, None, b, None
-    xs, y, z = spec.coords(X)
-    return xs, y, z, spec.x_star / N, b, spec.zhat / np.linalg.norm(spec.x_star)
-
-
-def _mean_eval(spec: ConditioningSpec, m: Mixture, w: np.ndarray,
-               u_perp: np.ndarray | None, X: np.ndarray, what: str):
+def _mean_eval(spec: ConditioningSpec, vf: VFunction, u: np.ndarray | None,
+               X: np.ndarray, what: str):
     """Conditional mean or its gradient at the rows of X.
 
-    Linear in (w, u_perp): the mean with weights w1 - w2 and handle
-    u1 - u2 is the difference of the two means.
+    The mean is -N v(q, y) - nu'(q) (X . u) / nu'(q_star^2), with q and y
+    the overlaps of a row with x_star and x_0, so its gradient is
+    -(vx x_star + vy x_0) plus the terms of u.  Linear in (vf.w, u): the
+    mean with weights w1 - w2 and handle u1 - u2 is the difference of the
+    two means.
     """
     if what not in ("value", "gradient"):
         raise ConfigError(f"unknown what {what!r}")
-    N = spec.N
-    ic = spec.target
-    xs, y, z, a, b, c = _frame(spec, X)
-    if xs is None:
-        if what == "value":
-            out = -N * w[0] * m.nu(y)
-        else:
-            out = (-w[0] * m.nu(y, 1))[:, None] * spec.x_0
+    N, m = spec.N, vf.mixture
+    q, y = X @ spec.x_star / N, X @ spec.x_0 / N
+    if what == "value":
+        out = -N * vf.v(q, y)
     else:
-        qs2 = ic.q_star**2
-        gam = m.nu(qs2, 1)
-        uterm = 0.0 if u_perp is None else X @ u_perp
-        d1 = m.nu(xs, 1)
-        if what == "value":
-            # w . vhat, with vhat(xs, y, z) the covariances of H(x) and the values
-            out = (-N * (w[0] * m.nu(y) + w[1] * m.nu(xs) + w[2] * xs * d1 / qs2
-                         + w[3] * z * d1) - d1 * uterm / gam)
-        else:
-            d2 = m.nu(xs, 2)
-            out = -N * ((w[0] * m.nu(y, 1))[:, None] * b
-                        + (w[1] * d1 + w[2] * m.psi(xs) / qs2
-                           + w[3] * z * d2)[:, None] * a
-                        + (w[3] * d1)[:, None] * c)
-            if u_perp is not None:
-                out = out - ((d2 * uterm)[:, None] * a + d1[:, None] * u_perp) / gam
-    return out
+        out = -(np.outer(vf.vx(q, y), spec.x_star) + np.outer(vf.vy(q, y), spec.x_0))
+    if u is None:
+        return out
+    gam = m.nu(vf.q_star**2, 1)
+    uterm = X @ u
+    if what == "value":
+        return out - m.nu(q, 1) * uterm / gam
+    return out - ((m.nu(q, 2) * uterm)[:, None] * (spec.x_star / N)
+                  + m.nu(q, 1)[:, None] * u) / gam
 
 
 def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
                              Vhat: np.ndarray, u_perp: np.ndarray | None,
                              x: np.ndarray) -> np.ndarray:
-    """Dense Hessian of the conditional mean at x (analytic, standard basis)."""
+    """Dense Hessian of the conditional mean at x (analytic, standard basis).
+
+    An independent second-derivative formula, with its weights from the
+    same solve as conditional_mean.
+    """
     N = spec.N
     ic = spec.target
-    w = _weights(m, ic, Vhat)
-    xs, y, z, a, b, c = _frame(spec, x)
-    if xs is None:
+    vf = solve_weights(ic, m, Vhat)
+    w = vf.w
+    xs, y = x @ spec.x_star / N, x @ spec.x_0 / N
+    a, b = spec.x_star / N, spec.x_0 / N
+    if ic.is_rs:
         return -N * w[0] * m.nu(y, 2) * np.outer(b, b)
-    gam = m.nu(ic.q_star**2, 1)
     qs2 = ic.q_star**2
+    gam = m.nu(qs2, 1)
     psi_p = 2.0 * m.nu(xs, 2) + xs * m.nu(xs, 3)
-    aa, bb = np.outer(a, a), np.outer(b, b)
-    ac = np.outer(a, c)
-    hess = -N * (w[0] * m.nu(y, 2) * bb
-                 + (w[1] * m.nu(xs, 2) + w[2] * psi_p / qs2
-                    + w[3] * z * m.nu(xs, 3)) * aa
-                 + w[3] * m.nu(xs, 2) * (ac + ac.T))
+    aa = np.outer(a, a)
+    hess = -N * (w[0] * m.nu(y, 2) * np.outer(b, b)
+                 + (w[1] * m.nu(xs, 2) + w[2] * psi_p / qs2) * aa)
+    if vf.use_z:
+        # z = <x, zhat>/|x_star|, whose gradient is c
+        c = spec.zhat / np.linalg.norm(spec.x_star)
+        ac = np.outer(a, c)
+        hess -= N * w[3] * (x @ c * m.nu(xs, 3) * aa + m.nu(xs, 2) * (ac + ac.T))
     if u_perp is not None:
         au = np.outer(a, u_perp)
         hess = hess - (m.nu(xs, 3) * float(u_perp @ x) * aa
@@ -484,12 +439,13 @@ class ConditionedField:
     The constructor observes the realization: one tensor pass over the
     stacked points (x_0, x_star) gives both energies and the gradient at
     x_star.  The swap adds the conditional mean at the target data and
-    subtracts it at the observed data; the mean is linear in its weights and
-    in its perpendicular-gradient handle, so the field keeps their
-    differences, w = w_tgt - w_obs and u = -u_obs, and each batch call makes
-    one mean evaluation.  The batch values and gradients interpolate the
-    target data exactly: the start-point energy is -N E, the critical-point
-    energy -N E_star and its gradient -G_star x_star, up to round-off.
+    subtracts it at the observed data.  The mean is linear in the weights
+    of its drift source v and in u, the observed gradient orthogonal to the
+    conditioned directions, so the field keeps v with the weights
+    w_tgt - w_obs and u, and each batch call makes one mean evaluation.  The
+    batch values and gradients interpolate the target data exactly: the
+    start-point energy is -N E, the critical-point energy -N E_star and its
+    gradient -G_star x_star, up to round-off.
     """
 
     def __init__(self, sys: SpinSystem, spec: ConditioningSpec):
@@ -497,17 +453,18 @@ class ConditionedField:
         self.spec = spec
         m, ic, N = sys.mixture, spec.target, spec.N
         (h0, hs), grads = sys._contract(np.vstack([spec.x_0, spec.x_star]))
-        if ic.q_star == 0.0:
-            Vhat_obs, self._u = np.array([-h0 / N, 0.0, 0.0, 0.0]), None
-        else:
-            gs = grads[1]
-            norm_star = np.linalg.norm(spec.x_star)
-            g1 = gs @ spec.xhat_star
-            g2 = gs @ spec.zhat
+        Vhat_obs, self._u = np.array([-h0 / N, 0.0, 0.0, 0.0]), None
+        if not ic.is_rs:
+            gs, norm_star = grads[1], np.linalg.norm(spec.x_star)
+            g1, g2 = gs @ spec.xhat_star, 0.0
+            self._u = gs - g1 * spec.xhat_star
+            # a degenerate band has no z coordinate: its gradient stays in u
+            if spec.zhat is not None:
+                g2 = gs @ spec.zhat
+                self._u -= g2 * spec.zhat
             Vhat_obs = np.array([-h0 / N, -hs / N, -g1 / norm_star, -g2 / norm_star])
-            self._u = gs - g1 * spec.xhat_star - g2 * spec.zhat
-        Vhat_tgt = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
-        self._w = _weights(m, ic, Vhat_tgt) - _weights(m, ic, Vhat_obs)
+        vf = solve_w(ic, m)
+        self._vf = replace(vf, w=vf.w - solve_weights(ic, m, Vhat_obs).w)
 
     @property
     def N(self) -> int:
@@ -515,11 +472,11 @@ class ConditionedField:
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         return self.sys.gradient_batch(X) + _mean_eval(
-            self.spec, self.sys.mixture, self._w, self._u, X, "gradient")
+            self.spec, self._vf, self._u, X, "gradient")
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         return self.sys.value_batch(X) + _mean_eval(
-            self.spec, self.sys.mixture, self._w, self._u, X, "value")
+            self.spec, self._vf, self._u, X, "value")
 
 
 def conditioned_field(sys: SpinSystem, spec: ConditioningSpec) -> ConditionedField:

@@ -3,7 +3,9 @@
 The conditioning data V = (E, E_star, G_star, q_o) fixes a linear system for
 the weight vector w through the 4x4 covariance matrix of the conditioned
 values; w in turn defines the scalar field v(x, y) entering the two-time
-equations.  This module also carries the Gibbs-initialization map, the
+equations.  With weights solved for any conditioned values, the same v is
+the finite-N conditional mean of -H/N, so both engines take the algebra
+from here.  This module also carries the Gibbs-initialization map, the
 stationarity test, the large-time consistency residual, and the localized
 band solver for pure models.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "LocalizedBand",
     "sigma_nu",
     "solve_w",
+    "solve_weights",
     "gibbs_init",
     "gamma_star",
     "check_stationary",
@@ -70,6 +73,11 @@ class InitCondition:
         return self.q_star < _DEGEN_TOL
 
     @property
+    def is_degenerate(self) -> bool:
+        """On the band edge |q_o| = q_star > 0, where the z coordinate vanishes."""
+        return not self.is_rs and abs(self.q_star - abs(self.q_o)) < _DEGEN_TOL
+
+    @property
     def alpha(self) -> float:
         return 0.0 if self.is_rs else self.q_o / self.q_star
 
@@ -80,10 +88,9 @@ class InitCondition:
     def branch(self, m: Mixture) -> str:
         if self.is_rs:
             return BRANCH_RS
-        degenerate = abs(self.q_star - abs(self.q_o)) < _DEGEN_TOL
         if m.is_pure():
-            return BRANCH_PURE_P_DEGENERATE if degenerate else BRANCH_PURE_P
-        return BRANCH_DEGENERATE if degenerate else BRANCH_GENERIC
+            return BRANCH_PURE_P_DEGENERATE if self.is_degenerate else BRANCH_PURE_P
+        return BRANCH_DEGENERATE if self.is_degenerate else BRANCH_GENERIC
 
     @classmethod
     def from_dict(cls, obj: dict, m: Mixture | None = None) -> "InitCondition":
@@ -135,8 +142,11 @@ def sigma_nu(m: Mixture, q_star: float, q_o: float) -> np.ndarray:
 class VFunction:
     """Drift source v(x, y) = <v_hat(x, y, z), w> with its partials.
 
-    In the degenerate branches (including q_star = 0) the auxiliary
-    coordinate z is identically zero and w4 = 0.
+    x and y are a point's overlaps with x_star and x_0, and v_hat holds the
+    covariances of the field there with the conditioned values, so v is also
+    the finite-N conditional mean of -H/N.  In the degenerate branches
+    (including q_star = 0) the auxiliary coordinate z is identically zero
+    and w4 = 0.  Float arguments give Python floats.
     """
 
     w: np.ndarray
@@ -144,6 +154,11 @@ class VFunction:
     q_o: float
     mixture: Mixture
     branch: str
+    # w as Python floats, so float arguments never meet numpy scalars
+    _wf: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_wf", tuple(float(c) for c in self.w))
 
     @property
     def use_z(self) -> bool:
@@ -154,105 +169,116 @@ class VFunction:
         return (y - self.q_o * x / self.q_star**2) / root
 
     def v(self, x, y):
-        m, w = self.mixture, self.w
-        out = w[0] * m.nu(y)
+        m, (w0, w1, w2, w3) = self.mixture, self._wf
+        out = w0 * m.nu(y)
         if self.branch == BRANCH_RS:
             return out
-        out = out + w[1] * m.nu(x) + w[2] * x * m.nu(x, 1) / self.q_star**2
+        d1 = m.nu(x, 1)
+        out = out + w1 * m.nu(x) + w2 * x * d1 / self.q_star**2
         if self.use_z:
-            out = out + w[3] * self._z(x, y) * m.nu(x, 1)
+            out = out + w3 * self._z(x, y) * d1
         return out
 
     def vx(self, x, y):
         if self.branch == BRANCH_RS:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        m, w = self.mixture, self.w
-        out = w[1] * m.nu(x, 1) + w[2] * m.psi(x) / self.q_star**2
+        m, (_, w1, w2, w3) = self.mixture, self._wf
+        d1, d2 = m.nu(x, 1), m.nu(x, 2)
+        # (d1 + x d2) is psi(x)
+        out = w1 * d1 + w2 * (d1 + x * d2) / self.q_star**2
         if self.use_z:
             root = math.sqrt(self.q_star**2 - self.q_o**2)
             zx = -self.q_o / (self.q_star**2 * root)
-            out = out + w[3] * (zx * m.nu(x, 1) + self._z(x, y) * m.nu(x, 2))
+            out = out + w3 * (zx * d1 + self._z(x, y) * d2)
         return out
 
     def vy(self, x, y):
-        m, w = self.mixture, self.w
-        out = w[0] * m.nu(y, 1)
+        m, (w0, _, _, w3) = self.mixture, self._wf
+        out = w0 * m.nu(y, 1)
         if self.use_z:
             root = math.sqrt(self.q_star**2 - self.q_o**2)
-            out = out + w[3] * m.nu(x, 1) / root
+            out = out + w3 * m.nu(x, 1) / root
         return out
 
 
 def solve_w(ic: InitCondition, m: Mixture) -> VFunction:
-    """Solve the conditioning system for w and wrap it as a VFunction.
+    """The drift source of the target data: solve_weights at (E, E_star, G_star, 0)."""
+    return solve_weights(ic, m, np.array([ic.E, ic.E_star, ic.G_star, 0.0]))
 
-    Branches: q_star = 0 reduces to v(y) = E nu(y)/nu(1); pure models force
-    w3 = 0 (their radial derivative is redundant) and solve the reduced
-    system; |q_o| = q_star forces w4 = 0 and drops the z coordinate.
+
+def solve_weights(ic: InitCondition, m: Mixture, vhat) -> VFunction:
+    """Solve Sigma w = vhat on the geometry and branch of ic; v with those weights.
+
+    vhat holds conditioned values (start energy, critical energy, radial
+    and z gradient, all as -H/N and -grad H/|x_star|).  Branches: q_star = 0
+    reduces to v(y) = vhat_1 nu(y)/nu(1); pure models force w3 = 0 (their
+    radial derivative is redundant) and solve the reduced system;
+    |q_o| = q_star forces w4 = 0 and drops the z coordinate.  The pure
+    models' redundant values must match their value rows.
     """
+    vhat = np.asarray(vhat, dtype=float)
+    E, E_star, G_star, _ = vhat.tolist()
     branch = ic.branch(m)
     if branch == BRANCH_RS:
-        w = np.array([ic.E / m.nu(1.0), 0.0, 0.0, 0.0])
-        return VFunction(w, 0.0, 0.0, m, branch)
+        return VFunction(np.array([E / m.nu(1.0), 0.0, 0.0, 0.0]), 0.0, 0.0, m, branch)
 
     if abs(abs(ic.q_o) - 1.0) < _DEGEN_TOL:
         # the hard constraints at |q_o| = 1 are validated (start point
         # coincides with +-x_star), but the covariance is singular there
         target = None
         if ic.q_o > 0.0 or m.is_even():
-            target = ic.E_star
+            target = E_star
         elif m.is_odd():
-            target = -ic.E_star
-        if target is not None and abs(ic.E - target) > 1e-8 * (1.0 + abs(ic.E)):
+            target = -E_star
+        if target is not None and abs(E - target) > 1e-8 * (1.0 + abs(E)):
             raise ConfigError(
                 "|q_o| = 1 requires E matching E_star (up to mixture parity)")
         raise SingularMatrixError("conditioning covariance singular at |q_o| = 1")
 
+    w = np.zeros(4)
     if branch in (BRANCH_PURE_P, BRANCH_PURE_P_DEGENERATE):
-        _require_pure_consistency(ic, m.p_max)
-    if branch == BRANCH_PURE_P_DEGENERATE:
         p = m.p_max
-        e_star_implied = ic.E * ic.q_o**p
-        if abs(ic.E_star - e_star_implied) > 1e-8 * (1.0 + abs(ic.E)):
+        g_implied = p * E_star / ic.q_star**2
+        if not (math.isfinite(g_implied)
+                and abs(G_star - g_implied) <= 1e-8 * (1.0 + abs(g_implied))):
+            raise ConfigError(
+                f"pure p-spin requires G_star = p E_star / q_star^2 = {g_implied}")
+    if branch == BRANCH_PURE_P_DEGENERATE:
+        e_star_implied = E * ic.q_o**p
+        if abs(E_star - e_star_implied) > 1e-8 * (1.0 + abs(E)):
             raise ConfigError(
                 f"pure degenerate branch requires E_star = E q_o^p = {e_star_implied}"
             )
-        w = np.array([ic.E / m.coeffs[p], 0.0, 0.0, 0.0])
-        return VFunction(w, ic.q_star, ic.q_o, m, branch)
-
-    # the solved components: pure drops w3, a degenerate band drops w4
-    keep = {BRANCH_PURE_P: [0, 1, 3], BRANCH_DEGENERATE: [0, 1, 2]}.get(
-        branch, [0, 1, 2, 3])
-    sigma = sigma_nu(m, ic.q_star, ic.q_o)[np.ix_(keep, keep)]
-    rhs = np.array([ic.E, ic.E_star, ic.G_star, 0.0])[keep]
-    w = np.zeros(4)
-    w[keep] = _pd_solve(sigma, rhs)
+        w[0] = E / m.coeffs[p]
+    else:
+        # the solved components: pure drops w3, a degenerate band drops w4
+        keep = {BRANCH_PURE_P: [0, 1, 3], BRANCH_DEGENERATE: [0, 1, 2]}.get(
+            branch, [0, 1, 2, 3])
+        w[keep] = _pd_solve(sigma_nu(m, ic.q_star, ic.q_o)[np.ix_(keep, keep)],
+                            vhat[keep])
+    if not np.isfinite(w).all():
+        raise DomainError(f"conditioning weights overflow: w = {w}")
     return VFunction(w, ic.q_star, ic.q_o, m, branch)
 
 
-def _require_pure_consistency(ic: InitCondition, p: int):
-    g_implied = p * ic.E_star / ic.q_star**2
-    if abs(ic.G_star - g_implied) > 1e-8 * (1.0 + abs(g_implied)):
-        raise ConfigError(
-            f"pure p-spin requires G_star = p E_star / q_star^2 = {g_implied}"
-        )
-
-
 def _pd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve with least-squares fallback; an inconsistent system raises."""
-    tol = 1e-8 * (1.0 + np.linalg.norm(b))
+    """Cholesky solve with least-squares fallback; an inconsistent system raises.
+
+    Residuals are max norms: a sum of squares overflows near the float range.
+    """
+    tol = 1e-8 * (1.0 + np.abs(b).max())
     try:
         L = np.linalg.cholesky(a)
         w = np.linalg.solve(L.T, np.linalg.solve(L, b))
-        if np.linalg.norm(a @ w - b) <= tol:
+        if np.abs(a @ w - b).max() <= tol:
             return w
     except np.linalg.LinAlgError:
         pass
     w, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-12)
     if rank < a.shape[0]:
         warnings.warn("conditioning matrix rank-deficient; least-squares w")
-    res = np.linalg.norm(a @ w - b)
-    if res > tol:
+    res = np.abs(a @ w - b).max()
+    if not res <= tol:
         raise SingularMatrixError(
             f"conditioning data inconsistent with the covariance (residual {res:.3e}); "
             "on a degenerate band the on-ray values are constrained when the "
@@ -278,6 +304,9 @@ def gibbs_init(m: Mixture, beta0: float, q_EA: float, GS_at_qstar: float = 0.0
         raise ConfigError("q_EA must lie in [0, 1)")
     q_star = math.sqrt(q_EA)
     qs2 = q_EA
+    if beta0 * (1.0 - qs2) == 0.0:
+        raise ConfigError(f"q_EA > 0 needs beta0 > 0: G_star holds 1/(2 beta0 (1 - q_EA)), "
+                          f"infinite at beta0 = {beta0}")
     G = 0.5 / (beta0 * (1.0 - qs2)) + 2.0 * beta0 * (1.0 - qs2) * m.nu(qs2, 2)
     E = GS_at_qstar + 2.0 * beta0 * m.theta(qs2)
     return InitCondition(q_star, E, GS_at_qstar, G, q_EA)
@@ -303,14 +332,25 @@ def check_stationary(ic: InitCondition, m: Mixture, beta: float,
 
     Builds the constraint vector and tests membership in the column space of
     the associated 4x2 matrix through a least-squares residual; q_star = 0
-    instead checks E = 2 beta nu(1).
+    instead checks E = 2 beta nu(1).  The band edge |q_o| = q_star is never
+    stationary (residual inf); q_star > 0 needs a nonzero beta.
     """
     if ic.is_rs:
-        res = abs(ic.E - 2.0 * beta * m.nu(1.0))
-        return StationarityReport(res < tol * (1.0 + abs(ic.E)), res)
-    alpha = ic.alpha
-    if abs(alpha) >= 1.0:
+        res, scale = abs(ic.E - 2.0 * beta * m.nu(1.0)), abs(ic.E)
+    elif abs(ic.alpha) >= 1.0:
         return StationarityReport(False, np.inf)
+    else:
+        res, scale = _stationarity_residual(ic, m, beta)
+    if not math.isfinite(res):
+        raise DomainError(f"stationarity residual overflows at beta = {beta}")
+    return StationarityReport(res < tol * (1.0 + scale), res)
+
+
+def _stationarity_residual(ic: InitCondition, m: Mixture, beta: float):
+    """Least-squares residual of the constraint vector, and its norm."""
+    alpha = ic.alpha
+    if 2.0 * beta * (1.0 - alpha**2) == 0.0:
+        raise ConfigError(f"stationarity at q_star > 0 needs a nonzero beta, got {beta}")
     qs, qo = ic.q_star, ic.q_o
     qs2 = qs**2
     b_alpha = m.nu(qo, 1) / m.nu(qs2, 1)
@@ -327,9 +367,10 @@ def check_stationary(ic: InitCondition, m: Mixture, beta: float,
         [qs * m.nu(qs2, 1), qs * m.psi(qs2)],
         [qs * m.nu(qo, 1), qs * m.psi(qo)],
     ])
+    if not np.isfinite(lhs).all():
+        raise DomainError(f"stationarity constraints overflow: {lhs}")
     coef, _, _, _ = np.linalg.lstsq(cols, lhs, rcond=None)
-    res = float(np.linalg.norm(lhs - cols @ coef))
-    return StationarityReport(res < tol * (1.0 + np.linalg.norm(lhs)), res)
+    return float(np.linalg.norm(lhs - cols @ coef)), np.linalg.norm(lhs)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ its first three derivatives through this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -134,16 +133,6 @@ class Mixture:
         if np.any(np.abs(x) > 1.0):
             raise DomainError("theta requires |x| <= 1")
         return self.nu(1.0) - self.nu(x) - self.nu(x, 1) * (1.0 - x)
-
-    def to_json(self) -> str:
-        obj = {"coeffs": {str(p): b for p, b in self.coeffs.items()}}
-        if math.isfinite(self.radius_bound):
-            obj["radius_bound"] = self.radius_bound
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Mixture":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, obj) -> "Mixture":

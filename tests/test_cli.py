@@ -162,6 +162,12 @@ class TestSolve:
         assert len(blob) == 8 + 16 + 2 * 8 * (n + 1) * (n + 2) // 2
         first_row = np.frombuffer(blob, dtype="<f8", count=1, offset=24)
         assert first_row[0] == 1.0
+        # the whole payload, against the triangles gathered by index
+        sol = solve_dynamics(Mixture({2: 1.0, 3: 1.0}), InitCondition(0.0, 0.0),
+                             SolverConfig(beta=0.0, T=0.5, h=0.01))
+        tri = np.tril_indices(n + 1)
+        assert blob[24:] == (sol.C[tri].astype("<f8").tobytes()
+                             + sol.R[tri].astype("<f8").tobytes())
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_csv_bytes_match_row_formatter(self, files, stride):

@@ -17,10 +17,11 @@ from glassdyn.hamiltonian import (
     _SYM_BLOCK, conditioned_field, make_x_star, sample_band_point,
     sample_system,
 )
-from glassdyn.init_params import InitCondition
+from glassdyn.init_params import InitCondition, solve_w
 from glassdyn.mixture import Mixture
 
 M23 = Mixture({2: 1.0, 3: 0.5})
+M234 = Mixture({2: 1.0, 3: 1.0, 4: 0.5})
 
 
 def _random_sphere_point(rng, N):
@@ -429,17 +430,44 @@ class TestConditionalMean:
 
 
 class TestConditionedField:
-    def test_interpolates_target_exactly(self):
+    @pytest.mark.parametrize("m, ic", [
+        (M23, InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)),
+        (M234, InitCondition(0.6, 0.4, -0.2, 0.3, 0.6)),
+        (M234, InitCondition(0.6, 0.4, -0.2, 0.3, -0.6)),
+        (Mixture.pure(3), InitCondition(0.8, 0.7, -0.4, 3 * -0.4 / 0.8**2, 0.3)),
+    ], ids=["generic", "degenerate_plus", "degenerate_minus", "pure3_generic"])
+    def test_interpolates_target_exactly(self, m, ic):
         N = 20
-        ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
         x_star = make_x_star(ic.q_star, N)
         x0 = sample_band_point(ic.q_star, ic.q_o, N, 31)
         spec = ConditioningSpec(x_star, x0, ic)
-        f = conditioned_field(sample_system(M23, N, 32), spec)
+        assert (spec.zhat is None) == ic.is_degenerate
+        f = conditioned_field(sample_system(m, N, 32), spec)
         assert _value(f, x0) == pytest.approx(-N * ic.E, abs=1e-9)
         assert _value(f, x_star) == pytest.approx(-N * ic.E_star, abs=1e-9)
         np.testing.assert_allclose(_gradient(f, x_star), -ic.G_star * x_star,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("m, ic", [
+        (M23, InitCondition(0.0, 0.9)),
+        (M23, InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)),
+        (M234, InitCondition(0.6, 0.4, -0.2, 0.3, -0.6)),
+        (Mixture.pure(3), InitCondition(0.8, 0.7, -0.4, 3 * -0.4 / 0.8**2, 0.3)),
+    ], ids=["rs", "generic", "degenerate", "pure3_generic"])
+    def test_mean_is_the_limit_drift_source(self, m, ic):
+        # the finite-N mean over -N is v(q, y) of the limit solver, at the
+        # overlaps q, y of a point with x_star and x_0
+        N = 12
+        x_star = make_x_star(ic.q_star, N)
+        x0 = sample_band_point(ic.q_star, ic.q_o, N, 50)
+        spec = ConditioningSpec(x_star, x0, ic)
+        rng = np.random.default_rng(51)
+        X = np.stack([_random_sphere_point(rng, N) for _ in range(6)])
+        mean = conditional_mean(spec, m, [ic.E, ic.E_star, ic.G_star, 0.0], None,
+                                X, "value")
+        vf = solve_w(ic, m)
+        v = [vf.v(float(x @ x_star) / N, float(x @ x0) / N) for x in X]
+        np.testing.assert_allclose(mean / -N, v, rtol=1e-12, atol=1e-14)
 
     def test_rs_case_conditions_start_value_only(self):
         N = 20

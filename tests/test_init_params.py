@@ -1,11 +1,18 @@
 """Conditioning algebra: covariance matrix, weight solves, stationarity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glassdyn.errors import ConfigError, DomainError, NoRootError, SingularMatrixError
+from glassdyn.errors import (
+    ConfigError, DomainError, GlassdynError, NoRootError, SingularMatrixError,
+)
+from glassdyn.hamiltonian import (
+    ConditioningSpec, conditional_mean, make_x_star, sample_band_point,
+)
 from glassdyn.init_params import (
     InitCondition, check_stationary, fdt_regime_residual, gamma_star,
     gibbs_init, pure_p_localized, sigma_nu, solve_w,
@@ -123,6 +130,17 @@ class TestSolveW:
             with pytest.warns(UserWarning):
                 solve_w(InitCondition(0.6, 0.4, -0.2, 0.3, 0.6), M23)
 
+    def test_values_beyond_double_precision_raise(self):
+        # at q_star = 1e-6 Sigma's condition number is about 1e36, so
+        # E_star = 1e300 cannot be met; a sum-of-squares residual overflows
+        # to inf and would let a w that ignores E_star through
+        ic = InitCondition(1e-6, 0.5, 1e300, 0.0, 0.0)
+        with pytest.raises(SingularMatrixError), pytest.warns(UserWarning):
+            solve_w(ic, M23)
+        # p E_star / q_star^2 overflows: no finite G_star matches it
+        with pytest.raises(ConfigError, match="G_star"):
+            solve_w(ic, Mixture.pure(3))
+
     def test_qo_one_singular(self):
         ic = InitCondition(1.0, 0.5, 0.5, 0.3, 1.0)
         with pytest.raises(SingularMatrixError):
@@ -184,6 +202,10 @@ class TestGibbsInit:
         ic = gibbs_init(M23, 1.0, 0.5, -1.0)
         assert ic.E == pytest.approx(-1.0 + 2.0 * M23.theta(0.5))
 
+    def test_zero_beta0_below_the_transition_is_config_error(self):
+        with pytest.raises(ConfigError, match="beta0"):
+            gibbs_init(M23, 0.0, 0.5, -1.0)
+
 
 class TestGammaStar:
     def test_alpha_zero(self):
@@ -215,6 +237,10 @@ class TestCheckStationary:
         ic = gibbs_init(M23, 0.9, 0.5, -1.0)
         rep = check_stationary(ic, M23, 1.2)
         assert not rep.admissible and rep.residual > 1e-4
+
+    def test_zero_beta_with_q_star_is_config_error(self):
+        with pytest.raises(ConfigError, match="beta"):
+            check_stationary(gibbs_init(M23, 0.9, 0.5, -1.0), M23, 0.0)
 
     def test_rs_cases(self):
         beta = 0.4
@@ -274,3 +300,89 @@ class TestPurePLocalized:
     def test_no_root_when_beta_small(self):
         with pytest.raises(NoRootError):
             pure_p_localized(Mixture.pure(3), 0.05, 0.6, -1.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixtures(draw):
+    powers = draw(st.sets(st.sampled_from([2, 3, 4]), min_size=1), label="powers")
+    return Mixture({p: draw(st.floats(1e-3, 1e3), label=f"b{p}")
+                    for p in sorted(powers)})
+
+
+@st.composite
+def conditioning_data(draw):
+    """(m, q_star, E, E_star, G_star, q_o) with |q_o| <= q_star and finite V.
+
+    For a pure model, some draws take G_star (and, on the band edge, E_star)
+    from the model's identities, so the reduced solves run too.
+    """
+    m = draw(mixtures())
+    q_star = draw(st.floats(0.0, 1.0), label="q_star")
+    q_o = draw(st.floats(-q_star, q_star), label="q_o")
+    E, E_star, G_star = (draw(FINITE, label=k) for k in ("E", "E_star", "G_star"))
+    if m.is_pure() and draw(st.booleans(), label="consistent"):
+        if abs(q_o) == q_star:
+            E_star = E * q_o**m.p_max
+        with np.errstate(all="ignore"):
+            G_star = float(np.divide(m.p_max * E_star, q_star**2))
+    return m, q_star, E, E_star, G_star, q_o
+
+
+class TestConditioningProperty:
+    """Finite output or a GlassdynError, over the whole admissible input range.
+
+    Huge finite values overflow on the way to the error; those numpy and
+    rank-deficiency warnings are expected and silenced.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield
+
+    @settings(max_examples=300, deadline=None)
+    @given(conditioning_data())
+    def test_solve_w(self, data):
+        m, *values = data
+        try:
+            vf = solve_w(InitCondition(*values), m)
+        except GlassdynError:
+            return
+        assert np.isfinite(vf.w).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(conditioning_data(), st.integers(0, 2**32 - 1))
+    def test_conditional_mean(self, data, seed):
+        m, *values = data
+        N = 6
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((4, N))
+        X *= math.sqrt(N) / np.linalg.norm(X, axis=1)[:, None]
+        try:
+            ic = InitCondition(*values)
+            x0 = sample_band_point(ic.q_star, ic.q_o, N, seed)
+            spec = ConditioningSpec(make_x_star(ic.q_star, N), x0, ic)
+            Vhat = [ic.E, ic.E_star, ic.G_star, 0.0]
+            out = [conditional_mean(spec, m, Vhat, None, np.vstack([x0, X]), what)
+                   for what in ("value", "gradient")]
+        except GlassdynError:
+            return
+        assert all(np.isfinite(o).all() for o in out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixtures(), FINITE, st.floats(0.0, 1.0, exclude_max=True), FINITE,
+           st.data())
+    def test_gibbs_init_and_check_stationary(self, m, beta0, q_EA, GS, data):
+        beta = data.draw(st.one_of(st.just(beta0), FINITE), label="beta")
+        try:
+            ic = gibbs_init(m, beta0, q_EA, GS)
+            rep = check_stationary(ic, m, beta)
+        except GlassdynError:
+            return
+        # the band edge is never stationary, and says so with residual inf
+        assert math.isfinite(rep.residual) or (
+            rep.residual == math.inf and abs(ic.alpha) >= 1.0 and not rep.admissible)

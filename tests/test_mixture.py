@@ -1,6 +1,4 @@
-"""Covariance polynomial: values, derivatives, transforms, serialization."""
-
-import json
+"""Covariance polynomial: values, derivatives, transforms, validation."""
 
 import numpy as np
 import pytest
@@ -193,9 +191,3 @@ class TestValidationAndJson:
     def test_rejects_p_below_two(self):
         with pytest.raises(ConfigError):
             Mixture({1: 1.0})
-
-    def test_json_round_trip(self):
-        text = M23.to_json()
-        obj = json.loads(text)
-        assert obj["coeffs"] == {"2": 1.0, "3": 1.0}
-        assert Mixture.from_json(text).coeffs == M23.coeffs
