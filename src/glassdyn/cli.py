@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import struct
@@ -207,8 +208,10 @@ def cmd_params(args, out: Path):
         "w": vf.w.tolist(),
         "branch": vf.branch,
         "alpha": ic.alpha,
+        # a band edge is never stationary, with residual inf: JSON has no inf
         "stationary": {"admissible": bool(rep.admissible),
-                       "residual": rep.residual, "beta": args.beta},
+                       "residual": rep.residual if math.isfinite(rep.residual) else None,
+                       "beta": args.beta},
     }
     _write_json(out / "params.json", report, digest)
     _write_json(out / "manifest.json", man, digest)
@@ -262,8 +265,7 @@ def cmd_solve(args, out: Path):
                [[sol.s, sol.q, sol.K, sol.mu, sol.L, sol.H]], digest)
     checks = {
         "gram_min_eig": sol.gram_min_eig(),
-        "cbar_gram_min_eig": (sol.cbar_gram_min_eig()
-                              if ic.q_star > 0 else None),
+        "cbar_gram_min_eig": None if ic.is_rs else sol.cbar_gram_min_eig(),
         "diag_R": float(np.abs(np.diagonal(sol.R) - 1.0).max()),
         "H0_minus_E": float(sol.H[0] - ic.E),
         "max_abs_C": float(np.abs(sol.C).max()),

@@ -1,22 +1,25 @@
 """Causal solver for the two-time correlation/response limit equations.
 
-State lives on a uniform grid s_i = i h.  C is stored as a dense symmetric
-array, both halves written; R is stored lower-triangular (row = later time,
-zero above the diagonal).  q, K, mu, L, H are one-time arrays.  Each slice
-advance is one loop of Heun-type passes with trapezoidal memory quadrature:
-the first pass is the Euler predictor, the others correct it, and the
-Lagrange-multiplier closure mu at the new slice is refreshed after every pass.
-Each pass evaluates the new row once, and takes L, the diagonal kernel
-A_C(s, s) and H from its trapezoid integrals.  All memory integrals for one
-slice reduce to dot and matrix-vector products against the stored C and R,
-so a full solve is O(n^3) work and O(n^2) memory.
+One ``TwoTimeSolution`` is the solver's state: ``solve_dynamics`` builds it
+with unit diagonals and marches inside it, and the kernels and
+``residual(sol, vf, m)`` read beta, h, variant and ell from it.  The grid is
+s_i = i h, i <= n = len(q) - 1.  C is stored dense and symmetric, R
+lower-triangular (row = later time); q, K, mu, L, H are one-time arrays.
+Each slice advance is one loop of Heun-type passes with trapezoidal memory
+quadrature: the Euler predictor, then correctors, with the
+Lagrange-multiplier closure mu refreshed after every pass.  Each pass
+evaluates the new row once and takes L, A_C(s, s) and H from its trapezoid
+integrals, all dot and matrix-vector products against the stored C and R,
+so a solve is O(n^3) work and O(n^2) memory.
 
-Per pass the row state is built from the new row alone: nu'(q) is a history
-of the solve, one entry added per pass (only q at the new slice moves during
-a slice); the mixture's radius guard is checked once per row, and not at all
-when it is infinite; Heun's base rows, row i + h/2 times its right-hand side,
-are built once per slice, so a pass writes row i + 1 of R and C with one
-multiply and one add each.
+Per pass the row state is built from the new row alone: the kernels keep
+nu'(q) as an array with one entry refreshed per row (only q at the new
+slice moves during a slice); the mixture's radius guard is checked once per
+row, and not at all when it is infinite; Heun's base rows are built once
+per slice, so a pass writes row i + 1 of R and C with one multiply and one
+add each.  A replica-symmetric start (``InitCondition.is_rs``) is recorded
+with q_star = 0 and takes the band path with nu'(q_star^2) = inf, so every
+L term is an exact zero.
 
 Variants: hard spherical constraint (K = 1), soft radial confinement with
 stiffness ell (K solved semi-implicitly), and gradient flow (noise-free
@@ -96,11 +99,11 @@ class TwoTimeSolution:
     """Two-time grids plus the one-time bookkeeping arrays.
 
     C[i, j] = C(s_i, s_j) is symmetric (checked on construction); R[i, j] =
-    R(s_i, s_j) is lower-triangular, zero above the diagonal.
+    R(s_i, s_j) is lower-triangular, zero above the diagonal.  beta is the
+    kernels' coupling (1 for gradient flow); q_star = 0 marks an RS start.
     """
 
     h: float
-    n: int
     C: np.ndarray
     R: np.ndarray
     q: np.ndarray
@@ -112,10 +115,18 @@ class TwoTimeSolution:
     q_star: float
     q_o: float
     variant: str = VARIANT_SPHERICAL
+    ell: float | None = None
 
     def __post_init__(self):
+        self._check_symmetric()
+
+    def _check_symmetric(self):
         if not np.array_equal(self.C, self.C.T):
             raise ConfigError("C must be a symmetric array (C == C.T)")
+
+    @property
+    def n(self) -> int:
+        return len(self.q) - 1
 
     @property
     def s(self) -> np.ndarray:
@@ -148,12 +159,11 @@ class _Row(NamedTuple):
     """Row a's state, built once per pass from C[a, :a+1], R[a, :a+1], q[:a+1].
 
     d1, d2: nu' and nu'' of C[a, :a+1]; mv: R[a, :a+1] nu''(C[a, :a+1]);
-    vx, vy: drift-source partials at (q[a], C[a, 0]); dq: nu'(q[:a+1]); d2q:
+    vx, vy: drift-source partials at (q[a], C[a, 0]); dqa, d2q: nu'(q[a]) and
     nu''(q[a]).  Trapezoid integrals against R[a, :a+1] give L = L(s_a),
     I1 = beta int R(s_a, u) nu'(C(s_a, u)) du (in both A_C(s_a, s_a) and
     H(s_a)) and the unscaled A_C(s_a, s_a) = ad0 - ad_L L(s_a), whose L each
-    reader applies.  dq, d2q and ad_L are None when q_star = 0, where L = 0
-    and nothing reads them.
+    reader applies.
     """
 
     d1: np.ndarray
@@ -161,50 +171,53 @@ class _Row(NamedTuple):
     mv: np.ndarray
     vx: float
     vy: float
-    dq: np.ndarray | None
-    d2q: float | None
+    dqa: float
+    d2q: float
     L: float
     I1: float
     ad0: float
-    ad_L: float | None
+    ad_L: float
 
     def ad(self, La: float) -> float:
         """Unscaled A_C(s_a, s_a) with L(s_a) = La."""
-        return self.ad0 if self.ad_L is None else self.ad0 - self.ad_L * La
+        return self.ad0 - self.ad_L * La
 
 
 class _Kernels:
-    """Memory-integral evaluators over the raw solver arrays.
+    """Memory-integral evaluators over one ``TwoTimeSolution``.
 
     Quantities follow the drift decomposition of the limit equations; A_C and
     A_q are the unscaled kernels (the drifts use beta * A).  ``row`` evaluates
     row a once per pass, from the current C[a, :a+1], R[a, :a+1] and q[:a+1]
-    with C[:a+1, :a+1] symmetric; ``rhs``, the slice right-hand side of solver
-    and ``residual``, and ``H_at`` read that row state.  Every trapezoid rule
-    is a dot product or matvec over whole rows plus endpoint corrections, and
-    those corrections take R(s, s) = 1, the boundary condition, instead of
-    reading R's diagonal; ``residual`` checks that diagonal.
+    with C[:a+1, :a+1] symmetric; ``rhs`` (the slice right-hand side) and
+    ``H_at`` read that row state and the stored L and mu.  Every trapezoid
+    rule is a dot product or matvec over whole rows plus endpoint
+    corrections, and those corrections take R(s, s) = 1, the boundary
+    condition, instead of reading R's diagonal; ``residual`` checks it.
     """
 
-    def __init__(self, m: Mixture, vf: VFunction, beta: float, h: float,
-                 q_star: float, q_o: float):
-        self.m = m
-        self.vf = vf
-        self.beta = beta
-        self.h = h
-        self.q_star = q_star
-        self.q_o = q_o
-        self.dnu_qs2 = m.nu(q_star**2, 1) if q_star > 0.0 else 0.0
+    def __init__(self, m: Mixture, vf: VFunction, sol: TwoTimeSolution):
+        self.m, self.vf, self.sol = m, vf, sol
+        self.beta, self.h, self.qs2 = sol.beta, sol.h, sol.q_star**2
+        # nu'(q): row(a) refreshes entry a and reads the entries below it
+        self.dq = m.nu(sol.q, 1)
+        # at q_star = 0 every L integrand is an exact zero: inf keeps L at 0
+        self.dnu_qs2 = m.nu(self.qs2, 1) if sol.q_star > 0.0 else math.inf
+        self.c0 = (default_f0_slope(vf, sol.beta, sol.q_o)
+                   if sol.variant == VARIANT_F else None)
 
-    def row(self, C, R, q, a, dq_hist=None) -> _Row:
-        """Row a's state.  dq_hist, the caller's nu'(q) history, is read at
-        entries below a and written at entry a; without it nu'(q[:a+1]) is
-        evaluated afresh, to the same numbers.
-        """
-        m, vf, beta, h = self.m, self.vf, self.beta, self.h
-        Crow, Rrow = C[a, : a + 1], R[a, : a + 1]
+    def mu(self, K: float, ad: float) -> float:
+        """The multiplier from the squared radius K and ad = A_C(s, s)."""
+        if self.c0 is not None:
+            return 2.0 * self.sol.ell * (K - 1.0) + self.c0
+        return ad if self.sol.variant == VARIANT_GRADFLOW else 0.5 + self.beta * ad
+
+    def row(self, a: int) -> _Row:
+        """Row a's state; refreshes nu'(q[a])."""
+        m, vf, beta, h, sol = self.m, self.vf, self.beta, self.h, self.sol
+        Crow, Rrow = sol.C[a, : a + 1], sol.R[a, : a + 1]
         # Python floats take the scalar path of Mixture.nu inside vx and vy
-        qa, c0 = float(q[a]), float(Crow[0])
+        qa, c0 = float(sol.q[a]), float(Crow[0])
         m.check_radius(Crow)
         d1, d2 = m.horner(Crow, 1), m.horner(Crow, 2)
         mv = Rrow * d2
@@ -214,31 +227,24 @@ class _Kernels:
         ad0 = (beta * h * (float(mv @ Crow)
                            - 0.5 * (float(mv[0]) * c0 + float(d2[a]) * float(Crow[a])))
                + I1 + qa * vx + c0 * vy)
-        if self.q_star > 0.0:
-            if dq_hist is None:
-                dq = m.nu(q[: a + 1], 1)
-            else:
-                dq_hist[a] = m.nu(qa, 1)
-                dq = dq_hist[: a + 1]
-            d2q, dqa = m.nu(qa, 2), float(dq[a])
-            L = h * (float(Rrow @ dq) - 0.5 * (r0 * float(dq[0]) + dqa)) / self.dnu_qs2
-            ad_L = beta * (qa * d2q + dqa)
-        else:
-            dq = d2q = ad_L = None
-            L = 0.0
-        return _Row(d1, d2, mv, vx, vy, dq, d2q, L, I1, ad0, ad_L)
+        dq, d2q = self.dq[: a + 1], m.nu(qa, 2)
+        dqa = dq[a] = m.nu(qa, 1)
+        L = h * (float(Rrow @ dq) - 0.5 * (r0 * float(dq[0]) + dqa)) / self.dnu_qs2
+        return _Row(d1, d2, mv, vx, vy, dqa, d2q, L, I1, ad0, beta * (qa * d2q + dqa))
 
-    def rhs(self, C, R, q, L, mu, a, rw: _Row):
+    def rhs(self, a: int, rw: _Row):
         """(F_R, F_C, F_q) of row a: d/ds of R[a, :a+1], C[a, :a+1] and q[a].
 
         F_R carries beta^2 int_{t_j}^{s_a} R(u, t_j) R(s_a, u) nu''(C(s_a, u)) du;
         F_C and F_q carry beta times A_C(s_a, t_j), j <= a, and A_q(s_a).
         """
-        beta, h = self.beta, self.h
+        beta, h, sol = self.beta, self.h, self.sol
+        C, R, q = sol.C, sol.R, sol.q
         Rrow, Crow = R[a, : a + 1], C[a, : a + 1]
         Rt, Ct, qs = R[: a + 1, : a + 1], C[: a + 1, : a + 1], q[: a + 1]
-        mv, d1, mua = rw.mv, rw.d1, float(mu[a])
+        mv, d1, mua = rw.mv, rw.d1, float(sol.mu[a])
         mv0, mv_a = float(mv[0]), float(mv[a])
+        qs2, La = self.qs2, float(sol.L[a])
         bh = beta * h
         # each trapezoid is a matvec over whole rows plus its endpoint terms;
         # C's columns 0 and a are its rows 0 and a, C being symmetric
@@ -247,22 +253,18 @@ class _Kernels:
         #   + int_0^{t_j} R(t_j, u) nu'(C(s_a, u)) du + drift-source terms
         A_C = (bh * (Ct @ mv + Rt @ d1 - 0.5 * d1 - (0.5 * float(d1[0])) * R[: a + 1, 0])
                + (rw.vy - 0.5 * bh * mv0) * C[0, : a + 1])
-        vx, A_q = rw.vx, 0.0
-        if self.q_star > 0.0:
-            qs2, La, dqa = self.q_star**2, float(L[a]), float(rw.dq[a])
-            vx -= beta * rw.d2q * La
-            A_C -= (beta * dqa) * L[: a + 1]
-            A_q = (bh * (float(mv @ qs) - 0.5 * (mv0 * float(qs[0]) + mv_a * float(qs[a])))
-                   - beta * qs2 * rw.d2q * La + qs2 * rw.vx + self.q_o * rw.vy)
+        A_C -= (beta * rw.dqa) * sol.L[: a + 1]
+        A_q = (bh * (float(mv @ qs) - 0.5 * (mv0 * float(qs[0]) + mv_a * float(qs[a])))
+               - beta * qs2 * rw.d2q * La + qs2 * rw.vx + sol.q_o * rw.vy)
+        vx = rw.vx - beta * rw.d2q * La
         F_C = beta * (A_C + vx * qs) - (0.5 * beta * bh * mv_a + mua) * Crow
         return F_R, F_C, -mua * float(q[a]) + beta * A_q
 
-    def H_at(self, C, q, a, rw: _Row, La: float):
-        """H(s_a) from row a's state with L(s_a) = La; the one call of v."""
-        out = rw.I1 + self.vf.v(float(q[a]), float(C[a, 0]))
-        if self.q_star > 0.0:
-            out -= self.beta * float(rw.dq[a]) * La
-        return out
+    def H_at(self, a: int, rw: _Row):
+        """H(s_a) from row a's state and the stored L(s_a); the one call of v."""
+        sol = self.sol
+        return (rw.I1 + self.vf.v(float(sol.q[a]), float(sol.C[a, 0]))
+                - self.beta * rw.dqa * sol.L[a])
 
 
 def default_f0_slope(vf: VFunction, beta: float, q_o: float) -> float:
@@ -270,60 +272,42 @@ def default_f0_slope(vf: VFunction, beta: float, q_o: float) -> float:
     return 0.5 + beta * (q_o * vf.vx(q_o, 1.0) + vf.vy(q_o, 1.0))
 
 
-def _closure(m: Mixture, vf: VFunction, cfg: SolverConfig, q_star: float,
-             q_o: float):
-    """Kernels of one solve, the radial slope c0 (None off variant 'f') and
-    mu_of(K, ad), the multiplier from the squared radius K and ad = A_C(s, s).
-    """
-    beta = 1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta
-    ker = _Kernels(m, vf, beta, cfg.h, q_star, q_o)
-    if cfg.variant == VARIANT_F:
-        c0 = default_f0_slope(vf, beta, q_o)
-        return ker, c0, lambda K, ad: 2.0 * cfg.ell * (K - 1.0) + c0
-    if cfg.variant == VARIANT_GRADFLOW:
-        return ker, None, lambda K, ad: ad
-    return ker, None, lambda K, ad: 0.5 + beta * ad
-
-
 def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
                    vf: VFunction | None = None) -> TwoTimeSolution:
     """March the two-time system from the conditioned start to s = T."""
     if vf is None:
         vf = solve_w(ic, m)
-    ker, c0, mu_of = _closure(m, vf, cfg, ic.q_star, ic.q_o)
-    beta, n, h, ell = ker.beta, cfg.n, cfg.h, cfg.ell
-
-    # unit diagonals from the start; variant 'f' overwrites C's with K
-    C = np.eye(n + 1)
-    R = np.eye(n + 1)
+    n, h, ell = cfg.n, cfg.h, cfg.ell
     q = np.zeros(n + 1)
-    K = np.ones(n + 1)
-    mu = np.zeros(n + 1)
-    L = np.zeros(n + 1)
-    H = np.zeros(n + 1)
-
-    # nu'(q[j]), one entry per pass: only q[i + 1] moves during slice i
-    dq = np.zeros(n + 1)
-
     q[0] = ic.q_o
-    rw = ker.row(C, R, q, 0, dq)
-    H[0] = ker.H_at(C, q, 0, rw, L[0])
-    mu[0] = mu_of(K[0], rw.ad(L[0]))
+    # unit diagonals from the start; variant 'f' overwrites C's with K
+    sol = TwoTimeSolution(
+        h, np.eye(n + 1), np.eye(n + 1), q, np.ones(n + 1), np.zeros(n + 1),
+        np.zeros(n + 1), np.zeros(n + 1),
+        beta=1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta,
+        q_star=0.0 if ic.is_rs else ic.q_star, q_o=ic.q_o,
+        variant=cfg.variant, ell=ell)
+    ker = _Kernels(m, vf, sol)
+    C, R, K, mu, L, H, beta = sol.C, sol.R, sol.K, sol.mu, sol.L, sol.H, sol.beta
+
+    rw = ker.row(0)
+    H[0] = ker.H_at(0, rw)
+    mu[0] = ker.mu(K[0], rw.ad(L[0]))
 
     def close(i1) -> _Row:
         """Set L, mu and (variant 'f') K and diagonal C at slice i1; return the row."""
         if cfg.variant == VARIANT_F:
-            # mu_of ignores ad in this variant: the final row's serves
+            # mu ignores ad in this variant: the final row's serves
             C[i1, i1] = K[i1 - 1]
             for _ in range(2):
-                rw = ker.row(C, R, q, i1, dq)
+                rw = ker.row(i1)
                 ad = rw.ad(rw.L)
                 K[i1] = (K[i1 - 1] + h * (1.0 + 2.0 * beta * ad) + 4.0 * ell * h) / (
-                    1.0 + 4.0 * ell * h + 2.0 * c0 * h)
+                    1.0 + 4.0 * ell * h + 2.0 * ker.c0 * h)
                 C[i1, i1] = K[i1]
-        rw = ker.row(C, R, q, i1, dq)
+        rw = ker.row(i1)
         L[i1] = rw.L
-        mu[i1] = mu_of(K[i1], rw.ad(rw.L))
+        mu[i1] = ker.mu(K[i1], rw.ad(rw.L))
         return rw
 
     # rw always describes the current C[a, :a+1], R[a, :a+1] and q[:a+1] of
@@ -333,7 +317,7 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     # once per slice, plus h/2 times the latest F; the first pass takes row
     # i's own F there, the Euler predictor.
     hh = 0.5 * h
-    F = ker.rhs(C, R, q, L, mu, 0, rw)
+    F = ker.rhs(0, rw)
     for i in range(n):
         FR_i, FC_i, Fq_i = F
         baseR = R[i, : i + 1] + hh * FR_i
@@ -347,17 +331,16 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
             C[: i + 1, i + 1] = Cnew
             q[i + 1] = baseq + hh * Fq_n
             rw = close(i + 1)
-            F = ker.rhs(C, R, q, L, mu, i + 1, rw)
+            F = ker.rhs(i + 1, rw)
 
-        H[i + 1] = ker.H_at(C, q, i + 1, rw, L[i + 1])
+        H[i + 1] = ker.H_at(i + 1, rw)
         # written so that NaN fails it too
         if not (abs(C[i + 1, : i + 2]).max() <= _BLOWUP
                 and abs(R[i + 1, : i + 2]).max() <= _BLOWUP):
             raise BlowUpError(f"|C| or |R| exceeded {_BLOWUP} or is not finite "
                               f"at slice {i + 1}")
 
-    sol = TwoTimeSolution(h, n, C, R, q, K, mu, L, H, beta,
-                          ic.q_star, ic.q_o, cfg.variant)
+    sol._check_symmetric()
     _warn_on_psd(sol)
     return sol
 
@@ -380,8 +363,7 @@ class ResidualReport:
     sup_res_mu: float
 
 
-def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
-             cfg: SolverConfig) -> ResidualReport:
+def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture) -> ResidualReport:
     """Equation residuals of an externally supplied solution.
 
     Central differences in the later time against the right-hand sides, sup
@@ -390,23 +372,21 @@ def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture,
     kernels take R(s, s) = 1 as given, so sup_res_R also covers R's diagonal
     against that boundary value.
     """
-    if cfg.h != sol.h:
-        raise ConfigError(f"h {cfg.h} of the config differs from the solution's {sol.h}")
-    ker, _, mu_of = _closure(m, vf, cfg, sol.q_star, sol.q_o)
-    C, R, q, L, mu, h = sol.C, sol.R, sol.q, sol.L, sol.mu, sol.h
+    ker = _Kernels(m, vf, sol)
+    C, R, q, L, h = sol.C, sol.R, sol.q, sol.L, sol.h
     res_R = float(abs(np.diagonal(R) - 1.0).max())
     res_C = res_q = res_H = res_mu = 0.0
     for i in range(sol.n + 1):
-        rw = ker.row(C, R, q, i)
+        rw = ker.row(i)
         if 0 < i < sol.n:
-            F_R, F_C, F_q = ker.rhs(C, R, q, L, mu, i, rw)
+            F_R, F_C, F_q = ker.rhs(i, rw)
             fd_R = (R[i + 1, :i] - R[i - 1, :i]) / (2.0 * h)
             fd_C = (C[i + 1, :i] - C[i - 1, :i]) / (2.0 * h)
             res_R = max(res_R, float(abs(fd_R - F_R[:i]).max()))
             res_C = max(res_C, float(abs(fd_C - F_C[:i]).max()))
             res_q = max(res_q, abs((q[i + 1] - q[i - 1]) / (2.0 * h) - F_q))
-        res_H = max(res_H, abs(sol.H[i] - ker.H_at(C, q, i, rw, L[i])))
-        res_mu = max(res_mu, abs(mu[i] - mu_of(sol.K[i], rw.ad(L[i]))))
+        res_H = max(res_H, abs(sol.H[i] - ker.H_at(i, rw)))
+        res_mu = max(res_mu, abs(sol.mu[i] - ker.mu(sol.K[i], rw.ad(L[i]))))
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
 

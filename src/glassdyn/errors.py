@@ -26,7 +26,7 @@ class NoRootError(GlassdynError, ValueError):
 
 
 class BlowUpError(GlassdynError, RuntimeError):
-    """Two-time solver left the trust region (|C| or |R| > 1e6)."""
+    """A solver's state left the trust region (|C| or |R| > 1e6) or is not finite."""
 
 
 class EscapeError(GlassdynError, RuntimeError):

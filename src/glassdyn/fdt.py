@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoTimeSolution, VARIANT_SPHERICAL
-from .errors import ConfigError, PlateauWarning
+from .dynamics import TwoTimeSolution
+from .errors import BlowUpError, ConfigError, PlateauWarning
 from .init_params import InitCondition, check_stationary
 from .mixture import Mixture, phi_gamma
 from .phase import c_inf as plateau_level
@@ -55,13 +55,18 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
 
     Trapezoidal quadrature with the new-point kernel value solved implicitly
     (it enters linearly), then one corrector pass refreshing the kernel at the
-    freshly integrated c.  Raises if gamma admits no plateau; warns if the
-    window ends more than 10 h away from the plateau level.
+    freshly integrated c.  Raises if gamma admits no plateau or the kernel
+    is not finite, and stops at the first step whose c is not finite; warns
+    if the window ends more than 10 h away from the plateau level.
     """
     for name, value in (("beta", beta), ("gamma", gamma), ("T_tau", T_tau),
                         ("h_tau", h_tau)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+    # |nu'(c)| <= nu'(1) on [-1, 1]; beta * beta overflows to inf, not an error
+    if not math.isfinite(gamma + 2.0 * beta * beta * m.nu(1.0, 1)):
+        raise ConfigError(f"beta = {beta} and gamma = {gamma} make the kernel "
+                          "gamma + 2 beta^2 nu'(1) non-finite")
     ci = plateau_level(m, beta, gamma)
     n = round(T_tau / h_tau)
     if abs(T_tau / h_tau - n) > 1e-9 or n < 1:
@@ -83,6 +88,8 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
             d[k] = -(conv + 0.5) / denom
             c[k] = c[k - 1] + 0.5 * h * (d[k - 1] + d[k])
             kern[k] = phi_gamma(m, beta, gamma, c[k])
+        if not math.isfinite(c[k]):
+            raise BlowUpError(f"c is not finite at step {k} (tau = {k * h:g})")
     lag = max(1, round(1.0 / h))
     plateaued = n > lag and abs(c[-1] - c[-1 - lag]) < 1e-8
     if abs(c[-1] - ci) > 10.0 * h:
@@ -118,9 +125,9 @@ def stationary_two_time(fdt: FdtSolution, ic: InitCondition) -> TwoTimeSolution:
         b_alpha = m.nu(ic.q_o, 1) / m.nu(ic.q_star**2, 1)
         L = -2.0 * b_alpha * (fdt.c - 1.0)
     return TwoTimeSolution(
-        h=fdt.h_tau, n=n, C=C, R=R,
+        h=fdt.h_tau, C=C, R=R,
         q=np.full(n + 1, ic.q_o), K=np.ones(n + 1),
         mu=np.full(n + 1, mu_val), L=L,
         H=np.full(n + 1, ic.E), beta=beta,
-        q_star=ic.q_star, q_o=ic.q_o, variant=VARIANT_SPHERICAL,
+        q_star=0.0 if ic.is_rs else ic.q_star, q_o=ic.q_o,
     )

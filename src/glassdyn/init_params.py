@@ -255,14 +255,15 @@ def solve_weights(ic: InitCondition, m: Mixture, vhat) -> VFunction:
         keep = {BRANCH_PURE_P: [0, 1, 3], BRANCH_DEGENERATE: [0, 1, 2]}.get(
             branch, [0, 1, 2, 3])
         w[keep] = _pd_solve(sigma_nu(m, ic.q_star, ic.q_o)[np.ix_(keep, keep)],
-                            vhat[keep])
+                            vhat[keep], branch == BRANCH_DEGENERATE)
     if not np.isfinite(w).all():
         raise DomainError(f"conditioning weights overflow: w = {w}")
     return VFunction(w, ic.q_star, ic.q_o, m, branch)
 
 
-def _pd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve with least-squares fallback; an inconsistent system raises.
+def _pd_solve(a: np.ndarray, b: np.ndarray, degenerate: bool) -> np.ndarray:
+    """Cholesky solve with least-squares fallback; an inconsistent system raises,
+    with the degenerate band's constraint as the hint on that branch.
 
     Residuals are max norms: a sum of squares overflows near the float range.
     """
@@ -279,10 +280,11 @@ def _pd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         warnings.warn("conditioning matrix rank-deficient; least-squares w")
     res = np.abs(a @ w - b).max()
     if not res <= tol:
-        raise SingularMatrixError(
-            f"conditioning data inconsistent with the covariance (residual {res:.3e}); "
-            "on a degenerate band the on-ray values are constrained when the "
-            "mixture has fewer than three active powers")
+        msg = f"conditioning data inconsistent with the covariance (residual {res:.3e})"
+        if degenerate:
+            msg += ("; on a degenerate band the on-ray values are constrained when "
+                    "the mixture has fewer than three active powers")
+        raise SingularMatrixError(msg)
     return w
 
 

@@ -142,6 +142,25 @@ class TestParams:
         # E = 0 is not the equilibrium value at beta = 0.3
         assert not rep["stationary"]["admissible"]
 
+    def test_band_edge_residual_is_null(self, files):
+        # a band edge is never stationary, with residual inf, which JSON
+        # cannot hold: params.json must parse without Infinity or NaN
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        mix = files["dir"] / "mix234.json"
+        mix.write_text('{"coeffs": {"2": 1.0, "3": 1.0, "4": 0.5}}')
+        init = files["dir"] / "edge.json"
+        init.write_text(json.dumps({"q_star": 0.6, "V": {
+            "E": 0.3, "E_star": 0.1, "G_star": 0.5, "q_o": -0.6}}))
+        out = files["dir"] / "out"
+        assert main(["--out-dir", str(out), "params", "--mixture", str(mix),
+                     "--init", str(init), "--beta", "0.3"]) == 0
+        rep = json.loads((out / "params.json").read_text(), parse_constant=refuse)
+        assert rep["branch"] == "degenerate"
+        assert rep["stationary"] == {"admissible": False, "residual": None,
+                                     "beta": 0.3}
+
 
 class TestSolve:
     def test_outputs_and_binary_dump(self, files):
@@ -192,6 +211,18 @@ class TestSolve:
                 float(sol.L[i]), float(sol.H[i])) for i in range(sol.n + 1)]
         assert (out / "onetime.csv").read_bytes() == reference_csv(
             digest, "s,q,K,mu,L,H", one)
+
+    def test_tiny_q_star_is_an_rs_start(self, files):
+        # q_star = 1e-200 is replica-symmetric (InitCondition.is_rs), so the
+        # band-centered Gram check, which divides by q_star^2, is not run
+        init = files["dir"] / "tiny.json"
+        init.write_text('{"q_star": 1e-200, "V": {"E": 0.3}}')
+        out = files["dir"] / "tiny"
+        assert main(["--out-dir", str(out), "solve", "--mixture", str(files["mix"]),
+                     "--init", str(init), "--beta", "0.5", "--T", "0.2",
+                     "--h", "0.01"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["cbar_gram_min_eig"] is None
 
     def test_beta0_matches_closed_form(self, files):
         out = files["dir"] / "out"
@@ -307,10 +338,13 @@ class TestErrors:
         (lambda f: ["simulate", "--config", _sim_config(f, substep=10)], "'substep'"),
         (lambda f: ["compare", "--config", _sim_config(f, h_limit=0.02)], "'h_limit'"),
         (lambda f: ["simulate", "--config", _sim_config(f, ell=5.0)], "'ell'"),
+        (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "1e200",
+                    "--gamma", "0.5"], "beta"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
-            "h_limit-not-dividing-h_obs", "ell-without-fconfined"])
+            "h_limit-not-dividing-h_obs", "ell-without-fconfined",
+            "fdt-kernel-overflow"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from glassdyn.dynamics import (
-    EllRecord, SolverConfig, TwoTimeSolution, _closure, _Kernels, ell_limit_check,
+    EllRecord, SolverConfig, TwoTimeSolution, _Kernels, ell_limit_check,
     integrated_response, residual, solve_dynamics,
 )
 from glassdyn.errors import BlowUpError, ConfigError, DomainError, PsdViolationWarning
@@ -24,9 +24,9 @@ def _beta0_solution(T=2.0, h=0.01, ic=IC_GEN):
 
 
 def _kernels_at(sol, i):
-    """The solver's kernels at beta = 0 and the row state of slice i."""
-    ker = _Kernels(M23, solve_w(IC_GEN, M23), 0.0, sol.h, sol.q_star, sol.q_o)
-    return ker, ker.row(sol.C, sol.R, sol.q, i)
+    """The kernels of the beta = 0 solution and the row state of slice i."""
+    ker = _Kernels(M23, solve_w(IC_GEN, M23), sol)
+    return ker, ker.row(i)
 
 
 class TestFreeDynamics:
@@ -86,7 +86,7 @@ class TestKernels:
     def test_beta0_drift_contributions_vanish(self):
         sol = _beta0_solution(T=0.5)
         ker, rw = _kernels_at(sol, 30)
-        F_R, F_C, F_q = ker.rhs(sol.C, sol.R, sol.q, sol.L, sol.mu, 30, rw)
+        F_R, F_C, F_q = ker.rhs(30, rw)
         # with beta = 0 the drift terms A_C and A_q enter times an exact zero
         np.testing.assert_array_equal(F_C, -sol.mu[30] * sol.C[30, :31])
         assert F_q == -sol.mu[30] * sol.q[30]
@@ -97,13 +97,13 @@ class TestKernels:
         sol = _beta0_solution(T=0.5)
         ker, rw = _kernels_at(sol, 0)
         assert rw.L == 0.0
-        assert ker.H_at(sol.C, sol.q, 0, rw, sol.L[0]) == pytest.approx(
+        assert ker.H_at(0, rw) == pytest.approx(
             IC_GEN.E, abs=1e-12)
 
     def test_solver_output_residual_small(self):
         cfg = SolverConfig(beta=0.5, T=1.0, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
-        rep = residual(sol, solve_w(IC_GEN, M23), M23, cfg)
+        rep = residual(sol, solve_w(IC_GEN, M23), M23)
         for v in (rep.sup_res_R, rep.sup_res_C, rep.sup_res_q, rep.sup_res_H):
             assert v < 5 * cfg.h
 
@@ -113,9 +113,9 @@ class TestKernels:
         cfg = SolverConfig(beta=0.5, T=1.0, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
         vf = solve_w(IC_GEN, M23)
-        base = residual(sol, vf, M23, cfg)
+        base = residual(sol, vf, M23)
         sol.L[50] += 0.1
-        bad = residual(sol, vf, M23, cfg)
+        bad = residual(sol, vf, M23)
         for name in ("sup_res_C", "sup_res_q", "sup_res_H", "sup_res_mu"):
             before = getattr(base, name)
             assert getattr(bad, name) > (100 * before if before > 0 else 1e-3), name
@@ -123,15 +123,14 @@ class TestKernels:
     @pytest.mark.parametrize("variant,ell", [("spherical", None), ("f", 20.0),
                                              ("gradflow", None)])
     def test_cold_row_equals_marching_row(self, monkeypatch, variant, ell):
-        # the march keeps nu'(q) as a history filled one entry per pass; a
-        # cold row call on the finished arrays must rebuild the row state of
-        # the march's last pass at every slice
+        # the march refreshes one entry of the kernels' nu'(q) per row; new
+        # kernels on the finished solution must rebuild the row state of the
+        # march's last pass at every slice
         marched = {}
         row = _Kernels.row
 
-        def recording(ker, C, R, q, a, dq_hist=None):
-            rw = row(ker, C, R, q, a, dq_hist)
-            marched[a] = rw._replace(dq=rw.dq.copy())
+        def recording(ker, a):
+            marched[a] = rw = row(ker, a)
             return rw
 
         monkeypatch.setattr(_Kernels, "row", recording)
@@ -140,10 +139,10 @@ class TestKernels:
             warnings.simplefilter("ignore", PsdViolationWarning)
             sol = solve_dynamics(M23, IC_GEN, cfg)
         monkeypatch.undo()
-        ker = _closure(M23, solve_w(IC_GEN, M23), cfg, sol.q_star, sol.q_o)[0]
+        ker = _Kernels(M23, solve_w(IC_GEN, M23), sol)
         assert sorted(marched) == list(range(sol.n + 1))
         for a, want in marched.items():
-            got = ker.row(sol.C, sol.R, sol.q, a)
+            got = ker.row(a)
             for name, value in zip(want._fields, want):
                 if isinstance(value, np.ndarray):
                     np.testing.assert_array_equal(getattr(got, name), value)
@@ -156,20 +155,20 @@ class TestKernels:
         cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
         vf = solve_w(IC_GEN, M23)
-        assert residual(sol, vf, M23, cfg).sup_res_R < 5 * cfg.h
+        assert residual(sol, vf, M23).sup_res_R < 5 * cfg.h
         sol.R[-1, -1] = 0.5
-        assert residual(sol, vf, M23, cfg).sup_res_R == 0.5
+        assert residual(sol, vf, M23).sup_res_R == 0.5
 
     def test_zeroed_solution_flagged_by_mu_bookkeeping(self):
         cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
         n = sol.n
-        zeros = TwoTimeSolution(sol.h, n, np.zeros_like(sol.C),
+        zeros = TwoTimeSolution(sol.h, np.zeros_like(sol.C),
                                 np.zeros_like(sol.R), np.zeros(n + 1),
                                 np.zeros(n + 1), np.zeros(n + 1),
                                 np.zeros(n + 1), np.zeros(n + 1),
                                 sol.beta, sol.q_star, sol.q_o)
-        rep = residual(zeros, solve_w(IC_GEN, M23), M23, cfg)
+        rep = residual(zeros, solve_w(IC_GEN, M23), M23)
         assert rep.sup_res_mu >= 0.5
 
 
@@ -185,6 +184,34 @@ class TestVariants:
         b = solve_dynamics(M23, ic, cfg, vf=vf0)
         assert np.array_equal(a.C, b.C) and np.array_equal(a.R, b.R)
         assert np.array_equal(a.H, b.H)
+
+    @pytest.mark.parametrize("variant,ell", [("spherical", None), ("f", 20.0),
+                                             ("gradflow", None)])
+    def test_tiny_q_star_is_the_rs_start(self, variant, ell):
+        # InitCondition.is_rs decides RS-ness: q_star = 1e-200 is recorded as
+        # 0 and runs the q_star = 0 solve, array for array and byte for byte
+        cfg = SolverConfig(beta=0.5, T=0.5, h=0.01, variant=variant, ell=ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PsdViolationWarning)
+            tiny = solve_dynamics(M23, InitCondition(1e-200, 0.3), cfg)
+            zero = solve_dynamics(M23, InitCondition(0.0, 0.3), cfg)
+        assert tiny.q_star == 0.0
+        for name in ("C", "R", "q", "K", "mu", "L", "H"):
+            assert getattr(tiny, name).tobytes() == getattr(zero, name).tobytes(), name
+        assert not np.any(tiny.L)
+
+    @pytest.mark.parametrize("variant,ell", [("spherical", None), ("f", 20.0),
+                                             ("gradflow", None)])
+    def test_residual_reads_variant_from_the_solution(self, variant, ell):
+        # residual takes beta, h, variant and ell from the solution itself
+        cfg = SolverConfig(beta=0.5, T=0.5, h=0.01, variant=variant, ell=ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PsdViolationWarning)
+            sol = solve_dynamics(M23, IC_GEN, cfg)
+        assert sol.ell == ell and sol.variant == variant
+        rep = residual(sol, solve_w(IC_GEN, M23), M23)
+        assert rep.sup_res_mu < 1e-12
+        assert max(rep.sup_res_C, rep.sup_res_R, rep.sup_res_q) < 5 * cfg.h
 
     def test_ell_records_shrink(self):
         ic = gibbs_init(M23, 0.45, 0.5, -1.0)
@@ -277,12 +304,6 @@ class TestStorage:
         with pytest.raises(ConfigError, match="C"):
             dataclasses.replace(sol, C=np.tril(sol.C))
 
-    def test_residual_refuses_another_step(self):
-        cfg = SolverConfig(beta=0.3, T=0.2, h=0.01)
-        sol = solve_dynamics(M23, IC_GEN, cfg)
-        with pytest.raises(ConfigError, match="h"):
-            residual(sol, solve_w(IC_GEN, M23), M23,
-                     SolverConfig(beta=0.3, T=0.2, h=0.02))
 
 
 class TestIntegratedResponse:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from glassdyn.dynamics import SolverConfig, residual
-from glassdyn.errors import ConfigError, GammaTooSmallError, PlateauWarning
+from glassdyn.dynamics import residual
+from glassdyn.errors import (
+    BlowUpError, ConfigError, GammaTooSmallError, PlateauWarning,
+)
 from glassdyn.fdt import solve_fdt, stationary_two_time
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
 from glassdyn.mixture import Mixture
@@ -62,6 +64,16 @@ class TestSolveFdt:
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             solve_fdt(M23, **kw)
 
+    def test_kernel_overflow_names_the_fields(self):
+        # 2 beta^2 nu'(1) overflows: refused before the plateau search
+        with pytest.raises(ConfigError, match=r"beta = 1e\+200 and gamma = 0.5"):
+            solve_fdt(M23, 1e200, 0.5, 1.0, 0.01)
+
+    def test_non_finite_c_names_its_step(self):
+        # a finite kernel near the float range overflows the memory integral
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=r"step \d+"):
+            solve_fdt(Mixture.pure(2), -4e-307, 1.7976931348623157e308, 2.45, 0.05)
+
     def test_did_not_plateau_warns(self):
         with pytest.warns(PlateauWarning):
             solve_fdt(M23, 0.3, 0.5, 0.5, 0.005)
@@ -100,8 +112,7 @@ class TestStationaryTwoTime:
         ic, fdt = self._gibbs_pair()
         sol = stationary_two_time(fdt, ic)
         vf = solve_w(ic, M23)
-        cfg = SolverConfig(beta=fdt.beta, T=2.0, h=fdt.h_tau)
-        rep = residual(sol, vf, M23, cfg)
+        rep = residual(sol, vf, M23)
         assert rep.sup_res_R < 5 * fdt.h_tau
         assert rep.sup_res_C < 5 * fdt.h_tau
         assert rep.sup_res_q < 5 * fdt.h_tau
@@ -115,5 +126,5 @@ class TestStationaryTwoTime:
             fdt = solve_fdt(M23, beta, 0.5, 2.0, 0.01)
         sol = stationary_two_time(fdt, ic)
         assert np.all(sol.L == 0.0)
-        rep = residual(sol, solve_w(ic, M23), M23, SolverConfig(beta=beta, T=2.0, h=0.01))
+        rep = residual(sol, solve_w(ic, M23), M23)
         assert max(rep.sup_res_C, rep.sup_res_R, rep.sup_res_H) < 0.05

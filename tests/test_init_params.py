@@ -141,6 +141,16 @@ class TestSolveW:
         with pytest.raises(ConfigError, match="G_star"):
             solve_w(ic, Mixture.pure(3))
 
+    def test_degenerate_hint_only_on_the_degenerate_branch(self):
+        # the hint names the degenerate band's constraint; a generic start
+        # whose data exceed double precision fails for another reason
+        hint = "on a degenerate band"
+        with pytest.raises(SingularMatrixError) as err, pytest.warns(UserWarning):
+            solve_w(InitCondition(1e-6, 0.5, 1e300, 0.0, 0.0), M23)
+        assert hint not in str(err.value)
+        with pytest.raises(SingularMatrixError, match=hint), pytest.warns(UserWarning):
+            solve_w(InitCondition(0.6, 0.3, 0.1, 0.5, 0.6), M23)
+
     def test_qo_one_singular(self):
         ic = InitCondition(1.0, 0.5, 0.5, 0.3, 1.0)
         with pytest.raises(SingularMatrixError):
