@@ -10,12 +10,9 @@ the acceptance suite runs the full N = 100/200/400 table.
 
 import time
 
-import numpy as np
-
 from glassdyn import (
     ConditioningSpec, LangevinConfig, Mixture, SolverConfig, gibbs_init,
-    integrate_ensemble, observables, sample_band_point, sample_system,
-    solve_dynamics,
+    integrate_ensemble, observables, sample_system, solve_dynamics,
 )
 from glassdyn.hamiltonian import conditioned_field
 from glassdyn.langevin import average_error, ensemble_error
@@ -32,10 +29,10 @@ print("\n  N    per-path err   averaged err   seconds")
 for N in (50, 100, 200):
     t0 = time.time()
     sysN = sample_system(m, N, seed=50 + N)
-    x0 = sample_band_point(0.0, 0.0, N, seed=60 + N)
-    field = conditioned_field(sysN, ConditioningSpec(np.zeros(N), x0, ic))
-    trajs = integrate_ensemble(field, x0, cfg, n_paths=8, master_seed=70 + N)
-    obs = observables(trajs, field, np.zeros(N))
+    spec = ConditioningSpec(ic, N, seed=60 + N)
+    field = conditioned_field(sysN, spec)
+    trajs = integrate_ensemble(field, spec.x_0, cfg, n_paths=8, master_seed=70 + N)
+    obs = observables(trajs, field, spec.x_star)
     per_path, _ = average_error(obs, sol, T)
     averaged = ensemble_error(obs, sol, T)
     print(f"{N:5d}   {per_path:10.4f}   {averaged:12.4f}   {time.time() - t0:7.1f}")

@@ -12,16 +12,16 @@ from glassdyn import (
     ConditioningSpec, InitCondition, LangevinConfig, Mixture,
     sample_band_point, sample_system,
 )
-from glassdyn.hamiltonian import conditioned_field, make_x_star
+from glassdyn.hamiltonian import conditioned_field
 from glassdyn.langevin import random_orthogonal, rotation_invariance_test
 
 N = 40
 m = Mixture({2: 1.0, 3: 0.5})
 ic = InitCondition(q_star=0.7, E=0.4, E_star=-0.3, G_star=0.25, q_o=0.3)
 
-x_star = make_x_star(ic.q_star, N)
-x0 = sample_band_point(ic.q_star, ic.q_o, N, seed=11)
-spec = ConditioningSpec(x_star, x0, ic)
+# the spec pins x_star on the first axis and draws x0 on the band from ic
+spec = ConditioningSpec(ic, N, seed=11)
+x_star, x0 = spec.x_star, spec.x_0
 field = conditioned_field(sample_system(m, N, seed=12), spec)
 
 # one batch call evaluates the field at the anchors and at a fresh band point

@@ -20,7 +20,7 @@ from .dynamics import SolverConfig, ell_limit_check, solve_dynamics
 from .fdt import solve_fdt
 from .hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
-    conditioned_field, make_x_star, sample_band_point, sample_system,
+    conditioned_field, sample_system,
 )
 from .init_params import InitCondition, check_stationary, gibbs_init, sigma_nu, solve_w
 from .langevin import (
@@ -153,7 +153,7 @@ def criterion_06_psd_invariants() -> CriterionResult:
     for m, ic, cfg in runs:
         sol = solve_dynamics(m, ic, cfg)
         worst = min(worst, sol.gram_min_eig())
-        if ic.q_star > 0.0:
+        if not ic.is_rs:
             worst = min(worst, sol.cbar_gram_min_eig())
     return CriterionResult(6, "PSD of correlation Gram matrices",
                            worst >= -1e-6, {"min_eig": float(worst)})
@@ -181,9 +181,8 @@ def criterion_08_conditioning_oracle() -> CriterionResult:
     m2 = Mixture.pure(2)
     qs, Es = 0.7, -0.3
     ic = InitCondition(qs, 0.4, Es, 2 * Es / qs**2, 0.3)
-    x_star = make_x_star(qs, N)
-    x0 = sample_band_point(qs, ic.q_o, N, 21)
-    spec = ConditioningSpec(x_star, x0, ic)
+    spec = ConditioningSpec(ic, N, 21)
+    x_star, x0 = spec.x_star, spec.x_0
     Vhat = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
     data = np.concatenate(([-N * ic.E, -N * ic.E_star], -ic.G_star * x_star))
 
@@ -215,8 +214,7 @@ def criterion_08_conditioning_oracle() -> CriterionResult:
     # derivative checks on a mixed model with a perpendicular gradient handle
     m = Mixture({2: 1.0, 3: 0.5})
     ic_m = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
-    spec_m = ConditioningSpec(make_x_star(0.7, N),
-                              sample_band_point(0.7, 0.3, N, 23), ic_m)
+    spec_m = ConditioningSpec(ic_m, N, 23)
     Vh = np.array([ic_m.E, ic_m.E_star, ic_m.G_star, 0.0])
     u = rng.standard_normal(N)
     u -= (u @ spec_m.xhat_star) * spec_m.xhat_star + (u @ spec_m.zhat) * spec_m.zhat
@@ -318,10 +316,10 @@ def criterion_10_finite_n_convergence() -> CriterionResult:
     per_path, averaged = [], []
     for N in (100, 200, 400):
         sysN = sample_system(m, N, seed=50 + N)
-        x0 = sample_band_point(0.0, 0.0, N, seed=60 + N)
-        f = conditioned_field(sysN, ConditioningSpec(np.zeros(N), x0, ic))
-        trajs = integrate_ensemble(f, x0, cfg, 8, master_seed=70 + N)
-        obs = observables(trajs, f, np.zeros(N))
+        spec = ConditioningSpec(ic, N, seed=60 + N)
+        f = conditioned_field(sysN, spec)
+        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=70 + N)
+        obs = observables(trajs, f, spec.x_star)
         per_path.append(average_error(obs, sol, T)[0])
         averaged.append(ensemble_error(obs, sol, T))
     mono = (all(a > b for a, b in zip(per_path, per_path[1:]))
@@ -337,14 +335,13 @@ def criterion_11_rotation_invariance() -> CriterionResult:
     N = 50
     m2 = Mixture.pure(2)
     ic = gibbs_init(m2, 0.2, 0.0)
-    x0 = sample_band_point(0.0, 0.0, N, 41)
-    f = conditioned_field(sample_system(m2, N, 42),
-                          ConditioningSpec(np.zeros(N), x0, ic))
+    spec = ConditioningSpec(ic, N, 41)
+    f = conditioned_field(sample_system(m2, N, 42), spec)
     cfg = LangevinConfig(beta=0.3, T=1.0, h_obs=0.05)
-    ok, dev = rotation_invariance_test(f, random_orthogonal(N, 43), x0,
-                                       np.zeros(N), cfg, seed=44)
+    ok, dev = rotation_invariance_test(f, random_orthogonal(N, 43), spec.x_0,
+                                       spec.x_star, cfg, seed=44)
     ok_neg, dev_neg = rotation_invariance_test(
-        f, random_orthogonal(N, 43), x0, np.zeros(N), cfg, seed=44,
+        f, random_orthogonal(N, 43), spec.x_0, spec.x_star, cfg, seed=44,
         rotate_noise=False)
     return CriterionResult(11, "rotation invariance", ok and not ok_neg,
                            {"deviation": dev, "control_dev": dev_neg})

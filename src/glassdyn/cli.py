@@ -29,10 +29,7 @@ from . import __version__
 from .dynamics import VARIANT_F, SolverConfig, default_f0_slope, solve_dynamics
 from .errors import ConfigError, GlassdynError
 from .fdt import solve_fdt
-from .hamiltonian import (
-    ConditioningSpec, conditioned_field, make_x_star, sample_band_point,
-    sample_system,
-)
+from .hamiltonian import ConditioningSpec, conditioned_field, sample_system
 from .init_params import InitCondition, check_stationary, solve_w
 from .langevin import (
     VARIANT_FCONF, LangevinConfig, average_error, ensemble_error,
@@ -297,15 +294,16 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     if unknown:
         raise ConfigError(f"config key {unknown[0]!r} is not known; the keys are "
                           + ", ".join(sorted(_SIM_KEYS)))
-    # both configs are built before the tensor draw, so a bad one costs no draw
+    # the configs and the start geometry come before the tensor draw: a bad one costs none
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs, substeps=substeps,
                           variant=variant, ell=ell)
+    spec = ConditioningSpec(ic, N, seed + 1)
     vf = None
     if variant == VARIANT_FCONF:
         # the slope of the limit variant 'f', which starts the radius without
         # drift; compare scores these paths against that limit
         vf = solve_w(ic, m)
-        lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta, ic.q_o))
+        lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta))
     if want_compare:
         h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
         limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
@@ -315,13 +313,9 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
             raise ConfigError(f"config key 'h_limit' ({h_lim}) must divide h_obs ({h_obs})")
     man, digest = _manifest("simulate", cfg_obj, seed)
 
-    sys_ = sample_system(m, N, seed)
-    x_star = make_x_star(ic.q_star, N)
-    x0 = sample_band_point(ic.q_star, ic.q_o, N, seed + 1)
-    spec = ConditioningSpec(x_star if ic.q_star > 0 else np.zeros(N), x0, ic)
-    f = conditioned_field(sys_, spec)
-    trajs = integrate_ensemble(f, x0, lcfg, paths, seed + 10)
-    obs = observables(trajs, f, x_star)
+    f = conditioned_field(sample_system(m, N, seed), spec)
+    trajs = integrate_ensemble(f, spec.x_0, lcfg, paths, seed + 10)
+    obs = observables(trajs, f, spec.x_star)
 
     grid = np.arange(lcfg.n_obs + 1) * h_obs
     Cbar = np.mean([o.C for o in obs], axis=0)

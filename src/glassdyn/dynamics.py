@@ -2,9 +2,9 @@
 
 One ``TwoTimeSolution`` is the solver's state: ``solve_dynamics`` builds it
 with unit diagonals and marches inside it, and the kernels and
-``residual(sol, vf, m)`` read beta, h, variant and ell from it.  The grid is
-s_i = i h, i <= n = len(q) - 1.  C is stored dense and symmetric, R
-lower-triangular (row = later time); q, K, mu, L, H are one-time arrays.
+``residual(sol, m)`` read beta, h, variant, ell and the start ic from it.
+The grid is s_i = i h, i <= n = len(q) - 1.  C is stored dense and symmetric,
+R lower-triangular (row = later time); q, K, mu, L, H are one-time arrays.
 Each slice advance is one loop of Heun-type passes with trapezoidal memory
 quadrature: the Euler predictor, then correctors, with the
 Lagrange-multiplier closure mu refreshed after every pass.  Each pass
@@ -17,9 +17,9 @@ nu'(q) as an array with one entry refreshed per row (only q at the new
 slice moves during a slice); the mixture's radius guard is checked once per
 row, and not at all when it is infinite; Heun's base rows are built once
 per slice, so a pass writes row i + 1 of R and C with one multiply and one
-add each.  A replica-symmetric start (``InitCondition.is_rs``) is recorded
-with q_star = 0 and takes the band path with nu'(q_star^2) = inf, so every
-L term is an exact zero.
+add each.  A replica-symmetric start (``InitCondition.is_rs``, which stores
+q_star = 0) takes the band path with nu'(q_star^2) = inf, so every L term
+is an exact zero.
 
 Variants: hard spherical constraint (K = 1), soft radial confinement with
 stiffness ell (K solved semi-implicitly), and gradient flow (noise-free
@@ -100,7 +100,8 @@ class TwoTimeSolution:
 
     C[i, j] = C(s_i, s_j) is symmetric (checked on construction); R[i, j] =
     R(s_i, s_j) is lower-triangular, zero above the diagonal.  beta is the
-    kernels' coupling (1 for gradient flow); q_star = 0 marks an RS start.
+    kernels' coupling (1 for gradient flow); ic is the start the solution
+    was solved from.
     """
 
     h: float
@@ -112,8 +113,7 @@ class TwoTimeSolution:
     L: np.ndarray
     H: np.ndarray
     beta: float
-    q_star: float
-    q_o: float
+    ic: InitCondition
     variant: str = VARIANT_SPHERICAL
     ell: float | None = None
 
@@ -147,11 +147,11 @@ class TwoTimeSolution:
 
     def cbar_gram_min_eig(self) -> float:
         """Smallest eigenvalue of the band-centered correlation Gram matrix."""
-        if self.q_star <= 0.0:
-            raise ConfigError("centered correlation needs q_star > 0")
+        if self.ic.is_rs:
+            raise ConfigError("an RS start has no band to center the correlation on")
         idx = self._subgrid()
         qi = self.q[idx]
-        g = self.C[np.ix_(idx, idx)] - np.outer(qi, qi) / self.q_star**2
+        g = self.C[np.ix_(idx, idx)] - np.outer(qi, qi) / self.ic.q_star**2
         return float(np.linalg.eigvalsh(g)[0])
 
 
@@ -198,13 +198,12 @@ class _Kernels:
 
     def __init__(self, m: Mixture, vf: VFunction, sol: TwoTimeSolution):
         self.m, self.vf, self.sol = m, vf, sol
-        self.beta, self.h, self.qs2 = sol.beta, sol.h, sol.q_star**2
+        self.beta, self.h, self.qs2 = sol.beta, sol.h, sol.ic.q_star**2
         # nu'(q): row(a) refreshes entry a and reads the entries below it
         self.dq = m.nu(sol.q, 1)
         # at q_star = 0 every L integrand is an exact zero: inf keeps L at 0
-        self.dnu_qs2 = m.nu(self.qs2, 1) if sol.q_star > 0.0 else math.inf
-        self.c0 = (default_f0_slope(vf, sol.beta, sol.q_o)
-                   if sol.variant == VARIANT_F else None)
+        self.dnu_qs2 = math.inf if sol.ic.is_rs else m.nu(self.qs2, 1)
+        self.c0 = default_f0_slope(vf, sol.beta) if sol.variant == VARIANT_F else None
 
     def mu(self, K: float, ad: float) -> float:
         """The multiplier from the squared radius K and ad = A_C(s, s)."""
@@ -255,7 +254,7 @@ class _Kernels:
                + (rw.vy - 0.5 * bh * mv0) * C[0, : a + 1])
         A_C -= (beta * rw.dqa) * sol.L[: a + 1]
         A_q = (bh * (float(mv @ qs) - 0.5 * (mv0 * float(qs[0]) + mv_a * float(qs[a])))
-               - beta * qs2 * rw.d2q * La + qs2 * rw.vx + sol.q_o * rw.vy)
+               - beta * qs2 * rw.d2q * La + qs2 * rw.vx + sol.ic.q_o * rw.vy)
         vx = rw.vx - beta * rw.d2q * La
         F_C = beta * (A_C + vx * qs) - (0.5 * beta * bh * mv_a + mua) * Crow
         return F_R, F_C, -mua * float(q[a]) + beta * A_q
@@ -267,9 +266,9 @@ class _Kernels:
                 - self.beta * rw.dqa * sol.L[a])
 
 
-def default_f0_slope(vf: VFunction, beta: float, q_o: float) -> float:
+def default_f0_slope(vf: VFunction, beta: float) -> float:
     """Slope giving zero initial radial drift: 1/2 + beta (q_o vx + vy)(q_o, 1)."""
-    return 0.5 + beta * (q_o * vf.vx(q_o, 1.0) + vf.vy(q_o, 1.0))
+    return 0.5 + beta * (vf.q_o * vf.vx(vf.q_o, 1.0) + vf.vy(vf.q_o, 1.0))
 
 
 def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
@@ -284,8 +283,7 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     sol = TwoTimeSolution(
         h, np.eye(n + 1), np.eye(n + 1), q, np.ones(n + 1), np.zeros(n + 1),
         np.zeros(n + 1), np.zeros(n + 1),
-        beta=1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta,
-        q_star=0.0 if ic.is_rs else ic.q_star, q_o=ic.q_o,
+        beta=1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta, ic=ic,
         variant=cfg.variant, ell=ell)
     ker = _Kernels(m, vf, sol)
     C, R, K, mu, L, H, beta = sol.C, sol.R, sol.K, sol.mu, sol.L, sol.H, sol.beta
@@ -349,7 +347,7 @@ def _warn_on_psd(sol: TwoTimeSolution):
     if sol.gram_min_eig() < -_TOL_PSD:
         warnings.warn("correlation Gram matrix not PSD within tolerance",
                       PsdViolationWarning)
-    if sol.q_star > 0.0 and sol.cbar_gram_min_eig() < -_TOL_PSD:
+    if not sol.ic.is_rs and sol.cbar_gram_min_eig() < -_TOL_PSD:
         warnings.warn("band-centered correlation Gram matrix not PSD",
                       PsdViolationWarning)
 
@@ -363,16 +361,16 @@ class ResidualReport:
     sup_res_mu: float
 
 
-def residual(sol: TwoTimeSolution, vf: VFunction, m: Mixture) -> ResidualReport:
+def residual(sol: TwoTimeSolution, m: Mixture) -> ResidualReport:
     """Equation residuals of an externally supplied solution.
 
     Central differences in the later time against the right-hand sides, sup
     over the strict triangle; H and mu are checked as identities (a zeroed
     solution is caught by the constant forcing in the mu bookkeeping).  The
-    kernels take R(s, s) = 1 as given, so sup_res_R also covers R's diagonal
-    against that boundary value.
+    drift source is solve_w(sol.ic, m); the kernels take R(s, s) = 1 as
+    given, so sup_res_R also covers R's diagonal against that boundary value.
     """
-    ker = _Kernels(m, vf, sol)
+    ker = _Kernels(m, solve_w(sol.ic, m), sol)
     C, R, q, L, h = sol.C, sol.R, sol.q, sol.L, sol.h
     res_R = float(abs(np.diagonal(R) - 1.0).max())
     res_C = res_q = res_H = res_mu = 0.0

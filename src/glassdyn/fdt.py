@@ -128,6 +128,5 @@ def stationary_two_time(fdt: FdtSolution, ic: InitCondition) -> TwoTimeSolution:
         h=fdt.h_tau, C=C, R=R,
         q=np.full(n + 1, ic.q_o), K=np.ones(n + 1),
         mu=np.full(n + 1, mu_val), L=L,
-        H=np.full(n + 1, ic.E), beta=beta,
-        q_star=0.0 if ic.is_rs else ic.q_star, q_o=ic.q_o,
+        H=np.full(n + 1, ic.E), beta=beta, ic=ic,
     )

@@ -12,7 +12,9 @@ are drawn slab by slab and summed straight into those rows, so the full
 tensor never exists and the result is the same, bit for bit, as averaging
 the whole drawn tensor.  One matrix product with those rows gives the
 gradient for a whole batch of points, so each SDE step streams half the
-bytes it would over the full tensor.  Conditioning on
+bytes it would over the full tensor.  ConditioningSpec(target, N, seed)
+builds the pinned point x_star and the start x_0 from the InitCondition
+alone.  Conditioning on
 the value at the start point and on value/gradient at a critical point is
 exact for a Gaussian field and is realized by a mean swap: subtract the
 conditional mean at the observed data, add it back at the target data.  The
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .init_params import InitCondition, VFunction, solve_w, solve_weights
+from .init_params import _DEGEN_TOL, InitCondition, VFunction, solve_w, solve_weights
 from .mixture import Mixture
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "conditional_mean_hessian",
     "conditioned_field",
     "sample_band_point",
-    "make_x_star",
 ]
 
 _P_MAX = 4
@@ -285,26 +286,29 @@ def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
     return SpinSystem(N, m, tensors, seed)
 
 
-def make_x_star(q_star: float, N: int) -> np.ndarray:
-    """Critical-point location pinned to the first coordinate axis."""
-    x = np.zeros(N)
-    x[0] = q_star * math.sqrt(N)
-    return x
-
-
 def sample_band_point(q_star: float, q_o: float, N: int, seed: int) -> np.ndarray:
     """Uniform start point on the sub-sphere of overlap q_o with the axis point.
 
     x0 = alpha sqrt(N) xhat + sqrt(1 - alpha^2) sqrt(N) ghat with ghat a
     uniform unit vector orthogonal to xhat; q_star = 0 means uniform on the
-    whole sphere.
+    whole sphere.  On the band edge |q_o| = q_star (as InitCondition
+    decides it) the sub-sphere is the point sign(q_o) sqrt(N) xhat, for any
+    N; off the edge the band needs N >= 2.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(N)
     if q_star == 0.0:
         return math.sqrt(N) * g / np.linalg.norm(g)
     if abs(q_o) > q_star + 1e-12:
         raise ConfigError("|q_o| must not exceed q_star")
+    if abs(q_star - abs(q_o)) < _DEGEN_TOL:
+        x0 = np.zeros(N)
+        x0[0] = math.copysign(math.sqrt(N), q_o)
+        return x0
+    if N < 2:
+        raise ConfigError(f"N = {N}: a start with |q_o| < q_star needs N >= 2")
     alpha = q_o / q_star
     g[0] = 0.0
     g /= np.linalg.norm(g)
@@ -317,38 +321,34 @@ def sample_band_point(q_star: float, q_o: float, N: int, seed: int) -> np.ndarra
 class ConditioningSpec:
     """Geometry and target data of the critical-point conditioning event.
 
-    Holds the pinned point x_star, the start point x_0, the target values,
-    and the unit vectors xhat_star (None when q_star = 0) and zhat, the
-    direction of x_0 orthogonal to x_star, which the constructor derives
-    from them.  zhat is None off the branches with the z coordinate: at
+    Built from the target alone: x_star = q_star sqrt(N) on the first axis,
+    x_0 = sample_band_point(q_star, q_o, N, seed), and the unit vectors
+    xhat_star (None when q_star = 0) and zhat, the direction of x_0
+    orthogonal to x_star, None off the branches with the z coordinate: at
     q_star = 0 and on a degenerate band |q_o| = q_star.
     """
 
-    x_star: np.ndarray
-    x_0: np.ndarray
     target: InitCondition
+    N: int
+    seed: int
+    x_star: np.ndarray = field(init=False)
+    x_0: np.ndarray = field(init=False)
     xhat_star: np.ndarray | None = field(init=False, default=None)
     zhat: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        N = len(self.x_0)
-        if abs(self.x_0 @ self.x_0 - N) > 1e-8 * N:
-            raise ConfigError("x_0 must lie on the sphere of radius sqrt(N)")
-        ic = self.target
+        ic, N = self.target, self.N
+        if N < 1:
+            raise ConfigError(f"N must be >= 1, got {N}")
+        self.x_0 = sample_band_point(ic.q_star, ic.q_o, N, self.seed)
+        self.x_star = np.zeros(N)
+        self.x_star[0] = ic.q_star * math.sqrt(N)
         if ic.is_rs:
             return
-        qo_obs = self.x_0 @ self.x_star / N
-        if abs(qo_obs - ic.q_o) > 1e-10:
-            raise ConfigError(
-                f"x_0 overlap {qo_obs:.3e} does not match target q_o {ic.q_o:.3e}")
         self.xhat_star = self.x_star / np.linalg.norm(self.x_star)
         if not ic.is_degenerate:
             z = self.x_0 / math.sqrt(N) - ic.alpha * self.xhat_star
             self.zhat = z / np.linalg.norm(z)
-
-    @property
-    def N(self) -> int:
-        return len(self.x_0)
 
 
 def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,

@@ -48,7 +48,10 @@ BRANCH_PURE_P_DEGENERATE = "pure_p_degenerate"
 
 @dataclass(frozen=True)
 class InitCondition:
-    """Conditioning target (q_star, V) with V = (E, E_star, G_star, q_o)."""
+    """Conditioning target (q_star, V) with V = (E, E_star, G_star, q_o).
+
+    The one RS decision: a q_star below _DEGEN_TOL is stored as exactly 0.0.
+    """
 
     q_star: float
     E: float
@@ -62,6 +65,8 @@ class InitCondition:
         for name in ("E", "E_star", "G_star", "q_o"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.q_star < _DEGEN_TOL:
+            object.__setattr__(self, "q_star", 0.0)
         if self.is_rs:
             if self.E_star != 0.0 or self.G_star != 0.0 or self.q_o != 0.0:
                 raise ConfigError("q_star = 0 forces E_star = G_star = q_o = 0")
@@ -70,7 +75,7 @@ class InitCondition:
 
     @property
     def is_rs(self) -> bool:
-        return self.q_star < _DEGEN_TOL
+        return self.q_star == 0.0
 
     @property
     def is_degenerate(self) -> bool:

@@ -84,7 +84,8 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
     """Step one copy of x0 per seed in lockstep, one row of X per path.
 
     ``draw(k)`` returns the (len(seeds), N) Brownian increments of SDE step
-    k; each step makes one field.gradient_batch call for all rows.
+    k; each step makes one field.gradient_batch call for all rows, and checks
+    the radii it computes anyway: an escape is an EscapeError at its step.
     """
     N, n_paths = len(x0), len(seeds)
     n_obs, sub = cfg.n_obs, cfg.substeps
@@ -96,6 +97,7 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
     xs[:, 0], Bs[:, 0] = X, B
     rootN = math.sqrt(N)
     spherical = cfg.variant == VARIANT_SPHERE
+    r = (X * X).sum(axis=1, keepdims=True) / N
     for k in range(n_obs * sub):
         dB = draw(k)
         G = field.gradient_batch(X)
@@ -104,19 +106,23 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
             gsp = G - ((G * X).sum(axis=1, keepdims=True) / xx) * X
             noise = dB - ((dB * X).sum(axis=1, keepdims=True) / xx) * X
             X = X + h * (-cfg.beta * gsp - (N - 1) / (2.0 * N) * X) + noise
-            X *= rootN / np.linalg.norm(X, axis=1, keepdims=True)
+            norm = np.linalg.norm(X, axis=1, keepdims=True)
+            rad = norm[:, 0] / rootN
+            X *= rootN / norm
         else:
-            r = (X * X).sum(axis=1, keepdims=True) / N
             X = X + h * (-(2.0 * cfg.ell * (r - 1.0) + cfg.f0_slope) * X
                          - cfg.beta * G) + dB
+            r = (X * X).sum(axis=1, keepdims=True) / N
+            rad = np.sqrt(r[:, 0])
+        out = np.flatnonzero(~((rad > 0.5) & (rad < _R_GUARD)))  # NaN fails too
+        if len(out):
+            i = out[0]
+            raise EscapeError(f"path {i} (seed {seeds[i]}) radius {rad[i]:.3f} left "
+                              f"(0.5, {_R_GUARD}) at SDE step {k + 1}")
         B = B + dB
         if (k + 1) % sub == 0:
             j = (k + 1) // sub
             xs[:, j], Bs[:, j] = X, B
-            rad = np.linalg.norm(X, axis=1) / rootN
-            if not ((rad > 0.5) & (rad < _R_GUARD)).all():
-                raise EscapeError(f"path radii {rad.min():.3f}..{rad.max():.3f} "
-                                  f"left (0.5, {_R_GUARD}) at step {k + 1}")
     return [Trajectory(cfg.h_obs, xs[i], Bs[i], s) for i, s in enumerate(seeds)]
 
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from glassdyn.phase import beta_c_dyn, beta_c_stat, classify
 
 GENERIC_INIT = {"q_star": 0.8,
                 "V": {"E": 0.5, "E_star": -0.3, "G_star": 0.4, "q_o": 0.35}}
+# a band start off the edge |q_o| = q_star: it needs N >= 2
+BAND_INIT = {"q_star": 0.7, "V": {"E": 0.4, "q_o": 0.3}}
 
 
 def reference_csv(digest, header, rows):
@@ -273,6 +276,37 @@ class TestSimulateCompare:
             assert main(["--out-dir", str(files["dir"] / command), command,
                          "--config", _sim_config(files, mixture=mixture)]) == 1
 
+    def test_tiny_q_star_compares_as_the_rs_start(self, files):
+        # q_star = 1e-200 is the RS start: x_star is zero, so q_N is
+        # identically 0, and every CSV matches the q_star = 0 run below its
+        # manifest line (the configs, hence the hashes, differ)
+        bodies = {}
+        for q_star in (0.0, 1e-200):
+            out = files["dir"] / f"q{q_star}"
+            assert main(["--out-dir", str(out), "compare", "--config", _sim_config(
+                files, init={"q_star": q_star, "V": {"E": 0.12}})]) == 0
+            bodies[q_star] = {name: (out / name).read_bytes().split(b"\n", 1)[1]
+                              for name in ("C_N.csv", "chi_N.csv", "onetime_N.csv")}
+        assert bodies[1e-200] == bodies[0.0]
+        one = np.loadtxt(files["dir"] / "q1e-200" / "onetime_N.csv", delimiter=",",
+                         skiprows=2)
+        assert np.all(one[:, 1] == 0.0)
+
+    def test_band_edge_start_at_n_one(self, files):
+        # N = 1 holds only the band edge |q_o| = q_star, whose start is the
+        # axis point itself; three powers leave the edge's values free
+        init = {"q_star": 0.7, "V": {"E": 0.4, "E_star": -0.3, "G_star": 0.25,
+                                     "q_o": 0.7}}
+        out = files["dir"] / "edge"
+        with warnings.catch_warnings():
+            # no 0/0 on the way: the start is not drawn off the axis
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out-dir", str(out), "simulate", "--config", _sim_config(
+                files, mixture={"coeffs": {"2": 1.0, "3": 1.0, "4": 0.5}},
+                init=init, N=1)]) == 0
+        one = np.loadtxt(out / "onetime_N.csv", delimiter=",", skiprows=2)
+        assert one[0, 1] == pytest.approx(0.7, abs=1e-15)
+
     def test_reproducible_given_seed(self, files):
         out1, out2 = files["dir"] / "a", files["dir"] / "b"
         main(["--out-dir", str(out1), "simulate", "--config", str(files["sim"])])
@@ -340,11 +374,13 @@ class TestErrors:
         (lambda f: ["simulate", "--config", _sim_config(f, ell=5.0)], "'ell'"),
         (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "1e200",
                     "--gamma", "0.5"], "beta"),
+        (lambda f: ["simulate", "--config", _sim_config(f, N=1, init=BAND_INIT)],
+         "N = 1"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
             "h_limit-not-dividing-h_obs", "ell-without-fconfined",
-            "fdt-kernel-overflow"])
+            "fdt-kernel-overflow", "band-start-at-N-one"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
@@ -357,8 +393,9 @@ class TestErrors:
         # 0.02 divides T = 0.5 but not h_obs = 0.05
         ("compare", {"h_limit": 0.02}),
         ("compare", {"ell": 5.0}),
+        ("simulate", {"N": 1, "init": BAND_INIT}),
     ], ids=["fconfined-without-ell", "h_limit-off-grid", "h_limit-off-observable-grid",
-            "ell-on-the-sphere"])
+            "ell-on-the-sphere", "band-start-at-N-one"])
     def test_bad_run_config_is_refused_before_the_draw(self, files, monkeypatch,
                                                        command, changes):
         def no_draw(*args):

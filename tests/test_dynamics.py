@@ -103,7 +103,7 @@ class TestKernels:
     def test_solver_output_residual_small(self):
         cfg = SolverConfig(beta=0.5, T=1.0, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
-        rep = residual(sol, solve_w(IC_GEN, M23), M23)
+        rep = residual(sol, M23)
         for v in (rep.sup_res_R, rep.sup_res_C, rep.sup_res_q, rep.sup_res_H):
             assert v < 5 * cfg.h
 
@@ -112,10 +112,9 @@ class TestKernels:
         # from R: a wrong L[k] shows in C, q, H and mu
         cfg = SolverConfig(beta=0.5, T=1.0, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
-        vf = solve_w(IC_GEN, M23)
-        base = residual(sol, vf, M23)
+        base = residual(sol, M23)
         sol.L[50] += 0.1
-        bad = residual(sol, vf, M23)
+        bad = residual(sol, M23)
         for name in ("sup_res_C", "sup_res_q", "sup_res_H", "sup_res_mu"):
             before = getattr(base, name)
             assert getattr(bad, name) > (100 * before if before > 0 else 1e-3), name
@@ -154,10 +153,9 @@ class TestKernels:
         # no central difference reads the last diagonal entry
         cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
         sol = solve_dynamics(M23, IC_GEN, cfg)
-        vf = solve_w(IC_GEN, M23)
-        assert residual(sol, vf, M23).sup_res_R < 5 * cfg.h
+        assert residual(sol, M23).sup_res_R < 5 * cfg.h
         sol.R[-1, -1] = 0.5
-        assert residual(sol, vf, M23).sup_res_R == 0.5
+        assert residual(sol, M23).sup_res_R == 0.5
 
     def test_zeroed_solution_flagged_by_mu_bookkeeping(self):
         cfg = SolverConfig(beta=0.3, T=0.5, h=0.01)
@@ -167,8 +165,8 @@ class TestKernels:
                                 np.zeros_like(sol.R), np.zeros(n + 1),
                                 np.zeros(n + 1), np.zeros(n + 1),
                                 np.zeros(n + 1), np.zeros(n + 1),
-                                sol.beta, sol.q_star, sol.q_o)
-        rep = residual(zeros, solve_w(IC_GEN, M23), M23)
+                                sol.beta, sol.ic)
+        rep = residual(zeros, M23)
         assert rep.sup_res_mu >= 0.5
 
 
@@ -195,10 +193,18 @@ class TestVariants:
             warnings.simplefilter("ignore", PsdViolationWarning)
             tiny = solve_dynamics(M23, InitCondition(1e-200, 0.3), cfg)
             zero = solve_dynamics(M23, InitCondition(0.0, 0.3), cfg)
-        assert tiny.q_star == 0.0
+        assert tiny.ic.q_star == 0.0
         for name in ("C", "R", "q", "K", "mu", "L", "H"):
             assert getattr(tiny, name).tobytes() == getattr(zero, name).tobytes(), name
         assert not np.any(tiny.L)
+
+    def test_residual_of_a_tiny_q_star_start_is_the_rs_residual(self):
+        # a solution that records q_star = 1e-200 records the RS start, so
+        # its residual divides by no nu'(q_star^2) and matches q_star = 0
+        cfg = SolverConfig(beta=0.5, T=0.5, h=0.01)
+        sol = solve_dynamics(M23, InitCondition(0.0, 0.3), cfg)
+        tiny = dataclasses.replace(sol, ic=InitCondition(1e-200, 0.3))
+        assert residual(tiny, M23) == residual(sol, M23)
 
     @pytest.mark.parametrize("variant,ell", [("spherical", None), ("f", 20.0),
                                              ("gradflow", None)])
@@ -209,7 +215,7 @@ class TestVariants:
             warnings.simplefilter("ignore", PsdViolationWarning)
             sol = solve_dynamics(M23, IC_GEN, cfg)
         assert sol.ell == ell and sol.variant == variant
-        rep = residual(sol, solve_w(IC_GEN, M23), M23)
+        rep = residual(sol, M23)
         assert rep.sup_res_mu < 1e-12
         assert max(rep.sup_res_C, rep.sup_res_R, rep.sup_res_q) < 5 * cfg.h
 

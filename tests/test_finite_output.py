@@ -16,10 +16,7 @@ from hypothesis import given, settings, strategies as st
 from glassdyn.dynamics import SolverConfig, solve_dynamics
 from glassdyn.errors import GlassdynError
 from glassdyn.fdt import solve_fdt
-from glassdyn.hamiltonian import (
-    ConditioningSpec, conditioned_field, make_x_star, sample_band_point,
-    sample_system,
-)
+from glassdyn.hamiltonian import ConditioningSpec, conditioned_field, sample_system
 from glassdyn.init_params import InitCondition
 from glassdyn.langevin import LangevinConfig, integrate_ensemble
 from glassdyn.mixture import Mixture
@@ -93,13 +90,11 @@ class TestFiniteOutputProperty:
                                 paths, variant, ell, seed):
         try:
             ic = InitCondition(*start)
-            x_star = make_x_star(ic.q_star, N)
-            x0 = sample_band_point(ic.q_star, ic.q_o, N, seed)
-            f = conditioned_field(sample_system(m, N, seed),
-                                  ConditioningSpec(x_star, x0, ic))
+            spec = ConditioningSpec(ic, N, seed)
+            f = conditioned_field(sample_system(m, N, seed), spec)
             cfg = LangevinConfig(beta, n_obs * h_obs, h_obs, substeps, variant,
                                  ell if variant == "fconfined" else None)
-            trajs = integrate_ensemble(f, x0, cfg, paths, seed + 1)
+            trajs = integrate_ensemble(f, spec.x_0, cfg, paths, seed + 1)
         except GlassdynError:
             return
         for t in trajs:

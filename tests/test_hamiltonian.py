@@ -14,8 +14,7 @@ from glassdyn import hamiltonian
 from glassdyn.errors import ConfigError, DomainError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
-    _SYM_BLOCK, conditioned_field, make_x_star, sample_band_point,
-    sample_system,
+    _SYM_BLOCK, conditioned_field, sample_band_point, sample_system,
 )
 from glassdyn.init_params import InitCondition, solve_w
 from glassdyn.mixture import Mixture
@@ -298,10 +297,9 @@ class TestPackedProperty:
 class TestBandPoint:
     def test_on_sphere_with_prescribed_overlap(self):
         N = 64
-        x_star = make_x_star(0.7, N)
         x0 = sample_band_point(0.7, 0.3, N, 11)
         assert x0 @ x0 / N == pytest.approx(1.0, abs=1e-10)
-        assert x0 @ x_star / N == pytest.approx(0.3, abs=1e-10)
+        assert 0.7 * x0[0] / math.sqrt(N) == pytest.approx(0.3, abs=1e-10)
 
     def test_uniform_sphere_mean_vanishes(self):
         N = 16
@@ -310,11 +308,60 @@ class TestBandPoint:
         assert np.abs(mean).max() < 4.0 / math.sqrt(400)
 
 
+@st.composite
+def spec_starts(draw):
+    """An RS, generic or band-edge start; RS draws meet tiny nonzero q_star."""
+    kind = draw(st.sampled_from(["rs", "generic", "edge"]), label="kind")
+    if kind == "rs":
+        return InitCondition(draw(st.floats(0.0, 1e-12, exclude_max=True),
+                                  label="q_star"), 0.3)
+    q_star = draw(st.floats(1e-12, 1.0), label="q_star")
+    if kind == "edge":
+        q_o = draw(st.sampled_from([-1.0, 1.0]), label="sign") * q_star
+    else:
+        q_o = draw(st.floats(-q_star, q_star), label="q_o")
+    return InitCondition(q_star, 0.4, -0.3, 0.25, q_o)
+
+
+class TestConditioningSpec:
+    @settings(max_examples=200, deadline=None)
+    @given(spec_starts(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_geometry_matches_the_target(self, ic, N, seed):
+        if not (ic.is_rs or ic.is_degenerate) and N < 2:
+            with pytest.raises(ConfigError, match="N = 1"):
+                ConditioningSpec(ic, N, seed)
+            return
+        spec = ConditioningSpec(ic, N, seed)
+        x_star, x0 = spec.x_star, spec.x_0
+        assert x_star @ x_star / N == pytest.approx(ic.q_star**2, rel=1e-12, abs=1e-300)
+        assert x0 @ x0 == pytest.approx(N, rel=1e-12)
+        # a start within _DEGEN_TOL of the band edge sits on it
+        assert x0 @ x_star / N == pytest.approx(ic.q_o, rel=1e-12, abs=2e-12)
+        assert x0.tobytes() == sample_band_point(ic.q_star, ic.q_o, N, seed).tobytes()
+        assert (spec.xhat_star is None) == ic.is_rs
+        assert (spec.zhat is None) == (ic.is_rs or ic.is_degenerate)
+
+    @pytest.mark.parametrize("q_o", [0.7, -0.7])
+    def test_band_edge_start_at_n_one(self, q_o):
+        # the edge |q_o| = q_star is the point sign(q_o) sqrt(N) on the axis
+        spec = ConditioningSpec(InitCondition(0.7, 0.4, -0.3, 0.25, q_o), 1, 5)
+        assert spec.x_0.tolist() == [math.copysign(1.0, q_o)]
+        assert spec.x_star.tolist() == [0.7]
+
+    def test_band_start_needs_two_coordinates(self):
+        with pytest.raises(ConfigError, match="N = 1"):
+            ConditioningSpec(InitCondition(0.7, 0.4, -0.3, 0.25, 0.3), 1, 5)
+
+    @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.3),
+                                    InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)])
+    def test_negative_seed_is_config_error(self, ic):
+        with pytest.raises(ConfigError, match="seed"):
+            ConditioningSpec(ic, 8, -1)
+
+
 def _brute_setup(m, ic, N, seed):
-    x_star = make_x_star(ic.q_star, N)
-    x0 = sample_band_point(ic.q_star, ic.q_o, N, seed)
-    spec = ConditioningSpec(x_star, x0, ic)
-    return x_star, x0, spec
+    spec = ConditioningSpec(ic, N, seed)
+    return spec.x_star, spec.x_0, spec
 
 
 def _brute_mean(m, N, x0, x_star, xt, data):
@@ -438,9 +485,8 @@ class TestConditionedField:
     ], ids=["generic", "degenerate_plus", "degenerate_minus", "pure3_generic"])
     def test_interpolates_target_exactly(self, m, ic):
         N = 20
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 31)
-        spec = ConditioningSpec(x_star, x0, ic)
+        spec = ConditioningSpec(ic, N, 31)
+        x_star, x0 = spec.x_star, spec.x_0
         assert (spec.zhat is None) == ic.is_degenerate
         f = conditioned_field(sample_system(m, N, 32), spec)
         assert _value(f, x0) == pytest.approx(-N * ic.E, abs=1e-9)
@@ -458,9 +504,8 @@ class TestConditionedField:
         # the finite-N mean over -N is v(q, y) of the limit solver, at the
         # overlaps q, y of a point with x_star and x_0
         N = 12
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 50)
-        spec = ConditioningSpec(x_star, x0, ic)
+        spec = ConditioningSpec(ic, N, 50)
+        x_star, x0 = spec.x_star, spec.x_0
         rng = np.random.default_rng(51)
         X = np.stack([_random_sphere_point(rng, N) for _ in range(6)])
         mean = conditional_mean(spec, m, [ic.E, ic.E_star, ic.G_star, 0.0], None,
@@ -472,8 +517,8 @@ class TestConditionedField:
     def test_rs_case_conditions_start_value_only(self):
         N = 20
         ic = InitCondition(0.0, 0.9)
-        x0 = sample_band_point(0.0, 0.0, N, 33)
-        spec = ConditioningSpec(np.zeros(N), x0, ic)
+        spec = ConditioningSpec(ic, N, 33)
+        x0 = spec.x_0
         f = conditioned_field(sample_system(M23, N, 34), spec)
         assert _value(f, x0) == pytest.approx(-N * ic.E, abs=1e-9)
         # a generic second point keeps a random residual
@@ -485,10 +530,9 @@ class TestConditionedField:
     def test_batch_matches_rows(self, ic):
         # the batched mean swap against one point at a time
         N = 20
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 36)
-        f = conditioned_field(sample_system(M23, N, 37),
-                              ConditioningSpec(x_star, x0, ic))
+        spec = ConditioningSpec(ic, N, 36)
+        x_star, x0 = spec.x_star, spec.x_0
+        f = conditioned_field(sample_system(M23, N, 37), spec)
         rng = np.random.default_rng(38)
         X = np.stack([x0, x_star] + [_random_sphere_point(rng, N) for _ in range(5)])
         rows = np.stack([_gradient(f, x) for x in X])
@@ -501,32 +545,32 @@ class TestConditionedField:
         # each field observes its own realization; the spec holds no field data
         N = 20
         ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 46)
-        spec = ConditioningSpec(x_star, x0, ic)
+        spec = ConditioningSpec(ic, N, 46)
+        x_star, x0 = spec.x_star, spec.x_0
         for seed in (47, 48):
             f = conditioned_field(sample_system(M23, N, seed), spec)
             np.testing.assert_allclose(f.value_batch(np.stack([x0, x_star])),
                                        [-N * ic.E, -N * ic.E_star], atol=1e-9)
 
-    def test_x_star_outside_radius_guard_raises(self):
-        # x_star at 5 sqrt(N) on the first axis; x_0 keeps the target overlap
+    def test_far_point_outside_radius_guard_raises(self):
+        # the spec builds x_star and x_0 on the sphere, so the guard is met by
+        # an evaluation point: one row at 5 sqrt(N) fails the whole batch
         N = 20
         ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
-        x_star = 5.0 * make_x_star(1.0, N)
-        x0 = sample_band_point(1.0, ic.q_o / 5.0, N, 39)
-        spec = ConditioningSpec(x_star, x0, ic)
+        spec = ConditioningSpec(ic, N, 39)
+        f = conditioned_field(sample_system(M23, N, 40), spec)
+        far = np.zeros(N)
+        far[1] = 5.0 * math.sqrt(N)
         with pytest.raises(DomainError, match="radius guard"):
-            conditioned_field(sample_system(M23, N, 40), spec)
+            f.gradient_batch(np.stack([spec.x_0, far]))
 
     @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.9),
                                     InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)])
     def test_matches_two_evaluation_swap(self, ic):
         N = 20
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 41)
         sys = sample_system(M23, N, 42)
-        spec = ConditioningSpec(x_star, x0, ic)
+        spec = ConditioningSpec(ic, N, 41)
+        x_star, x0 = spec.x_star, spec.x_0
         f = conditioned_field(sys, spec)
         rng = np.random.default_rng(43)
         X = np.stack([x0, x_star] + [_random_sphere_point(rng, N) for _ in range(5)])
@@ -539,9 +583,9 @@ class TestConditionedField:
     def test_one_mean_evaluation_per_batch_call(self, monkeypatch):
         N = 20
         ic = InitCondition(0.6, 0.5, -0.2, 0.35, 0.2)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 44)
-        f = conditioned_field(sample_system(M23, N, 45),
-                              ConditioningSpec(make_x_star(ic.q_star, N), x0, ic))
+        spec = ConditioningSpec(ic, N, 44)
+        x0 = spec.x_0
+        f = conditioned_field(sample_system(M23, N, 45), spec)
         calls, mean_eval = [], hamiltonian._mean_eval
 
         def counted(*args):
@@ -564,7 +608,7 @@ def _two_evaluation_swap(sys, spec, X, what):
     m, ic, N = sys.mixture, spec.target, spec.N
     target = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
     h0 = _value(sys, spec.x_0)
-    if ic.q_star == 0.0:
+    if ic.is_rs:
         observed, u_obs = np.array([-h0 / N, 0.0, 0.0, 0.0]), None
     else:
         hs, gs = _value(sys, spec.x_star), _gradient(sys, spec.x_star)

@@ -10,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 from glassdyn.errors import (
     ConfigError, DomainError, GlassdynError, NoRootError, SingularMatrixError,
 )
-from glassdyn.hamiltonian import (
-    ConditioningSpec, conditional_mean, make_x_star, sample_band_point,
-)
+from glassdyn.hamiltonian import ConditioningSpec, conditional_mean
 from glassdyn.init_params import (
     InitCondition, check_stationary, fdt_regime_residual, gamma_star,
     gibbs_init, pure_p_localized, sigma_nu, solve_w,
@@ -374,10 +372,9 @@ class TestConditioningProperty:
         X *= math.sqrt(N) / np.linalg.norm(X, axis=1)[:, None]
         try:
             ic = InitCondition(*values)
-            x0 = sample_band_point(ic.q_star, ic.q_o, N, seed)
-            spec = ConditioningSpec(make_x_star(ic.q_star, N), x0, ic)
+            spec = ConditioningSpec(ic, N, seed)
             Vhat = [ic.E, ic.E_star, ic.G_star, 0.0]
-            out = [conditional_mean(spec, m, Vhat, None, np.vstack([x0, X]), what)
+            out = [conditional_mean(spec, m, Vhat, None, np.vstack([spec.x_0, X]), what)
                    for what in ("value", "gradient")]
         except GlassdynError:
             return

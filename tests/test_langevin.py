@@ -6,8 +6,7 @@ import pytest
 from glassdyn.dynamics import SolverConfig, solve_dynamics
 from glassdyn.errors import ConfigError, EscapeError, GridMismatchError
 from glassdyn.hamiltonian import (
-    ConditioningSpec, conditioned_field, make_x_star, sample_band_point,
-    sample_system,
+    ConditioningSpec, conditioned_field, sample_band_point, sample_system,
 )
 from glassdyn.init_params import InitCondition, gibbs_init
 from glassdyn.langevin import (
@@ -95,6 +94,44 @@ class TestIntegrate:
         with pytest.raises(EscapeError):
             integrate_ensemble(Repulsive(), x0, cfg, 1, 9)
 
+    @pytest.mark.parametrize("beta", [3.0, 20.0])
+    def test_escape_is_caught_before_the_field_guard(self, beta):
+        # a confined path that leaves the band between observation points is
+        # an EscapeError naming its path and SDE step, not the field's
+        # DomainError from evaluating the escaped state
+        m, N = Mixture({2: 1.0, 3: 1.0}), 30
+        spec = ConditioningSpec(InitCondition(0.0, 0.3), N, 1)
+        f = conditioned_field(sample_system(m, N, 0), spec)
+        cfg = LangevinConfig(beta=beta, T=1.0, h_obs=0.1, substeps=5,
+                             variant="fconfined", ell=0.5)
+        with pytest.raises(EscapeError, match=r"^path \d+ \(seed 1\d\) .* at SDE step \d+$"):
+            integrate_ensemble(f, spec.x_0, cfg, 2, 10)
+
+    @pytest.mark.parametrize("variant", ["spherical", "fconfined"])
+    def test_escape_named_at_the_step_that_makes_it(self, variant):
+        # the field records the radii it sees: step k evaluates the state
+        # before it, so a path caught at step k was evaluated k times, always
+        # inside the band.  The projected step on the sphere drops a radial
+        # push, so there the push is tangential and overshoots
+        radii = []
+
+        class Repulsive:
+            def gradient_batch(self, X):
+                radii.append(np.linalg.norm(X, axis=1) / np.sqrt(X.shape[1]))
+                if variant == "fconfined":
+                    return -40.0 * X
+                return 300.0 * np.roll(X, 1, axis=1)
+
+        N = 30
+        cfg = LangevinConfig(beta=1.0, T=1.0, h_obs=0.05, variant=variant,
+                             ell=0.01 if variant == "fconfined" else None)
+        with pytest.raises(EscapeError, match=r"step (\d+)$") as err:
+            integrate_ensemble(Repulsive(), sample_band_point(0.0, 0.0, N, 8),
+                               cfg, 3, 9)
+        step = int(err.value.args[0].rsplit(" ", 1)[1])
+        assert len(radii) == step
+        assert all(((r > 0.5) & (r < 2.0)).all() for r in radii)
+
     def test_ensemble_matches_single_paths(self):
         # path i of an ensemble is the one-path ensemble seeded master_seed + i
         N = 25
@@ -110,11 +147,10 @@ class TestIntegrate:
 class TestObservables:
     def _traj(self, N=30, seed=11):
         ic = gibbs_init(M23, 0.2, 0.0)
-        x0 = sample_band_point(0.0, 0.0, N, seed)
-        spec = ConditioningSpec(np.zeros(N), x0, ic)
+        spec = ConditioningSpec(ic, N, seed)
         f = conditioned_field(sample_system(M23, N, seed + 1), spec)
         cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05)
-        return f, x0, integrate_ensemble(f, x0, cfg, 1, seed + 2)[0]
+        return f, spec.x_0, integrate_ensemble(f, spec.x_0, cfg, 1, seed + 2)[0]
 
     def test_diagonal_is_radius(self):
         f, x0, tr = self._traj()
@@ -131,10 +167,9 @@ class TestObservables:
     def test_ensemble_energy_pass_matches_each_path(self):
         N = 30
         ic = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 15)
-        f = conditioned_field(sample_system(M23, N, 16),
-                              ConditioningSpec(x_star, x0, ic))
+        spec = ConditioningSpec(ic, N, 15)
+        x_star, x0 = spec.x_star, spec.x_0
+        f = conditioned_field(sample_system(M23, N, 16), spec)
         trajs = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
                                    3, master_seed=17)
         obs = observables(trajs, f, x_star)
@@ -151,9 +186,8 @@ class TestObservables:
     def test_overlap_starts_at_qo(self):
         N = 30
         ic = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 12)
-        spec = ConditioningSpec(x_star, x0, ic)
+        spec = ConditioningSpec(ic, N, 12)
+        x_star, x0 = spec.x_star, spec.x_0
         f = conditioned_field(sample_system(M23, N, 13), spec)
         tr = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05),
                                 1, 14)[0]
@@ -195,12 +229,11 @@ class TestErrorFunctional:
         N = 200
         ic = gibbs_init(M23, 0.2, 0.0)
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
-        x0 = sample_band_point(0.0, 0.0, N, 15)
-        spec = ConditioningSpec(np.zeros(N), x0, ic)
+        spec = ConditioningSpec(ic, N, 15)
         f = conditioned_field(sample_system(M23, N, 16), spec)
         cfg = LangevinConfig(beta=0.3, T=1.0, h_obs=0.02)
-        trajs = integrate_ensemble(f, x0, cfg, 6, master_seed=17)
-        obs = observables(trajs, f, np.zeros(N))
+        trajs = integrate_ensemble(f, spec.x_0, cfg, 6, master_seed=17)
+        obs = observables(trajs, f, spec.x_star)
         mean_err, _ = average_error(obs, sol, 1.0)
         ens_err = ensemble_error(obs, sol, 1.0)
         assert ens_err < mean_err
@@ -216,15 +249,14 @@ class TestConfinedVariant:
         beta = 0.3
         from glassdyn.dynamics import default_f0_slope
         from glassdyn.init_params import solve_w
-        slope = default_f0_slope(solve_w(ic, m), beta, ic.q_o)
+        slope = default_f0_slope(solve_w(ic, m), beta)
         sol = solve_dynamics(m, ic, SolverConfig(beta=beta, T=T, h=0.01,
                                                  variant="f", ell=ell))
-        x0 = sample_band_point(0.0, 0.0, N, 61)
-        f = conditioned_field(sample_system(m, N, 62),
-                              ConditioningSpec(np.zeros(N), x0, ic))
+        spec = ConditioningSpec(ic, N, 61)
+        f = conditioned_field(sample_system(m, N, 62), spec)
         cfg = LangevinConfig(beta=beta, T=T, h_obs=0.05, substeps=10,
                              variant="fconfined", ell=ell, f0_slope=slope)
-        trajs = integrate_ensemble(f, x0, cfg, 8, master_seed=63)
+        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=63)
         K_N = np.mean([o.K for o in observables(trajs, f, None)], axis=0)
         K_lim = sol.K[:: round(0.05 / 0.01)]
         assert np.abs(K_N - K_lim).max() < 0.05
@@ -238,13 +270,11 @@ class TestFiniteNStationarity:
         m = Mixture({2: 1.0, 3: 1.0})
         beta = 0.2236
         ic = gibbs_init(m, beta, 0.5, -1.0)
-        x_star = make_x_star(ic.q_star, N)
-        x0 = sample_band_point(ic.q_star, ic.q_o, N, 51)
-        f = conditioned_field(sample_system(m, N, 52),
-                              ConditioningSpec(x_star, x0, ic))
+        spec = ConditioningSpec(ic, N, 51)
+        f = conditioned_field(sample_system(m, N, 52), spec)
         cfg = LangevinConfig(beta=beta, T=2.0, h_obs=0.05)
-        trajs = integrate_ensemble(f, x0, cfg, 8, master_seed=53)
-        C = np.mean([o.C for o in observables(trajs, f, x_star)], axis=0)
+        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=53)
+        C = np.mean([o.C for o in observables(trajs, f, spec.x_star)], axis=0)
         i1, i2, lags = 10, 20, 16  # t = 0.5 and t = 1.0, tau up to 0.8
         slice1 = np.array([C[i1 + k, i1] for k in range(lags)])
         slice2 = np.array([C[i2 + k, i2] for k in range(lags)])
@@ -254,9 +284,8 @@ class TestFiniteNStationarity:
 class TestRotationInvariance:
     def _field(self, N=50):
         ic = gibbs_init(Mixture.pure(2), 0.2, 0.0)
-        x0 = sample_band_point(0.0, 0.0, N, 18)
-        spec = ConditioningSpec(np.zeros(N), x0, ic)
-        return conditioned_field(sample_system(Mixture.pure(2), N, 19), spec), x0
+        spec = ConditioningSpec(ic, N, 18)
+        return conditioned_field(sample_system(Mixture.pure(2), N, 19), spec), spec.x_0
 
     def test_identity_rotation_exact(self):
         f, x0 = self._field()
