@@ -239,6 +239,18 @@ def _dump_triangle(path: Path, sol):
         [TRIANGLE_MAGIC, struct.pack("<qd", sol.n, sol.h)], rows))
 
 
+def _solve_checks(sol) -> dict:
+    """summary.json of a solve; no array beyond the solution is larger than O(n)."""
+    ic = sol.ic
+    return {
+        "gram_min_eig": sol.gram_min_eig(),
+        "cbar_gram_min_eig": None if ic.is_rs else sol.cbar_gram_min_eig(),
+        "diag_R": float(np.abs(np.diagonal(sol.R) - 1.0).max()),
+        "H0_minus_E": float(sol.H[0] - ic.E),
+        "max_abs_C": float(max(sol.C.max(), -sol.C.min())),
+    }
+
+
 def cmd_solve(args, out: Path):
     m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
     ic = InitCondition.from_dict(_read_json(args.init, "init"), m)
@@ -260,14 +272,7 @@ def cmd_solve(args, out: Path):
     _write_csv(out / "triangle.csv", "s,t,C,R", rows, digest)
     _write_csv(out / "onetime.csv", "s,q,K,mu,L,H",
                [[sol.s, sol.q, sol.K, sol.mu, sol.L, sol.H]], digest)
-    checks = {
-        "gram_min_eig": sol.gram_min_eig(),
-        "cbar_gram_min_eig": None if ic.is_rs else sol.cbar_gram_min_eig(),
-        "diag_R": float(np.abs(np.diagonal(sol.R) - 1.0).max()),
-        "H0_minus_E": float(sol.H[0] - ic.E),
-        "max_abs_C": float(np.abs(sol.C).max()),
-    }
-    _write_json(out / "summary.json", checks, digest)
+    _write_json(out / "summary.json", _solve_checks(sol), digest)
     _write_json(out / "manifest.json", man, digest)
     if args.dump_triangle:
         _dump_triangle(out / "triangle.bin", sol)

@@ -12,6 +12,11 @@ evaluates the new row once and takes L, A_C(s, s) and H from its trapezoid
 integrals, all dot and matrix-vector products against the stored C and R,
 so a solve is O(n^3) work and O(n^2) memory.
 
+Memory: C and R are the largest arrays of a solve, and no temporary of
+their size is made.  The symmetry check compares C with C.T one block of
+_BLOCK rows at a time; ``integrated_response`` builds each row in one
+scratch row, so on a sub-grid of m rows it costs O(m n).
+
 Per pass the row state is built from the new row alone: the kernels keep
 nu'(q) as an array with one entry refreshed per row (only q at the new
 slice moves during a slice); the mixture's radius guard is checked once per
@@ -35,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, PsdViolationWarning
+from .errors import BlowUpError, ConfigError, GridMismatchError, PsdViolationWarning
 from .init_params import InitCondition, VFunction, solve_w
 from .mixture import Mixture
 
@@ -57,6 +62,7 @@ VARIANT_GRADFLOW = "gradflow"
 _BLOWUP = 1e6
 _TOL_PSD = 1e-6
 _CORRECTOR_PASSES = 2
+_BLOCK = 64  # rows per block of the symmetry check
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,12 @@ class TwoTimeSolution:
         self._check_symmetric()
 
     def _check_symmetric(self):
-        if not np.array_equal(self.C, self.C.T):
+        """C == C.T, compared one block of _BLOCK rows at a time; NaN fails."""
+        C = self.C
+        square = C.ndim == 2 and C.shape[0] == C.shape[1]
+        if not (square and all(np.array_equal(C[a:a + _BLOCK, :a + _BLOCK],
+                                              C[:a + _BLOCK, a:a + _BLOCK].T)
+                               for a in range(0, len(C), _BLOCK))):
             raise ConfigError("C must be a symmetric array (C == C.T)")
 
     @property
@@ -138,7 +149,9 @@ class TwoTimeSolution:
 
     def _subgrid(self) -> np.ndarray:
         """At most 30 evenly spread grid indices: where the Gram checks look."""
-        return np.unique(np.linspace(0, self.n, 30).round().astype(int))
+        idx = np.linspace(0, self.n, 30).round().astype(int)
+        # non-decreasing, so dropping repeats needs no sort
+        return idx[np.diff(idx, prepend=-1) > 0]
 
     def gram_min_eig(self) -> float:
         idx = self._subgrid()
@@ -388,15 +401,29 @@ def residual(sol: TwoTimeSolution, m: Mixture) -> ResidualReport:
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
 
-def integrated_response(sol: TwoTimeSolution) -> np.ndarray:
-    """chi(s, t) = int_0^t R(s, u) du on the full grid square.
+def integrated_response(sol: TwoTimeSolution, idx=None) -> np.ndarray:
+    """chi(s, t) = int_0^t R(s, u) du on idx x idx, by default the full grid.
 
-    R vanishes above the diagonal, so chi(s, t) = chi(s, s) for t >= s.
+    R vanishes above the diagonal, so chi(s, t) = chi(s, s) for t >= s.  A
+    row is its trapezoid steps up to the diagonal, zero beyond it, summed in
+    order in one scratch row, so the work is O(len(idx) n) and no temporary
+    is as large as R.
     """
-    R = sol.R
-    chi = np.zeros_like(R)
-    # each row's trapezoid steps up to its diagonal, zero beyond it
-    chi[:, 1:] = np.cumsum(np.tril(0.5 * sol.h * (R[:, :-1] + R[:, 1:]), -1), axis=1)
+    idx = np.arange(sol.n + 1) if idx is None else np.asarray(idx)
+    if not (idx.ndim == 1 and idx.dtype.kind in "iu"
+            and ((0 <= idx) & (idx <= sol.n)).all()):
+        raise GridMismatchError(f"idx must hold grid indices in [0, {sol.n}]")
+    chi = np.empty((len(idx), len(idx)))
+    row = np.empty(sol.n + 1)
+    row[0] = 0.0
+    steps, hh = row[1:], 0.5 * sol.h
+    for a, i in enumerate(idx):
+        Ri = sol.R[i]
+        np.add(Ri[:i], Ri[1: i + 1], out=steps[:i])
+        steps[:i] *= hh
+        steps[i:] = 0.0
+        np.cumsum(steps, out=steps)
+        chi[a] = row[idx]
     return chi
 
 

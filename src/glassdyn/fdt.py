@@ -113,11 +113,15 @@ def stationary_two_time(fdt: FdtSolution, ic: InitCondition) -> TwoTimeSolution:
         raise ConfigError(
             f"initial data are not stationary (residual {rep.residual:.3e})")
     n = len(fdt.c) - 1
-    idx = np.arange(n + 1)
-    lag = np.abs(idx[:, None] - idx[None, :])
-    C = fdt.c[lag]
-    R = np.tril(-2.0 * fdt.cprime[lag])
-    np.fill_diagonal(R, 1.0)
+    # diagonal transport, one row at a time: row i holds c and r at lags
+    # i, ..., 1, 0 and then (C only) 1, ..., n - i
+    c, r = fdt.c, -2.0 * fdt.cprime
+    C, R = np.empty((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        C[i, : i + 1] = c[i::-1]
+        C[i, i + 1:] = c[1: n + 1 - i]
+        R[i, :i] = r[i:0:-1]
+        R[i, i] = 1.0
     mu_val = fdt.gamma + 2.0 * beta**2 * m.nu(1.0, 1)
     if ic.is_rs:
         L = np.zeros(n + 1)

@@ -37,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .init_params import _DEGEN_TOL, InitCondition, VFunction, solve_w, solve_weights
+from .init_params import (InitCondition, VFunction, _band_alpha, _on_band_edge,
+                          solve_w, solve_weights)
 from .mixture import Mixture
 
 __all__ = [
@@ -55,6 +56,7 @@ _P_MAX = 4
 _MAX_TENSOR_ENTRIES = 3e8
 _R_GUARD = 4.0
 _SYM_BLOCK = 25  # slab thickness of the draw, edge of the averaged sub-blocks
+_K_BYTES = 64 * 2**20  # most bytes of the row factor K in one tensor pass
 
 
 @dataclass
@@ -80,22 +82,25 @@ class SpinSystem:
         packed row (i1 <= ... <= i_(p-1)) stands for every ordering of its
         indices, so the contraction is K from _row_factor times the packed
         tensor.  Euler's identity x . grad H_p = p H_p gives the values from
-        the same product.  Rows of X go in chunks of at most N, so K is never
-        larger than the packed tensor; the dominant cost is streaming each
-        tensor once per chunk.  A row outside the radius _R_GUARD sqrt(N)
-        is a DomainError.
+        the same product.  Rows of X go in chunks of at most N rows and at
+        most _K_BYTES = 64 MiB of K, so a pass holds the packed tensors and
+        no more than 64 MiB beside them; for p = 3 up to N = 255 a chunk is
+        N rows.  The dominant cost is streaming each tensor once per chunk.
+        A row outside the radius _R_GUARD sqrt(N) is a DomainError.
         """
         k, N = X.shape
         if (np.linalg.norm(X, axis=1) > _R_GUARD * math.sqrt(N)).any():
             raise DomainError("evaluation point outside the radius guard")
         values, grads = np.zeros(k), np.zeros((k, N))
-        for a in range(0, k, N):
-            Xc = X[a:a + N]
+        widest = max(len(T) for T in self.tensors.values())
+        step = max(1, min(N, _K_BYTES // (8 * widest)))
+        for a in range(0, k, step):
+            Xc = X[a:a + step]
             for p, b in self.mixture.coeffs.items():
                 G = _row_factor(Xc, p) @ self.tensors[p]
                 bp = math.sqrt(b)
-                values[a:a + N] += bp * (G * Xc).sum(axis=1)
-                grads[a:a + N] += (p * bp) * G
+                values[a:a + step] += bp * (G * Xc).sum(axis=1)
+                grads[a:a + step] += (p * bp) * G
         return values, grads
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
@@ -301,15 +306,13 @@ def sample_band_point(q_star: float, q_o: float, N: int, seed: int) -> np.ndarra
     g = rng.standard_normal(N)
     if q_star == 0.0:
         return math.sqrt(N) * g / np.linalg.norm(g)
-    if abs(q_o) > q_star + 1e-12:
-        raise ConfigError("|q_o| must not exceed q_star")
-    if abs(q_star - abs(q_o)) < _DEGEN_TOL:
+    alpha = _band_alpha(q_star, q_o)
+    if _on_band_edge(alpha):
         x0 = np.zeros(N)
         x0[0] = math.copysign(math.sqrt(N), q_o)
         return x0
     if N < 2:
         raise ConfigError(f"N = {N}: a start with |q_o| < q_star needs N >= 2")
-    alpha = q_o / q_star
     g[0] = 0.0
     g /= np.linalg.norm(g)
     x0 = math.sqrt(max(1.0 - alpha**2, 0.0)) * math.sqrt(N) * g

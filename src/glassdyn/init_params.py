@@ -46,6 +46,24 @@ BRANCH_DEGENERATE = "degenerate"
 BRANCH_PURE_P_DEGENERATE = "pure_p_degenerate"
 
 
+def _on_band_edge(alpha: float) -> bool:
+    """Is the band angle alpha = q_o / q_star within _DEGEN_TOL of +-1?
+
+    Relative to q_star: an absolute test on q_star - |q_o| would call every
+    band of a q_star near _DEGEN_TOL its edge.
+    """
+    return abs(abs(alpha) - 1.0) < _DEGEN_TOL
+
+
+def _band_alpha(q_star: float, q_o: float) -> float:
+    """alpha = q_o / q_star of a start with q_star > 0; beyond the edge
+    (|alpha| > 1 + _DEGEN_TOL) is a ConfigError."""
+    alpha = q_o / q_star
+    if abs(alpha) > 1.0 + _DEGEN_TOL:
+        raise ConfigError("|q_o| must not exceed q_star")
+    return alpha
+
+
 @dataclass(frozen=True)
 class InitCondition:
     """Conditioning target (q_star, V) with V = (E, E_star, G_star, q_o).
@@ -70,8 +88,8 @@ class InitCondition:
         if self.is_rs:
             if self.E_star != 0.0 or self.G_star != 0.0 or self.q_o != 0.0:
                 raise ConfigError("q_star = 0 forces E_star = G_star = q_o = 0")
-        elif abs(self.q_o) > self.q_star + 1e-12:
-            raise ConfigError("|q_o| must not exceed q_star")
+        else:
+            _band_alpha(self.q_star, self.q_o)
 
     @property
     def is_rs(self) -> bool:
@@ -80,7 +98,7 @@ class InitCondition:
     @property
     def is_degenerate(self) -> bool:
         """On the band edge |q_o| = q_star > 0, where the z coordinate vanishes."""
-        return not self.is_rs and abs(self.q_star - abs(self.q_o)) < _DEGEN_TOL
+        return not self.is_rs and _on_band_edge(self.alpha)
 
     @property
     def alpha(self) -> float:
@@ -126,12 +144,12 @@ def sigma_nu(m: Mixture, q_star: float, q_o: float) -> np.ndarray:
     """4x4 covariance of the conditioned values at (x_0, x_star).
 
     Symmetric and positive definite for |q_o| < 1 whenever the mixture is not
-    pure; the fourth row/column degenerates gracefully at |q_o| = q_star.
+    pure; the fourth row/column degenerates gracefully at |q_o| = q_star,
+    and beyond it (as _band_alpha decides) is a ConfigError.
     """
     if q_star <= 0.0:
         raise DomainError("sigma_nu requires q_star > 0")
-    if abs(q_o) > q_star + 1e-12:
-        raise DomainError("sigma_nu requires |q_o| <= q_star")
+    _band_alpha(q_star, q_o)
     qs2 = q_star**2
     root = math.sqrt(max(qs2 - q_o**2, 0.0))
     n_qo, d_qo = m.nu(q_o), m.nu(q_o, 1)

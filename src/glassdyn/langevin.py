@@ -187,8 +187,7 @@ def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
         raise GridMismatchError("solution horizon shorter than the observable window")
     idx = np.arange(n_obs + 1) * r
     Cs = sol.C[np.ix_(idx, idx)]
-    chi = integrated_response(sol)[np.ix_(idx, idx)]
-    return Cs, chi, sol.q[idx], sol.H[idx]
+    return Cs, integrated_response(sol, idx), sol.q[idx], sol.H[idx]
 
 
 def _errors(obs_list, sol: TwoTimeSolution, T: float) -> list[float]:

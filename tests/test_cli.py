@@ -227,6 +227,18 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cbar_gram_min_eig"] is None
 
+    def test_summary_checks_hold_no_square_array(self, alloc_peak):
+        n = 300
+        sol = solve_dynamics(Mixture({2: 1.0, 3: 1.0}),
+                             InitCondition.from_dict(GENERIC_INIT),
+                             SolverConfig(beta=0.5, T=n * 0.01, h=0.01))
+        checks, peak = alloc_peak(lambda: cli._solve_checks(sol))
+        # |C| alone was an (n+1)^2 float array
+        assert peak < (n + 1) ** 2 * 8
+        for far in (-3.0, 2.5):
+            sol.C[200, 7] = sol.C[7, 200] = far
+            assert cli._solve_checks(sol)["max_abs_C"] == abs(far)
+
     def test_beta0_matches_closed_form(self, files):
         out = files["dir"] / "out"
         main(["--out-dir", str(out), "solve", "--mixture", str(files["mix"]),

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +13,9 @@ from glassdyn.dynamics import (
     EllRecord, SolverConfig, TwoTimeSolution, _Kernels, ell_limit_check,
     integrated_response, residual, solve_dynamics,
 )
-from glassdyn.errors import BlowUpError, ConfigError, DomainError, PsdViolationWarning
+from glassdyn.errors import (
+    BlowUpError, ConfigError, DomainError, GridMismatchError, PsdViolationWarning,
+)
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
 from glassdyn.mixture import Mixture
 
@@ -21,6 +25,16 @@ IC_GEN = InitCondition(0.8, 0.5, -0.3, 0.4, 0.35)
 
 def _beta0_solution(T=2.0, h=0.01, ic=IC_GEN):
     return solve_dynamics(M23, ic, SolverConfig(beta=0.0, T=T, h=h))
+
+
+def _free_solution(n, h=0.01):
+    """The beta = 0 closed form C = e^{-|s-t|/2}, R = e^{-(s-t)/2} below the
+    diagonal, built directly: a large solution at no solver cost."""
+    s = np.arange(n + 1) * h
+    lag = s[:, None] - s[None, :]
+    return TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
+                           np.zeros(n + 1), np.ones(n + 1), np.full(n + 1, 0.5),
+                           np.zeros(n + 1), np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
 
 
 def _kernels_at(sol, i):
@@ -310,6 +324,54 @@ class TestStorage:
         with pytest.raises(ConfigError, match="C"):
             dataclasses.replace(sol, C=np.tril(sol.C))
 
+    # the check compares blocks of 64 rows: 201 rows end in a partial block
+    @pytest.mark.parametrize("i,j", [(200, 3), (3, 200), (195, 199)])
+    def test_one_asymmetric_entry_in_the_last_block_is_refused(self, i, j):
+        sol = _free_solution(200)
+        C = sol.C.copy()
+        C[i, j] = np.nextafter(C[i, j], 2.0)
+        with pytest.raises(ConfigError, match="C"):
+            dataclasses.replace(sol, C=C)
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (130, 7), (200, 200)])
+    def test_a_single_nan_is_refused(self, i, j):
+        sol = _free_solution(200)
+        C = sol.C.copy()
+        C[i, j] = np.nan
+        with pytest.raises(ConfigError, match="C"):
+            dataclasses.replace(sol, C=C)
+
+    @pytest.mark.parametrize("shape", [(201, 200), (200, 201), (201,)])
+    def test_non_square_C_is_refused(self, shape):
+        sol = _free_solution(200)
+        with pytest.raises(ConfigError, match="C"):
+            dataclasses.replace(sol, C=np.zeros(shape))
+
+    def test_symmetry_check_holds_no_square_array(self, alloc_peak):
+        # the whole-array C == C.T held an (n+1)^2 bool array
+        sol = _free_solution(600)
+        _, peak = alloc_peak(sol._check_symmetric)
+        assert peak < (sol.n + 1) ** 2
+
+    def test_subgrid_drops_repeats_in_order(self):
+        for n in (0, 1, 5, 29, 30, 31, 100, 901):
+            idx = _free_solution(n)._subgrid()
+            expect = np.unique(np.linspace(0, n, 30).round().astype(int))
+            assert idx.tolist() == expect.tolist()
+
+    def test_solve_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, 13 ms in each process
+        code = ("import sys\n"
+                "from glassdyn.dynamics import SolverConfig, solve_dynamics\n"
+                "from glassdyn.init_params import InitCondition\n"
+                "from glassdyn.mixture import Mixture\n"
+                "solve_dynamics(Mixture({2: 1.0, 3: 1.0}), "
+                "InitCondition(0.8, 0.5, -0.3, 0.4, 0.35), SolverConfig(0.5, 0.2, 0.01))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert res.stdout.strip() == "False"
+
 
 
 class TestIntegratedResponse:
@@ -338,6 +400,36 @@ class TestIntegratedResponse:
         for sol in (_beta0_solution(T=1.0),
                     solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.5, T=1.0, h=0.01))):
             np.testing.assert_array_equal(integrated_response(sol), per_row(sol))
+
+    def test_equals_the_masked_cumulative_sum_bit_for_bit(self):
+        def masked(sol):
+            """The whole-array form this row loop replaced: four (n+1)^2
+            temporaries, the same sums in the same order."""
+            R = sol.R
+            chi = np.zeros_like(R)
+            chi[:, 1:] = np.cumsum(np.tril(0.5 * sol.h * (R[:, :-1] + R[:, 1:]), -1),
+                                   axis=1)
+            return chi
+
+        for sol in (_free_solution(120),
+                    solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.5, T=1.0, h=0.01))):
+            chi = integrated_response(sol)
+            assert chi.tobytes() == masked(sol).tobytes()
+            for idx in ([0, 7, 50, 100], np.arange(0, 101, 5), [100]):
+                sub = integrated_response(sol, idx)
+                assert sub.tobytes() == chi[np.ix_(idx, idx)].tobytes()
+
+    @pytest.mark.parametrize("idx", [[0, 101], [-1, 5], [[0, 1]], [0.0, 2.0]])
+    def test_sub_grid_outside_the_grid_is_refused(self, idx):
+        with pytest.raises(GridMismatchError, match="idx"):
+            integrated_response(_free_solution(100), idx)
+
+    def test_allocates_only_its_output(self, alloc_peak):
+        sol = _free_solution(300)
+        chi, peak = alloc_peak(lambda: integrated_response(sol))
+        # the output, one scratch row and a few KiB of interpreter objects;
+        # the masked form held four more arrays of the output's size
+        assert peak - chi.nbytes < 32 * 1024
 
     def test_flat_beyond_diagonal(self):
         sol = _beta0_solution(T=1.0)

@@ -102,6 +102,23 @@ class TestStationaryTwoTime:
         assert np.array_equal(sol.C, sol.C.T)
         assert np.array_equal(sol.R, np.tril(sol.R))
 
+    def test_equals_the_lag_matrix_lift_bit_for_bit(self):
+        ic, fdt = self._gibbs_pair()
+        sol = stationary_two_time(fdt, ic)
+        idx = np.arange(len(fdt.c))
+        lag = np.abs(idx[:, None] - idx[None, :])
+        R = np.tril(-2.0 * fdt.cprime[lag])
+        np.fill_diagonal(R, 1.0)
+        assert sol.C.tobytes() == fdt.c[lag].tobytes()
+        assert sol.R.tobytes() == R.tobytes()
+
+    def test_lift_holds_only_its_result(self, alloc_peak):
+        ic, fdt = self._gibbs_pair(h=0.005)
+        sol, peak = alloc_peak(lambda: stationary_two_time(fdt, ic))
+        assert sol.n >= 300
+        # C, R and the O(n) one-time arrays; the lag lift held three squares more
+        assert peak - sol.C.nbytes - sol.R.nbytes < sol.C.nbytes
+
     def test_refuses_non_stationary_data(self):
         ic, fdt = self._gibbs_pair()
         bad = InitCondition(ic.q_star, ic.E + 0.5, ic.E_star, ic.G_star, ic.q_o)

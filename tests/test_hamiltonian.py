@@ -240,6 +240,36 @@ class TestEvalField:
         np.testing.assert_allclose(sys.value_batch(X), vals, rtol=1e-12,
                                    atol=1e-12 * np.abs(vals).max())
 
+    @pytest.mark.parametrize("N,k,budget_rows", [(9, 21, None), (70, 150, 10),
+                                                 (100, 64, None), (40, 41, 40)])
+    def test_row_factor_stays_within_its_byte_budget(self, monkeypatch, N, k,
+                                                     budget_rows):
+        # K is budget_rows of the widest packed tensor at most, and N rows
+        widths = []
+        row_factor = hamiltonian._row_factor
+
+        def recorded(X, p):
+            widths.append(len(X))
+            return row_factor(X, p)
+
+        sys = sample_system(Mixture({2: 0.7, 3: 0.4}), N, 14)
+        row_bytes = 8 * N * (N + 1) // 2
+        if budget_rows is not None:
+            monkeypatch.setattr(hamiltonian, "_K_BYTES", budget_rows * row_bytes + 7)
+        X = np.random.default_rng(15).standard_normal((k, N))
+        monkeypatch.setattr(hamiltonian, "_row_factor", recorded)
+        values, grads = sys._contract(X)
+        assert max(widths) == min(N, k, budget_rows or N)
+        assert max(widths) * row_bytes <= hamiltonian._K_BYTES
+        assert sum(widths) == 2 * k  # every row once per power
+        monkeypatch.undo()
+        rows = np.stack([_gradient(sys, x) for x in X])
+        np.testing.assert_allclose(grads, rows, rtol=1e-12,
+                                   atol=1e-12 * np.abs(rows).max())
+        vals = np.array([_value(sys, x) for x in X])
+        np.testing.assert_allclose(values, vals, rtol=1e-12,
+                                   atol=1e-12 * np.abs(vals).max())
+
     def test_radius_guard_covers_every_row(self):
         N = 10
         sys = sample_system(M23, N, 12)
@@ -321,6 +351,26 @@ def spec_starts(draw):
     else:
         q_o = draw(st.floats(-q_star, q_star), label="q_o")
     return InitCondition(q_star, 0.4, -0.3, 0.25, q_o)
+
+
+class TestBandEdgeIsRelative:
+    """The band edge is |alpha| = |q_o| / q_star within _DEGEN_TOL of 1."""
+
+    def test_small_q_star_off_the_edge_keeps_its_overlap(self):
+        # |q_star - |q_o|| = 5e-13 but alpha = 0.75: a band, not its edge
+        ic = InitCondition(2e-12, 0.3, 0.0, 0.0, 1.5e-12)
+        spec = ConditioningSpec(ic, 16, 3)
+        assert spec.zhat is not None
+        assert spec.x_0 @ spec.x_star / 16 == pytest.approx(1.5e-12, rel=1e-12)
+        assert spec.x_0[0] != 4.0
+
+    def test_small_q_star_on_the_edge_sits_on_the_axis(self):
+        x0 = sample_band_point(2e-12, -2e-12 * (1 - 1e-13), 16, 3)
+        assert x0.tolist() == [-4.0] + [0.0] * 15
+
+    def test_beyond_the_edge_is_refused(self):
+        with pytest.raises(ConfigError, match="q_o"):
+            sample_band_point(2e-12, 2.5e-12, 16, 3)
 
 
 class TestConditioningSpec:

@@ -31,6 +31,26 @@ class TestInitConditionValidation:
             InitCondition(**kw)
 
 
+    def test_small_q_star_band_is_not_its_edge(self):
+        # an absolute test on |q_star - |q_o|| called this a band edge
+        ic = InitCondition(2e-12, 0.3, 0.0, 0.0, 1.5e-12)
+        assert ic.alpha == 0.75
+        assert not ic.is_degenerate
+        assert ic.branch(M23) == "generic"
+
+    @pytest.mark.parametrize("q_star,q_o", [(0.5, -0.5), (0.5, 0.5 * (1 + 5e-13)),
+                                            (2e-12, 2e-12 * (1 - 5e-13))])
+    def test_edge_within_tolerance_of_alpha_one(self, q_star, q_o):
+        assert InitCondition(q_star, 0.3, 0.0, 0.0, q_o).is_degenerate
+
+    @pytest.mark.parametrize("q_star,q_o", [(2e-12, 2.5e-12), (0.5, -0.5 * (1 + 3e-12))])
+    def test_alpha_beyond_one_is_refused(self, q_star, q_o):
+        with pytest.raises(ConfigError, match="q_o"):
+            InitCondition(q_star, 0.3, 0.0, 0.0, q_o)
+        with pytest.raises(ConfigError, match="q_o"):
+            sigma_nu(M23, q_star, q_o)
+
+
 class TestSigmaNu:
     def test_example_matrix(self):
         expect = np.array([[2, 0, 0, 0], [0, 2, 5, 0], [0, 5, 13, 0], [0, 0, 0, 5]],

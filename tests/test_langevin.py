@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from glassdyn.dynamics import SolverConfig, solve_dynamics
+from glassdyn.dynamics import (
+    SolverConfig, TwoTimeSolution, integrated_response, solve_dynamics,
+)
 from glassdyn.errors import ConfigError, EscapeError, GridMismatchError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditioned_field, sample_band_point, sample_system,
 )
 from glassdyn.init_params import InitCondition, gibbs_init
 from glassdyn.langevin import (
-    LangevinConfig, average_error, ensemble_error, error_functional,
+    LangevinConfig, _limit_on_grid, average_error, ensemble_error, error_functional,
     integrate_ensemble, observables, random_orthogonal, rotation_invariance_test,
 )
 from glassdyn.mixture import Mixture
@@ -224,6 +226,29 @@ class TestErrorFunctional:
                             q=np.ones(3), H=np.ones(3), K=np.ones(3))
         with pytest.raises(GridMismatchError):
             error_functional(obs, sol, 0.06)
+
+    def test_limit_grid_is_the_full_chi_at_the_observation_points(self):
+        sol = solve_dynamics(M23, gibbs_init(M23, 0.2, 0.0),
+                             SolverConfig(beta=0.3, T=1.0, h=0.01))
+        chi = integrated_response(sol)
+        for ratio, n_obs in ((1, 100), (2, 50), (5, 13)):
+            C, chi_grid, q, H = _limit_on_grid(sol, ratio * 0.01, n_obs)
+            idx = np.arange(n_obs + 1) * ratio
+            assert chi_grid.tobytes() == chi[np.ix_(idx, idx)].tobytes()
+            assert C.tobytes() == sol.C[np.ix_(idx, idx)].tobytes()
+
+    def test_limit_grid_holds_no_square_of_the_solver_grid(self, alloc_peak):
+        n, h = 400, 0.01
+        s = np.arange(n + 1) * h
+        lag = s[:, None] - s[None, :]
+        sol = TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
+                              np.zeros(n + 1), np.ones(n + 1), np.full(n + 1, 0.5),
+                              np.zeros(n + 1), np.zeros(n + 1), 0.0,
+                              InitCondition(0.0, 0.3))
+        out, peak = alloc_peak(lambda: _limit_on_grid(sol, 0.05, 80))
+        result = sum(a.nbytes for a in out)
+        # the observation rows only: no (n+1)^2 chi on the solver grid
+        assert peak - result < (n + 1) ** 2 * 8
 
     def test_ensemble_error_below_mean_path_error(self):
         N = 200
