@@ -38,4 +38,4 @@ for N in (50, 100, 200):
     print(f"{N:5d}   {per_path:10.4f}   {averaged:12.4f}   {time.time() - t0:7.1f}")
 
 print("\nthe conditioned field pins the start energy exactly:")
-print(f"  H_N(0) = {obs[0].H[0]:.12f} vs E = {ic.E}")
+print(f"  H_N(0) = {obs.H[0, 0]:.12f} vs E = {ic.E}")

@@ -3,7 +3,8 @@
 Every run writes a manifest (resolved config, package and library versions,
 seeds) and stamps its hash into each output file, so results can be traced
 back to the exact invocation.  Files are written atomically (temp + rename).
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure or a run too large for memory,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from . import __version__
 from .dynamics import VARIANT_F, SolverConfig, default_f0_slope, solve_dynamics
 from .errors import ConfigError, GlassdynError
 from .fdt import solve_fdt
-from .hamiltonian import ConditioningSpec, conditioned_field, sample_system
+from .hamiltonian import (
+    ConditioningSpec, check_system_size, conditioned_field, sample_system,
+)
 from .init_params import InitCondition, check_stationary, solve_w
 from .langevin import (
     VARIANT_FCONF, LangevinConfig, average_error, ensemble_error,
@@ -162,9 +165,12 @@ def _int_at_least(lo: int):
 def _parse_grid(spec: str):
     try:
         a, b, n = spec.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
     except ValueError as err:
         raise ConfigError(f"bad grid spec {spec!r}, want a:b:n") from err
+    if not (math.isfinite(a) and math.isfinite(b) and n >= 0):
+        raise ConfigError(f"bad grid spec {spec!r}: want finite a, b and n >= 0")
+    return np.linspace(a, b, n)
 
 
 def _parse_variant(spec: str):
@@ -255,6 +261,8 @@ def cmd_solve(args, out: Path):
     m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
     ic = InitCondition.from_dict(_read_json(args.init, "init"), m)
     variant, ell = _parse_variant(args.variant)
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     cfg = SolverConfig(beta=args.beta, T=args.T, h=args.h, variant=variant,
                        ell=ell)
     man, digest = _manifest("solve", {"mixture": m.coeffs, "init": asdict(ic),
@@ -262,7 +270,7 @@ def cmd_solve(args, out: Path):
                                       "h": args.h, "variant": args.variant},
                             None)
     sol = solve_dynamics(m, ic, cfg)
-    stride = max(1, args.stride)
+    stride = args.stride
     # each grid time recurs along the triangle: format it once, as %.12g
     times = ["%.12g" % s for s in (np.arange(0, sol.n + 1, stride) * sol.h).tolist()]
     # one block per grid row i: the times s_i and t_j, C and R at j <= i on the grid
@@ -299,7 +307,9 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     if unknown:
         raise ConfigError(f"config key {unknown[0]!r} is not known; the keys are "
                           + ", ".join(sorted(_SIM_KEYS)))
-    # the configs and the start geometry come before the tensor draw: a bad one costs none
+    # the size guard, the configs and the start geometry come before the
+    # tensor draw, in that order: a bad one costs nothing of size N
+    check_system_size(m, N)
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs, substeps=substeps,
                           variant=variant, ell=ell)
     spec = ConditioningSpec(ic, N, seed + 1)
@@ -322,20 +332,16 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     trajs = integrate_ensemble(f, spec.x_0, lcfg, paths, seed + 10)
     obs = observables(trajs, f, spec.x_star)
 
+    mean = obs.mean()
     grid = np.arange(lcfg.n_obs + 1) * h_obs
-    Cbar = np.mean([o.C for o in obs], axis=0)
-    chibar = np.mean([o.chi for o in obs], axis=0)
     ti, tj = np.tril_indices(len(grid))
-    _write_csv(out / "C_N.csv", "s,t,C_N", [[grid[ti], grid[tj], Cbar[ti, tj]]],
+    _write_csv(out / "C_N.csv", "s,t,C_N", [[grid[ti], grid[tj], mean.C[0][ti, tj]]],
                digest)
     _write_csv(out / "chi_N.csv", "s,t,chi_N",
                [[np.repeat(grid, len(grid)), np.tile(grid, len(grid)),
-                 chibar.ravel()]], digest)
-    # one 1-D mean per time: a mean over axis 0 would sum the paths in
-    # another order and move the last digits
-    one = np.array([[np.mean([getattr(o, key)[i] for o in obs])
-                     for key in ("q", "H", "K")] for i in range(len(grid))])
-    _write_csv(out / "onetime_N.csv", "s,q_N,H_N,K_N", [[grid, *one.T]], digest)
+                 mean.chi[0].ravel()]], digest)
+    _write_csv(out / "onetime_N.csv", "s,q_N,H_N,K_N",
+               [[grid, mean.q[0], mean.H[0], mean.K[0]]], digest)
 
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
@@ -347,7 +353,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
             "err_ensemble": ensemble_error(obs, sol, T),
             "invariants": {
                 "gram_min_eig": sol.gram_min_eig(),
-                "H0_matches": bool(abs(obs[0].H[0] - ic.E) < 1e-8),
+                "H0_matches": bool(abs(obs.H[0, 0] - ic.E) < 1e-8),
             },
         })
     _write_json(out / "report.json", report, digest)
@@ -444,6 +450,9 @@ def main(argv=None) -> int:
         return 2
     except GlassdynError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

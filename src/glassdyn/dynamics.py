@@ -13,9 +13,10 @@ integrals, all dot and matrix-vector products against the stored C and R,
 so a solve is O(n^3) work and O(n^2) memory.
 
 Memory: C and R are the largest arrays of a solve, and no temporary of
-their size is made.  The symmetry check compares C with C.T one block of
-_BLOCK rows at a time; ``integrated_response`` builds each row in one
-scratch row, so on a sub-grid of m rows it costs O(m n).
+their size is made.  The symmetry check compares C with C.T, and
+``sup_distance`` takes max |a - b|, one block of _BLOCK rows at a time;
+``integrated_response`` builds each row in one scratch row, so on a
+sub-grid of m rows it costs O(m n).
 
 Per pass the row state is built from the new row alone: the kernels keep
 nu'(q) as an array with one entry refreshed per row (only q at the new
@@ -62,7 +63,13 @@ VARIANT_GRADFLOW = "gradflow"
 _BLOWUP = 1e6
 _TOL_PSD = 1e-6
 _CORRECTOR_PASSES = 2
-_BLOCK = 64  # rows per block of the symmetry check
+_BLOCK = 64  # rows per block of the symmetry check and of sup_distance
+
+
+def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| of two equal-shape arrays, _BLOCK rows at a time; NaN if any is."""
+    return float(np.max([np.abs(a[k:k + _BLOCK] - b[k:k + _BLOCK]).max()
+                         for k in range(0, len(a), _BLOCK)]))
 
 
 @dataclass(frozen=True)
@@ -441,11 +448,7 @@ def ell_limit_check(m: Mixture, ic: InitCondition, beta: float, T: float,
     out = []
     for ell in ell_list:
         sol = solve_dynamics(m, ic, SolverConfig(beta, T, h, VARIANT_F, ell=ell))
-        dist = max(
-            float(abs(sol.C - sph.C).max()),
-            float(abs(sol.R - sph.R).max()),
-            float(abs(sol.q - sph.q).max()),
-            float(abs(sol.H - sph.H).max()),
-        )
+        dist = max(sup_distance(getattr(sol, k), getattr(sph, k))
+                   for k in ("C", "R", "q", "H"))
         out.append(EllRecord(ell, float(abs(sol.K - 1.0).max()), dist))
     return out

@@ -46,6 +46,7 @@ __all__ = [
     "ConditioningSpec",
     "ConditionedField",
     "sample_system",
+    "check_system_size",
     "conditional_mean",
     "conditional_mean_hessian",
     "conditioned_field",
@@ -276,16 +277,22 @@ def _sorted_in_box(pattern: tuple, shape: tuple) -> np.ndarray:
     return np.ravel_multi_index(tuple(idx), shape)
 
 
-def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
-    """Draw the symmetrized coupling tensors; deterministic given the seed."""
+def check_system_size(m: Mixture, N: int):
+    """Refuse an N < 1, or dense tensors the draw would not hold, before
+    anything of size N is allocated."""
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     if m.p_max > _P_MAX:
         raise ConfigError(f"dense tensors limited to p <= {_P_MAX}")
     if N ** m.p_max > _MAX_TENSOR_ENTRIES:
-        raise ConfigError(f"N^{m.p_max} tensor would exceed the memory guard")
+        raise ConfigError(f"N = {N}: the N^{m.p_max} tensor would exceed the memory guard")
+
+
+def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
+    """Draw the symmetrized coupling tensors; deterministic given the seed."""
+    check_system_size(m, N)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     tensors = {p: _draw_symmetric(rng, N, p) for p in m.coeffs}
     return SpinSystem(N, m, tensors, seed)

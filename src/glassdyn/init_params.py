@@ -358,8 +358,11 @@ def check_stationary(ic: InitCondition, m: Mixture, beta: float,
     Builds the constraint vector and tests membership in the column space of
     the associated 4x2 matrix through a least-squares residual; q_star = 0
     instead checks E = 2 beta nu(1).  The band edge |q_o| = q_star is never
-    stationary (residual inf); q_star > 0 needs a nonzero beta.
+    stationary (residual inf); q_star > 0 needs a nonzero beta.  A
+    non-finite beta is a ConfigError.
     """
+    if not math.isfinite(beta):
+        raise ConfigError(f"beta must be finite, got {beta}")
     if ic.is_rs:
         res, scale = abs(ic.E - 2.0 * beta * m.nu(1.0)), abs(ic.E)
     elif abs(ic.alpha) >= 1.0:

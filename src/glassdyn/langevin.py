@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoTimeSolution, integrated_response
+from .dynamics import TwoTimeSolution, integrated_response, sup_distance
 from .errors import ConfigError, EscapeError, GridMismatchError
 
 __all__ = [
@@ -148,34 +148,48 @@ def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
 
 @dataclass
 class ObservableSet:
-    """Empirical two-time and one-time observables of one path."""
+    """Empirical observables of an ensemble of paths, path index first; a
+    single path is an ensemble of one, and so is the path mean."""
 
     h: float
-    C: np.ndarray    # (n+1, n+1) symmetric
-    chi: np.ndarray  # (n+1, n+1), rows = state time, cols = noise time
-    q: np.ndarray
-    H: np.ndarray
-    K: np.ndarray
+    C: np.ndarray    # (paths, n+1, n+1), symmetric in its last two axes
+    chi: np.ndarray  # (paths, n+1, n+1), rows = state time, cols = noise time
+    q: np.ndarray    # (paths, n+1)
+    H: np.ndarray    # (paths, n+1)
+
+    @property
+    def paths(self) -> int:
+        return len(self.C)
+
+    @property
+    def K(self) -> np.ndarray:
+        """Squared radius |x(s)|^2 / N of each path: the diagonal of C."""
+        return np.diagonal(self.C, axis1=1, axis2=2)
+
+    def mean(self) -> ObservableSet:
+        """The path mean as an ensemble of one, summing the paths in order."""
+        return ObservableSet(self.h, *(a.mean(axis=0, keepdims=True)
+                                       for a in (self.C, self.chi, self.q, self.H)))
 
 
 def observables(trajs: list[Trajectory], field,
-                x_star: np.ndarray | None) -> list[ObservableSet]:
-    """Inner-product observables of each path; the energy uses the supplied field.
+                x_star: np.ndarray | None) -> ObservableSet:
+    """Inner-product observables of every path; the energy uses the supplied field.
 
-    One field.value_batch call covers the grid points of every path, so the
-    energies cost one pass over the coupling tensors for the whole ensemble.
+    The paths' states and Brownian snapshots are stacked, so C, chi and q are
+    one batched product each, and one field.value_batch call covers the grid
+    points of every path: one pass over the coupling tensors for the ensemble.
     """
-    N = trajs[0].x.shape[1]
-    H_all = -field.value_batch(np.concatenate([t.x for t in trajs])) / N
-    ends = np.cumsum([len(t.x) for t in trajs])[:-1]
-    out = []
-    for t, H in zip(trajs, np.split(H_all, ends)):
-        X, B = t.x, t.B
-        C = X @ X.T / N
-        chi = X @ B.T / N
-        q = X @ x_star / N if x_star is not None else np.zeros(X.shape[0])
-        out.append(ObservableSet(t.h_obs, C, chi, q, H, np.diagonal(C).copy()))
-    return out
+    X = np.stack([t.x for t in trajs])
+    paths, n1, N = X.shape
+    # the energy pass before B is stacked: its row factor is the largest temporary
+    H = -field.value_batch(X.reshape(-1, N)).reshape(paths, n1) / N
+    q = X @ x_star / N if x_star is not None else np.zeros((paths, n1))
+    C = X @ X.transpose(0, 2, 1)
+    C /= N
+    chi = X @ np.stack([t.B for t in trajs]).transpose(0, 2, 1)
+    chi /= N
+    return ObservableSet(trajs[0].h_obs, C, chi, q, H)
 
 
 def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
@@ -185,61 +199,51 @@ def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
     r = round(ratio)
     if n_obs * r > sol.n:
         raise GridMismatchError("solution horizon shorter than the observable window")
-    idx = np.arange(n_obs + 1) * r
-    Cs = sol.C[np.ix_(idx, idx)]
-    return Cs, integrated_response(sol, idx), sol.q[idx], sol.H[idx]
+    grid = slice(0, n_obs * r + 1, r)  # C, q and H are views; chi is built
+    return (sol.C[grid, grid], integrated_response(sol, np.arange(n_obs + 1) * r),
+            sol.q[grid], sol.H[grid])
 
 
-def _errors(obs_list, sol: TwoTimeSolution, T: float) -> list[float]:
-    """error_functional of each observable set, all scored against one copy
-    of the limit on their common grid."""
-    h = obs_list[0].h
+def _errors(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> list[float]:
+    """error_functional of each path, all scored against one copy of the
+    limit on their common grid, one path at a time."""
+    h = obs.h
     n_obs = round(T / h)
-    if abs(T / h - n_obs) > 1e-9 or any(o.h != h or n_obs > len(o.q) - 1
-                                        for o in obs_list):
+    if abs(T / h - n_obs) > 1e-9 or n_obs > obs.q.shape[1] - 1:
         raise GridMismatchError("T incompatible with the observable grid")
-    sl = slice(0, n_obs + 1)
-    C_lim, chi_lim, q_lim, H_lim = _limit_on_grid(sol, h, n_obs)
-    return [float(sum([
-        min(float(np.abs(o.C[sl, sl] - C_lim).max()), 1.0),
-        min(float(np.abs(o.chi[sl, sl] - chi_lim).max()), 1.0),
-        min(float(np.abs(o.q[sl] - q_lim).max()), 1.0),
-        min(float(np.abs(o.H[sl] - H_lim).max()), 1.0),
-    ])) for o in obs_list]
+    m = n_obs + 1
+    own = (obs.C[:, :m, :m], obs.chi[:, :m, :m], obs.q[:, :m], obs.H[:, :m])
+    limit = _limit_on_grid(sol, h, n_obs)  # C, chi, q, H, as own
+    return [float(sum([min(sup_distance(a[i], b), 1.0) for a, b in zip(own, limit)]))
+            for i in range(obs.paths)]
 
 
 def error_functional(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> float:
-    """Capped sup-norm distance between empirical and limit observables.
+    """Capped sup-norm distance between a one-path set and the limit observables.
 
     Sum of min(sup-difference, 1) over correlation, integrated response,
     critical-point overlap and energy; bounded by 4.
     """
-    return _errors([obs], sol, T)[0]
+    if obs.paths != 1:
+        raise ConfigError(f"error_functional scores one path, got {obs.paths}")
+    return _errors(obs, sol, T)[0]
 
 
-def average_error(obs_list, sol: TwoTimeSolution, T: float):
+def average_error(obs: ObservableSet, sol: TwoTimeSolution, T: float):
     """Monte Carlo mean and standard error of the path-error metric."""
-    errs = np.array(_errors(obs_list, sol, T))
+    errs = np.array(_errors(obs, sol, T))
     se = errs.std(ddof=1) / math.sqrt(len(errs)) if len(errs) > 1 else 0.0
     return float(errs.mean()), float(se)
 
 
-def ensemble_error(obs_list, sol: TwoTimeSolution, T: float) -> float:
+def ensemble_error(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> float:
     """Error functional of the path-averaged observables.
 
     Averaging the observables over Brownian paths before taking sup norms
     removes the O(1/sqrt(N)) single-path fluctuation floor and exposes the
     finite-size bias; this is the quantity the convergence tables track.
     """
-    mean = ObservableSet(
-        h=obs_list[0].h,
-        C=np.mean([o.C for o in obs_list], axis=0),
-        chi=np.mean([o.chi for o in obs_list], axis=0),
-        q=np.mean([o.q for o in obs_list], axis=0),
-        H=np.mean([o.H for o in obs_list], axis=0),
-        K=np.mean([o.K for o in obs_list], axis=0),
-    )
-    return error_functional(mean, sol, T)
+    return error_functional(obs.mean(), sol, T)
 
 
 class RotatedField:
@@ -282,15 +286,10 @@ def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
     h = cfg.h_obs / cfg.substeps
     dB = rng.standard_normal((cfg.n_obs * cfg.substeps, N)) * math.sqrt(h)
     t1 = _euler_maruyama(field, x0, cfg, [seed], lambda k: dB[k:k + 1])[0]
-    o1 = observables([t1], field, x_star)[0]
+    o1 = observables([t1], field, x_star)
     dB2 = dB @ O.T if rotate_noise else dB
     f2 = RotatedField(field, O)
     t2 = _euler_maruyama(f2, O @ x0, cfg, [seed], lambda k: dB2[k:k + 1])[0]
-    o2 = observables([t2], f2, O @ x_star)[0]
-    dev = max(
-        float(np.abs(o1.C - o2.C).max()),
-        float(np.abs(o1.chi - o2.chi).max()),
-        float(np.abs(o1.q - o2.q).max()),
-        float(np.abs(o1.H - o2.H).max()),
-    )
+    o2 = observables([t2], f2, O @ x_star)
+    dev = max(sup_distance(getattr(o1, k), getattr(o2, k)) for k in ("C", "chi", "q", "H"))
     return dev <= tol, dev

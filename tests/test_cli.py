@@ -388,11 +388,23 @@ class TestErrors:
                     "--gamma", "0.5"], "beta"),
         (lambda f: ["simulate", "--config", _sim_config(f, N=1, init=BAND_INIT)],
          "N = 1"),
+        (lambda f: ["params", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "nan"], "beta must be finite"),
+        (lambda f: ["params", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "inf"], "beta must be finite"),
+        (lambda f: ["phase", "--mixture", str(f["mix"]), "--beta-grid", "nan:1:3"],
+         "nan:1:3"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--stride", "0"], "--stride"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--stride", "-3"], "--stride"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
             "h_limit-not-dividing-h_obs", "ell-without-fconfined",
-            "fdt-kernel-overflow", "band-start-at-N-one"])
+            "fdt-kernel-overflow", "band-start-at-N-one", "params-nan-beta",
+            "params-inf-beta-rs", "phase-nan-grid", "solve-stride-zero",
+            "solve-stride-negative"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
@@ -417,6 +429,51 @@ class TestErrors:
         rc = main(["--out-dir", str(files["dir"] / "d"), command,
                    "--config", _sim_config(files, **changes)])
         assert rc == 2
+
+    @pytest.mark.parametrize("spec", ["0:inf:3", "1:-inf:3", "0:1:-2"])
+    def test_non_finite_or_negative_grid_is_config_error(self, files, spec):
+        rc = main(["--out-dir", str(files["dir"] / "g"), "phase", "--mixture",
+                   str(files["mix"]), "--beta-grid", spec])
+        assert rc == 2
+        assert not (files["dir"] / "g" / "phase.csv").exists()
+
+    def test_stride_is_refused_before_the_solve(self, files, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the limit was solved")
+
+        monkeypatch.setattr(cli, "solve_dynamics", no_solve)
+        assert main(["--out-dir", str(files["dir"] / "s"), "solve", "--mixture",
+                     str(files["mix"]), "--init", str(files["init"]), "--beta", "0.3",
+                     "--stride", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_size_guard_runs_before_the_start_geometry(self, files, monkeypatch,
+                                                       alloc_peak, command):
+        # the guard came only in sample_system, after ConditioningSpec had
+        # built x_0 and x_star: 81 MB at N = 2000000, growing with N
+        def no_spec(*args):
+            raise AssertionError("the start geometry was built")
+
+        monkeypatch.setattr(cli, "ConditioningSpec", no_spec)
+        config = _sim_config(files, N=2_000_000)
+        rc, peak = alloc_peak(lambda: main(["--out-dir", str(files["dir"] / "n"),
+                                            command, "--config", config]))
+        assert rc == 2
+        assert peak < 5e6
+
+    def test_memory_error_is_one_line_and_exit_1(self, files, monkeypatch, capsys):
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000001, 1000001) and data type float64")
+
+        monkeypatch.setattr(cli, "solve_dynamics", too_large)
+        rc = main(["--out-dir", str(files["dir"] / "m"), "solve", "--mixture",
+                   str(files["mix"]), "--init", str(files["init"]), "--beta", "0.3",
+                   "--T", "1000", "--h", "0.001"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+        assert "7.28 TiB" in err
 
     def test_malformed_config(self, files):
         bad = files["dir"] / "bad.json"

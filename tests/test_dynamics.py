@@ -11,7 +11,7 @@ import pytest
 
 from glassdyn.dynamics import (
     EllRecord, SolverConfig, TwoTimeSolution, _Kernels, ell_limit_check,
-    integrated_response, residual, solve_dynamics,
+    integrated_response, residual, solve_dynamics, sup_distance,
 )
 from glassdyn.errors import (
     BlowUpError, ConfigError, DomainError, GridMismatchError, PsdViolationWarning,
@@ -240,6 +240,15 @@ class TestVariants:
         assert recs[0].dist_to_spherical > recs[1].dist_to_spherical
         assert isinstance(recs[0], EllRecord)
 
+    def test_ell_check_holds_no_fifth_square(self, alloc_peak):
+        # abs(sol.C - sph.C) held a fifth (n+1)^2 array beside the two
+        # solutions (5.04 squares); two blocks of 64 rows add 0.43
+        ic = gibbs_init(M23, 0.45, 0.5, -1.0)
+        recs, peak = alloc_peak(lambda: ell_limit_check(M23, ic, 0.25, 3.0, 0.01, [10.0]))
+        square = 301 ** 2 * 8
+        assert peak < 4.75 * square
+        assert recs[0].dist_to_spherical > 0.0
+
     def test_gradflow_runs_and_holds_sphere(self):
         # on this noise-free solve both Gram minimum eigenvalues dip to about
         # -1.6e-5, below the fixed 1e-6 tolerance, so both checks warn
@@ -372,6 +381,28 @@ class TestStorage:
                              text=True, check=True)
         assert res.stdout.strip() == "False"
 
+
+
+class TestSupDistance:
+    @pytest.mark.parametrize("shape", [(1,), (63, 5), (64, 3), (65, 7), (201, 201)])
+    def test_equals_the_whole_array_max(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert sup_distance(a, b) == float(np.abs(a - b).max())
+        assert sup_distance(a, a) == 0.0
+
+    @pytest.mark.parametrize("i", [0, 63, 64, 200])
+    def test_a_nan_in_any_block_is_nan(self, i):
+        a, b = np.zeros((201, 3)), np.ones((201, 3))
+        a[i, 1] = np.nan
+        assert math.isnan(sup_distance(a, b))
+
+    def test_holds_two_blocks(self, alloc_peak):
+        # a - b and its abs, 64 rows each; the whole-array form held 2 x 600 rows
+        a, b = np.zeros((600, 601)), np.ones((600, 601))
+        d, peak = alloc_peak(lambda: sup_distance(a, b))
+        assert d == 1.0
+        assert peak < 2 * 65 * 601 * 8
 
 
 class TestIntegratedResponse:

@@ -1,5 +1,7 @@
 """Scalar relaxation equation against closed forms and the two-time residual."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,12 @@ class TestStationaryTwoTime:
         bad = InitCondition(ic.q_star, ic.E + 0.5, ic.E_star, ic.G_star, ic.q_o)
         with pytest.raises(ConfigError):
             stationary_two_time(fdt, bad)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_refuses_a_non_finite_beta(self, beta):
+        ic, fdt = self._gibbs_pair()
+        with pytest.raises(ConfigError, match=r"^beta must be finite"):
+            stationary_two_time(dataclasses.replace(fdt, beta=beta), ic)
 
     def test_satisfies_two_time_equations(self):
         ic, fdt = self._gibbs_pair()

@@ -270,6 +270,15 @@ class TestCheckStationary:
         with pytest.raises(ConfigError, match="beta"):
             check_stationary(gibbs_init(M23, 0.9, 0.5, -1.0), M23, 0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.3),
+                                    InitCondition(0.8, 0.5, -0.3, 0.4, 0.35)],
+                             ids=["rs", "band"])
+    def test_non_finite_beta_is_config_error(self, ic, beta):
+        # it overflowed the constraints (band) or the residual (RS) instead
+        with pytest.raises(ConfigError, match=r"^beta must be finite"):
+            check_stationary(ic, M23, beta)
+
     def test_rs_cases(self):
         beta = 0.4
         good = InitCondition(0.0, 2 * beta * M23.nu(1.0))

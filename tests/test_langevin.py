@@ -1,5 +1,7 @@
 """SDE integrator, observables, error metric, rotation equivariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,23 @@ from glassdyn.hamiltonian import (
 )
 from glassdyn.init_params import InitCondition, gibbs_init
 from glassdyn.langevin import (
-    LangevinConfig, _limit_on_grid, average_error, ensemble_error, error_functional,
-    integrate_ensemble, observables, random_orthogonal, rotation_invariance_test,
+    LangevinConfig, ObservableSet, _limit_on_grid, average_error, ensemble_error,
+    error_functional, integrate_ensemble, observables, random_orthogonal,
+    rotation_invariance_test,
 )
 from glassdyn.mixture import Mixture
 
 M23 = Mixture({2: 1.0, 3: 0.1})
+
+
+def _free_solution(n, h):
+    """The beta = 0 closed form C = e^{-|s-t|/2}, R = e^{-(s-t)/2} below the
+    diagonal, built directly."""
+    s = np.arange(n + 1) * h
+    lag = s[:, None] - s[None, :]
+    return TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
+                           np.zeros(n + 1), np.ones(n + 1), np.full(n + 1, 0.5),
+                           np.zeros(n + 1), np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
 
 
 class ZeroField:
@@ -69,8 +82,7 @@ class TestIntegrate:
         cfg = LangevinConfig(beta=0.0, T=T, h_obs=0.05)
         x0 = sample_band_point(0.0, 0.0, N, 4)
         trajs = integrate_ensemble(ZeroField(), x0, cfg, 8, master_seed=5)
-        obs = observables(trajs, ZeroField(), None)
-        C = np.mean([o.C for o in obs], axis=0)
+        C = observables(trajs, ZeroField(), None).mean().C[0]
         s = np.arange(cfg.n_obs + 1) * cfg.h_obs
         expect = np.exp(-0.5 * np.abs(s[:, None] - s[None, :]))
         assert np.abs(C - expect).max() < 0.05
@@ -156,15 +168,15 @@ class TestObservables:
 
     def test_diagonal_is_radius(self):
         f, x0, tr = self._traj()
-        obs = observables([tr], f, None)[0]
-        np.testing.assert_allclose(np.diagonal(obs.C), obs.K)
+        obs = observables([tr], f, None)
+        np.testing.assert_allclose(np.diagonal(obs.C[0]), obs.K[0])
 
     def test_initial_values(self):
         f, x0, tr = self._traj()
-        obs = observables([tr], f, None)[0]
-        assert obs.C[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert obs.chi[:, 0].max() == 0.0
-        assert obs.H[0] == pytest.approx(f.spec.target.E, abs=1e-10)
+        obs = observables([tr], f, None)
+        assert obs.C[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert obs.chi[0, :, 0].max() == 0.0
+        assert obs.H[0, 0] == pytest.approx(f.spec.target.E, abs=1e-10)
 
     def test_ensemble_energy_pass_matches_each_path(self):
         N = 30
@@ -175,15 +187,41 @@ class TestObservables:
         trajs = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
                                    3, master_seed=17)
         obs = observables(trajs, f, x_star)
-        assert len(obs) == len(trajs)
-        for o, t in zip(obs, trajs):
+        assert obs.paths == len(trajs)
+        for i, t in enumerate(trajs):
             H = -f.value_batch(t.x) / N
-            np.testing.assert_allclose(o.H, H, rtol=1e-12, atol=1e-12 * np.abs(H).max())
+            np.testing.assert_allclose(obs.H[i], H, rtol=1e-12,
+                                       atol=1e-12 * np.abs(H).max())
             C = t.x @ t.x.T / N
-            np.testing.assert_array_equal(o.C, C)
-            np.testing.assert_array_equal(o.chi, t.x @ t.B.T / N)
-            np.testing.assert_array_equal(o.q, t.x @ x_star / N)
-            np.testing.assert_array_equal(o.K, np.diagonal(C))
+            np.testing.assert_array_equal(obs.C[i], C)
+            np.testing.assert_array_equal(obs.chi[i], t.x @ t.B.T / N)
+            np.testing.assert_array_equal(obs.q[i], t.x @ x_star / N)
+            np.testing.assert_array_equal(obs.K[i], np.diagonal(C))
+
+    def test_mean_is_an_ensemble_of_one(self):
+        N = 30
+        ic = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
+        spec = ConditioningSpec(ic, N, 15)
+        f = conditioned_field(sample_system(M23, N, 16), spec)
+        trajs = integrate_ensemble(f, spec.x_0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
+                                   5, master_seed=17)
+        obs = observables(trajs, f, spec.x_star)
+        mean = obs.mean()
+        assert mean.paths == 1 and mean.h == obs.h
+        for key in ("C", "chi", "q", "H", "K"):
+            # the paths summed in order, one array of each shape
+            arrays = getattr(obs, key)
+            total = arrays[0].copy()
+            for a in arrays[1:]:
+                total += a
+            np.testing.assert_array_equal(getattr(mean, key)[0], total / obs.paths)
+
+    def test_K_is_the_diagonal_of_C_and_not_stored(self):
+        assert [f.name for f in dataclasses.fields(ObservableSet)] == [
+            "h", "C", "chi", "q", "H"]
+        C = np.arange(18.0).reshape(2, 3, 3)
+        obs = ObservableSet(0.1, C, C, np.zeros((2, 3)), np.zeros((2, 3)))
+        np.testing.assert_array_equal(obs.K, [[0.0, 4.0, 8.0], [9.0, 13.0, 17.0]])
 
     def test_overlap_starts_at_qo(self):
         N = 30
@@ -193,37 +231,32 @@ class TestObservables:
         f = conditioned_field(sample_system(M23, N, 13), spec)
         tr = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05),
                                 1, 14)[0]
-        obs = observables([tr], f, x_star)[0]
-        assert obs.q[0] == pytest.approx(ic.q_o, abs=1e-12)
+        obs = observables([tr], f, x_star)
+        assert obs.q[0, 0] == pytest.approx(ic.q_o, abs=1e-12)
 
 
 class TestErrorFunctional:
     def test_zero_against_itself(self):
         ic = InitCondition(0.0, 0.0)
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
-        from glassdyn.dynamics import integrated_response
-        from glassdyn.langevin import ObservableSet
-        obs = ObservableSet(h=0.02, C=sol.C, chi=integrated_response(sol),
-                            q=sol.q, H=sol.H, K=sol.K)
+        obs = ObservableSet(h=0.02, C=sol.C[None], chi=integrated_response(sol)[None],
+                            q=sol.q[None], H=sol.H[None])
         assert error_functional(obs, sol, 1.0) == 0.0
 
     def test_each_term_capped(self):
         ic = InitCondition(0.0, 0.0)
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
         n = sol.n
-        from glassdyn.langevin import ObservableSet
-        far = ObservableSet(h=0.02, C=np.full((n + 1, n + 1), 99.0),
-                            chi=np.full((n + 1, n + 1), 99.0),
-                            q=np.full(n + 1, 99.0), H=np.full(n + 1, 99.0),
-                            K=np.ones(n + 1))
+        far = ObservableSet(h=0.02, C=np.full((1, n + 1, n + 1), 99.0),
+                            chi=np.full((1, n + 1, n + 1), 99.0),
+                            q=np.full((1, n + 1), 99.0), H=np.full((1, n + 1), 99.0))
         assert error_functional(far, sol, 1.0) == 4.0
 
     def test_grid_mismatch_raises(self):
         ic = InitCondition(0.0, 0.0)
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
-        from glassdyn.langevin import ObservableSet
-        obs = ObservableSet(h=0.03, C=np.ones((3, 3)), chi=np.ones((3, 3)),
-                            q=np.ones(3), H=np.ones(3), K=np.ones(3))
+        obs = ObservableSet(h=0.03, C=np.ones((1, 3, 3)), chi=np.ones((1, 3, 3)),
+                            q=np.ones((1, 3)), H=np.ones((1, 3)))
         with pytest.raises(GridMismatchError):
             error_functional(obs, sol, 0.06)
 
@@ -238,17 +271,60 @@ class TestErrorFunctional:
             assert C.tobytes() == sol.C[np.ix_(idx, idx)].tobytes()
 
     def test_limit_grid_holds_no_square_of_the_solver_grid(self, alloc_peak):
-        n, h = 400, 0.01
-        s = np.arange(n + 1) * h
-        lag = s[:, None] - s[None, :]
-        sol = TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
-                              np.zeros(n + 1), np.ones(n + 1), np.full(n + 1, 0.5),
-                              np.zeros(n + 1), np.zeros(n + 1), 0.0,
-                              InitCondition(0.0, 0.3))
+        n = 400
+        sol = _free_solution(n, 0.01)
         out, peak = alloc_peak(lambda: _limit_on_grid(sol, 0.05, 80))
-        result = sum(a.nbytes for a in out)
+        result = sum(a.nbytes for a in out if a.base is None)  # C, q, H are views
         # the observation rows only: no (n+1)^2 chi on the solver grid
         assert peak - result < (n + 1) ** 2 * 8
+
+    def test_scores_one_path_only(self):
+        sol = solve_dynamics(M23, InitCondition(0.0, 0.0),
+                             SolverConfig(beta=0.3, T=1.0, h=0.02))
+        C = np.repeat(sol.C[None], 2, axis=0)
+        two = ObservableSet(h=0.02, C=C, chi=C, q=np.zeros((2, sol.n + 1)),
+                            H=np.zeros((2, sol.n + 1)))
+        with pytest.raises(ConfigError, match="one path, got 2"):
+            error_functional(two, sol, 1.0)
+
+    def test_scores_are_those_of_one_path_sets(self):
+        N = 40
+        ic = gibbs_init(M23, 0.2, 0.0)
+        sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=0.4, h=0.01))
+        spec = ConditioningSpec(ic, N, 25)
+        f = conditioned_field(sample_system(M23, N, 26), spec)
+        trajs = integrate_ensemble(f, spec.x_0, LangevinConfig(beta=0.3, T=0.4, h_obs=0.02),
+                                   4, master_seed=27)
+        obs = observables(trajs, f, spec.x_star)
+        one = [ObservableSet(obs.h, obs.C[i:i + 1], obs.chi[i:i + 1], obs.q[i:i + 1],
+                             obs.H[i:i + 1]) for i in range(obs.paths)]
+        errs = np.array([error_functional(o, sol, 0.4) for o in one])
+        mean_err, se = average_error(obs, sol, 0.4)
+        assert mean_err == float(errs.mean())
+        assert se == float(errs.std(ddof=1) / 2.0)
+        assert ensemble_error(obs, sol, 0.4) == error_functional(obs.mean(), sol, 0.4)
+
+    @pytest.mark.parametrize("ratio", [1, 2])
+    def test_scores_hold_no_square_per_path(self, alloc_peak, ratio):
+        # 32 paths on a 201-point observable grid.  Stacking every path's
+        # square for the mean held 34 squares; now average_error holds the
+        # limit's chi and two blocks of 64 rows (1.64 squares), and
+        # ensemble_error the path mean's C and chi beside that (3.66),
+        # whatever the number of paths
+        m = 201
+        sol = _free_solution((m - 1) * ratio, 0.01 / ratio)
+        square = m * m * 8
+        peaks = {}
+        for paths in (2, 32):
+            rng = np.random.default_rng(paths)
+            C, q = rng.standard_normal((paths, m, m)), rng.standard_normal((paths, m))
+            obs = ObservableSet(0.01, C, C.copy(), q, q.copy())
+            for score in (average_error, ensemble_error):
+                peaks[score, paths] = alloc_peak(lambda: score(obs, sol, 2.0))[1]
+        assert peaks[average_error, 32] < 2 * square
+        assert peaks[ensemble_error, 32] < 4 * square
+        for score in (average_error, ensemble_error):
+            assert peaks[score, 32] - peaks[score, 2] < 0.05 * square
 
     def test_ensemble_error_below_mean_path_error(self):
         N = 200
@@ -282,7 +358,7 @@ class TestConfinedVariant:
         cfg = LangevinConfig(beta=beta, T=T, h_obs=0.05, substeps=10,
                              variant="fconfined", ell=ell, f0_slope=slope)
         trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=63)
-        K_N = np.mean([o.K for o in observables(trajs, f, None)], axis=0)
+        K_N = observables(trajs, f, None).mean().K[0]
         K_lim = sol.K[:: round(0.05 / 0.01)]
         assert np.abs(K_N - K_lim).max() < 0.05
 
@@ -299,7 +375,7 @@ class TestFiniteNStationarity:
         f = conditioned_field(sample_system(m, N, 52), spec)
         cfg = LangevinConfig(beta=beta, T=2.0, h_obs=0.05)
         trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=53)
-        C = np.mean([o.C for o in observables(trajs, f, spec.x_star)], axis=0)
+        C = observables(trajs, f, spec.x_star).mean().C[0]
         i1, i2, lags = 10, 20, 16  # t = 0.5 and t = 1.0, tau up to 0.8
         slice1 = np.array([C[i1 + k, i1] for k in range(lags)])
         slice2 = np.array([C[i2 + k, i2] for k in range(lags)])
