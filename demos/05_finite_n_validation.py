@@ -15,7 +15,7 @@ from glassdyn import (
     integrate_ensemble, observables, sample_system, solve_dynamics,
 )
 from glassdyn.hamiltonian import conditioned_field
-from glassdyn.langevin import average_error, ensemble_error
+from glassdyn.langevin import average_error, ensemble_error, score
 
 m = Mixture({2: 1.0, 3: 0.1})
 beta, beta0, T = 0.3, 0.2, 2.0
@@ -33,8 +33,9 @@ for N in (50, 100, 200):
     field = conditioned_field(sysN, spec)
     trajs = integrate_ensemble(field, spec.x_0, cfg, n_paths=8, master_seed=70 + N)
     obs = observables(trajs, field, spec.x_star)
-    per_path, _ = average_error(obs, sol, T)
-    averaged = ensemble_error(obs, sol, T)
+    terms = score(obs, sol, T)       # every path and the path mean, one pass
+    per_path, _ = average_error(terms)
+    averaged = ensemble_error(terms)
     print(f"{N:5d}   {per_path:10.4f}   {averaged:12.4f}   {time.time() - t0:7.1f}")
 
 print("\nthe conditioned field pins the start energy exactly:")

@@ -31,7 +31,7 @@ from .hamiltonian import (
 )
 from .langevin import (
     LangevinConfig, error_functional, integrate_ensemble, observables,
-    rotation_invariance_test,
+    rotation_invariance_test, score,
 )
 
 __all__ = [
@@ -45,5 +45,5 @@ __all__ = [
     "ConditioningSpec", "SpinSystem", "conditioned_field",
     "sample_band_point", "sample_system",
     "LangevinConfig", "error_functional", "integrate_ensemble",
-    "observables", "rotation_invariance_test",
+    "observables", "rotation_invariance_test", "score",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SolverConfig, ell_limit_check, solve_dynamics
+from .dynamics import SolverConfig, ell_limit_check, solve_dynamics, sup_distance
 from .fdt import solve_fdt
 from .hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
@@ -25,7 +25,7 @@ from .hamiltonian import (
 from .init_params import InitCondition, check_stationary, gibbs_init, sigma_nu, solve_w
 from .langevin import (
     LangevinConfig, average_error, ensemble_error, integrate_ensemble,
-    observables, random_orthogonal, rotation_invariance_test,
+    observables, random_orthogonal, rotation_invariance_test, score,
 )
 from .mixture import Mixture, effective_mixture
 from .phase import beta_c_dyn
@@ -319,9 +319,9 @@ def criterion_10_finite_n_convergence() -> CriterionResult:
         spec = ConditioningSpec(ic, N, seed=60 + N)
         f = conditioned_field(sysN, spec)
         trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=70 + N)
-        obs = observables(trajs, f, spec.x_star)
-        per_path.append(average_error(obs, sol, T)[0])
-        averaged.append(ensemble_error(obs, sol, T))
+        terms = score(observables(trajs, f, spec.x_star), sol, T)
+        per_path.append(average_error(terms)[0])
+        averaged.append(ensemble_error(terms))
     mono = (all(a > b for a, b in zip(per_path, per_path[1:]))
             and all(a > b for a, b in zip(averaged, averaged[1:])))
     return CriterionResult(10, "finite-N convergence",
@@ -354,10 +354,8 @@ def criterion_12_even_symmetry() -> CriterionResult:
     icp = InitCondition(0.8, 0.6, 0.2, 0.5, 0.4)
     icm = InitCondition(0.8, 0.6, 0.2, 0.5, -0.4)
     sp, sm = solve_dynamics(meven, icp, cfg), solve_dynamics(meven, icm, cfg)
-    dev = max(float(np.abs(sp.C - sm.C).max()),
-              float(np.abs(sp.R - sm.R).max()),
-              float(np.abs(sp.q + sm.q).max()),
-              float(np.abs(sp.H - sm.H).max()))
+    dev = max(sup_distance(sp.C, sm.C), sup_distance(sp.R, sm.R),
+              sup_distance(sp.q, -sm.q), sup_distance(sp.H, sm.H))
     return CriterionResult(12, "even-mixture symmetry", dev < 1e-10,
                            {"deviation": dev})
 
@@ -368,18 +366,12 @@ def criterion_13_grid_convergence() -> CriterionResult:
     sols = {h: solve_dynamics(M23, IC_GEN, cfg_of(h)) for h in (0.02, 0.01, 0.005)}
 
     def diffs(coarse, fine):
-        r = round(coarse.h / fine.h)
-        idx = np.arange(0, fine.n + 1, r)
-        out = {}
-        for name in ("C", "R"):
-            a, b = getattr(coarse, name), getattr(fine, name)[np.ix_(idx, idx)]
-            out[name] = float(np.abs(a - b).max())
-        out["q"] = float(np.abs(coarse.q - fine.q[idx]).max())
-        out["H"] = float(np.abs(coarse.H - fine.H[idx]).max())
-        return out
+        g = slice(None, None, round(coarse.h / fine.h))  # the coarse grid in the fine
+        return {"C": sup_distance(coarse.C, fine.C[g, g]),
+                "R": sup_distance(coarse.R, fine.R[g, g]),
+                "q": sup_distance(coarse.q, fine.q[g]), "H": sup_distance(coarse.H, fine.H[g])}
 
-    d1 = diffs(sols[0.02], sols[0.01])
-    d2 = diffs(sols[0.01], sols[0.005])
+    d1, d2 = diffs(sols[0.02], sols[0.01]), diffs(sols[0.01], sols[0.005])
     ratios = {k: d1[k] / d2[k] for k in d1}
     return CriterionResult(13, "grid convergence", min(ratios.values()) >= 1.8,
                            {k: round(v, 2) for k, v in ratios.items()})

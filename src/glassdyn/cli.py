@@ -36,7 +36,7 @@ from .hamiltonian import (
 from .init_params import InitCondition, check_stationary, solve_w
 from .langevin import (
     VARIANT_FCONF, LangevinConfig, average_error, ensemble_error,
-    integrate_ensemble, observables,
+    integrate_ensemble, observables, score,
 )
 from .mixture import Mixture
 from .phase import beta_c_dyn, beta_c_stat, classify
@@ -346,11 +346,12 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
         sol = solve_dynamics(m, ic, limit, vf)
-        err_mean, err_se = average_error(obs, sol, T)
+        terms = score(obs, sol, T)
+        err_mean, err_se = average_error(terms)
         report.update({
             "err_mean": err_mean,
             "err_se": err_se,
-            "err_ensemble": ensemble_error(obs, sol, T),
+            "err_ensemble": ensemble_error(terms),
             "invariants": {
                 "gram_min_eig": sol.gram_min_eig(),
                 "H0_matches": bool(abs(obs.H[0, 0] - ic.E) < 1e-8),

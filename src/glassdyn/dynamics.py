@@ -15,8 +15,8 @@ so a solve is O(n^3) work and O(n^2) memory.
 Memory: C and R are the largest arrays of a solve, and no temporary of
 their size is made.  The symmetry check compares C with C.T, and
 ``sup_distance`` takes max |a - b|, one block of _BLOCK rows at a time;
-``integrated_response`` builds each row in one scratch row, so on a
-sub-grid of m rows it costs O(m n).
+``chi_rows`` makes each row of chi in one scratch row, so m rows of a
+sub-grid cost O(m n) and are never held together.
 
 Per pass the row state is built from the new row alone: the kernels keep
 nu'(q) as an array with one entry refreshed per row (only q at the new
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, GridMismatchError, PsdViolationWarning
+from .errors import BlowUpError, ConfigError, PsdViolationWarning
 from .init_params import InitCondition, VFunction, solve_w
 from .mixture import Mixture
 
@@ -408,30 +408,31 @@ def residual(sol: TwoTimeSolution, m: Mixture) -> ResidualReport:
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
 
-def integrated_response(sol: TwoTimeSolution, idx=None) -> np.ndarray:
-    """chi(s, t) = int_0^t R(s, u) du on idx x idx, by default the full grid.
+def chi_rows(sol: TwoTimeSolution, r: int = 1, m: int | None = None):
+    """Rows of chi(s, t) = int_0^t R(s, u) du at the grid times 0, r h, ...,
+    (m - 1) r h, each on those times; by default the whole grid.
 
     R vanishes above the diagonal, so chi(s, t) = chi(s, s) for t >= s.  A
     row is its trapezoid steps up to the diagonal, zero beyond it, summed in
-    order in one scratch row, so the work is O(len(idx) n) and no temporary
-    is as large as R.
+    order in one scratch row, which each row yielded is a view of: O(m n)
+    work, and nothing as large as R.
     """
-    idx = np.arange(sol.n + 1) if idx is None else np.asarray(idx)
-    if not (idx.ndim == 1 and idx.dtype.kind in "iu"
-            and ((0 <= idx) & (idx <= sol.n)).all()):
-        raise GridMismatchError(f"idx must hold grid indices in [0, {sol.n}]")
-    chi = np.empty((len(idx), len(idx)))
+    m = sol.n + 1 if m is None else m
     row = np.empty(sol.n + 1)
     row[0] = 0.0
     steps, hh = row[1:], 0.5 * sol.h
-    for a, i in enumerate(idx):
+    for i in range(0, m * r, r):
         Ri = sol.R[i]
         np.add(Ri[:i], Ri[1: i + 1], out=steps[:i])
         steps[:i] *= hh
         steps[i:] = 0.0
         np.cumsum(steps, out=steps)
-        chi[a] = row[idx]
-    return chi
+        yield row[: m * r: r]
+
+
+def integrated_response(sol: TwoTimeSolution) -> np.ndarray:
+    """chi on the full grid: the rows of ``chi_rows``, copied into one array."""
+    return np.fromiter(chi_rows(sol), np.dtype((float, sol.n + 1)), sol.n + 1)
 
 
 @dataclass(frozen=True)

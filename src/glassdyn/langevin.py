@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoTimeSolution, integrated_response, sup_distance
+from .dynamics import TwoTimeSolution, chi_rows, sup_distance
 from .errors import ConfigError, EscapeError, GridMismatchError
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "ObservableSet",
     "integrate_ensemble",
     "observables",
+    "score",
     "error_functional",
     "average_error",
     "ensemble_error",
@@ -192,58 +193,63 @@ def observables(trajs: list[Trajectory], field,
     return ObservableSet(trajs[0].h_obs, C, chi, q, H)
 
 
-def _limit_on_grid(sol: TwoTimeSolution, h_obs: float, n_obs: int):
-    ratio = h_obs / sol.h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise GridMismatchError("observable step not a multiple of the solver step")
+def _raise_to_row_sups(rows: np.ndarray, lim: np.ndarray, worst: np.ndarray):
+    """Raise worst[p] to max |rows[p] - lim| on lim's columns for each path p,
+    and worst[-1] to that of the path mean, which is taken over whole rows as
+    obs.mean() takes it, so it is that mean bit for bit; NaN stays NaN."""
+    sups = [np.abs(row[:len(lim)] - lim).max() for row in (*rows, rows.mean(axis=0))]
+    np.maximum(worst, sups, out=worst)
+
+
+def score(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> np.ndarray:
+    """Uncapped sup distances of C, chi, q and H to the limit on [0, T]: one
+    row per path, then one for the path mean (that of obs.mean()).
+
+    One pass walks the limit's rows on the observable grid; each chi row is
+    made by ``chi_rows`` and compared with every path's row and the mean's as
+    it is made, so no square of the grid is held.
+    """
+    if not (math.isfinite(T) and T >= 0.0):
+        raise GridMismatchError(f"T must be finite and non-negative, got {T}")
+    n_obs, ratio = round(T / obs.h), obs.h / sol.h
     r = round(ratio)
+    if abs(T / obs.h - n_obs) > 1e-9 or n_obs > obs.q.shape[1] - 1:
+        raise GridMismatchError("T incompatible with the observable grid")
+    if abs(ratio - r) > 1e-9:
+        raise GridMismatchError("observable step not a multiple of the solver step")
     if n_obs * r > sol.n:
         raise GridMismatchError("solution horizon shorter than the observable window")
-    grid = slice(0, n_obs * r + 1, r)  # C, q and H are views; chi is built
-    return (sol.C[grid, grid], integrated_response(sol, np.arange(n_obs + 1) * r),
-            sol.q[grid], sol.H[grid])
+    grid = slice(0, n_obs * r + 1, r)
+    terms = np.zeros((obs.paths + 1, 4))
+    for a, chi_row in enumerate(chi_rows(sol, r, n_obs + 1)):
+        _raise_to_row_sups(obs.C[:, a], sol.C[a * r, grid], terms[:, 0])
+        _raise_to_row_sups(obs.chi[:, a], chi_row, terms[:, 1])
+    _raise_to_row_sups(obs.q, sol.q[grid], terms[:, 2])
+    _raise_to_row_sups(obs.H, sol.H[grid], terms[:, 3])
+    return terms
 
 
-def _errors(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> list[float]:
-    """error_functional of each path, all scored against one copy of the
-    limit on their common grid, one path at a time."""
-    h = obs.h
-    n_obs = round(T / h)
-    if abs(T / h - n_obs) > 1e-9 or n_obs > obs.q.shape[1] - 1:
-        raise GridMismatchError("T incompatible with the observable grid")
-    m = n_obs + 1
-    own = (obs.C[:, :m, :m], obs.chi[:, :m, :m], obs.q[:, :m], obs.H[:, :m])
-    limit = _limit_on_grid(sol, h, n_obs)  # C, chi, q, H, as own
-    return [float(sum([min(sup_distance(a[i], b), 1.0) for a, b in zip(own, limit)]))
-            for i in range(obs.paths)]
+def error_functional(terms: np.ndarray) -> np.ndarray:
+    """Capped error of each row of ``score``'s terms: min(term, 1) summed over
+    C, chi, q and H in that order, so bounded by 4."""
+    return sum(np.minimum(terms, 1.0).T)
 
 
-def error_functional(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> float:
-    """Capped sup-norm distance between a one-path set and the limit observables.
-
-    Sum of min(sup-difference, 1) over correlation, integrated response,
-    critical-point overlap and energy; bounded by 4.
-    """
-    if obs.paths != 1:
-        raise ConfigError(f"error_functional scores one path, got {obs.paths}")
-    return _errors(obs, sol, T)[0]
-
-
-def average_error(obs: ObservableSet, sol: TwoTimeSolution, T: float):
+def average_error(terms: np.ndarray):
     """Monte Carlo mean and standard error of the path-error metric."""
-    errs = np.array(_errors(obs, sol, T))
+    errs = error_functional(terms[:-1])
     se = errs.std(ddof=1) / math.sqrt(len(errs)) if len(errs) > 1 else 0.0
     return float(errs.mean()), float(se)
 
 
-def ensemble_error(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> float:
+def ensemble_error(terms: np.ndarray) -> float:
     """Error functional of the path-averaged observables.
 
     Averaging the observables over Brownian paths before taking sup norms
     removes the O(1/sqrt(N)) single-path fluctuation floor and exposes the
     finite-size bias; this is the quantity the convergence tables track.
     """
-    return error_functional(obs.mean(), sol, T)
+    return float(error_functional(terms[-1]))
 
 
 class RotatedField:

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from glassdyn.dynamics import (
-    EllRecord, SolverConfig, TwoTimeSolution, _Kernels, ell_limit_check,
+    EllRecord, SolverConfig, TwoTimeSolution, _Kernels, chi_rows, ell_limit_check,
     integrated_response, residual, solve_dynamics, sup_distance,
 )
 from glassdyn.errors import (
-    BlowUpError, ConfigError, DomainError, GridMismatchError, PsdViolationWarning,
+    BlowUpError, ConfigError, DomainError, PsdViolationWarning,
 )
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
 from glassdyn.mixture import Mixture
@@ -446,14 +446,9 @@ class TestIntegratedResponse:
                     solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.5, T=1.0, h=0.01))):
             chi = integrated_response(sol)
             assert chi.tobytes() == masked(sol).tobytes()
-            for idx in ([0, 7, 50, 100], np.arange(0, 101, 5), [100]):
-                sub = integrated_response(sol, idx)
-                assert sub.tobytes() == chi[np.ix_(idx, idx)].tobytes()
-
-    @pytest.mark.parametrize("idx", [[0, 101], [-1, 5], [[0, 1]], [0.0, 2.0]])
-    def test_sub_grid_outside_the_grid_is_refused(self, idx):
-        with pytest.raises(GridMismatchError, match="idx"):
-            integrated_response(_free_solution(100), idx)
+            for r, m in ((1, 101), (5, 21), (7, 15), (1, 1)):
+                for a, row in enumerate(chi_rows(sol, r, m)):
+                    assert row.tobytes() == chi[a * r, : m * r: r].tobytes()
 
     def test_allocates_only_its_output(self, alloc_peak):
         sol = _free_solution(300)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from glassdyn import acceptance
 from glassdyn.dynamics import (
     SolverConfig, TwoTimeSolution, integrated_response, solve_dynamics,
 )
@@ -14,9 +15,9 @@ from glassdyn.hamiltonian import (
 )
 from glassdyn.init_params import InitCondition, gibbs_init
 from glassdyn.langevin import (
-    LangevinConfig, ObservableSet, _limit_on_grid, average_error, ensemble_error,
-    error_functional, integrate_ensemble, observables, random_orthogonal,
-    rotation_invariance_test,
+    LangevinConfig, ObservableSet, average_error, ensemble_error, error_functional,
+    integrate_ensemble, observables, random_orthogonal, rotation_invariance_test,
+    score,
 )
 from glassdyn.mixture import Mixture
 
@@ -241,7 +242,7 @@ class TestErrorFunctional:
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
         obs = ObservableSet(h=0.02, C=sol.C[None], chi=integrated_response(sol)[None],
                             q=sol.q[None], H=sol.H[None])
-        assert error_functional(obs, sol, 1.0) == 0.0
+        assert error_functional(score(obs, sol, 1.0)).tolist() == [0.0, 0.0]
 
     def test_each_term_capped(self):
         ic = InitCondition(0.0, 0.0)
@@ -250,7 +251,9 @@ class TestErrorFunctional:
         far = ObservableSet(h=0.02, C=np.full((1, n + 1, n + 1), 99.0),
                             chi=np.full((1, n + 1, n + 1), 99.0),
                             q=np.full((1, n + 1), 99.0), H=np.full((1, n + 1), 99.0))
-        assert error_functional(far, sol, 1.0) == 4.0
+        terms = score(far, sol, 1.0)
+        assert (terms > 90.0).all()  # the terms themselves are uncapped
+        assert error_functional(terms).tolist() == [4.0, 4.0]
 
     def test_grid_mismatch_raises(self):
         ic = InitCondition(0.0, 0.0)
@@ -258,34 +261,51 @@ class TestErrorFunctional:
         obs = ObservableSet(h=0.03, C=np.ones((1, 3, 3)), chi=np.ones((1, 3, 3)),
                             q=np.ones((1, 3)), H=np.ones((1, 3)))
         with pytest.raises(GridMismatchError):
-            error_functional(obs, sol, 0.06)
+            score(obs, sol, 0.06)
+
+    @pytest.mark.parametrize("T", [-0.02, np.nan, np.inf])
+    def test_T_outside_the_grid_is_refused(self, T):
+        sol = _free_solution(10, 0.02)
+        obs = ObservableSet(h=0.02, C=np.ones((1, 3, 3)), chi=np.ones((1, 3, 3)),
+                            q=np.ones((1, 3)), H=np.ones((1, 3)))
+        with pytest.raises(GridMismatchError, match="T must be finite"):
+            score(obs, sol, T)
 
     def test_limit_grid_is_the_full_chi_at_the_observation_points(self):
+        # a set built from the limit on the observation points, integrated_response
+        # included, scores exactly 0: the streamed chi rows are its entries bit for bit
         sol = solve_dynamics(M23, gibbs_init(M23, 0.2, 0.0),
                              SolverConfig(beta=0.3, T=1.0, h=0.01))
         chi = integrated_response(sol)
         for ratio, n_obs in ((1, 100), (2, 50), (5, 13)):
-            C, chi_grid, q, H = _limit_on_grid(sol, ratio * 0.01, n_obs)
             idx = np.arange(n_obs + 1) * ratio
-            assert chi_grid.tobytes() == chi[np.ix_(idx, idx)].tobytes()
-            assert C.tobytes() == sol.C[np.ix_(idx, idx)].tobytes()
+            on = np.ix_(idx, idx)
+            obs = ObservableSet(ratio * 0.01, np.stack([sol.C[on]] * 2),
+                                np.stack([chi[on]] * 2), np.stack([sol.q[idx]] * 2),
+                                np.stack([sol.H[idx]] * 2))
+            assert score(obs, sol, n_obs * ratio * 0.01).tolist() == [[0.0] * 4] * 3
 
     def test_limit_grid_holds_no_square_of_the_solver_grid(self, alloc_peak):
-        n = 400
+        n, m = 400, 81
         sol = _free_solution(n, 0.01)
-        out, peak = alloc_peak(lambda: _limit_on_grid(sol, 0.05, 80))
-        result = sum(a.nbytes for a in out if a.base is None)  # C, q, H are views
-        # the observation rows only: no (n+1)^2 chi on the solver grid
-        assert peak - result < (n + 1) ** 2 * 8
+        C = np.zeros((1, m, m))
+        obs = ObservableSet(0.05, C, C, np.zeros((1, m)), np.zeros((1, m)))
+        terms, peak = alloc_peak(lambda: score(obs, sol, 4.0))
+        assert terms.shape == (2, 4)
+        # the limit's rows on the observation grid, one at a time: no (n+1)^2 chi
+        assert peak < (n + 1) ** 2 * 8
 
-    def test_scores_one_path_only(self):
+    def test_mean_row_of_a_one_path_set_is_that_path(self):
         sol = solve_dynamics(M23, InitCondition(0.0, 0.0),
                              SolverConfig(beta=0.3, T=1.0, h=0.02))
-        C = np.repeat(sol.C[None], 2, axis=0)
-        two = ObservableSet(h=0.02, C=C, chi=C, q=np.zeros((2, sol.n + 1)),
-                            H=np.zeros((2, sol.n + 1)))
-        with pytest.raises(ConfigError, match="one path, got 2"):
-            error_functional(two, sol, 1.0)
+        rng = np.random.default_rng(3)
+        n1 = sol.n + 1
+        one = ObservableSet(0.02, rng.standard_normal((1, n1, n1)),
+                            rng.standard_normal((1, n1, n1)),
+                            rng.standard_normal((1, n1)), rng.standard_normal((1, n1)))
+        terms = score(one, sol, 1.0)
+        assert terms[0].tobytes() == terms[1].tobytes()
+        assert average_error(terms) == (float(error_functional(terms[0])), 0.0)
 
     def test_scores_are_those_of_one_path_sets(self):
         N = 40
@@ -298,19 +318,23 @@ class TestErrorFunctional:
         obs = observables(trajs, f, spec.x_star)
         one = [ObservableSet(obs.h, obs.C[i:i + 1], obs.chi[i:i + 1], obs.q[i:i + 1],
                              obs.H[i:i + 1]) for i in range(obs.paths)]
-        errs = np.array([error_functional(o, sol, 0.4) for o in one])
-        mean_err, se = average_error(obs, sol, 0.4)
+        terms = score(obs, sol, 0.4)
+        per_path = np.array([score(o, sol, 0.4)[0] for o in one])
+        assert terms[:-1].tobytes() == per_path.tobytes()
+        errs = error_functional(per_path)
+        mean_err, se = average_error(terms)
         assert mean_err == float(errs.mean())
         assert se == float(errs.std(ddof=1) / 2.0)
-        assert ensemble_error(obs, sol, 0.4) == error_functional(obs.mean(), sol, 0.4)
+        assert ensemble_error(terms) == ensemble_error(score(obs.mean(), sol, 0.4))
+        assert terms[-1].tobytes() == score(obs.mean(), sol, 0.4)[0].tobytes()
 
     @pytest.mark.parametrize("ratio", [1, 2])
     def test_scores_hold_no_square_per_path(self, alloc_peak, ratio):
         # 32 paths on a 201-point observable grid.  Stacking every path's
-        # square for the mean held 34 squares; now average_error holds the
-        # limit's chi and two blocks of 64 rows (1.64 squares), and
-        # ensemble_error the path mean's C and chi beside that (3.66),
-        # whatever the number of paths
+        # square for the mean held 34 squares, and building the limit's chi
+        # and the path mean's C and chi for each score held 1.64 and 3.66;
+        # one pass over the limit's rows holds a few rows, whatever the
+        # number of paths
         m = 201
         sol = _free_solution((m - 1) * ratio, 0.01 / ratio)
         square = m * m * 8
@@ -319,12 +343,9 @@ class TestErrorFunctional:
             rng = np.random.default_rng(paths)
             C, q = rng.standard_normal((paths, m, m)), rng.standard_normal((paths, m))
             obs = ObservableSet(0.01, C, C.copy(), q, q.copy())
-            for score in (average_error, ensemble_error):
-                peaks[score, paths] = alloc_peak(lambda: score(obs, sol, 2.0))[1]
-        assert peaks[average_error, 32] < 2 * square
-        assert peaks[ensemble_error, 32] < 4 * square
-        for score in (average_error, ensemble_error):
-            assert peaks[score, 32] - peaks[score, 2] < 0.05 * square
+            peaks[paths] = alloc_peak(lambda: score(obs, sol, 2.0))[1]
+        assert peaks[32] < 0.25 * square
+        assert peaks[32] - peaks[2] < 0.05 * square
 
     def test_ensemble_error_below_mean_path_error(self):
         N = 200
@@ -334,10 +355,41 @@ class TestErrorFunctional:
         f = conditioned_field(sample_system(M23, N, 16), spec)
         cfg = LangevinConfig(beta=0.3, T=1.0, h_obs=0.02)
         trajs = integrate_ensemble(f, spec.x_0, cfg, 6, master_seed=17)
-        obs = observables(trajs, f, spec.x_star)
-        mean_err, _ = average_error(obs, sol, 1.0)
-        ens_err = ensemble_error(obs, sol, 1.0)
-        assert ens_err < mean_err
+        terms = score(observables(trajs, f, spec.x_star), sol, 1.0)
+        mean_err, _ = average_error(terms)
+        assert ensemble_error(terms) < mean_err
+
+
+class TestBandStartConvergence:
+    """Finite-N runs from a 1-RSB band start, with criterion 10's protocol
+    on criterion 4's beta and q_EA.  The stationary band solution is stable
+    at GS = +1 and unstable at criterion 4's GS = -1, where the 1/sqrt(N)
+    fluctuations seed the unstable mode and the energy leaves the band."""
+
+    T = 2.0
+
+    def _terms(self, GS, N):
+        m = acceptance.M23
+        beta = acceptance._stationary_setup()[0]
+        ic = gibbs_init(m, beta, 0.5, GS)
+        sol = solve_dynamics(m, ic, SolverConfig(beta=beta, T=self.T, h=0.01))
+        cfg = LangevinConfig(beta=beta, T=self.T, h_obs=0.02, substeps=5)
+        spec = ConditioningSpec(ic, N, seed=60 + N)
+        f = conditioned_field(sample_system(m, N, seed=50 + N), spec)
+        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=70 + N)
+        return score(observables(trajs, f, spec.x_star), sol, self.T)
+
+    def test_stable_band_start_converges_with_N(self):
+        terms = [self._terms(1.0, N) for N in (50, 100, 200)]
+        ens = [ensemble_error(t) for t in terms]
+        per_path = [average_error(t)[0] for t in terms]
+        assert ens[0] > ens[1] > ens[2]
+        assert per_path[0] > per_path[1] > per_path[2]
+        assert ens[2] < 0.22
+
+    def test_unstable_band_start_misses_the_energy(self):
+        # the path mean's uncapped H term
+        assert self._terms(-1.0, 200)[-1, 3] > 1.0
 
 
 class TestConfinedVariant:
