@@ -1,10 +1,10 @@
 """Finite-N Langevin paths against the limit dynamics (desk-scale table).
 
 Draws one disorder realization conditioned on the start energy, runs a small
-ensemble of Brownian paths on the sphere, and scores the empirical
-observables against the limit solve.  The per-path metric carries the
-O(1/sqrt(N)) fluctuation floor; the path-averaged one exposes the
-finite-size bias shrinking with N.  Uses small sizes so the demo stays quick;
+ensemble of Brownian paths on the sphere into one trajectory record, and
+scores the empirical observables against the limit solve.  The per-path
+metric carries the O(1/sqrt(N)) fluctuation floor; the path-averaged one
+exposes the finite-size bias shrinking with N.  Uses small sizes so the demo stays quick;
 the acceptance suite runs the full N = 100/200/400 table.
 """
 
@@ -31,8 +31,8 @@ for N in (50, 100, 200):
     sysN = sample_system(m, N, seed=50 + N)
     spec = ConditioningSpec(ic, N, seed=60 + N)
     field = conditioned_field(sysN, spec)
-    trajs = integrate_ensemble(field, spec.x_0, cfg, n_paths=8, master_seed=70 + N)
-    obs = observables(trajs, field, spec.x_star)
+    traj = integrate_ensemble(field, spec.x_0, cfg, n_paths=8, master_seed=70 + N)
+    obs = observables(traj, field, spec.x_star)  # reads traj.x, traj.B (8, 101, N)
     terms = score(obs, sol, T)       # every path and the path mean, one pass
     per_path, _ = average_error(terms)
     averaged = ensemble_error(terms)

@@ -8,7 +8,7 @@ Library layout, one module per concern:
 - fdt:         the stationary scalar relaxation equation
 - dynamics:    the causal two-time correlation/response solver
 - hamiltonian: finite-N Gaussian fields and exact conditioning
-- langevin:    finite-N SDE paths, observables, limit-error metric
+- langevin:    finite-N SDE paths in one record, observables, one scoring pass
 - acceptance:  the thirteen-criterion release gate
 - cli:         reproducible command-line front end
 """

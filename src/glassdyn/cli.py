@@ -115,12 +115,10 @@ def _write_json(path: Path, obj: dict, digest: str):
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, np.bool_):
-        return bool(x)
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
@@ -329,8 +327,8 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     man, digest = _manifest("simulate", cfg_obj, seed)
 
     f = conditioned_field(sample_system(m, N, seed), spec)
-    trajs = integrate_ensemble(f, spec.x_0, lcfg, paths, seed + 10)
-    obs = observables(trajs, f, spec.x_star)
+    traj = integrate_ensemble(f, spec.x_0, lcfg, paths, seed + 10)
+    obs = observables(traj, f, spec.x_star)
 
     mean = obs.mean()
     grid = np.arange(lcfg.n_obs + 1) * h_obs

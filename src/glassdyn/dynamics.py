@@ -4,7 +4,8 @@ One ``TwoTimeSolution`` is the solver's state: ``solve_dynamics`` builds it
 with unit diagonals and marches inside it, and the kernels and
 ``residual(sol, m)`` read beta, h, variant, ell and the start ic from it.
 The grid is s_i = i h, i <= n = len(q) - 1.  C is stored dense and symmetric,
-R lower-triangular (row = later time); q, K, mu, L, H are one-time arrays.
+R lower-triangular (row = later time); q, mu, L, H are one-time arrays, and
+the squared radius K is C's diagonal.
 Each slice advance is one loop of Heun-type passes with trapezoidal memory
 quadrature: the Euler predictor, then correctors, with the
 Lagrange-multiplier closure mu refreshed after every pass.  Each pass
@@ -121,7 +122,6 @@ class TwoTimeSolution:
     C: np.ndarray
     R: np.ndarray
     q: np.ndarray
-    K: np.ndarray
     mu: np.ndarray
     L: np.ndarray
     H: np.ndarray
@@ -150,9 +150,10 @@ class TwoTimeSolution:
     def s(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
 
-    def diag_slice(self, t_index: int) -> np.ndarray:
-        """C(t + tau, t) over tau >= 0 for t = t_index * h."""
-        return self.C[t_index:, t_index].copy()
+    @property
+    def K(self) -> np.ndarray:
+        """Squared radius K(s) = C(s, s): the diagonal of C."""
+        return np.diagonal(self.C)
 
     def _subgrid(self) -> np.ndarray:
         """At most 30 evenly spread grid indices: where the Gram checks look."""
@@ -178,7 +179,7 @@ class TwoTimeSolution:
 class _Row(NamedTuple):
     """Row a's state, built once per pass from C[a, :a+1], R[a, :a+1], q[:a+1].
 
-    d1, d2: nu' and nu'' of C[a, :a+1]; mv: R[a, :a+1] nu''(C[a, :a+1]);
+    d1: nu' of C[a, :a+1]; mv: R[a, :a+1] nu''(C[a, :a+1]);
     vx, vy: drift-source partials at (q[a], C[a, 0]); dqa, d2q: nu'(q[a]) and
     nu''(q[a]).  Trapezoid integrals against R[a, :a+1] give L = L(s_a),
     I1 = beta int R(s_a, u) nu'(C(s_a, u)) du (in both A_C(s_a, s_a) and
@@ -187,7 +188,6 @@ class _Row(NamedTuple):
     """
 
     d1: np.ndarray
-    d2: np.ndarray
     mv: np.ndarray
     vx: float
     vy: float
@@ -249,7 +249,7 @@ class _Kernels:
         dq, d2q = self.dq[: a + 1], m.nu(qa, 2)
         dqa = dq[a] = m.nu(qa, 1)
         L = h * (float(Rrow @ dq) - 0.5 * (r0 * float(dq[0]) + dqa)) / self.dnu_qs2
-        return _Row(d1, d2, mv, vx, vy, dqa, d2q, L, I1, ad0, beta * (qa * d2q + dqa))
+        return _Row(d1, mv, vx, vy, dqa, d2q, L, I1, ad0, beta * (qa * d2q + dqa))
 
     def rhs(self, a: int, rw: _Row):
         """(F_R, F_C, F_q) of row a: d/ds of R[a, :a+1], C[a, :a+1] and q[a].
@@ -299,33 +299,32 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
     n, h, ell = cfg.n, cfg.h, cfg.ell
     q = np.zeros(n + 1)
     q[0] = ic.q_o
-    # unit diagonals from the start; variant 'f' overwrites C's with K
+    # unit diagonals from the start; variant 'f' solves C's, the radius K
     sol = TwoTimeSolution(
-        h, np.eye(n + 1), np.eye(n + 1), q, np.ones(n + 1), np.zeros(n + 1),
-        np.zeros(n + 1), np.zeros(n + 1),
+        h, np.eye(n + 1), np.eye(n + 1), q, np.zeros(n + 1), np.zeros(n + 1),
+        np.zeros(n + 1),
         beta=1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta, ic=ic,
         variant=cfg.variant, ell=ell)
     ker = _Kernels(m, vf, sol)
-    C, R, K, mu, L, H, beta = sol.C, sol.R, sol.K, sol.mu, sol.L, sol.H, sol.beta
+    C, R, mu, L, H, beta = sol.C, sol.R, sol.mu, sol.L, sol.H, sol.beta
 
     rw = ker.row(0)
     H[0] = ker.H_at(0, rw)
-    mu[0] = ker.mu(K[0], rw.ad(L[0]))
+    mu[0] = ker.mu(C[0, 0], rw.ad(L[0]))
 
     def close(i1) -> _Row:
-        """Set L, mu and (variant 'f') K and diagonal C at slice i1; return the row."""
+        """Set L, mu and (variant 'f') the diagonal C = K at slice i1; return the row."""
         if cfg.variant == VARIANT_F:
             # mu ignores ad in this variant: the final row's serves
-            C[i1, i1] = K[i1 - 1]
+            C[i1, i1] = C[i1 - 1, i1 - 1]
             for _ in range(2):
                 rw = ker.row(i1)
                 ad = rw.ad(rw.L)
-                K[i1] = (K[i1 - 1] + h * (1.0 + 2.0 * beta * ad) + 4.0 * ell * h) / (
-                    1.0 + 4.0 * ell * h + 2.0 * ker.c0 * h)
-                C[i1, i1] = K[i1]
+                C[i1, i1] = (C[i1 - 1, i1 - 1] + h * (1.0 + 2.0 * beta * ad)
+                             + 4.0 * ell * h) / (1.0 + 4.0 * ell * h + 2.0 * ker.c0 * h)
         rw = ker.row(i1)
         L[i1] = rw.L
-        mu[i1] = ker.mu(K[i1], rw.ad(rw.L))
+        mu[i1] = ker.mu(C[i1, i1], rw.ad(rw.L))
         return rw
 
     # rw always describes the current C[a, :a+1], R[a, :a+1] and q[:a+1] of
@@ -404,22 +403,20 @@ def residual(sol: TwoTimeSolution, m: Mixture) -> ResidualReport:
             res_C = max(res_C, float(abs(fd_C - F_C[:i]).max()))
             res_q = max(res_q, abs((q[i + 1] - q[i - 1]) / (2.0 * h) - F_q))
         res_H = max(res_H, abs(sol.H[i] - ker.H_at(i, rw)))
-        res_mu = max(res_mu, abs(sol.mu[i] - ker.mu(sol.K[i], rw.ad(L[i]))))
+        res_mu = max(res_mu, abs(sol.mu[i] - ker.mu(C[i, i], rw.ad(L[i]))))
     return ResidualReport(res_R, res_C, res_q, res_H, res_mu)
 
 
-def chi_rows(sol: TwoTimeSolution, r: int = 1, m: int | None = None):
+def chi_rows(sol: TwoTimeSolution, r: int, m: int):
     """Rows of chi(s, t) = int_0^t R(s, u) du at the grid times 0, r h, ...,
-    (m - 1) r h, each on those times; by default the whole grid.
+    (m - 1) r h, each on those times.
 
     R vanishes above the diagonal, so chi(s, t) = chi(s, s) for t >= s.  A
     row is its trapezoid steps up to the diagonal, zero beyond it, summed in
     order in one scratch row, which each row yielded is a view of: O(m n)
     work, and nothing as large as R.
     """
-    m = sol.n + 1 if m is None else m
-    row = np.empty(sol.n + 1)
-    row[0] = 0.0
+    row = np.zeros(sol.n + 1)
     steps, hh = row[1:], 0.5 * sol.h
     for i in range(0, m * r, r):
         Ri = sol.R[i]
@@ -432,7 +429,7 @@ def chi_rows(sol: TwoTimeSolution, r: int = 1, m: int | None = None):
 
 def integrated_response(sol: TwoTimeSolution) -> np.ndarray:
     """chi on the full grid: the rows of ``chi_rows``, copied into one array."""
-    return np.fromiter(chi_rows(sol), np.dtype((float, sol.n + 1)), sol.n + 1)
+    return np.fromiter(chi_rows(sol, 1, sol.n + 1), np.dtype((float, sol.n + 1)), sol.n + 1)
 
 
 @dataclass(frozen=True)

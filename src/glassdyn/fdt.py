@@ -130,7 +130,6 @@ def stationary_two_time(fdt: FdtSolution, ic: InitCondition) -> TwoTimeSolution:
         L = -2.0 * b_alpha * (fdt.c - 1.0)
     return TwoTimeSolution(
         h=fdt.h_tau, C=C, R=R,
-        q=np.full(n + 1, ic.q_o), K=np.ones(n + 1),
-        mu=np.full(n + 1, mu_val), L=L,
+        q=np.full(n + 1, ic.q_o), mu=np.full(n + 1, mu_val), L=L,
         H=np.full(n + 1, ic.E), beta=beta, ic=ic,
     )

@@ -372,8 +372,10 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     branch conditions on the start value only.  x is one point or a batch
     of rows.
     """
+    if what not in ("value", "gradient"):
+        raise ConfigError(f"unknown what {what!r}")
     out = _mean_eval(spec, solve_weights(spec.target, m, Vhat), u_perp,
-                     np.atleast_2d(x), what)
+                     np.atleast_2d(x))[what == "gradient"]
     if not np.isfinite(out).all():
         raise DomainError("conditional mean overflows at these conditioned values")
     if np.ndim(x) == 2:
@@ -382,8 +384,8 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
 
 
 def _mean_eval(spec: ConditioningSpec, vf: VFunction, u: np.ndarray | None,
-               X: np.ndarray, what: str):
-    """Conditional mean or its gradient at the rows of X.
+               X: np.ndarray):
+    """Conditional mean and its gradient at the rows of X.
 
     The mean is -N v(q, y) - nu'(q) (X . u) / nu'(q_star^2), with q and y
     the overlaps of a row with x_star and x_0, so its gradient is
@@ -391,22 +393,19 @@ def _mean_eval(spec: ConditioningSpec, vf: VFunction, u: np.ndarray | None,
     mean with weights w1 - w2 and handle u1 - u2 is the difference of the
     two means.
     """
-    if what not in ("value", "gradient"):
-        raise ConfigError(f"unknown what {what!r}")
     N, m = spec.N, vf.mixture
     q, y = X @ spec.x_star / N, X @ spec.x_0 / N
-    if what == "value":
-        out = -N * vf.v(q, y)
-    else:
-        out = -(np.outer(vf.vx(q, y), spec.x_star) + np.outer(vf.vy(q, y), spec.x_0))
+    value = -N * vf.v(q, y)
+    # in place: value_batch builds the gradient too, so its temporaries stay few
+    grad = np.outer(vf.vx(q, y), -spec.x_star)
+    grad -= np.outer(vf.vy(q, y), spec.x_0)
     if u is None:
-        return out
-    gam = m.nu(vf.q_star**2, 1)
-    uterm = X @ u
-    if what == "value":
-        return out - m.nu(q, 1) * uterm / gam
-    return out - ((m.nu(q, 2) * uterm)[:, None] * (spec.x_star / N)
-                  + m.nu(q, 1)[:, None] * u) / gam
+        return value, grad
+    gam, d1, uterm = m.nu(vf.q_star**2, 1), m.nu(q, 1), X @ u
+    du = np.outer(m.nu(q, 2) * uterm, spec.x_star / N)
+    du += np.outer(d1, u)
+    grad -= np.divide(du, gam, out=du)
+    return value - d1 * uterm / gam, grad
 
 
 def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
@@ -476,17 +475,11 @@ class ConditionedField:
         vf = solve_w(ic, m)
         self._vf = replace(vf, w=vf.w - solve_weights(ic, m, Vhat_obs).w)
 
-    @property
-    def N(self) -> int:
-        return self.sys.N
-
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.gradient_batch(X) + _mean_eval(
-            self.spec, self._vf, self._u, X, "gradient")
+        return self.sys.gradient_batch(X) + _mean_eval(self.spec, self._vf, self._u, X)[1]
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.value_batch(X) + _mean_eval(
-            self.spec, self._vf, self._u, X, "value")
+        return self.sys.value_batch(X) + _mean_eval(self.spec, self._vf, self._u, X)[0]
 
 
 def conditioned_field(sys: SpinSystem, spec: ConditioningSpec) -> ConditionedField:

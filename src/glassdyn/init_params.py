@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _DEGEN_TOL = 1e-12
+_STATIONARY_TOL = 1e-8  # relative least-squares residual of stationary data
 
 BRANCH_RS = "rs"
 BRANCH_GENERIC = "generic"
@@ -103,10 +104,6 @@ class InitCondition:
     @property
     def alpha(self) -> float:
         return 0.0 if self.is_rs else self.q_o / self.q_star
-
-    @property
-    def V(self) -> np.ndarray:
-        return np.array([self.E, self.E_star, self.G_star, self.q_o])
 
     def branch(self, m: Mixture) -> str:
         if self.is_rs:
@@ -351,13 +348,13 @@ class StationarityReport:
     residual: float
 
 
-def check_stationary(ic: InitCondition, m: Mixture, beta: float,
-                     tol: float = 1e-8) -> StationarityReport:
+def check_stationary(ic: InitCondition, m: Mixture, beta: float) -> StationarityReport:
     """Is (q_star, V) stationary data for the dynamics at this beta?
 
     Builds the constraint vector and tests membership in the column space of
-    the associated 4x2 matrix through a least-squares residual; q_star = 0
-    instead checks E = 2 beta nu(1).  The band edge |q_o| = q_star is never
+    the associated 4x2 matrix through a least-squares residual, admissible
+    below _STATIONARY_TOL (1 + |vector|); q_star = 0 instead checks
+    E = 2 beta nu(1).  The band edge |q_o| = q_star is never
     stationary (residual inf); q_star > 0 needs a nonzero beta.  A
     non-finite beta is a ConfigError.
     """
@@ -371,7 +368,7 @@ def check_stationary(ic: InitCondition, m: Mixture, beta: float,
         res, scale = _stationarity_residual(ic, m, beta)
     if not math.isfinite(res):
         raise DomainError(f"stationarity residual overflows at beta = {beta}")
-    return StationarityReport(res < tol * (1.0 + scale), res)
+    return StationarityReport(res < _STATIONARY_TOL * (1.0 + scale), res)
 
 
 def _stationarity_residual(ic: InitCondition, m: Mixture, beta: float):

@@ -11,11 +11,12 @@ dominated by the 1/N path fluctuations at desk scale).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoTimeSolution, chi_rows, sup_distance
+from .dynamics import VARIANT_SPHERICAL, TwoTimeSolution, chi_rows, sup_distance
 from .errors import ConfigError, EscapeError, GridMismatchError
 
 __all__ = [
@@ -33,9 +34,16 @@ __all__ = [
     "random_orthogonal",
 ]
 
-VARIANT_SPHERE = "spherical"
 VARIANT_FCONF = "fconfined"
 _R_GUARD = 2.0  # a path whose radius leaves (0.5, _R_GUARD) has escaped
+_PATH_BLOCK = 4  # paths per numpy call of the score's row comparisons
+_ROTATION_TOL = 1e-9  # largest observable deviation an equivariant rotation may show
+
+
+def _check_count(name: str, value, least: int):
+    """Refuse anything but an integer >= least, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,20 +52,19 @@ class LangevinConfig:
     T: float
     h_obs: float
     substeps: int = 5
-    variant: str = VARIANT_SPHERE
+    variant: str = VARIANT_SPHERICAL
     ell: float | None = None
     f0_slope: float = 0.5
 
     def __post_init__(self):
-        for name in ("T", "h_obs"):
+        for name in ("beta", "T", "h_obs", "f0_slope"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if not math.isfinite(self.beta):
-            raise ConfigError(f"beta must be finite, got {self.beta}")
-        if self.substeps < 1:
-            raise ConfigError(f"substeps must be >= 1, got {self.substeps}")
-        if self.variant not in (VARIANT_SPHERE, VARIANT_FCONF):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name in ("T", "h_obs") and value <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        _check_count("substeps", self.substeps, 1)
+        if self.variant not in (VARIANT_SPHERICAL, VARIANT_FCONF):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_FCONF and not (self.ell is not None
                                                   and 0.0 < self.ell < math.inf):
@@ -72,16 +79,20 @@ class LangevinConfig:
 
 @dataclass
 class Trajectory:
-    """State and Brownian snapshots on the observable grid."""
+    """States and Brownian snapshots of every path on the observable grid, path
+    index first; len() is the number of paths, and one path is an ensemble of one."""
 
     h_obs: float
-    x: np.ndarray  # (n_obs+1, N)
-    B: np.ndarray  # (n_obs+1, N)
-    seed: int | None
+    x: np.ndarray  # (paths, n_obs+1, N)
+    B: np.ndarray  # (paths, n_obs+1, N)
+    seeds: list[int]
+
+    def __len__(self) -> int:
+        return len(self.seeds)
 
 
 def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
-                    draw) -> list[Trajectory]:
+                    draw) -> Trajectory:
     """Step one copy of x0 per seed in lockstep, one row of X per path.
 
     ``draw(k)`` returns the (len(seeds), N) Brownian increments of SDE step
@@ -93,11 +104,10 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
     h = cfg.h_obs / sub
     X = np.tile(x0.astype(float), (n_paths, 1))
     B = np.zeros((n_paths, N))
-    xs = np.empty((n_paths, n_obs + 1, N))
-    Bs = np.empty((n_paths, n_obs + 1, N))
+    xs, Bs = np.empty((2, n_paths, n_obs + 1, N))
     xs[:, 0], Bs[:, 0] = X, B
     rootN = math.sqrt(N)
-    spherical = cfg.variant == VARIANT_SPHERE
+    spherical = cfg.variant == VARIANT_SPHERICAL
     r = (X * X).sum(axis=1, keepdims=True) / N
     for k in range(n_obs * sub):
         dB = draw(k)
@@ -124,20 +134,20 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
         if (k + 1) % sub == 0:
             j = (k + 1) // sub
             xs[:, j], Bs[:, j] = X, B
-    return [Trajectory(cfg.h_obs, xs[i], Bs[i], s) for i, s in enumerate(seeds)]
+    return Trajectory(cfg.h_obs, xs, Bs, seeds)
 
 
 def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
-                       n_paths: int, master_seed: int) -> list[Trajectory]:
+                       n_paths: int, master_seed: int) -> Trajectory:
     """Independent Brownian paths from one start point, stepped in lockstep.
 
     All paths share the field realization, so each step needs a single pass
-    over the coupling tensors through field.gradient_batch.  Path seeds are
-    derived from the master seed by a counter; a single path is the one-path
-    ensemble, integrate_ensemble(field, x0, cfg, 1, seed)[0].
+    over the coupling tensors through field.gradient_batch.  Path i is seeded
+    master_seed + i and is row i of the record's x and B; a single path is
+    the one-path ensemble, integrate_ensemble(field, x0, cfg, 1, seed).x[0].
     """
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    _check_count("n_paths", n_paths, 1)
+    _check_count("master_seed", master_seed, 0)
     N = len(x0)
     sqrt_h = math.sqrt(cfg.h_obs / cfg.substeps)
     seeds = [master_seed + i for i in range(n_paths)]
@@ -173,31 +183,39 @@ class ObservableSet:
                                        for a in (self.C, self.chi, self.q, self.H)))
 
 
-def observables(trajs: list[Trajectory], field,
-                x_star: np.ndarray | None) -> ObservableSet:
+def observables(traj: Trajectory, field, x_star: np.ndarray | None) -> ObservableSet:
     """Inner-product observables of every path; the energy uses the supplied field.
 
-    The paths' states and Brownian snapshots are stacked, so C, chi and q are
-    one batched product each, and one field.value_batch call covers the grid
-    points of every path: one pass over the coupling tensors for the ensemble.
+    C, chi and q are one batched product each over the record's own x and B,
+    read in place, and one field.value_batch call covers the grid points of
+    every path: one pass over the coupling tensors for the ensemble.
     """
-    X = np.stack([t.x for t in trajs])
+    X = traj.x
     paths, n1, N = X.shape
-    # the energy pass before B is stacked: its row factor is the largest temporary
     H = -field.value_batch(X.reshape(-1, N)).reshape(paths, n1) / N
     q = X @ x_star / N if x_star is not None else np.zeros((paths, n1))
     C = X @ X.transpose(0, 2, 1)
     C /= N
-    chi = X @ np.stack([t.B for t in trajs]).transpose(0, 2, 1)
+    chi = X @ traj.B.transpose(0, 2, 1)
     chi /= N
-    return ObservableSet(trajs[0].h_obs, C, chi, q, H)
+    return ObservableSet(traj.h_obs, C, chi, q, H)
 
 
 def _raise_to_row_sups(rows: np.ndarray, lim: np.ndarray, worst: np.ndarray):
     """Raise worst[p] to max |rows[p] - lim| on lim's columns for each path p,
-    and worst[-1] to that of the path mean, which is taken over whole rows as
-    obs.mean() takes it, so it is that mean bit for bit; NaN stays NaN."""
-    sups = [np.abs(row[:len(lim)] - lim).max() for row in (*rows, rows.mean(axis=0))]
+    _PATH_BLOCK paths per call, and worst[-1] to that of the path mean, taken
+    over whole rows as obs.mean() takes it (bit for bit); NaN stays NaN.  A
+    block is copied beside lim tiled, so numpy subtracts it without a buffer."""
+    m = len(lim)
+    scratch = np.empty((2, _PATH_BLOCK, m))
+    scratch[1] = lim
+    sups = np.empty(len(worst))
+    for b in range(0, len(rows), _PATH_BLOCK):
+        d, tiled = scratch[:, :len(rows) - b]
+        d[:] = rows[b:b + _PATH_BLOCK, :m]
+        d -= tiled
+        np.abs(d, out=d).max(axis=1, out=sups[b:b + len(d)])
+    sups[-1] = np.abs(rows.mean(axis=0)[:m] - lim).max()
     np.maximum(worst, sups, out=worst)
 
 
@@ -279,8 +297,7 @@ def random_orthogonal(N: int, seed: int) -> np.ndarray:
 
 def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
                              x_star: np.ndarray, cfg: LangevinConfig,
-                             seed: int, tol: float = 1e-9,
-                             rotate_noise: bool = True):
+                             seed: int, rotate_noise: bool = True):
     """Pathwise equivariance of the observables under a global rotation.
 
     Runs the same Brownian increments twice: raw, and with everything
@@ -291,11 +308,11 @@ def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
     rng = np.random.default_rng(seed)
     h = cfg.h_obs / cfg.substeps
     dB = rng.standard_normal((cfg.n_obs * cfg.substeps, N)) * math.sqrt(h)
-    t1 = _euler_maruyama(field, x0, cfg, [seed], lambda k: dB[k:k + 1])[0]
-    o1 = observables([t1], field, x_star)
+    t1 = _euler_maruyama(field, x0, cfg, [seed], lambda k: dB[k:k + 1])
+    o1 = observables(t1, field, x_star)
     dB2 = dB @ O.T if rotate_noise else dB
     f2 = RotatedField(field, O)
-    t2 = _euler_maruyama(f2, O @ x0, cfg, [seed], lambda k: dB2[k:k + 1])[0]
-    o2 = observables([t2], f2, O @ x_star)
+    t2 = _euler_maruyama(f2, O @ x0, cfg, [seed], lambda k: dB2[k:k + 1])
+    o2 = observables(t2, f2, O @ x_star)
     dev = max(sup_distance(getattr(o1, k), getattr(o2, k)) for k in ("C", "chi", "q", "H"))
-    return dev <= tol, dev
+    return dev <= _ROTATION_TOL, dev

@@ -30,6 +30,7 @@ __all__ = [
 _X_HI = 1.0 - 1e-6
 _N_GRID = 10_000
 _REFINE_LEVELS = 3
+_PLATEAU_TOL = 1e-6  # a plateau this close to q_beta is the band
 
 
 def _sup_scan(f, n=_N_GRID, levels=_REFINE_LEVELS):
@@ -143,8 +144,7 @@ class BandRelaxation:
     below_effective: bool
 
 
-def band_relaxation_predicate(m: Mixture, beta: float, q_beta: float,
-                              tol_q: float = 1e-6) -> BandRelaxation:
+def band_relaxation_predicate(m: Mixture, beta: float, q_beta: float) -> BandRelaxation:
     """Does the stationary solution relax onto the q_beta band in O(1) time?
 
     gamma_beta = 1/(2(1-q_beta)) - 2 beta^2 nu'(q_beta); relaxation is fast
@@ -157,7 +157,7 @@ def band_relaxation_predicate(m: Mixture, beta: float, q_beta: float,
     return BandRelaxation(
         gamma_beta=gamma_b,
         c_inf=ci,
-        fast=abs(ci - q_beta) < tol_q,
+        fast=abs(ci - q_beta) < _PLATEAU_TOL,
         beta_c_dyn_effective=bce,
         below_effective=beta < bce,
     )

@@ -33,8 +33,8 @@ def _free_solution(n, h=0.01):
     s = np.arange(n + 1) * h
     lag = s[:, None] - s[None, :]
     return TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
-                           np.zeros(n + 1), np.ones(n + 1), np.full(n + 1, 0.5),
-                           np.zeros(n + 1), np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
+                           np.zeros(n + 1), np.full(n + 1, 0.5), np.zeros(n + 1),
+                           np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
 
 
 def _kernels_at(sol, i):
@@ -70,11 +70,19 @@ class TestStructure:
     def test_boundary_values(self):
         sol = solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.4, T=1.0, h=0.01))
         np.testing.assert_allclose(np.diagonal(sol.R), 1.0)
-        np.testing.assert_allclose(np.diagonal(sol.C), sol.K)
         np.testing.assert_allclose(sol.K, 1.0)
         assert sol.q[0] == IC_GEN.q_o
         assert sol.L[0] == 0.0
         assert np.triu(sol.R, 1).max() == 0.0
+
+    def test_K_is_the_diagonal_of_C_and_not_stored(self):
+        # variant 'f' solves the radius: it is C's diagonal, with no copy
+        # that could disagree with it
+        assert "K" not in [f.name for f in dataclasses.fields(TwoTimeSolution)]
+        sol = solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=0.5, h=0.01,
+                                                       variant="f", ell=2.0))
+        assert sol.K.max() > 1.0
+        np.testing.assert_array_equal(sol.K, np.diagonal(sol.C))
 
     def test_h0_equals_E_all_branches(self):
         for ic in (IC_GEN, InitCondition(0.0, 0.7),
@@ -178,8 +186,7 @@ class TestKernels:
         zeros = TwoTimeSolution(sol.h, np.zeros_like(sol.C),
                                 np.zeros_like(sol.R), np.zeros(n + 1),
                                 np.zeros(n + 1), np.zeros(n + 1),
-                                np.zeros(n + 1), np.zeros(n + 1),
-                                sol.beta, sol.ic)
+                                np.zeros(n + 1), sol.beta, sol.ic)
         rep = residual(zeros, M23)
         assert rep.sup_res_mu >= 0.5
 

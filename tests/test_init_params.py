@@ -92,7 +92,7 @@ class TestSolveW:
             ic = InitCondition(qs, rng.normal(), rng.normal(), rng.normal(), qo)
             vf = solve_w(ic, M23)
             sigma = sigma_nu(M23, qs, qo)
-            np.testing.assert_allclose(sigma @ vf.w, ic.V * [1, 1, 1, 0],
+            np.testing.assert_allclose(sigma @ vf.w, [ic.E, ic.E_star, ic.G_star, 0.0],
                                        atol=1e-10)
 
     def test_rs_zero_energy_gives_zero_v(self):

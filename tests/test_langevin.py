@@ -1,6 +1,7 @@
 """SDE integrator, observables, error metric, rotation equivariance."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ def _free_solution(n, h):
     s = np.arange(n + 1) * h
     lag = s[:, None] - s[None, :]
     return TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
-                           np.zeros(n + 1), np.ones(n + 1), np.full(n + 1, 0.5),
-                           np.zeros(n + 1), np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
+                           np.zeros(n + 1), np.full(n + 1, 0.5), np.zeros(n + 1),
+                           np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
 
 
 class ZeroField:
@@ -50,12 +51,24 @@ class TestConfig:
         {"substeps": -2}, {"variant": "fconfined", "ell": float("nan")},
         {"variant": "fconfined", "ell": float("inf")},
         {"variant": "fconfined", "ell": 0.0}, {"beta": float("nan")},
+        {"substeps": 2.5}, {"substeps": True},
+        {"variant": "fconfined", "ell": 1.0, "f0_slope": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         args = dict(beta=0.3, T=0.5, h_obs=0.05)
         args.update(kwargs)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=list(kwargs)[-1]):
             LangevinConfig(**args)
+
+    @pytest.mark.parametrize("n_paths, master_seed, name", [
+        (0, 1, "n_paths"), (2.5, 1, "n_paths"), (1, -1, "master_seed"),
+        (1, 2.5, "master_seed"),
+    ])
+    def test_ensemble_rejects_bad_counts(self, n_paths, master_seed, name):
+        x0 = sample_band_point(0.0, 0.0, 10, 1)
+        cfg = LangevinConfig(beta=0.0, T=0.1, h_obs=0.05)
+        with pytest.raises(ConfigError, match=name):
+            integrate_ensemble(ZeroField(), x0, cfg, n_paths, master_seed)
 
     def test_accepts_valid_values(self):
         assert LangevinConfig(beta=0.3, T=0.5, h_obs=0.05, substeps=1).n_obs == 10
@@ -65,25 +78,25 @@ class TestIntegrate:
     def test_reproducible_given_seed(self):
         x0 = sample_band_point(0.0, 0.0, 30, 1)
         cfg = LangevinConfig(beta=0.0, T=0.5, h_obs=0.05)
-        a = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)[0]
-        b = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)[0]
+        a = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)
+        b = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.B, b.B)
 
     def test_spherical_radius_preserved(self):
         N = 40
         x0 = sample_band_point(0.0, 0.0, N, 2)
-        tr = integrate_ensemble(ZeroField(), x0,
-                                LangevinConfig(beta=0.0, T=1.0, h_obs=0.05), 1, 3)[0]
-        np.testing.assert_allclose((tr.x**2).sum(axis=1) / N, 1.0, atol=1e-12)
+        x = integrate_ensemble(ZeroField(), x0,
+                               LangevinConfig(beta=0.0, T=1.0, h_obs=0.05), 1, 3).x[0]
+        np.testing.assert_allclose((x**2).sum(axis=1) / N, 1.0, atol=1e-12)
 
     def test_free_sphere_correlation(self):
         # at beta = 0 the projected dynamics decorrelate at rate 1/2
         N, T = 400, 2.0
         cfg = LangevinConfig(beta=0.0, T=T, h_obs=0.05)
         x0 = sample_band_point(0.0, 0.0, N, 4)
-        trajs = integrate_ensemble(ZeroField(), x0, cfg, 8, master_seed=5)
-        C = observables(trajs, ZeroField(), None).mean().C[0]
+        traj = integrate_ensemble(ZeroField(), x0, cfg, 8, master_seed=5)
+        C = observables(traj, ZeroField(), None).mean().C[0]
         s = np.arange(cfg.n_obs + 1) * cfg.h_obs
         expect = np.exp(-0.5 * np.abs(s[:, None] - s[None, :]))
         assert np.abs(C - expect).max() < 0.05
@@ -93,8 +106,8 @@ class TestIntegrate:
         x0 = sample_band_point(0.0, 0.0, N, 6)
         cfg = LangevinConfig(beta=0.0, T=1.0, h_obs=0.02, substeps=10,
                              variant="fconfined", ell=ell)
-        tr = integrate_ensemble(ZeroField(), x0, cfg, 1, 7)[0]
-        K = (tr.x**2).sum(axis=1) / N
+        x = integrate_ensemble(ZeroField(), x0, cfg, 1, 7).x[0]
+        K = (x**2).sum(axis=1) / N
         assert np.abs(K - 1.0).max() < 10.0 / ell
 
     def test_escape_guard(self):
@@ -153,10 +166,12 @@ class TestIntegrate:
         x0 = sample_band_point(0.0, 0.0, N, 10)
         cfg = LangevinConfig(beta=0.0, T=0.3, h_obs=0.05)
         ens = integrate_ensemble(ZeroField(), x0, cfg, 3, master_seed=40)
-        for i, tr in enumerate(ens):
-            single = integrate_ensemble(ZeroField(), x0, cfg, 1, 40 + i)[0]
-            np.testing.assert_array_equal(tr.x, single.x)
-            np.testing.assert_array_equal(tr.B, single.B)
+        assert len(ens) == 3 and ens.seeds == [40, 41, 42]
+        assert ens.x.shape == ens.B.shape == (3, cfg.n_obs + 1, N)
+        for i in range(len(ens)):
+            single = integrate_ensemble(ZeroField(), x0, cfg, 1, 40 + i)
+            np.testing.assert_array_equal(ens.x[i], single.x[0])
+            np.testing.assert_array_equal(ens.B[i], single.B[0])
 
 
 class TestObservables:
@@ -165,16 +180,16 @@ class TestObservables:
         spec = ConditioningSpec(ic, N, seed)
         f = conditioned_field(sample_system(M23, N, seed + 1), spec)
         cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05)
-        return f, spec.x_0, integrate_ensemble(f, spec.x_0, cfg, 1, seed + 2)[0]
+        return f, spec.x_0, integrate_ensemble(f, spec.x_0, cfg, 1, seed + 2)
 
     def test_diagonal_is_radius(self):
-        f, x0, tr = self._traj()
-        obs = observables([tr], f, None)
+        f, x0, traj = self._traj()
+        obs = observables(traj, f, None)
         np.testing.assert_allclose(np.diagonal(obs.C[0]), obs.K[0])
 
     def test_initial_values(self):
-        f, x0, tr = self._traj()
-        obs = observables([tr], f, None)
+        f, x0, traj = self._traj()
+        obs = observables(traj, f, None)
         assert obs.C[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert obs.chi[0, :, 0].max() == 0.0
         assert obs.H[0, 0] == pytest.approx(f.spec.target.E, abs=1e-10)
@@ -185,28 +200,38 @@ class TestObservables:
         spec = ConditioningSpec(ic, N, 15)
         x_star, x0 = spec.x_star, spec.x_0
         f = conditioned_field(sample_system(M23, N, 16), spec)
-        trajs = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
-                                   3, master_seed=17)
-        obs = observables(trajs, f, x_star)
-        assert obs.paths == len(trajs)
-        for i, t in enumerate(trajs):
-            H = -f.value_batch(t.x) / N
+        traj = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
+                                  3, master_seed=17)
+        obs = observables(traj, f, x_star)
+        assert obs.paths == len(traj)
+        for i, (x, B) in enumerate(zip(traj.x, traj.B)):
+            H = -f.value_batch(x) / N
             np.testing.assert_allclose(obs.H[i], H, rtol=1e-12,
                                        atol=1e-12 * np.abs(H).max())
-            C = t.x @ t.x.T / N
+            C = x @ x.T / N
             np.testing.assert_array_equal(obs.C[i], C)
-            np.testing.assert_array_equal(obs.chi[i], t.x @ t.B.T / N)
-            np.testing.assert_array_equal(obs.q[i], t.x @ x_star / N)
+            np.testing.assert_array_equal(obs.chi[i], x @ B.T / N)
+            np.testing.assert_array_equal(obs.q[i], x @ x_star / N)
             np.testing.assert_array_equal(obs.K[i], np.diagonal(C))
+
+    def test_reads_the_record_in_place(self, alloc_peak):
+        # 4 paths, 11 grid points, N = 2000: stacking the paths' x and B
+        # held two copies of the record's states
+        x0 = sample_band_point(0.0, 0.0, 2000, 5)
+        traj = integrate_ensemble(ZeroField(), x0, LangevinConfig(beta=0.0, T=0.5, h_obs=0.05),
+                                  4, 6)
+        obs, peak = alloc_peak(lambda: observables(traj, ZeroField(), None))
+        assert obs.C.shape == (4, 11, 11)
+        assert peak < 0.5 * traj.x.nbytes
 
     def test_mean_is_an_ensemble_of_one(self):
         N = 30
         ic = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
         spec = ConditioningSpec(ic, N, 15)
         f = conditioned_field(sample_system(M23, N, 16), spec)
-        trajs = integrate_ensemble(f, spec.x_0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
-                                   5, master_seed=17)
-        obs = observables(trajs, f, spec.x_star)
+        traj = integrate_ensemble(f, spec.x_0, LangevinConfig(beta=0.2, T=0.4, h_obs=0.05),
+                                  5, master_seed=17)
+        obs = observables(traj, f, spec.x_star)
         mean = obs.mean()
         assert mean.paths == 1 and mean.h == obs.h
         for key in ("C", "chi", "q", "H", "K"):
@@ -230,9 +255,9 @@ class TestObservables:
         spec = ConditioningSpec(ic, N, 12)
         x_star, x0 = spec.x_star, spec.x_0
         f = conditioned_field(sample_system(M23, N, 13), spec)
-        tr = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05),
-                                1, 14)[0]
-        obs = observables([tr], f, x_star)
+        traj = integrate_ensemble(f, x0, LangevinConfig(beta=0.2, T=0.2, h_obs=0.05),
+                                  1, 14)
+        obs = observables(traj, f, x_star)
         assert obs.q[0, 0] == pytest.approx(ic.q_o, abs=1e-12)
 
 
@@ -308,26 +333,29 @@ class TestErrorFunctional:
         assert average_error(terms) == (float(error_functional(terms[0])), 0.0)
 
     def test_scores_are_those_of_one_path_sets(self):
+        # path counts on both sides of the score's blocks of _PATH_BLOCK paths
         N = 40
         ic = gibbs_init(M23, 0.2, 0.0)
         sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=0.4, h=0.01))
         spec = ConditioningSpec(ic, N, 25)
         f = conditioned_field(sample_system(M23, N, 26), spec)
-        trajs = integrate_ensemble(f, spec.x_0, LangevinConfig(beta=0.3, T=0.4, h_obs=0.02),
-                                   4, master_seed=27)
-        obs = observables(trajs, f, spec.x_star)
-        one = [ObservableSet(obs.h, obs.C[i:i + 1], obs.chi[i:i + 1], obs.q[i:i + 1],
-                             obs.H[i:i + 1]) for i in range(obs.paths)]
-        terms = score(obs, sol, 0.4)
-        per_path = np.array([score(o, sol, 0.4)[0] for o in one])
-        assert terms[:-1].tobytes() == per_path.tobytes()
-        errs = error_functional(per_path)
-        mean_err, se = average_error(terms)
-        assert mean_err == float(errs.mean())
-        assert se == float(errs.std(ddof=1) / 2.0)
-        mean_terms = score(obs.mean(), sol, 0.4)
-        assert terms[-1].tobytes() == mean_terms[0].tobytes()
-        assert ensemble_error(terms) == ensemble_error(mean_terms)
+        traj = integrate_ensemble(f, spec.x_0, LangevinConfig(beta=0.3, T=0.4, h_obs=0.02),
+                                  9, master_seed=27)
+        every = observables(traj, f, spec.x_star)
+        per_path = np.array([score(ObservableSet(every.h, *(a[i:i + 1] for a in (
+            every.C, every.chi, every.q, every.H))), sol, 0.4)[0] for i in range(9)])
+        for paths in (1, 3, 4, 5, 9):
+            obs = ObservableSet(every.h, *(a[:paths] for a in (
+                every.C, every.chi, every.q, every.H)))
+            terms = score(obs, sol, 0.4)
+            assert terms[:-1].tobytes() == per_path[:paths].tobytes()
+            errs = error_functional(per_path[:paths])
+            mean_err, se = average_error(terms)
+            assert mean_err == float(errs.mean())
+            assert se == (float(errs.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0)
+            mean_terms = score(obs.mean(), sol, 0.4)
+            assert terms[-1].tobytes() == mean_terms[0].tobytes()
+            assert ensemble_error(terms) == ensemble_error(mean_terms)
 
     @pytest.mark.parametrize("ratio", [1, 2])
     def test_scores_hold_no_square_per_path(self, alloc_peak, ratio):
@@ -355,8 +383,8 @@ class TestErrorFunctional:
         spec = ConditioningSpec(ic, N, 15)
         f = conditioned_field(sample_system(M23, N, 16), spec)
         cfg = LangevinConfig(beta=0.3, T=1.0, h_obs=0.02)
-        trajs = integrate_ensemble(f, spec.x_0, cfg, 6, master_seed=17)
-        terms = score(observables(trajs, f, spec.x_star), sol, 1.0)
+        traj = integrate_ensemble(f, spec.x_0, cfg, 6, master_seed=17)
+        terms = score(observables(traj, f, spec.x_star), sol, 1.0)
         mean_err, _ = average_error(terms)
         assert ensemble_error(terms) < mean_err
 
@@ -377,8 +405,8 @@ class TestBandStartConvergence:
         cfg = LangevinConfig(beta=beta, T=self.T, h_obs=0.02, substeps=5)
         spec = ConditioningSpec(ic, N, seed=60 + N)
         f = conditioned_field(sample_system(m, N, seed=50 + N), spec)
-        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=70 + N)
-        return score(observables(trajs, f, spec.x_star), sol, self.T)
+        traj = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=70 + N)
+        return score(observables(traj, f, spec.x_star), sol, self.T)
 
     def test_stable_band_start_converges_with_N(self):
         terms = [self._terms(1.0, N) for N in (50, 100, 200)]
@@ -410,8 +438,8 @@ class TestConfinedVariant:
         f = conditioned_field(sample_system(m, N, 62), spec)
         cfg = LangevinConfig(beta=beta, T=T, h_obs=0.05, substeps=10,
                              variant="fconfined", ell=ell, f0_slope=slope)
-        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=63)
-        K_N = observables(trajs, f, None).mean().K[0]
+        traj = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=63)
+        K_N = observables(traj, f, None).mean().K[0]
         K_lim = sol.K[:: round(0.05 / 0.01)]
         assert np.abs(K_N - K_lim).max() < 0.05
 
@@ -427,8 +455,8 @@ class TestFiniteNStationarity:
         spec = ConditioningSpec(ic, N, 51)
         f = conditioned_field(sample_system(m, N, 52), spec)
         cfg = LangevinConfig(beta=beta, T=2.0, h_obs=0.05)
-        trajs = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=53)
-        C = observables(trajs, f, spec.x_star).mean().C[0]
+        traj = integrate_ensemble(f, spec.x_0, cfg, 8, master_seed=53)
+        C = observables(traj, f, spec.x_star).mean().C[0]
         i1, i2, lags = 10, 20, 16  # t = 0.5 and t = 1.0, tau up to 0.8
         slice1 = np.array([C[i1 + k, i1] for k in range(lags)])
         slice2 = np.array([C[i2 + k, i2] for k in range(lags)])

@@ -45,4 +45,6 @@ def test_tour_comments_hold(tour):
     assert obs.C.shape == obs.chi.shape == (8, 21, 21)
     assert obs.q.shape == obs.H.shape == obs.K.shape == (8, 21)
     assert obs.mean().paths == 1
+    assert len(tour["paths"]) == 8 and tour["paths"].x.shape == (8, 21, 200)
+    assert tour["one"].shape == (21, 200)
     assert tour["terms"].shape == (9, 4)
