@@ -123,11 +123,14 @@ def _jsonable(x):
 
 
 def _read_json(path: str, what: str):
-    """Contents of a JSON input file; a missing or malformed file is a ConfigError."""
+    """Contents of a JSON input file; a file that cannot be read as JSON text
+    (missing, a directory, unreadable, not UTF-8, malformed) is a ConfigError."""
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as err:
         raise ConfigError(f"{what} file not found: {path}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{what} file {path} cannot be read: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{what} file {path} is not valid JSON: {err}") from err
 
@@ -296,9 +299,6 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     paths = _config_value(cfg_obj, "paths", _int_at_least(1), 8)
     seed = _config_value(cfg_obj, "seed", _int_at_least(0), 0)
     variant = cfg_obj.get("variant", "spherical")
-    if "ell" in cfg_obj and variant != VARIANT_FCONF:
-        raise ConfigError(f"config key 'ell' applies only to variant {VARIANT_FCONF!r}, "
-                          f"not {variant!r}")
     ell = _config_value(cfg_obj, "ell", float) if "ell" in cfg_obj else None
     substeps = _config_value(cfg_obj, "substeps", _int_at_least(1), 5)
     unknown = sorted(set(cfg_obj) - _SIM_KEYS)
@@ -439,10 +439,20 @@ COMMANDS = {
 }
 
 
+def _check_out_dir(out: Path):
+    """Refuse an --out-dir whose nearest existing path is not a directory."""
+    near = out
+    while not near.exists() and near != near.parent:
+        near = near.parent
+    if not near.is_dir():
+        raise ConfigError(f"--out-dir {out}: {near} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out_dir)
     try:
+        _check_out_dir(out)
         return COMMANDS[args.command](args, out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -65,6 +65,7 @@ _BLOWUP = 1e6
 _TOL_PSD = 1e-6
 _CORRECTOR_PASSES = 2
 _BLOCK = 64  # rows per block of the symmetry check and of sup_distance
+_GRID_TOL = 1e-9  # largest distance of T / h from the step count n
 
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,13 +74,44 @@ def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
                          for k in range(0, len(a), _BLOCK)]))
 
 
+def grid_steps(T: float, h: float, names: tuple[str, str]) -> int:
+    """The one grid rule of both engines: the step count n of a uniform grid
+    on [0, T] with step h.  T and h are finite and positive, and T / h is
+    within _GRID_TOL of a whole number n >= 1; anything else is a ConfigError
+    naming the field, whose names are those of T and h."""
+    for name, value in zip(names, (T, h)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if value <= 0.0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+    ratio = T / h
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > _GRID_TOL:
+        raise ConfigError(f"{names[0]} / {names[1]} = {T:g} / {h:g} = {ratio:g} must be "
+                          f"within {_GRID_TOL:g} of a whole number n >= 1")
+    return n
+
+
+def check_variant(variant: str, ell: float | None, variants: tuple, confined: str):
+    """The one stiffness rule of both engines: the variant is one of variants,
+    the confined one needs a positive finite 'ell', and no other takes one."""
+    if variant not in variants:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if variant == confined and not (ell is not None and 0.0 < ell < math.inf):
+        raise ConfigError(f"variant {confined!r} needs a positive finite 'ell', got {ell}")
+    if variant != confined and ell is not None:
+        raise ConfigError(f"'ell' applies only to variant {confined!r}, not {variant!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid and closure choice for one two-time solve.
 
-    For the soft-confinement variant, ``ell`` is the stiffness; the constant
-    slope of the smooth radial part is ``default_f0_slope``, which gives the
-    radius zero initial drift.
+    The grid is s_i = i h, i <= n: T and h are finite and positive, and T / h
+    is within 1e-9 of a whole number n >= 1.  The soft-confinement variant
+    'f' needs a positive finite stiffness ``ell``, and no other variant takes
+    one; the constant slope of its smooth radial part is ``default_f0_slope``,
+    which gives the radius zero initial drift.
     """
 
     beta: float
@@ -89,23 +121,15 @@ class SolverConfig:
     ell: float | None = None
 
     def __post_init__(self):
-        for name in ("beta", "T", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.h <= 0.0 or self.T <= 0.0:
-            raise ConfigError("T and h must be positive")
-        if abs(self.T / self.h - round(self.T / self.h)) > 1e-9:
-            raise ConfigError("T must be an integer multiple of h")
-        if self.variant not in (VARIANT_SPHERICAL, VARIANT_F, VARIANT_GRADFLOW):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_F and not (self.ell is not None
-                                               and 0.0 < self.ell < math.inf):
-            raise ConfigError("variant 'f' needs a positive finite ell")
+        if not math.isfinite(self.beta):
+            raise ConfigError(f"beta must be finite, got {self.beta}")
+        grid_steps(self.T, self.h, ("T", "h"))
+        check_variant(self.variant, self.ell,
+                      (VARIANT_SPHERICAL, VARIANT_F, VARIANT_GRADFLOW), VARIANT_F)
 
     @property
     def n(self) -> int:
-        return round(self.T / self.h)
+        return grid_steps(self.T, self.h, ("T", "h"))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoTimeSolution
+from .dynamics import TwoTimeSolution, grid_steps
 from .errors import BlowUpError, ConfigError, PlateauWarning
 from .init_params import InitCondition, check_stationary
 from .mixture import Mixture, phi_gamma
@@ -59,18 +59,15 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
     is not finite, and stops at the first step whose c is not finite; warns
     if the window ends more than 10 h away from the plateau level.
     """
-    for name, value in (("beta", beta), ("gamma", gamma), ("T_tau", T_tau),
-                        ("h_tau", h_tau)):
+    for name, value in (("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+    n = grid_steps(T_tau, h_tau, ("T_tau", "h_tau"))
     # |nu'(c)| <= nu'(1) on [-1, 1]; beta * beta overflows to inf, not an error
     if not math.isfinite(gamma + 2.0 * beta * beta * m.nu(1.0, 1)):
         raise ConfigError(f"beta = {beta} and gamma = {gamma} make the kernel "
                           "gamma + 2 beta^2 nu'(1) non-finite")
     ci = plateau_level(m, beta, gamma)
-    n = round(T_tau / h_tau)
-    if abs(T_tau / h_tau - n) > 1e-9 or n < 1:
-        raise ConfigError("T_tau must be a positive integer multiple of h_tau")
     h = h_tau
     c = np.empty(n + 1)
     d = np.empty(n + 1)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VARIANT_SPHERICAL, TwoTimeSolution, chi_rows, sup_distance
+from .dynamics import (VARIANT_SPHERICAL, TwoTimeSolution, check_variant, chi_rows,
+                       grid_steps, sup_distance)
 from .errors import ConfigError, EscapeError, GridMismatchError
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 VARIANT_FCONF = "fconfined"
-_R_GUARD = 2.0  # a path whose radius leaves (0.5, _R_GUARD) has escaped
+_R_FLOOR, _R_GUARD = 0.5, 2.0  # a path whose radius leaves this band has escaped
 _PATH_BLOCK = 4  # paths per numpy call of the score's row comparisons
 _ROTATION_TOL = 1e-9  # largest observable deviation an equivariant rotation may show
 
@@ -48,6 +49,12 @@ def _check_count(name: str, value, least: int):
 
 @dataclass(frozen=True)
 class LangevinConfig:
+    """Grid and drift of one finite-N run, ``substeps`` SDE steps per
+    observable step.  The observable grid is s_j = j h_obs, j <= n_obs, under
+    the solver's rule: T / h_obs is within 1e-9 of a whole number n_obs >= 1.
+    The variant 'fconfined' needs a positive finite stiffness ``ell``, and
+    'spherical' takes none."""
+
     beta: float
     T: float
     h_obs: float
@@ -57,24 +64,18 @@ class LangevinConfig:
     f0_slope: float = 0.5
 
     def __post_init__(self):
-        for name in ("beta", "T", "h_obs", "f0_slope"):
+        for name in ("beta", "f0_slope"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-            if name in ("T", "h_obs") and value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        grid_steps(self.T, self.h_obs, ("T", "h_obs"))
         _check_count("substeps", self.substeps, 1)
-        if self.variant not in (VARIANT_SPHERICAL, VARIANT_FCONF):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_FCONF and not (self.ell is not None
-                                                  and 0.0 < self.ell < math.inf):
-            raise ConfigError("fconfined variant needs a positive finite ell")
-        if abs(self.T / self.h_obs - round(self.T / self.h_obs)) > 1e-9:
-            raise ConfigError("T must be an integer multiple of h_obs")
+        check_variant(self.variant, self.ell, (VARIANT_SPHERICAL, VARIANT_FCONF),
+                      VARIANT_FCONF)
 
     @property
     def n_obs(self) -> int:
-        return round(self.T / self.h_obs)
+        return grid_steps(self.T, self.h_obs, ("T", "h_obs"))
 
 
 @dataclass
@@ -89,6 +90,16 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.seeds)
+
+
+def _check_start(x0: np.ndarray):
+    """Refuse, naming x0, a start the stepper would misreport as an escape: not
+    a non-empty finite 1-D array, or |x0| / sqrt(N) outside (_R_FLOOR, _R_GUARD)."""
+    if np.ndim(x0) != 1 or len(x0) == 0 or not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must be a non-empty finite 1-D array, got shape {np.shape(x0)}")
+    rad = float(np.linalg.norm(x0)) / math.sqrt(len(x0))
+    if not _R_FLOOR < rad < _R_GUARD:
+        raise ConfigError(f"x0 radius {rad:.3f} is outside ({_R_FLOOR}, {_R_GUARD})")
 
 
 def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
@@ -125,11 +136,11 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
                          - cfg.beta * G) + dB
             r = (X * X).sum(axis=1, keepdims=True) / N
             rad = np.sqrt(r[:, 0])
-        out = np.flatnonzero(~((rad > 0.5) & (rad < _R_GUARD)))  # NaN fails too
+        out = np.flatnonzero(~((rad > _R_FLOOR) & (rad < _R_GUARD)))  # NaN fails too
         if len(out):
             i = out[0]
             raise EscapeError(f"path {i} (seed {seeds[i]}) radius {rad[i]:.3f} left "
-                              f"(0.5, {_R_GUARD}) at SDE step {k + 1}")
+                              f"({_R_FLOOR}, {_R_GUARD}) at SDE step {k + 1}")
         B = B + dB
         if (k + 1) % sub == 0:
             j = (k + 1) // sub
@@ -145,9 +156,12 @@ def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
     over the coupling tensors through field.gradient_batch.  Path i is seeded
     master_seed + i and is row i of the record's x and B; a single path is
     the one-path ensemble, integrate_ensemble(field, x0, cfg, 1, seed).x[0].
+    A start that is not a finite 1-D point inside the escape band is a
+    ConfigError naming x0, raised before the first step.
     """
     _check_count("n_paths", n_paths, 1)
     _check_count("master_seed", master_seed, 0)
+    _check_start(x0)
     N = len(x0)
     sqrt_h = math.sqrt(cfg.h_obs / cfg.substeps)
     seeds = [master_seed + i for i in range(n_paths)]

@@ -270,8 +270,8 @@ class TestSimulateCompare:
         m = Mixture({2: 1.0})
         ic = InitCondition(0.0, 0.12)
         f_lim, sph = (solve_dynamics(m, ic, SolverConfig(
-            beta=0.3, T=0.5, h=0.025, variant=v, ell=2.0)).gram_min_eig()
-            for v in ("f", "spherical"))
+            beta=0.3, T=0.5, h=0.025, variant=v, ell=ell)).gram_min_eig()
+            for v, ell in (("f", 2.0), ("spherical", None)))
         assert f_lim != sph
         assert rep["invariants"]["gram_min_eig"] == f_lim
 
@@ -398,13 +398,28 @@ class TestErrors:
                     "--beta", "0.3", "--stride", "0"], "--stride"),
         (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
                     "--beta", "0.3", "--stride", "-3"], "--stride"),
+        (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "0.3",
+                    "--gamma", "0.5", "--T", "1", "--h", "0"], "h_tau"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--T", "1e300", "--h", "1e-300"], "T / h"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--T", "1", "--h", "1e-320"], "T / h"),
+        (lambda f: ["compare", "--config", _sim_config(f, h_obs=1e-320)], "h_obs"),
+        (lambda f: ["compare", "--config", _sim_config(f, h_limit=1e-320)], "T / h"),
+        (lambda f: ["phase", "--mixture", str(f["dir"]), "--beta-grid", "0:1:2"],
+         "mixture file"),
+        (lambda f: ["--out-dir", str(f["mix"]), "phase", "--mixture", str(f["mix"]),
+                    "--beta-grid", "0:1:2"], "--out-dir"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
             "h_limit-not-dividing-h_obs", "ell-without-fconfined",
             "fdt-kernel-overflow", "band-start-at-N-one", "params-nan-beta",
             "params-inf-beta-rs", "phase-nan-grid", "solve-stride-zero",
-            "solve-stride-negative"])
+            "solve-stride-negative", "fdt-zero-step", "solve-ratio-overflow",
+            "solve-subnormal-step", "compare-subnormal-h_obs",
+            "compare-subnormal-h_limit", "mixture-is-a-directory",
+            "out-dir-is-a-file"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2

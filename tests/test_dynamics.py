@@ -287,11 +287,19 @@ class TestVariants:
         with pytest.raises(ConfigError):
             SolverConfig(beta=0.3, T=1.0, h=0.01, variant="nope")
 
-    @pytest.mark.parametrize("field", ["beta", "T", "h"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_config_rejects_non_finite(self, field, bad):
-        args = dict(beta=0.3, T=1.0, h=0.01)
-        args[field] = bad
+    @pytest.mark.parametrize("field, changes", [
+        ("beta", {"beta": math.nan}), ("T", {"T": math.nan}), ("h", {"h": math.nan}),
+        ("beta", {"beta": math.inf}), ("T", {"T": math.inf}), ("h", {"h": math.inf}),
+        ("h", {"h": 0.0}), ("h", {"T": 1e300, "h": 1e-300}), ("h", {"h": 1e-320}),
+        ("T", {"T": 1e-12, "h": 1.0}), ("'ell'", {"ell": 5.0}),
+        ("'ell'", {"variant": "gradflow", "ell": 5.0}),
+    ], ids=["nan-beta", "nan-T", "nan-h", "inf-beta", "inf-T", "inf-h", "zero-step",
+            "ratio-overflow", "subnormal-step", "T-below-half-step", "ell-spherical",
+            "ell-gradflow"])
+    def test_config_rejects_non_finite(self, field, changes):
+        # the run grid and stiffness rules: a non-finite value, a grid that is
+        # not a whole number n >= 1 of finite steps, or an unused ell
+        args = {"beta": 0.3, "T": 1.0, "h": 0.01, **changes}
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**args)
 

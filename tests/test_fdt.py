@@ -1,6 +1,7 @@
 """Scalar relaxation equation against closed forms and the two-time residual."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -45,12 +46,16 @@ class TestSolveFdt:
         assert abs(sol.c[-1] - sol.c_inf) < 0.05
 
     def test_monotone_decreasing(self):
-        sol = solve_fdt(M23, 0.3, 0.5, 10.0, 0.01)
+        # the window ends short of the plateau, which the solve reports
+        with pytest.warns(PlateauWarning):
+            sol = solve_fdt(M23, 0.3, 0.5, 10.0, 0.01)
         assert (np.diff(sol.c) < 1e-12).all()
 
     def test_grid_convergence_second_order(self):
         beta, gamma = 0.3, 0.6
-        sols = {h: solve_fdt(M23, beta, gamma, 4.0, h) for h in (0.02, 0.01, 0.005)}
+        # T = 4 ends short of the plateau at the two finer steps
+        with pytest.warns(PlateauWarning):
+            sols = {h: solve_fdt(M23, beta, gamma, 4.0, h) for h in (0.02, 0.01, 0.005)}
         d1 = np.abs(sols[0.02].c - sols[0.01].c[::2]).max()
         d2 = np.abs(sols[0.01].c - sols[0.005].c[::2]).max()
         assert d1 / d2 > 3.0
@@ -59,11 +64,18 @@ class TestSolveFdt:
         with pytest.raises(GammaTooSmallError):
             solve_fdt(M23, 0.2, 0.1, 5.0, 0.01)
 
-    @pytest.mark.parametrize("name", ["beta", "gamma", "T_tau", "h_tau"])
-    def test_non_finite_argument_names_it(self, name):
-        kw = {"beta": 0.3, "gamma": 0.5, "T_tau": 1.0, "h_tau": 0.01}
-        kw[name] = float("nan")
-        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+    @pytest.mark.parametrize("changes, match", [
+        ({"beta": math.nan}, "^beta must be finite"),
+        ({"gamma": math.nan}, "^gamma must be finite"),
+        ({"T_tau": math.nan}, "^T_tau must be finite"),
+        ({"h_tau": math.nan}, "^h_tau must be finite"),
+        ({"h_tau": 0.0}, "h_tau"), ({"T_tau": 1e300, "h_tau": 1e-300}, "h_tau"),
+        ({"h_tau": 1e-320}, "h_tau"), ({"T_tau": 1e-12, "h_tau": 1.0}, "T_tau"),
+    ], ids=["beta", "gamma", "T_tau", "h_tau", "zero-step", "ratio-overflow",
+            "subnormal-step", "T-below-half-step"])
+    def test_non_finite_argument_names_it(self, changes, match):
+        kw = {"beta": 0.3, "gamma": 0.5, "T_tau": 1.0, "h_tau": 0.01, **changes}
+        with pytest.raises(ConfigError, match=match):
             solve_fdt(M23, **kw)
 
     def test_kernel_overflow_names_the_fields(self):

@@ -53,6 +53,8 @@ class TestConfig:
         {"variant": "fconfined", "ell": 0.0}, {"beta": float("nan")},
         {"substeps": 2.5}, {"substeps": True},
         {"variant": "fconfined", "ell": 1.0, "f0_slope": float("nan")},
+        {"T": 1e300, "h_obs": 1e-300}, {"h_obs": 1e-320},
+        {"T": 1e-12, "h_obs": 1.0}, {"ell": 5.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         args = dict(beta=0.3, T=0.5, h_obs=0.05)
@@ -69,6 +71,18 @@ class TestConfig:
         cfg = LangevinConfig(beta=0.0, T=0.1, h_obs=0.05)
         with pytest.raises(ConfigError, match=name):
             integrate_ensemble(ZeroField(), x0, cfg, n_paths, master_seed)
+
+    @pytest.mark.parametrize("x0", [
+        np.empty(0), np.ones((2, 5)), np.float64(1.0), np.full(10, np.nan),
+        np.r_[np.ones(9), np.inf], 3.0 * np.ones(10), 0.4 * np.ones(10),
+        2.0 * np.ones(10),
+    ], ids=["empty", "2-D", "0-D", "nan", "inf", "radius-3", "radius-0.4", "radius-2"])
+    def test_ensemble_rejects_a_bad_start(self, x0):
+        # a start the stepper cannot take is bad input named before step 1,
+        # not an escape of path 0 at step 1 or numpy's broadcast error
+        cfg = LangevinConfig(beta=0.0, T=0.1, h_obs=0.05)
+        with pytest.raises(ConfigError, match="^x0 "):
+            integrate_ensemble(ZeroField(), x0, cfg, 1, 0)
 
     def test_accepts_valid_values(self):
         assert LangevinConfig(beta=0.3, T=0.5, h_obs=0.05, substeps=1).n_obs == 10
