@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import VARIANT_F, SolverConfig, default_f0_slope, solve_dynamics
+from .dynamics import (VARIANT_F, SolverConfig, check_count, default_f0_slope, grid_steps,
+                       solve_dynamics)
 from .errors import ConfigError, GlassdynError
 from .fdt import solve_fdt
 from .hamiltonian import (
@@ -151,16 +152,9 @@ def _config_value(cfg_obj: dict, key: str, convert, default=None):
         raise ConfigError(f"config key {key!r}: {err}") from err
 
 
-def _int_at_least(lo: int):
-    """int() that also rejects values below lo and non-integral numbers."""
-    def convert(value) -> int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"must be an integer, got {value}")
-        n = int(value)
-        if n < lo:
-            raise ValueError(f"must be >= {lo}, got {n}")
-        return n
-    return convert
+def _count(key: str, least: int):
+    """The converter of a count or seed key: check_count, naming the key."""
+    return lambda value: check_count(f"config key {key!r}", value, least)
 
 
 def _parse_grid(spec: str):
@@ -228,6 +222,8 @@ def cmd_fdt(args, out: Path):
     man, digest = _manifest("fdt", {"mixture": m.coeffs, "beta": args.beta,
                                     "gamma": args.gamma, "T": args.T,
                                     "h": args.h}, None)
+    # the grid rule under the flags' names, before solve_fdt names T_tau and h_tau
+    grid_steps(args.T, args.h, ("--T", "--h"))
     sol = solve_fdt(m, args.beta, args.gamma, args.T, args.h)
     _write_csv(out / "fdt.csv", "tau,c,r", [[sol.tau, sol.c, sol.r]], digest)
     man["c_inf"] = sol.c_inf
@@ -262,8 +258,7 @@ def cmd_solve(args, out: Path):
     m = Mixture.from_dict(_read_json(args.mixture, "mixture"))
     ic = InitCondition.from_dict(_read_json(args.init, "init"), m)
     variant, ell = _parse_variant(args.variant)
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    check_count("--stride", args.stride, 1)
     cfg = SolverConfig(beta=args.beta, T=args.T, h=args.h, variant=variant,
                        ell=ell)
     man, digest = _manifest("solve", {"mixture": m.coeffs, "init": asdict(ic),
@@ -292,15 +287,15 @@ def cmd_solve(args, out: Path):
 def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     m = _config_value(cfg_obj, "mixture", Mixture.from_dict)
     ic = _config_value(cfg_obj, "init", lambda obj: InitCondition.from_dict(obj, m))
-    N = _config_value(cfg_obj, "N", _int_at_least(1))
+    N = _config_value(cfg_obj, "N", _count("N", 1))
     beta = _config_value(cfg_obj, "beta", float)
     T = _config_value(cfg_obj, "T", float)
     h_obs = _config_value(cfg_obj, "h_obs", float, 0.02)
-    paths = _config_value(cfg_obj, "paths", _int_at_least(1), 8)
-    seed = _config_value(cfg_obj, "seed", _int_at_least(0), 0)
+    paths = _config_value(cfg_obj, "paths", _count("paths", 1), 8)
+    seed = _config_value(cfg_obj, "seed", _count("seed", 0), 0)
     variant = cfg_obj.get("variant", "spherical")
     ell = _config_value(cfg_obj, "ell", float) if "ell" in cfg_obj else None
-    substeps = _config_value(cfg_obj, "substeps", _int_at_least(1), 5)
+    substeps = _config_value(cfg_obj, "substeps", _count("substeps", 1), 5)
     unknown = sorted(set(cfg_obj) - _SIM_KEYS)
     if unknown:
         raise ConfigError(f"config key {unknown[0]!r} is not known; the keys are "
@@ -319,11 +314,10 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
         lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta))
     if want_compare:
         h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
+        # the paths are scored on the observable grid, which the limit's must hold
+        grid_steps(h_obs, h_lim, ("'h_obs'", "'h_limit'"))
         limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
                  SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell))
-        # the paths are scored on the observable grid, which the limit's must hold
-        if abs(h_obs / h_lim - round(h_obs / h_lim)) > 1e-9:
-            raise ConfigError(f"config key 'h_limit' ({h_lim}) must divide h_obs ({h_obs})")
     man, digest = _manifest("simulate", cfg_obj, seed)
 
     f = conditioned_field(sample_system(m, N, seed), spec)

@@ -36,6 +36,7 @@ scaling: unit coupling with mu equal to the diagonal kernel).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,8 +78,9 @@ def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
 def grid_steps(T: float, h: float, names: tuple[str, str]) -> int:
     """The one grid rule of both engines: the step count n of a uniform grid
     on [0, T] with step h.  T and h are finite and positive, and T / h is
-    within _GRID_TOL of a whole number n >= 1; anything else is a ConfigError
-    naming the field, whose names are those of T and h."""
+    within _GRID_TOL of a whole number n, 1 <= n < sys.maxsize, so an array of
+    n + 1 points can be indexed; anything else is a ConfigError naming the
+    field, whose names are those of T and h."""
     for name, value in zip(names, (T, h)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
@@ -86,10 +88,21 @@ def grid_steps(T: float, h: float, names: tuple[str, str]) -> int:
             raise ConfigError(f"{name} must be positive, got {value}")
     ratio = T / h
     n = round(ratio) if math.isfinite(ratio) else 0
-    if n < 1 or abs(ratio - n) > _GRID_TOL:
+    if not 1 <= n < sys.maxsize or abs(ratio - n) > _GRID_TOL:
         raise ConfigError(f"{names[0]} / {names[1]} = {T:g} / {h:g} = {ratio:g} must be "
-                          f"within {_GRID_TOL:g} of a whole number n >= 1")
+                          f"within {_GRID_TOL:g} of a whole number n, 1 <= n < {sys.maxsize:.3g}")
     return n
+
+
+def check_count(name: str, value, least: int) -> int:
+    """The one count rule of both engines and the CLI: a count or seed is a whole
+    number >= least (an int, a numpy integer or an integral float such as JSON's
+    40.0), never a bool, returned as an int; else a ConfigError naming it."""
+    whole = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not (whole and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def check_variant(variant: str, ell: float | None, variants: tuple, confined: str):
@@ -108,10 +121,10 @@ class SolverConfig:
     """Grid and closure choice for one two-time solve.
 
     The grid is s_i = i h, i <= n: T and h are finite and positive, and T / h
-    is within 1e-9 of a whole number n >= 1.  The soft-confinement variant
-    'f' needs a positive finite stiffness ``ell``, and no other variant takes
-    one; the constant slope of its smooth radial part is ``default_f0_slope``,
-    which gives the radius zero initial drift.
+    is within 1e-9 of a whole number n >= 1 that numpy can index.  The
+    soft-confinement variant 'f' needs a positive finite stiffness ``ell``, and
+    no other variant takes one; the constant slope of its smooth radial part is
+    ``default_f0_slope``, which gives the radius zero initial drift.
     """
 
     beta: float

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import check_count
 from .errors import ConfigError, DomainError
 from .init_params import (InitCondition, VFunction, _band_alpha, _on_band_edge,
                           solve_w, solve_weights)
@@ -277,22 +278,20 @@ def _sorted_in_box(pattern: tuple, shape: tuple) -> np.ndarray:
     return np.ravel_multi_index(tuple(idx), shape)
 
 
-def check_system_size(m: Mixture, N: int):
-    """Refuse an N < 1, or dense tensors the draw would not hold, before
-    anything of size N is allocated."""
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
+def check_system_size(m: Mixture, N: int) -> int:
+    """N as an int; refuse a count N < 1, or dense tensors the draw would not
+    hold, before anything of size N is allocated."""
+    N = check_count("N", N, 1)
     if m.p_max > _P_MAX:
         raise ConfigError(f"dense tensors limited to p <= {_P_MAX}")
     if N ** m.p_max > _MAX_TENSOR_ENTRIES:
         raise ConfigError(f"N = {N}: the N^{m.p_max} tensor would exceed the memory guard")
+    return N
 
 
 def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
     """Draw the symmetrized coupling tensors; deterministic given the seed."""
-    check_system_size(m, N)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    N, seed = check_system_size(m, N), check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     tensors = {p: _draw_symmetric(rng, N, p) for p in m.coeffs}
     return SpinSystem(N, m, tensors, seed)
@@ -307,8 +306,7 @@ def sample_band_point(q_star: float, q_o: float, N: int, seed: int) -> np.ndarra
     decides it) the sub-sphere is the point sign(q_o) sqrt(N) xhat, for any
     N; off the edge the band needs N >= 2.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    N, seed = check_count("N", N, 1), check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(N)
     if q_star == 0.0:
@@ -347,9 +345,8 @@ class ConditioningSpec:
     zhat: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
+        self.N, self.seed = check_count("N", self.N, 1), check_count("seed", self.seed, 0)
         ic, N = self.target, self.N
-        if N < 1:
-            raise ConfigError(f"N must be >= 1, got {N}")
         self.x_0 = sample_band_point(ic.q_star, ic.q_o, N, self.seed)
         self.x_star = np.zeros(N)
         self.x_star[0] = ic.q_star * math.sqrt(N)

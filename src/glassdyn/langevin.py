@@ -11,13 +11,12 @@ dominated by the 1/N path fluctuations at desk scale).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (VARIANT_SPHERICAL, TwoTimeSolution, check_variant, chi_rows,
-                       grid_steps, sup_distance)
+from .dynamics import (_GRID_TOL, VARIANT_SPHERICAL, TwoTimeSolution, check_count,
+                       check_variant, chi_rows, grid_steps, sup_distance)
 from .errors import ConfigError, EscapeError, GridMismatchError
 
 __all__ = [
@@ -39,12 +38,6 @@ VARIANT_FCONF = "fconfined"
 _R_FLOOR, _R_GUARD = 0.5, 2.0  # a path whose radius leaves this band has escaped
 _PATH_BLOCK = 4  # paths per numpy call of the score's row comparisons
 _ROTATION_TOL = 1e-9  # largest observable deviation an equivariant rotation may show
-
-
-def _check_count(name: str, value, least: int):
-    """Refuse anything but an integer >= least, naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class LangevinConfig:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         grid_steps(self.T, self.h_obs, ("T", "h_obs"))
-        _check_count("substeps", self.substeps, 1)
+        object.__setattr__(self, "substeps", check_count("substeps", self.substeps, 1))
         check_variant(self.variant, self.ell, (VARIANT_SPHERICAL, VARIANT_FCONF),
                       VARIANT_FCONF)
 
@@ -108,8 +101,10 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
 
     ``draw(k)`` returns the (len(seeds), N) Brownian increments of SDE step
     k; each step makes one field.gradient_batch call for all rows, and checks
-    the radii it computes anyway: an escape is an EscapeError at its step.
+    the radii it computes anyway: an escape is an EscapeError at its step.  A
+    start it cannot take is a ConfigError naming x0, raised before step 1.
     """
+    _check_start(x0)
     N, n_paths = len(x0), len(seeds)
     n_obs, sub = cfg.n_obs, cfg.substeps
     h = cfg.h_obs / sub
@@ -159,16 +154,14 @@ def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
     A start that is not a finite 1-D point inside the escape band is a
     ConfigError naming x0, raised before the first step.
     """
-    _check_count("n_paths", n_paths, 1)
-    _check_count("master_seed", master_seed, 0)
-    _check_start(x0)
-    N = len(x0)
+    n_paths = check_count("n_paths", n_paths, 1)
+    master_seed = check_count("master_seed", master_seed, 0)
     sqrt_h = math.sqrt(cfg.h_obs / cfg.substeps)
     seeds = [master_seed + i for i in range(n_paths)]
     rngs = [np.random.default_rng(s) for s in seeds]
     return _euler_maruyama(
         field, x0, cfg, seeds,
-        lambda k: np.stack([r.standard_normal(N) for r in rngs]) * sqrt_h)
+        lambda k: np.stack([r.standard_normal(len(x0)) for r in rngs]) * sqrt_h)
 
 
 @dataclass
@@ -245,9 +238,9 @@ def score(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> np.ndarray:
         raise GridMismatchError(f"T must be finite and non-negative, got {T}")
     n_obs, ratio = round(T / obs.h), obs.h / sol.h
     r = round(ratio)
-    if abs(T / obs.h - n_obs) > 1e-9 or n_obs > obs.q.shape[1] - 1:
+    if abs(T / obs.h - n_obs) > _GRID_TOL or n_obs > obs.q.shape[1] - 1:
         raise GridMismatchError("T incompatible with the observable grid")
-    if abs(ratio - r) > 1e-9:
+    if abs(ratio - r) > _GRID_TOL:
         raise GridMismatchError("observable step not a multiple of the solver step")
     if n_obs * r > sol.n:
         raise GridMismatchError("solution horizon shorter than the observable window")

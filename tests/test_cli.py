@@ -399,17 +399,27 @@ class TestErrors:
         (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
                     "--beta", "0.3", "--stride", "-3"], "--stride"),
         (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "0.3",
-                    "--gamma", "0.5", "--T", "1", "--h", "0"], "h_tau"),
+                    "--gamma", "0.5", "--T", "1", "--h", "0"], "--h must be positive"),
         (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
                     "--beta", "0.3", "--T", "1e300", "--h", "1e-300"], "T / h"),
         (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
                     "--beta", "0.3", "--T", "1", "--h", "1e-320"], "T / h"),
         (lambda f: ["compare", "--config", _sim_config(f, h_obs=1e-320)], "h_obs"),
-        (lambda f: ["compare", "--config", _sim_config(f, h_limit=1e-320)], "T / h"),
+        (lambda f: ["compare", "--config", _sim_config(f, h_limit=1e-320)], "'h_limit'"),
         (lambda f: ["phase", "--mixture", str(f["dir"]), "--beta-grid", "0:1:2"],
          "mixture file"),
         (lambda f: ["--out-dir", str(f["mix"]), "phase", "--mixture", str(f["mix"]),
                     "--beta-grid", "0:1:2"], "--out-dir"),
+        (lambda f: ["simulate", "--config", _sim_config(f, N=True)], "'N'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, paths=True)], "'paths'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, seed=True)], "'seed'"),
+        (lambda f: ["simulate", "--config", _sim_config(f, substeps=True)], "'substeps'"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--T", "1e300", "--h", "1"], "T / h"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", str(f["init"]),
+                    "--beta", "0.3", "--T", "1e19", "--h", "1"], "T / h"),
+        (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "0.3",
+                    "--gamma", "0.5", "--T", "1e300", "--h", "1"], "--T / --h"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
@@ -419,7 +429,8 @@ class TestErrors:
             "solve-stride-negative", "fdt-zero-step", "solve-ratio-overflow",
             "solve-subnormal-step", "compare-subnormal-h_obs",
             "compare-subnormal-h_limit", "mixture-is-a-directory",
-            "out-dir-is-a-file"])
+            "out-dir-is-a-file", "N-true", "paths-true", "seed-true", "substeps-true",
+            "solve-unindexable-grid", "solve-grid-past-2^63", "fdt-unindexable-grid"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2

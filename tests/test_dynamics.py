@@ -291,10 +291,12 @@ class TestVariants:
         ("beta", {"beta": math.nan}), ("T", {"T": math.nan}), ("h", {"h": math.nan}),
         ("beta", {"beta": math.inf}), ("T", {"T": math.inf}), ("h", {"h": math.inf}),
         ("h", {"h": 0.0}), ("h", {"T": 1e300, "h": 1e-300}), ("h", {"h": 1e-320}),
-        ("T", {"T": 1e-12, "h": 1.0}), ("'ell'", {"ell": 5.0}),
+        ("T", {"T": 1e-12, "h": 1.0}), ("T / h", {"T": 1e19, "h": 1.0}),
+        ("'ell'", {"ell": 5.0}),
         ("'ell'", {"variant": "gradflow", "ell": 5.0}),
     ], ids=["nan-beta", "nan-T", "nan-h", "inf-beta", "inf-T", "inf-h", "zero-step",
-            "ratio-overflow", "subnormal-step", "T-below-half-step", "ell-spherical",
+            "ratio-overflow", "subnormal-step", "T-below-half-step",
+            "steps-past-2^63", "ell-spherical",
             "ell-gradflow"])
     def test_config_rejects_non_finite(self, field, changes):
         # the run grid and stiffness rules: a non-finite value, a grid that is

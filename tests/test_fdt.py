@@ -71,8 +71,9 @@ class TestSolveFdt:
         ({"h_tau": math.nan}, "^h_tau must be finite"),
         ({"h_tau": 0.0}, "h_tau"), ({"T_tau": 1e300, "h_tau": 1e-300}, "h_tau"),
         ({"h_tau": 1e-320}, "h_tau"), ({"T_tau": 1e-12, "h_tau": 1.0}, "T_tau"),
+        ({"T_tau": 1e300, "h_tau": 1.0}, "T_tau / h_tau"),
     ], ids=["beta", "gamma", "T_tau", "h_tau", "zero-step", "ratio-overflow",
-            "subnormal-step", "T-below-half-step"])
+            "subnormal-step", "T-below-half-step", "unindexable-grid"])
     def test_non_finite_argument_names_it(self, changes, match):
         kw = {"beta": 0.3, "gamma": 0.5, "T_tau": 1.0, "h_tau": 0.01, **changes}
         with pytest.raises(ConfigError, match=match):

@@ -14,7 +14,7 @@ from glassdyn import hamiltonian
 from glassdyn.errors import ConfigError, DomainError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
-    _SYM_BLOCK, conditioned_field, sample_band_point, sample_system,
+    _SYM_BLOCK, check_system_size, conditioned_field, sample_band_point, sample_system,
 )
 from glassdyn.init_params import InitCondition, solve_w
 from glassdyn.mixture import Mixture
@@ -407,6 +407,41 @@ class TestConditioningSpec:
     def test_negative_seed_is_config_error(self, ic):
         with pytest.raises(ConfigError, match="seed"):
             ConditioningSpec(ic, 8, -1)
+
+
+BAND_IC = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
+# each count or seed of the finite-N boundary, as (field, call of its value)
+COUNT_CALLS = [
+    ("N", lambda v: sample_system(M23, v, 0).tensors[3]),
+    ("seed", lambda v: sample_system(M23, 10, v).tensors[3]),
+    ("N", lambda v: check_system_size(M23, v)),
+    ("N", lambda v: sample_band_point(0.7, 0.3, v, 0)),
+    ("seed", lambda v: sample_band_point(0.7, 0.3, 10, v)),
+    ("N", lambda v: ConditioningSpec(BAND_IC, v, 0).x_0),
+    ("seed", lambda v: ConditioningSpec(BAND_IC, 10, v).x_0),
+]
+
+
+@pytest.mark.parametrize("field, call", COUNT_CALLS, ids=[
+    "sample_system-N", "sample_system-seed", "check_system_size-N",
+    "sample_band_point-N", "sample_band_point-seed", "ConditioningSpec-N",
+    "ConditioningSpec-seed"])
+@pytest.mark.parametrize("value, whole", [
+    (10.5, False), (2.5, False), (True, False), (-1, False), (np.int64(10), True),
+    (10.0, True)], ids=["10.5", "2.5", "True", "-1", "int64", "10.0"])
+def test_counts_follow_the_count_rule(field, call, value, whole):
+    # a whole number of any type is the same int; anything else names the field
+    if whole:
+        np.testing.assert_array_equal(call(value), call(10))
+    else:
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            call(value)
+
+
+def test_spec_stores_counts_as_ints():
+    spec = ConditioningSpec(BAND_IC, np.int64(10), 3.0)
+    assert (type(spec.N), type(spec.seed)) == (int, int)
+    assert type(check_system_size(M23, 10.0)) is int
 
 
 def _brute_setup(m, ic, N, seed):

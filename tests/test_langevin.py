@@ -54,7 +54,9 @@ class TestConfig:
         {"substeps": 2.5}, {"substeps": True},
         {"variant": "fconfined", "ell": 1.0, "f0_slope": float("nan")},
         {"T": 1e300, "h_obs": 1e-300}, {"h_obs": 1e-320},
-        {"T": 1e-12, "h_obs": 1.0}, {"ell": 5.0},
+        {"T": 1e-12, "h_obs": 1.0}, {"ell": 5.0}, {"T": 1e19, "h_obs": 1.0},
+        {"substeps": np.bool_(True)}, {"substeps": "5"}, {"substeps": float("nan")},
+        {"substeps": np.float64(5.5)},
     ])
     def test_rejects_bad_values(self, kwargs):
         args = dict(beta=0.3, T=0.5, h_obs=0.05)
@@ -64,7 +66,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("n_paths, master_seed, name", [
         (0, 1, "n_paths"), (2.5, 1, "n_paths"), (1, -1, "master_seed"),
-        (1, 2.5, "master_seed"),
+        (1, 2.5, "master_seed"), (True, 1, "n_paths"), (1, True, "master_seed"),
+        (10.5, 1, "n_paths"), ("2", 1, "n_paths"), (1, -1.0, "master_seed"),
     ])
     def test_ensemble_rejects_bad_counts(self, n_paths, master_seed, name):
         x0 = sample_band_point(0.0, 0.0, 10, 1)
@@ -86,6 +89,10 @@ class TestConfig:
 
     def test_accepts_valid_values(self):
         assert LangevinConfig(beta=0.3, T=0.5, h_obs=0.05, substeps=1).n_obs == 10
+        # a whole number of any type is stored as the same int
+        for substeps in (np.int64(3), 3.0):
+            cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05, substeps=substeps)
+            assert type(cfg.substeps) is int and cfg.substeps == 3
 
 
 class TestIntegrate:
@@ -503,3 +510,10 @@ class TestRotationInvariance:
         ok, dev = rotation_invariance_test(f, O, x0, np.zeros(50), cfg, 24,
                                            rotate_noise=False)
         assert not ok and dev > 1e-3
+
+    def test_bad_start_is_named_before_step_one(self):
+        # the one stepper checks its start, so this caller is covered too
+        f, _ = self._field(10)
+        cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05)
+        with pytest.raises(ConfigError, match="^x0 "):
+            rotation_invariance_test(f, np.eye(10), 3 * np.ones(10), np.zeros(10), cfg, 20)
