@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (VARIANT_F, SolverConfig, check_count, default_f0_slope, grid_steps,
+from .dynamics import (_MAX_POINTS, VARIANT_F, SolverConfig, default_f0_slope, grid_steps,
                        solve_dynamics)
-from .errors import ConfigError, GlassdynError
+from .errors import ConfigError, GlassdynError, check_count, check_real
 from .fdt import solve_fdt
 from .hamiltonian import (
     ConditioningSpec, check_system_size, conditioned_field, sample_system,
@@ -157,14 +157,20 @@ def _count(key: str, least: int):
     return lambda value: check_count(f"config key {key!r}", value, least)
 
 
+def _real(key: str):
+    """The converter of a real-valued key: check_real, naming the key."""
+    return lambda value: check_real(f"config key {key!r}", value)
+
+
 def _parse_grid(spec: str):
     try:
         a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError as err:
         raise ConfigError(f"bad grid spec {spec!r}, want a:b:n") from err
-    if not (math.isfinite(a) and math.isfinite(b) and n >= 0):
-        raise ConfigError(f"bad grid spec {spec!r}: want finite a, b and n >= 0")
+    if not (math.isfinite(a) and math.isfinite(b)
+            and check_count(f"grid spec {spec!r}: n", n, 0) < _MAX_POINTS):
+        raise ConfigError(f"bad grid spec {spec!r}: want finite a, b and n < {_MAX_POINTS:.3g}")
     return np.linspace(a, b, n)
 
 
@@ -288,13 +294,13 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     m = _config_value(cfg_obj, "mixture", Mixture.from_dict)
     ic = _config_value(cfg_obj, "init", lambda obj: InitCondition.from_dict(obj, m))
     N = _config_value(cfg_obj, "N", _count("N", 1))
-    beta = _config_value(cfg_obj, "beta", float)
-    T = _config_value(cfg_obj, "T", float)
-    h_obs = _config_value(cfg_obj, "h_obs", float, 0.02)
+    beta = _config_value(cfg_obj, "beta", _real("beta"))
+    T = _config_value(cfg_obj, "T", _real("T"))
+    h_obs = _config_value(cfg_obj, "h_obs", _real("h_obs"), 0.02)
     paths = _config_value(cfg_obj, "paths", _count("paths", 1), 8)
     seed = _config_value(cfg_obj, "seed", _count("seed", 0), 0)
     variant = cfg_obj.get("variant", "spherical")
-    ell = _config_value(cfg_obj, "ell", float) if "ell" in cfg_obj else None
+    ell = _config_value(cfg_obj, "ell", _real("ell")) if "ell" in cfg_obj else None
     substeps = _config_value(cfg_obj, "substeps", _count("substeps", 1), 5)
     unknown = sorted(set(cfg_obj) - _SIM_KEYS)
     if unknown:
@@ -313,7 +319,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
         vf = solve_w(ic, m)
         lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta))
     if want_compare:
-        h_lim = _config_value(cfg_obj, "h_limit", float, h_obs / 2)
+        h_lim = _config_value(cfg_obj, "h_limit", _real("h_limit"), h_obs / 2)
         # the paths are scored on the observable grid, which the limit's must hold
         grid_steps(h_obs, h_lim, ("'h_obs'", "'h_limit'"))
         limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, PsdViolationWarning
+from .errors import BlowUpError, ConfigError, PsdViolationWarning, check_real
 from .init_params import InitCondition, VFunction, solve_w
 from .mixture import Mixture
 
@@ -67,6 +67,8 @@ _TOL_PSD = 1e-6
 _CORRECTOR_PASSES = 2
 _BLOCK = 64  # rows per block of the symmetry check and of sup_distance
 _GRID_TOL = 1e-9  # largest distance of T / h from the step count n
+# a bound on grid points: longer float arrays are numpy ValueErrors, not MemoryErrors
+_MAX_POINTS = sys.maxsize // 16
 
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -77,40 +79,27 @@ def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def grid_steps(T: float, h: float, names: tuple[str, str]) -> int:
     """The one grid rule of both engines: the step count n of a uniform grid
-    on [0, T] with step h.  T and h are finite and positive, and T / h is
-    within _GRID_TOL of a whole number n, 1 <= n < sys.maxsize, so an array of
-    n + 1 points can be indexed; anything else is a ConfigError naming the
+    on [0, T] with step h.  T and h are positive reals, and T / h is within
+    _GRID_TOL of a whole number n, 1 <= n < _MAX_POINTS, so an array of n + 1
+    points can be asked for; anything else is a ConfigError naming the
     field, whose names are those of T and h."""
     for name, value in zip(names, (T, h)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-        if value <= 0.0:
+        if check_real(name, value) <= 0.0:
             raise ConfigError(f"{name} must be positive, got {value}")
     ratio = T / h
     n = round(ratio) if math.isfinite(ratio) else 0
-    if not 1 <= n < sys.maxsize or abs(ratio - n) > _GRID_TOL:
+    if not 1 <= n < _MAX_POINTS or abs(ratio - n) > _GRID_TOL:
         raise ConfigError(f"{names[0]} / {names[1]} = {T:g} / {h:g} = {ratio:g} must be "
-                          f"within {_GRID_TOL:g} of a whole number n, 1 <= n < {sys.maxsize:.3g}")
+                          f"within {_GRID_TOL:g} of a whole number n, 1 <= n < {_MAX_POINTS:.3g}")
     return n
-
-
-def check_count(name: str, value, least: int) -> int:
-    """The one count rule of both engines and the CLI: a count or seed is a whole
-    number >= least (an int, a numpy integer or an integral float such as JSON's
-    40.0), never a bool, returned as an int; else a ConfigError naming it."""
-    whole = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-             or isinstance(value, float) and value.is_integer())
-    if not (whole and value >= least):
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def check_variant(variant: str, ell: float | None, variants: tuple, confined: str):
     """The one stiffness rule of both engines: the variant is one of variants,
-    the confined one needs a positive finite 'ell', and no other takes one."""
+    the confined one needs a positive real 'ell', and no other takes one."""
     if variant not in variants:
         raise ConfigError(f"unknown variant {variant!r}")
-    if variant == confined and not (ell is not None and 0.0 < ell < math.inf):
+    if variant == confined and (ell is None or check_real("'ell'", ell) <= 0.0):
         raise ConfigError(f"variant {confined!r} needs a positive finite 'ell', got {ell}")
     if variant != confined and ell is not None:
         raise ConfigError(f"'ell' applies only to variant {confined!r}, not {variant!r}")
@@ -118,14 +107,10 @@ def check_variant(variant: str, ell: float | None, variants: tuple, confined: st
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid and closure choice for one two-time solve.
-
-    The grid is s_i = i h, i <= n: T and h are finite and positive, and T / h
-    is within 1e-9 of a whole number n >= 1 that numpy can index.  The
-    soft-confinement variant 'f' needs a positive finite stiffness ``ell``, and
-    no other variant takes one; the constant slope of its smooth radial part is
-    ``default_f0_slope``, which gives the radius zero initial drift.
-    """
+    """Grid and closure choice for one two-time solve: the grid s_i = i h,
+    i <= n, under ``grid_steps``, and the variant and its stiffness under
+    ``check_variant``.  The constant slope of the smooth radial part of variant
+    'f' is ``default_f0_slope``, which gives the radius zero initial drift."""
 
     beta: float
     T: float
@@ -134,8 +119,7 @@ class SolverConfig:
     ell: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise ConfigError(f"beta must be finite, got {self.beta}")
+        object.__setattr__(self, "beta", check_real("beta", self.beta))
         grid_steps(self.T, self.h, ("T", "h"))
         check_variant(self.variant, self.ell,
                       (VARIANT_SPHERICAL, VARIANT_F, VARIANT_GRADFLOW), VARIANT_F)

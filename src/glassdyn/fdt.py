@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TwoTimeSolution, grid_steps
-from .errors import BlowUpError, ConfigError, PlateauWarning
+from .errors import BlowUpError, ConfigError, PlateauWarning, check_real
 from .init_params import InitCondition, check_stationary
 from .mixture import Mixture, phi_gamma
 from .phase import c_inf as plateau_level
@@ -59,9 +59,7 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
     is not finite, and stops at the first step whose c is not finite; warns
     if the window ends more than 10 h away from the plateau level.
     """
-    for name, value in (("beta", beta), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    beta, gamma = check_real("beta", beta), check_real("gamma", gamma)
     n = grid_steps(T_tau, h_tau, ("T_tau", "h_tau"))
     # |nu'(c)| <= nu'(1) on [-1, 1]; beta * beta overflows to inf, not an error
     if not math.isfinite(gamma + 2.0 * beta * beta * m.nu(1.0, 1)):

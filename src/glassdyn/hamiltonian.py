@@ -36,8 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import check_count
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_count
 from .init_params import (InitCondition, VFunction, _band_alpha, _on_band_edge,
                           solve_w, solve_weights)
 from .mixture import Mixture

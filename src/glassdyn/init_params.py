@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NoRootError, SingularMatrixError
+from .errors import (ConfigError, DomainError, NoRootError, SingularMatrixError,
+                     check_real)
 from .mixture import Mixture, g_beta
 
 __all__ = [
@@ -79,11 +80,10 @@ class InitCondition:
     q_o: float = 0.0
 
     def __post_init__(self):
+        for name in ("q_star", "E", "E_star", "G_star", "q_o"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 <= self.q_star <= 1.0:
             raise ConfigError("q_star must lie in [0, 1]")
-        for name in ("E", "E_star", "G_star", "q_o"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.q_star < _DEGEN_TOL:
             object.__setattr__(self, "q_star", 0.0)
         if self.is_rs:
@@ -116,21 +116,18 @@ class InitCondition:
     def from_dict(cls, obj: dict, m: Mixture | None = None) -> "InitCondition":
         """Build from an init-spec dict: explicit V or a "gibbs" block."""
         try:
-            gibbs = "gibbs" in obj
-            if gibbs:
+            if "gibbs" in obj:
                 g = obj["gibbs"]
-                args = (float(g["beta0"]), float(g.get("q_EA", 0.0)),
-                        float(g.get("GS", 0.0)))
+                args = (g["beta0"], g.get("q_EA", 0.0), g.get("GS", 0.0))
             else:
                 v = obj["V"]
-                args = (float(obj["q_star"]), float(v["E"]),
-                        float(v.get("E_star", 0.0)), float(v.get("G_star", 0.0)),
-                        float(v.get("q_o", 0.0)))
+                args = (obj["q_star"], v["E"], v.get("E_star", 0.0),
+                        v.get("G_star", 0.0), v.get("q_o", 0.0))
         except KeyError as err:
             raise ConfigError(f"init spec missing key {err}") from err
-        except (AttributeError, TypeError, ValueError) as err:
+        except (AttributeError, TypeError) as err:
             raise ConfigError(f"init spec has a malformed value: {err}") from err
-        if not gibbs:
+        if "gibbs" not in obj:
             return cls(*args)
         if m is None:
             raise ConfigError("gibbs init spec needs the mixture")
@@ -318,20 +315,20 @@ def gibbs_init(m: Mixture, beta0: float, q_EA: float, GS_at_qstar: float = 0.0
     and E = E_star + 2 beta0 theta(q_star^2).  q_EA and the restricted
     ground-state energy are caller-supplied inputs.
     """
+    beta0, q_EA = check_real("beta0", beta0), check_real("q_EA", q_EA)
+    GS_at_qstar = check_real("GS", GS_at_qstar)
     if beta0 < 0.0:
         raise ConfigError("beta0 must be nonnegative")
     if q_EA == 0.0:
         return InitCondition(0.0, 2.0 * beta0 * m.nu(1.0))
     if not 0.0 < q_EA < 1.0:
         raise ConfigError("q_EA must lie in [0, 1)")
-    q_star = math.sqrt(q_EA)
-    qs2 = q_EA
-    if beta0 * (1.0 - qs2) == 0.0:
+    if beta0 * (1.0 - q_EA) == 0.0:
         raise ConfigError(f"q_EA > 0 needs beta0 > 0: G_star holds 1/(2 beta0 (1 - q_EA)), "
                           f"infinite at beta0 = {beta0}")
-    G = 0.5 / (beta0 * (1.0 - qs2)) + 2.0 * beta0 * (1.0 - qs2) * m.nu(qs2, 2)
-    E = GS_at_qstar + 2.0 * beta0 * m.theta(qs2)
-    return InitCondition(q_star, E, GS_at_qstar, G, q_EA)
+    G = 0.5 / (beta0 * (1.0 - q_EA)) + 2.0 * beta0 * (1.0 - q_EA) * m.nu(q_EA, 2)
+    E = GS_at_qstar + 2.0 * beta0 * m.theta(q_EA)
+    return InitCondition(math.sqrt(q_EA), E, GS_at_qstar, G, q_EA)
 
 
 def gamma_star(m: Mixture, beta: float, q_star: float, alpha: float) -> float:
@@ -358,8 +355,7 @@ def check_stationary(ic: InitCondition, m: Mixture, beta: float) -> Stationarity
     stationary (residual inf); q_star > 0 needs a nonzero beta.  A
     non-finite beta is a ConfigError.
     """
-    if not math.isfinite(beta):
-        raise ConfigError(f"beta must be finite, got {beta}")
+    beta = check_real("beta", beta)
     if ic.is_rs:
         res, scale = abs(ic.E - 2.0 * beta * m.nu(1.0)), abs(ic.E)
     elif abs(ic.alpha) >= 1.0:

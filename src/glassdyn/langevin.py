@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_GRID_TOL, VARIANT_SPHERICAL, TwoTimeSolution, check_count,
-                       check_variant, chi_rows, grid_steps, sup_distance)
-from .errors import ConfigError, EscapeError, GridMismatchError
+from .dynamics import (_GRID_TOL, VARIANT_SPHERICAL, TwoTimeSolution, check_variant,
+                       chi_rows, grid_steps, sup_distance)
+from .errors import ConfigError, EscapeError, GridMismatchError, check_count, check_real
 
 __all__ = [
     "LangevinConfig",
@@ -43,10 +43,8 @@ _ROTATION_TOL = 1e-9  # largest observable deviation an equivariant rotation may
 @dataclass(frozen=True)
 class LangevinConfig:
     """Grid and drift of one finite-N run, ``substeps`` SDE steps per
-    observable step.  The observable grid is s_j = j h_obs, j <= n_obs, under
-    the solver's rule: T / h_obs is within 1e-9 of a whole number n_obs >= 1.
-    The variant 'fconfined' needs a positive finite stiffness ``ell``, and
-    'spherical' takes none."""
+    observable step: the observable grid s_j = j h_obs, j <= n_obs, under
+    ``grid_steps``, and the variant and its stiffness under ``check_variant``."""
 
     beta: float
     T: float
@@ -58,9 +56,7 @@ class LangevinConfig:
 
     def __post_init__(self):
         for name in ("beta", "f0_slope"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         grid_steps(self.T, self.h_obs, ("T", "h_obs"))
         object.__setattr__(self, "substeps", check_count("substeps", self.substeps, 1))
         check_variant(self.variant, self.ell, (VARIANT_SPHERICAL, VARIANT_FCONF),

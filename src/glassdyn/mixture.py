@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_count, check_real
 
 __all__ = [
     "Mixture",
@@ -44,26 +44,20 @@ class Mixture:
     def __post_init__(self):
         clean = {}
         for p, b in self.coeffs.items():
-            p = int(p)
-            b = float(b)
-            if p < 2:
-                raise ConfigError(f"mixture power p={p} below 2")
-            if not math.isfinite(b):
-                raise ConfigError(f"non-finite weight b_{p}^2 = {b}")
+            p = check_count("mixture power", p, 2)
+            b = check_real(f"mixture weight b_{p}^2", b)
             if b < 0.0:
                 raise ConfigError(f"negative weight b_{p}^2 = {b}")
             if b > 0.0:
                 clean[p] = b
         if not clean:
             raise ConfigError("mixture has no positive weight")
-        if not self.radius_bound > 0.0:
-            raise ConfigError("radius_bound must be positive")
+        rb = self.radius_bound  # +inf, the default, is the one bound not finite
+        if not (rb == math.inf or check_real("radius_bound", rb) > 0.0):
+            raise ConfigError(f"radius_bound must be positive, got {rb!r}")
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
-        pmax = max(clean)
-        c0 = np.zeros(pmax + 1)
-        for p, b in clean.items():
-            c0[p] = b
-        cs = [c0]
+        cs = [np.zeros(max(clean) + 1)]
+        cs[0][list(clean)] = list(clean.values())
         for _ in range(3):
             prev = cs[-1]
             cs.append(prev[1:] * np.arange(1, len(prev)))
@@ -140,12 +134,10 @@ class Mixture:
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
             raise ConfigError('mixture must contain a "coeffs" object')
         try:
-            coeffs = {int(p): float(b) for p, b in obj["coeffs"].items()}
-            rb = float(obj.get("radius_bound", math.inf))
-        except (TypeError, ValueError) as err:
-            raise ConfigError("mixture coeffs must map integer powers to numbers "
-                              f"and radius_bound must be a number: {err}") from err
-        return cls(coeffs, rb)
+            coeffs = {int(p): b for p, b in obj["coeffs"].items()}
+        except ValueError as err:
+            raise ConfigError(f"mixture coeffs must map integer powers: {err}") from err
+        return cls(coeffs, obj.get("radius_bound", math.inf))
 
     @classmethod
     def pure(cls, p: int, weight: float = 1.0) -> "Mixture":

@@ -420,6 +420,14 @@ class TestErrors:
                     "--beta", "0.3", "--T", "1e19", "--h", "1"], "T / h"),
         (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "0.3",
                     "--gamma", "0.5", "--T", "1e300", "--h", "1"], "--T / --h"),
+        # below sys.maxsize points, but numpy refuses arrays that long with a
+        # ValueError, where a grid numpy asks memory for is a MemoryError
+        (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "0.3",
+                    "--gamma", "0.5", "--T", "2e18", "--h", "1"], "--T / --h"),
+        (lambda f: ["phase", "--mixture", str(f["mix"]), "--beta-grid",
+                    "0:1:100000000000000000000"], "0:1:100000000000000000000"),
+        (lambda f: ["phase", "--mixture", str(f["mix"]), "--beta-grid",
+                    "0:1:2000000000000000000"], "0:1:2000000000000000000"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
@@ -430,12 +438,46 @@ class TestErrors:
             "solve-subnormal-step", "compare-subnormal-h_obs",
             "compare-subnormal-h_limit", "mixture-is-a-directory",
             "out-dir-is-a-file", "N-true", "paths-true", "seed-true", "substeps-true",
-            "solve-unindexable-grid", "solve-grid-past-2^63", "fdt-unindexable-grid"])
+            "solve-unindexable-grid", "solve-grid-past-2^63", "fdt-unindexable-grid",
+            "fdt-grid-past-array-size", "phase-grid-past-2^63", "phase-grid-past-array-size"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["true", "string"])
+    @pytest.mark.parametrize("command, changes, named", [
+        ("simulate", lambda v: {"beta": v}, "config key 'beta'"),
+        ("simulate", lambda v: {"T": v}, "config key 'T'"),
+        ("simulate", lambda v: {"h_obs": v}, "config key 'h_obs'"),
+        ("simulate", lambda v: {"variant": "fconfined", "ell": v}, "config key 'ell'"),
+        ("compare", lambda v: {"h_limit": v}, "config key 'h_limit'"),
+        ("simulate", lambda v: {"mixture": {"coeffs": {"2": v}}}, "b_2^2"),
+        ("simulate", lambda v: {"mixture": {"coeffs": {"2": 1.0}, "radius_bound": v}},
+         "radius_bound"),
+        ("simulate", lambda v: {"init": {"q_star": v, "V": {"E": 0.12}}}, "q_star"),
+        ("simulate", lambda v: {"init": {"q_star": 0.0, "V": {"E": v}}}, "E"),
+        ("simulate", lambda v: {"init": {"q_star": 0.7, "V": {"E": 0.4, "E_star": v}}},
+         "E_star"),
+        ("simulate", lambda v: {"init": {"q_star": 0.7, "V": {"E": 0.4, "G_star": v}}},
+         "G_star"),
+        ("simulate", lambda v: {"init": {"q_star": 0.7, "V": {"E": 0.4, "q_o": v}}}, "q_o"),
+        ("simulate", lambda v: {"init": {"gibbs": {"beta0": v, "q_EA": 0.5}}}, "beta0"),
+        ("simulate", lambda v: {"init": {"gibbs": {"beta0": 0.4, "q_EA": v}}}, "q_EA"),
+        ("simulate", lambda v: {"init": {"gibbs": {"beta0": 0.4, "q_EA": 0.5, "GS": v}}},
+         "GS"),
+    ], ids=["beta", "T", "h_obs", "ell", "h_limit", "weight", "radius_bound", "q_star",
+            "E", "E_star", "G_star", "q_o", "beta0", "q_EA", "GS"])
+    def test_real_key_refuses_a_bool_or_a_string(self, files, capsys, command, changes,
+                                                 named, bad):
+        # float() read JSON true as 1.0 and "0.5" as 0.5, and most of these ran with exit 0
+        rc = main(["--out-dir", str(files["dir"] / "r"), command,
+                   "--config", _sim_config(files, **changes(bad))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert f"{named} must be finite" in err
 
     @pytest.mark.parametrize("command, changes", [
         ("simulate", {"variant": "fconfined"}),

@@ -294,10 +294,13 @@ class TestVariants:
         ("T", {"T": 1e-12, "h": 1.0}), ("T / h", {"T": 1e19, "h": 1.0}),
         ("'ell'", {"ell": 5.0}),
         ("'ell'", {"variant": "gradflow", "ell": 5.0}),
+        ("beta", {"beta": True}), ("T", {"T": "1.0"}), ("h", {"h": True}),
+        ("'ell'", {"variant": "f", "ell": True}), ("T / h", {"T": 2e18, "h": 1.0}),
     ], ids=["nan-beta", "nan-T", "nan-h", "inf-beta", "inf-T", "inf-h", "zero-step",
             "ratio-overflow", "subnormal-step", "T-below-half-step",
             "steps-past-2^63", "ell-spherical",
-            "ell-gradflow"])
+            "ell-gradflow", "true-beta", "string-T", "true-h", "true-ell",
+            "steps-past-array-size"])
     def test_config_rejects_non_finite(self, field, changes):
         # the run grid and stiffness rules: a non-finite value, a grid that is
         # not a whole number n >= 1 of finite steps, or an unused ell

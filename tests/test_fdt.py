@@ -72,8 +72,11 @@ class TestSolveFdt:
         ({"h_tau": 0.0}, "h_tau"), ({"T_tau": 1e300, "h_tau": 1e-300}, "h_tau"),
         ({"h_tau": 1e-320}, "h_tau"), ({"T_tau": 1e-12, "h_tau": 1.0}, "T_tau"),
         ({"T_tau": 1e300, "h_tau": 1.0}, "T_tau / h_tau"),
+        ({"beta": True}, "^beta must be finite"), ({"gamma": "0.5"}, "^gamma must be finite"),
+        ({"T_tau": True}, "^T_tau must be finite"),
     ], ids=["beta", "gamma", "T_tau", "h_tau", "zero-step", "ratio-overflow",
-            "subnormal-step", "T-below-half-step", "unindexable-grid"])
+            "subnormal-step", "T-below-half-step", "unindexable-grid", "true-beta",
+            "string-gamma", "true-T_tau"])
     def test_non_finite_argument_names_it(self, changes, match):
         kw = {"beta": 0.3, "gamma": 0.5, "T_tau": 1.0, "h_tau": 0.01, **changes}
         with pytest.raises(ConfigError, match=match):

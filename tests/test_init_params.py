@@ -30,6 +30,24 @@ class TestInitConditionValidation:
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             InitCondition(**kw)
 
+    @pytest.mark.parametrize("name", ["q_star", "E", "E_star", "G_star", "q_o"])
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), "0.5"])
+    def test_bool_or_string_field_names_it(self, name, bad):
+        kw = {"q_star": 0.8, "E": 0.5, "E_star": -0.3, "G_star": 0.4, "q_o": 0.35}
+        kw[name] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            InitCondition(**kw)
+
+    def test_true_q_star_is_refused(self):
+        # it was stored as q_star = True and solved from q_star = 1
+        with pytest.raises(ConfigError, match="^q_star must be finite"):
+            InitCondition(True, 0.5)
+
+    def test_fields_are_stored_as_floats(self):
+        ic = InitCondition(np.float32(0.5), 1, np.int64(0), 0, np.float64(0.25))
+        assert all(type(getattr(ic, name)) is float
+                   for name in ("q_star", "E", "E_star", "G_star", "q_o"))
+
 
     def test_small_q_star_band_is_not_its_edge(self):
         # an absolute test on |q_star - |q_o|| called this a band edge
@@ -234,6 +252,16 @@ class TestGibbsInit:
         with pytest.raises(ConfigError, match="beta0"):
             gibbs_init(M23, 0.0, 0.5, -1.0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 0.0), "beta0"), ((math.inf, 0.5, -1.0), "beta0"),
+        ((True, 0.5, -1.0), "beta0"), ((0.5, math.nan), "q_EA"), ((0.5, "0.5"), "q_EA"),
+        ((0.5, 0.5, math.nan), "GS"), ((0.5, 0.5, True), "GS"),
+    ])
+    def test_bad_real_names_its_argument(self, args, name):
+        # a NaN beta0 on the high-temperature branch was reported as E = nan
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            gibbs_init(M23, *args)
+
 
 class TestGammaStar:
     def test_alpha_zero(self):
@@ -270,7 +298,7 @@ class TestCheckStationary:
         with pytest.raises(ConfigError, match="beta"):
             check_stationary(gibbs_init(M23, 0.9, 0.5, -1.0), M23, 0.0)
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, True, "0.5"])
     @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.3),
                                     InitCondition(0.8, 0.5, -0.3, 0.4, 0.35)],
                              ids=["rs", "band"])

@@ -56,7 +56,9 @@ class TestConfig:
         {"T": 1e300, "h_obs": 1e-300}, {"h_obs": 1e-320},
         {"T": 1e-12, "h_obs": 1.0}, {"ell": 5.0}, {"T": 1e19, "h_obs": 1.0},
         {"substeps": np.bool_(True)}, {"substeps": "5"}, {"substeps": float("nan")},
-        {"substeps": np.float64(5.5)},
+        {"substeps": np.float64(5.5)}, {"beta": True}, {"T": "0.5"}, {"h_obs": True},
+        {"variant": "fconfined", "ell": "1.0"},
+        {"variant": "fconfined", "ell": 1.0, "f0_slope": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         args = dict(beta=0.3, T=0.5, h_obs=0.05)

@@ -1,5 +1,7 @@
 """Covariance polynomial: values, derivatives, transforms, validation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,3 +193,32 @@ class TestValidationAndJson:
     def test_rejects_p_below_two(self):
         with pytest.raises(ConfigError):
             Mixture({1: 1.0})
+
+    @pytest.mark.parametrize("p", [2.5, True, "2", np.float64(3.5)])
+    def test_rejects_a_power_that_is_not_a_whole_number(self, p):
+        # 2.5 was truncated to the power 2
+        with pytest.raises(ConfigError, match="^mixture power must be an integer >= 2"):
+            Mixture({p: 1.0})
+
+    def test_integral_powers_are_stored_as_ints(self):
+        m = Mixture({np.int64(3): 1.0, 2.0: 0.5})
+        assert list(m.coeffs) == [2, 3] and all(type(p) is int for p in m.coeffs)
+
+    @pytest.mark.parametrize("bad", [True, "1.5", None])
+    def test_rejects_a_weight_that_is_not_a_real(self, bad):
+        with pytest.raises(ConfigError, match=r"^mixture weight b_2\^2 must be finite"):
+            Mixture({2: bad})
+
+    @pytest.mark.parametrize("bad", [True, "2", math.nan, -math.inf, 0.0, -1.0])
+    def test_rejects_a_bad_radius_bound(self, bad):
+        with pytest.raises(ConfigError, match="^radius_bound must be"):
+            Mixture({2: 1.0}, radius_bound=bad)
+
+    @pytest.mark.parametrize("obj", [
+        {"coeffs": {"2": True}}, {"coeffs": {"2": "1.0"}},
+        {"coeffs": {"2": 1.0}, "radius_bound": True},
+        {"coeffs": {"2": 1.0}, "radius_bound": "2"},
+    ])
+    def test_from_dict_passes_values_unconverted(self, obj):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Mixture.from_dict(obj)
