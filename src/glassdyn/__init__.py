@@ -15,7 +15,7 @@ Library layout, one module per concern:
 
 __version__ = "0.1.0"
 
-from .mixture import Mixture, effective_mixture, g_beta, phi_gamma, truncate
+from .mixture import Mixture, effective_mixture, g_beta, phi_gamma
 from .phase import beta_c_dyn, beta_c_stat, c_inf, classify, q_d
 from .init_params import (
     InitCondition, VFunction, check_stationary, gamma_star, gibbs_init,
@@ -35,7 +35,7 @@ from .langevin import (
 )
 
 __all__ = [
-    "Mixture", "effective_mixture", "g_beta", "phi_gamma", "truncate",
+    "Mixture", "effective_mixture", "g_beta", "phi_gamma",
     "beta_c_dyn", "beta_c_stat", "c_inf", "classify", "q_d",
     "InitCondition", "VFunction", "check_stationary", "gamma_star",
     "gibbs_init", "sigma_nu", "solve_w",

@@ -3,8 +3,8 @@
 The correlation c(tau) of a stationary state obeys a causal convolution
 equation driven by the kernel gamma + 2 beta^2 nu'(c).  The derivative is the
 primary unknown (the equation is naturally first order in c'); c is
-reconstructed by quadrature.  A stationary two-time solution is assembled
-from c by diagonal transport.
+reconstructed by quadrature.  Stationary data pick their own gamma, and
+their two-time solution is that curve, assembled by diagonal transport.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import TwoTimeSolution, grid_steps
 from .errors import BlowUpError, ConfigError, PlateauWarning, check_real
-from .init_params import InitCondition, check_stationary
+from .init_params import InitCondition, check_stationary, gamma_star
 from .mixture import Mixture, phi_gamma
 from .phase import c_inf as plateau_level
 
@@ -37,7 +37,6 @@ class FdtSolution:
     gamma: float
     c_inf: float
     beta: float
-    mixture: Mixture
     plateaued: bool
 
     @property
@@ -92,21 +91,24 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
             f"window ended at c = {c[-1]:.6f}, plateau {ci:.6f} not reached",
             PlateauWarning,
         )
-    return FdtSolution(h, c, d, gamma, ci, beta, m, plateaued)
+    return FdtSolution(h, c, d, gamma, ci, beta, plateaued)
 
 
-def stationary_two_time(fdt: FdtSolution, ic: InitCondition) -> TwoTimeSolution:
-    """Lift a relaxation curve to the full two-time grid for stationary data.
+def stationary_two_time(m: Mixture, ic: InitCondition, beta: float, T: float,
+                        h: float) -> TwoTimeSolution:
+    """The two-time solution of stationary data: their own relaxation curve, lifted.
 
-    C(s, t) = c(s - t), R = -2 c'(s - t), q and H constant, unit diagonal,
-    mu = gamma + 2 beta^2 nu'(1), and L(s) = -2 b_alpha (c(s) - 1).  Refuses
-    data that fail the stationarity test.
+    Refuses data that fail the stationarity test before it solves anything.
+    The data fix gamma = gamma_star(m, beta, q_star, alpha), and c is
+    solve_fdt's curve at that gamma on [0, T] with step h.  Then C(s, t) =
+    c(s - t), R = -2 c'(s - t), q and H constant, unit diagonal,
+    mu = phi_gamma(1), and L(s) = -2 b_alpha (c(s) - 1).
     """
-    m, beta = fdt.mixture, fdt.beta
     rep = check_stationary(ic, m, beta)
     if not rep.admissible:
         raise ConfigError(
             f"initial data are not stationary (residual {rep.residual:.3e})")
+    fdt = solve_fdt(m, beta, gamma_star(m, beta, ic.q_star, ic.alpha), T, h)
     n = len(fdt.c) - 1
     # diagonal transport, one row at a time: row i holds c and r at lags
     # i, ..., 1, 0 and then (C only) 1, ..., n - i
@@ -117,14 +119,11 @@ def stationary_two_time(fdt: FdtSolution, ic: InitCondition) -> TwoTimeSolution:
         C[i, i + 1:] = c[1: n + 1 - i]
         R[i, :i] = r[i:0:-1]
         R[i, i] = 1.0
-    mu_val = fdt.gamma + 2.0 * beta**2 * m.nu(1.0, 1)
-    if ic.is_rs:
-        L = np.zeros(n + 1)
-    else:
-        b_alpha = m.nu(ic.q_o, 1) / m.nu(ic.q_star**2, 1)
-        L = -2.0 * b_alpha * (fdt.c - 1.0)
+    # L = -2 b_alpha (c - 1), and b_alpha = nu'(q_o) / nu'(q_star^2) is 0 / 0 at RS
+    L = (np.zeros(n + 1) if ic.is_rs
+         else -2.0 * m.nu(ic.q_o, 1) / m.nu(ic.q_star**2, 1) * (fdt.c - 1.0))
     return TwoTimeSolution(
-        h=fdt.h_tau, C=C, R=R,
-        q=np.full(n + 1, ic.q_o), mu=np.full(n + 1, mu_val), L=L,
-        H=np.full(n + 1, ic.E), beta=beta, ic=ic,
+        h=fdt.h_tau, C=C, R=R, q=np.full(n + 1, ic.q_o),
+        mu=np.full(n + 1, phi_gamma(m, beta, fdt.gamma, 1.0)), L=L,
+        H=np.full(n + 1, ic.E), beta=fdt.beta, ic=ic,
     )

@@ -313,7 +313,9 @@ def gibbs_init(m: Mixture, beta0: float, q_EA: float, GS_at_qstar: float = 0.0
     Otherwise q_star = sqrt(q_EA), q_o = q_EA, E_star = GS_at_qstar,
     G_star = 1/(2 beta0 (1-q_star^2)) + 2 beta0 (1-q_star^2) nu''(q_star^2)
     and E = E_star + 2 beta0 theta(q_star^2).  q_EA and the restricted
-    ground-state energy are caller-supplied inputs.
+    ground-state energy are caller-supplied inputs.  Too shallow a GS gives data
+    that are stationary but unstable: on {2: 1, 3: 1}, q_EA 0.5, beta0 0.358, a
+    kick to q grows at rate 3.46 at GS = -1, a rate that crosses 0 near GS 0.83.
     """
     beta0, q_EA = check_real("beta0", beta0), check_real("q_EA", q_EA)
     GS_at_qstar = check_real("GS", GS_at_qstar)
@@ -332,9 +334,12 @@ def gibbs_init(m: Mixture, beta0: float, q_EA: float, GS_at_qstar: float = 0.0
 
 
 def gamma_star(m: Mixture, beta: float, q_star: float, alpha: float) -> float:
-    """Relaxation parameter selected by stationary data at band angle alpha."""
-    if abs(alpha) >= 1.0:
-        raise DomainError("gamma_star requires |alpha| < 1")
+    """The one band-gamma rule: the relaxation parameter stationary data at band
+    angle alpha select; exactly 1/2 at the RS start q_star = 0 (alpha = 0)."""
+    if abs(alpha) >= 1.0 or (q_star == 0.0 and alpha != 0.0):
+        raise DomainError("gamma_star requires |alpha| < 1, and alpha = 0 at q_star = 0")
+    if q_star == 0.0:
+        return 0.5
     qs2 = q_star**2
     return 0.5 / (1.0 - alpha**2) - 2.0 * beta**2 * m.nu(alpha * q_star, 1) ** 2 / m.nu(qs2, 1)
 

@@ -289,7 +289,7 @@ class RotatedField:
 
 def random_orthogonal(N: int, seed: int) -> np.ndarray:
     """Orthogonal matrix from a product of random Householder reflections."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     O = np.eye(N)
     for _ in range(4):
         v = rng.standard_normal(N)
@@ -308,7 +308,7 @@ def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
     rotate_noise=False this is the negative control and should fail.
     """
     N = len(x0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     h = cfg.h_obs / cfg.substeps
     dB = rng.standard_normal((cfg.n_obs * cfg.substeps, N)) * math.sqrt(h)
     t1 = _euler_maruyama(field, x0, cfg, [seed], lambda k: dB[k:k + 1])

@@ -20,8 +20,9 @@ __all__ = [
     "g_beta",
     "phi_gamma",
     "effective_mixture",
-    "truncate",
 ]
+
+_MAX_POWER = 1000  # from p = 1030 on, effective_mixture's comb(p, p // 2) overflows a float
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class Mixture:
         clean = {}
         for p, b in self.coeffs.items():
             p = check_count("mixture power", p, 2)
+            if p > _MAX_POWER:
+                raise ConfigError(f"mixture power {p} exceeds the largest, {_MAX_POWER}")
             b = check_real(f"mixture weight b_{p}^2", b)
             if b < 0.0:
                 raise ConfigError(f"negative weight b_{p}^2 = {b}")
@@ -180,10 +183,3 @@ def effective_mixture(m: Mixture, q: float) -> Mixture:
             out[k] = out.get(k, 0.0) + b * math.comb(p, k) * q ** (p - k) * (1.0 - q) ** k
     return Mixture(out, m.radius_bound)
 
-
-def truncate(m: Mixture, m_max: int) -> Mixture:
-    """Drop powers above m_max; errors out if nothing remains."""
-    kept = {p: b for p, b in m.coeffs.items() if p <= m_max}
-    if not kept:
-        raise ConfigError(f"truncation at {m_max} leaves an empty mixture")
-    return Mixture(kept, m.radius_bound)

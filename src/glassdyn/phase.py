@@ -9,11 +9,13 @@ mixed models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GammaTooSmallError
+from .errors import GammaTooSmallError, NoRootError
+from .init_params import gamma_star
 from .mixture import Mixture, effective_mixture, g_beta
 
 __all__ = [
@@ -55,7 +57,7 @@ def _bisect_beta(predicate, rel_tol=1e-8):
     while not predicate(hi):
         hi *= 2.0
         if hi > 1e8:
-            raise RuntimeError("predicate never became true up to beta = 1e8")
+            raise NoRootError("no critical beta up to beta = 1e8: the weights are too small")
     lo = 0.0
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
@@ -147,13 +149,15 @@ class BandRelaxation:
 def band_relaxation_predicate(m: Mixture, beta: float, q_beta: float) -> BandRelaxation:
     """Does the stationary solution relax onto the q_beta band in O(1) time?
 
-    gamma_beta = 1/(2(1-q_beta)) - 2 beta^2 nu'(q_beta); relaxation is fast
-    iff the plateau of c_{gamma_beta} equals q_beta, equivalently iff beta is
-    below the dynamical critical point of the band-restricted model.
+    gamma_beta is gamma_star of the Gibbs start on the band, at q_star = alpha
+    = sqrt(q_beta): 1/(2(1-q_beta)) - 2 beta^2 nu'(q_beta).  Relaxation is
+    fast iff the plateau of c_{gamma_beta} equals q_beta, equivalently iff
+    beta is below the dynamical critical point of the band-restricted model.
     """
-    gamma_b = 0.5 / (1.0 - q_beta) - 2.0 * beta**2 * m.nu(q_beta, 1)
+    bce = beta_c_dyn(effective_mixture(m, q_beta))  # a DomainError off [0, 1)
+    root = math.sqrt(q_beta)
+    gamma_b = gamma_star(m, beta, root, root)
     ci = c_inf(m, beta, gamma_b)
-    bce = beta_c_dyn(effective_mixture(m, q_beta)) if q_beta < 1.0 else np.nan
     return BandRelaxation(
         gamma_beta=gamma_b,
         c_inf=ci,

@@ -54,6 +54,13 @@ def _sim_config(files, **changes):
     return str(path)
 
 
+def _mixture_file(files, coeffs):
+    """A mixture file with these coeffs, as a path; one per test."""
+    path = files["dir"] / "coeffs.json"
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    return str(path)
+
+
 def manifest_hash(out):
     return json.loads((out / "manifest.json").read_text())["manifest_hash"]
 
@@ -428,6 +435,10 @@ class TestErrors:
                     "0:1:100000000000000000000"], "0:1:100000000000000000000"),
         (lambda f: ["phase", "--mixture", str(f["mix"]), "--beta-grid",
                     "0:1:2000000000000000000"], "0:1:2000000000000000000"),
+        # numpy refused the dense coefficient array: "Maximum allowed dimension"
+        (lambda f: ["phase", "--mixture", _mixture_file(
+            f, {"2": 1.0, "100000000000000000000": 1.0}), "--beta-grid", "0:1:2"],
+         "mixture power 100000000000000000000"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
@@ -439,11 +450,25 @@ class TestErrors:
             "compare-subnormal-h_limit", "mixture-is-a-directory",
             "out-dir-is-a-file", "N-true", "paths-true", "seed-true", "substeps-true",
             "solve-unindexable-grid", "solve-grid-past-2^63", "fdt-unindexable-grid",
-            "fdt-grid-past-array-size", "phase-grid-past-2^63", "phase-grid-past-array-size"])
+            "fdt-grid-past-array-size", "phase-grid-past-2^63", "phase-grid-past-array-size",
+            "phase-power-past-the-largest"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+
+    @pytest.mark.parametrize("argv, named", [
+        # no critical beta below 1e8: a plain RuntimeError's traceback
+        (lambda f: ["phase", "--mixture", _mixture_file(f, {"2": 1e-300}),
+                    "--beta-grid", "0:1:2"], "beta = 1e8"),
+    ], ids=["phase-no-critical-beta"])
+    def test_failed_computation_is_one_line_exit_1_without_traceback(self, files, argv,
+                                                                     named):
+        proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
         assert named in proc.stderr
 
     @pytest.mark.parametrize("bad", [True, "0.5"], ids=["true", "string"])

@@ -10,9 +10,10 @@ from glassdyn.dynamics import residual
 from glassdyn.errors import (
     BlowUpError, ConfigError, GammaTooSmallError, PlateauWarning,
 )
+from glassdyn import fdt as fdt_module
 from glassdyn.fdt import solve_fdt, stationary_two_time
-from glassdyn.init_params import InitCondition, gibbs_init
-from glassdyn.mixture import Mixture
+from glassdyn.init_params import InitCondition, check_stationary, gamma_star, gibbs_init
+from glassdyn.mixture import Mixture, phi_gamma
 
 M23 = Mixture({2: 1.0, 3: 1.0})
 
@@ -98,16 +99,18 @@ class TestSolveFdt:
 
 
 class TestStationaryTwoTime:
-    def _gibbs_pair(self, beta=0.25, q_EA=0.5, T=2.0, h=0.01):
-        ic = gibbs_init(M23, beta, q_EA, -1.0)
-        gamma = 0.5 / (1 - q_EA) - 2 * beta**2 * M23.nu(q_EA, 1)
+    def _gibbs_lift(self):
+        """A Gibbs start, its lift, and the oracle: solve_fdt at its gamma_star."""
+        beta, T, h = 0.25, 2.0, 0.01
+        ic = gibbs_init(M23, beta, 0.5, -1.0)
         with pytest.warns(PlateauWarning):
-            fdt = solve_fdt(M23, beta, gamma, T, h)
-        return ic, fdt
+            sol = stationary_two_time(M23, ic, beta, T, h)
+        with pytest.warns(PlateauWarning):
+            fdt = solve_fdt(M23, beta, gamma_star(M23, beta, ic.q_star, ic.alpha), T, h)
+        return ic, sol, fdt
 
     def test_structure(self):
-        ic, fdt = self._gibbs_pair()
-        sol = stationary_two_time(fdt, ic)
+        ic, sol, fdt = self._gibbs_lift()
         np.testing.assert_allclose(np.diagonal(sol.R), 1.0)
         np.testing.assert_allclose(sol.q, ic.q_o)
         np.testing.assert_allclose(sol.H, ic.E)
@@ -115,56 +118,71 @@ class TestStationaryTwoTime:
         assert sol.C[5, 2] == fdt.c[3]
 
     def test_C_is_stored_symmetric(self):
-        ic, fdt = self._gibbs_pair()
-        sol = stationary_two_time(fdt, ic)
+        _, sol, _ = self._gibbs_lift()
         assert np.array_equal(sol.C, sol.C.T)
         assert np.array_equal(sol.R, np.tril(sol.R))
 
     def test_equals_the_lag_matrix_lift_bit_for_bit(self):
-        ic, fdt = self._gibbs_pair()
-        sol = stationary_two_time(fdt, ic)
+        _, sol, fdt = self._gibbs_lift()
         idx = np.arange(len(fdt.c))
         lag = np.abs(idx[:, None] - idx[None, :])
         R = np.tril(-2.0 * fdt.cprime[lag])
         np.fill_diagonal(R, 1.0)
         assert sol.C.tobytes() == fdt.c[lag].tobytes()
         assert sol.R.tobytes() == R.tobytes()
+        assert np.all(sol.mu == phi_gamma(M23, fdt.beta, fdt.gamma, 1.0))
 
     def test_lift_holds_only_its_result(self, alloc_peak):
-        ic, fdt = self._gibbs_pair(h=0.005)
-        sol, peak = alloc_peak(lambda: stationary_two_time(fdt, ic))
+        ic = gibbs_init(M23, 0.25, 0.5, -1.0)
+        with pytest.warns(PlateauWarning):
+            sol, peak = alloc_peak(lambda: stationary_two_time(M23, ic, 0.25, 2.0, 0.005))
         assert sol.n >= 300
         # C, R and the O(n) one-time arrays; the lag lift held three squares more
         assert peak - sol.C.nbytes - sol.R.nbytes < sol.C.nbytes
 
-    def test_refuses_non_stationary_data(self):
-        ic, fdt = self._gibbs_pair()
+    def test_refuses_non_stationary_data(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the curve was solved")
+
+        ic = gibbs_init(M23, 0.25, 0.5, -1.0)
         bad = InitCondition(ic.q_star, ic.E + 0.5, ic.E_star, ic.G_star, ic.q_o)
-        with pytest.raises(ConfigError):
-            stationary_two_time(fdt, bad)
+        monkeypatch.setattr(fdt_module, "solve_fdt", no_solve)
+        with pytest.raises(ConfigError, match="not stationary"):
+            stationary_two_time(M23, bad, 0.25, 2.0, 0.01)
 
     @pytest.mark.parametrize("beta", [np.nan, np.inf])
     def test_refuses_a_non_finite_beta(self, beta):
-        ic, fdt = self._gibbs_pair()
+        ic = gibbs_init(M23, 0.25, 0.5, -1.0)
         with pytest.raises(ConfigError, match=r"^beta must be finite"):
-            stationary_two_time(dataclasses.replace(fdt, beta=beta), ic)
+            stationary_two_time(M23, ic, beta, 2.0, 0.01)
 
     def test_satisfies_two_time_equations(self):
-        ic, fdt = self._gibbs_pair()
-        sol = stationary_two_time(fdt, ic)
+        _, sol, _ = self._gibbs_lift()
         rep = residual(sol, M23)
-        assert rep.sup_res_R < 5 * fdt.h_tau
-        assert rep.sup_res_C < 5 * fdt.h_tau
-        assert rep.sup_res_q < 5 * fdt.h_tau
-        assert rep.sup_res_H < 5 * fdt.h_tau
-        assert rep.sup_res_mu < 5 * fdt.h_tau
+        assert rep.sup_res_R < 5 * sol.h
+        assert rep.sup_res_C < 5 * sol.h
+        assert rep.sup_res_q < 5 * sol.h
+        assert rep.sup_res_H < 5 * sol.h
+        assert rep.sup_res_mu < 5 * sol.h
+
+    def test_non_gibbs_data_lift_on_their_own_curve(self):
+        # stationary data off the Gibbs line (alpha != q_star): their gamma_star
+        # is 0.52751, and a curve at gamma = 1/2 missed the equations by 2.8e-2
+        beta, h = 0.3, 0.01
+        ic = InitCondition(0.8, 1.2400976911880763, 1.2690726440524653,
+                           4.898220107602064, 0.3)
+        assert check_stationary(ic, M23, beta).residual < 1e-13
+        assert gamma_star(M23, beta, ic.q_star, ic.alpha) == pytest.approx(0.52751, abs=1e-5)
+        with pytest.warns(PlateauWarning):
+            sol = stationary_two_time(M23, ic, beta, 2.0, h)
+        assert all(v < 5 * h for v in dataclasses.astuple(residual(sol, M23)))
 
     def test_rs_stationary_construction(self):
         beta = 0.25
         ic = InitCondition(0.0, 2 * beta * M23.nu(1.0))
         with pytest.warns(PlateauWarning):
-            fdt = solve_fdt(M23, beta, 0.5, 2.0, 0.01)
-        sol = stationary_two_time(fdt, ic)
+            sol = stationary_two_time(M23, ic, beta, 2.0, 0.01)
         assert np.all(sol.L == 0.0)
+        assert np.all(sol.mu == phi_gamma(M23, beta, 0.5, 1.0))
         rep = residual(sol, M23)
         assert max(rep.sup_res_C, rep.sup_res_R, rep.sup_res_H) < 0.05

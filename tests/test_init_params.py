@@ -282,6 +282,14 @@ class TestGammaStar:
         with pytest.raises(DomainError):
             gamma_star(M23, 0.5, 0.8, 1.0)
 
+    def test_rs_start_is_exactly_one_half(self):
+        # nu'(0)^2 / nu'(0) was 0 / 0 here
+        assert gamma_star(M23, 0.4, 0.0, 0.0) == 0.5
+
+    def test_band_angle_without_a_band_rejected(self):
+        with pytest.raises(DomainError, match="alpha = 0 at q_star = 0"):
+            gamma_star(M23, 0.4, 0.0, 0.5)
+
 
 class TestCheckStationary:
     def test_gibbs_line_admissible(self):

@@ -519,3 +519,18 @@ class TestRotationInvariance:
         cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05)
         with pytest.raises(ConfigError, match="^x0 "):
             rotation_invariance_test(f, np.eye(10), 3 * np.ones(10), np.zeros(10), cfg, 20)
+
+    @pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+    def test_bad_seed_is_config_error(self, seed):
+        # True ran as seed 1, and -1 ended in numpy's ValueError
+        f, x0 = self._field(10)
+        cfg = LangevinConfig(beta=0.3, T=0.5, h_obs=0.05)
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
+            random_orthogonal(10, seed)
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
+            rotation_invariance_test(f, np.eye(10), x0, np.zeros(10), cfg, seed)
+
+    def test_integral_seed_is_the_int_seed(self):
+        assert np.array_equal(random_orthogonal(10, 21.0), random_orthogonal(10, 21))
+        assert np.array_equal(random_orthogonal(10, np.int64(21)),
+                              random_orthogonal(10, 21))

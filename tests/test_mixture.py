@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glassdyn.errors import ConfigError, DomainError
-from glassdyn.mixture import Mixture, effective_mixture, g_beta, phi_gamma, truncate
+from glassdyn.mixture import _MAX_POWER, Mixture, effective_mixture, g_beta, phi_gamma
 
 M23 = Mixture({2: 1.0, 3: 1.0})
 PURE2 = Mixture.pure(2)
@@ -162,18 +162,6 @@ class TestEffectiveMixture:
             assert all(c >= 0 for c in em.coeffs.values())
 
 
-class TestTruncate:
-    def test_noop(self):
-        assert truncate(M23, 5).coeffs == M23.coeffs
-
-    def test_drops_high_powers(self):
-        assert truncate(M23, 2).coeffs == {2: 1.0}
-
-    def test_empty_errors(self):
-        with pytest.raises(ConfigError):
-            truncate(PURE2, 1)
-
-
 class TestValidationAndJson:
     def test_rejects_negative_weight(self):
         with pytest.raises(ConfigError):
@@ -199,6 +187,17 @@ class TestValidationAndJson:
         # 2.5 was truncated to the power 2
         with pytest.raises(ConfigError, match="^mixture power must be an integer >= 2"):
             Mixture({p: 1.0})
+
+    @pytest.mark.parametrize("p", [_MAX_POWER + 1, 10**20, 1e20])
+    def test_rejects_a_power_above_the_largest(self, p):
+        # 1e20 asked numpy for a dense coefficient array of 1e20 entries
+        with pytest.raises(ConfigError, match=f"^mixture power {int(p)} exceeds"):
+            Mixture({2: 1.0, p: 1.0})
+
+    def test_largest_power_is_accepted(self):
+        m = Mixture({2: 1.0, _MAX_POWER: 1.0})
+        assert m.p_max == _MAX_POWER and m.nu(1.0) == 2.0
+        assert effective_mixture(m, 0.5).p_max == _MAX_POWER
 
     def test_integral_powers_are_stored_as_ints(self):
         m = Mixture({np.int64(3): 1.0, 2.0: 0.5})

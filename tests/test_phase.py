@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from glassdyn.errors import GammaTooSmallError
+from glassdyn.errors import DomainError, GammaTooSmallError
 from glassdyn.mixture import Mixture, effective_mixture, g_beta
 from glassdyn.phase import (
     band_relaxation_predicate, beta_c_dyn, beta_c_stat, c_inf, classify, q_d,
@@ -100,6 +100,20 @@ class TestBandRelaxation:
     def test_gamma_beta_at_q_zero(self):
         rep = band_relaxation_predicate(M23, 0.4, 0.0)
         assert rep.gamma_beta == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.4, 0.6])
+    def test_gamma_beta_is_the_band_formula(self, beta):
+        # gamma_star at q_star = alpha = sqrt(q_beta), against the inline
+        # formula it replaced
+        q = 0.5
+        old = 0.5 / (1.0 - q) - 2.0 * beta**2 * M23.nu(q, 1)
+        assert abs(band_relaxation_predicate(M23, beta, q).gamma_beta - old) <= 1e-15
+
+    @pytest.mark.parametrize("q", [-0.1, 1.0, 1.5])
+    def test_q_beta_off_the_unit_interval_is_domain_error(self, q):
+        # q_beta = 1 divided by zero in the band gamma
+        with pytest.raises(DomainError, match=r"q in \[0, 1\)"):
+            band_relaxation_predicate(M23, 0.4, q)
 
     def test_fast_below_effective_threshold(self):
         q = 0.5

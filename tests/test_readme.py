@@ -8,6 +8,7 @@ the public API cannot leave the tour stale.
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,6 +43,8 @@ def test_tour_comments_hold(tour):
     sol, obs = tour["sol"], tour["obs"]
     assert sol.C[200, 100] == sol.C[100, 200]
     assert sol.ell is None
+    # the lift's C is the data's own curve c(|s - t|), on sol's grid
+    assert np.abs(sol.C - tour["lift"].C).max() < 2e-4
     assert obs.C.shape == obs.chi.shape == (8, 21, 21)
     assert obs.q.shape == obs.H.shape == obs.K.shape == (8, 21)
     assert obs.mean().paths == 1
