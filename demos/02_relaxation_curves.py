@@ -5,8 +5,6 @@ shows each curve settling on its predicted plateau.  At gamma = 1/2 the
 plateau is the infinite-temperature-start value q_d(beta).
 """
 
-import warnings
-
 from glassdyn import Mixture, c_inf, q_d, solve_fdt
 
 m = Mixture({2: 1.0, 3: 1.0})
@@ -16,16 +14,12 @@ T, h = 30.0, 0.01
 print(f"beta = {beta}, q_d = {q_d(m, beta):.6f}\n")
 print("gamma   plateau(pred)  c(T)        |gap|")
 for gamma in (0.5, 0.6, 0.8, 1.2):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = solve_fdt(m, beta, gamma, T, h)
+    sol = solve_fdt(m, beta, gamma, T, h)
     gap = abs(sol.c[-1] - sol.c_inf)
     print(f"{gamma:5.2f}   {sol.c_inf:12.6f}   {sol.c[-1]:.6f}    {gap:.2e}")
 
 # a compact picture of one curve: decreasing from 1 to the plateau
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    sol = solve_fdt(m, beta, 0.5, T, h)
+sol = solve_fdt(m, beta, 0.5, T, h)
 print("\nc(tau) at gamma = 1/2 (response r = -2 c' starts at 1):")
 for tau in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0):
     k = round(tau / h)

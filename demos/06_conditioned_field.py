@@ -25,7 +25,7 @@ x_star, x0 = spec.x_star, spec.x_0
 field = conditioned_field(sample_system(m, N, seed=12), spec)
 
 # one batch call evaluates the field at the anchors and at a fresh band point
-probe = sample_band_point(ic.q_star, ic.q_o, N, seed=13)
+probe = sample_band_point(ic, N, seed=13)
 H0, Hs, Hp = field.value_batch(np.stack([x0, x_star, probe]))
 print("interpolation anchors of the conditioned field:")
 print(f"  H^c(x0)      = {H0:+.10f}   target -N E  = {-N * ic.E:+.10f}")

@@ -41,10 +41,6 @@ class GridMismatchError(GlassdynError, ValueError):
     """Observable grid is not commensurate with the solution grid."""
 
 
-class PlateauWarning(UserWarning):
-    """Relaxation window ended before the long-time plateau was reached."""
-
-
 class PsdViolationWarning(UserWarning):
     """A correlation Gram matrix failed the positive-semidefinite check."""
 

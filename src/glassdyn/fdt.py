@@ -10,13 +10,12 @@ their two-time solution is that curve, assembled by diagonal transport.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import TwoTimeSolution, grid_steps
-from .errors import BlowUpError, ConfigError, PlateauWarning, check_real
+from .errors import BlowUpError, ConfigError, check_real
 from .init_params import InitCondition, check_stationary, gamma_star
 from .mixture import Mixture, phi_gamma
 from .phase import c_inf as plateau_level
@@ -55,8 +54,12 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
     Trapezoidal quadrature with the new-point kernel value solved implicitly
     (it enters linearly), then one corrector pass refreshing the kernel at the
     freshly integrated c.  Raises if gamma admits no plateau or the kernel
-    is not finite, and stops at the first step whose c is not finite; warns
-    if the window ends more than 10 h away from the plateau level.
+    is not finite, and stops at the first step whose c is not finite.
+
+    A window shorter than the relaxation is not an error, and the solve does
+    not warn of it.  The record says how the window ended: c_inf is the
+    plateau level (phase.c_inf), plateaued is True when c moved by less than
+    1e-8 over the last unit of tau, and |c[-1] - c_inf| is the distance left.
     """
     beta, gamma = check_real("beta", beta), check_real("gamma", gamma)
     n = grid_steps(T_tau, h_tau, ("T_tau", "h_tau"))
@@ -86,11 +89,6 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
             raise BlowUpError(f"c is not finite at step {k} (tau = {k * h:g})")
     lag = max(1, round(1.0 / h))
     plateaued = n > lag and abs(c[-1] - c[-1 - lag]) < 1e-8
-    if abs(c[-1] - ci) > 10.0 * h:
-        warnings.warn(
-            f"window ended at c = {c[-1]:.6f}, plateau {ci:.6f} not reached",
-            PlateauWarning,
-        )
     return FdtSolution(h, c, d, gamma, ci, beta, plateaued)
 
 

@@ -37,8 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, check_count
-from .init_params import (InitCondition, VFunction, _band_alpha, _on_band_edge,
-                          solve_w, solve_weights)
+from .init_params import InitCondition, VFunction, solve_w, solve_weights
 from .mixture import Mixture
 
 __all__ = [
@@ -296,27 +295,27 @@ def sample_system(m: Mixture, N: int, seed: int) -> SpinSystem:
     return SpinSystem(N, m, tensors, seed)
 
 
-def sample_band_point(q_star: float, q_o: float, N: int, seed: int) -> np.ndarray:
+def sample_band_point(ic: InitCondition, N: int, seed: int) -> np.ndarray:
     """Uniform start point on the sub-sphere of overlap q_o with the axis point.
 
     x0 = alpha sqrt(N) xhat + sqrt(1 - alpha^2) sqrt(N) ghat with ghat a
-    uniform unit vector orthogonal to xhat; q_star = 0 means uniform on the
-    whole sphere.  On the band edge |q_o| = q_star (as InitCondition
-    decides it) the sub-sphere is the point sign(q_o) sqrt(N) xhat, for any
-    N; off the edge the band needs N >= 2.
+    uniform unit vector orthogonal to xhat; an RS start means uniform on the
+    whole sphere.  On the band edge (ic.is_degenerate) the sub-sphere is the
+    point sign(q_o) sqrt(N) xhat, for any N; off the edge the band needs
+    N >= 2.
     """
     N, seed = check_count("N", N, 1), check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(N)
-    if q_star == 0.0:
+    if ic.is_rs:
         return math.sqrt(N) * g / np.linalg.norm(g)
-    alpha = _band_alpha(q_star, q_o)
-    if _on_band_edge(alpha):
+    if ic.is_degenerate:
         x0 = np.zeros(N)
-        x0[0] = math.copysign(math.sqrt(N), q_o)
+        x0[0] = math.copysign(math.sqrt(N), ic.q_o)
         return x0
     if N < 2:
         raise ConfigError(f"N = {N}: a start with |q_o| < q_star needs N >= 2")
+    alpha = ic.alpha
     g[0] = 0.0
     g /= np.linalg.norm(g)
     x0 = math.sqrt(max(1.0 - alpha**2, 0.0)) * math.sqrt(N) * g
@@ -329,7 +328,7 @@ class ConditioningSpec:
     """Geometry and target data of the critical-point conditioning event.
 
     Built from the target alone: x_star = q_star sqrt(N) on the first axis,
-    x_0 = sample_band_point(q_star, q_o, N, seed), and the unit vectors
+    x_0 = sample_band_point(target, N, seed), and the unit vectors
     xhat_star (None when q_star = 0) and zhat, the direction of x_0
     orthogonal to x_star, None off the branches with the z coordinate: at
     q_star = 0 and on a degenerate band |q_o| = q_star.
@@ -346,7 +345,7 @@ class ConditioningSpec:
     def __post_init__(self):
         self.N, self.seed = check_count("N", self.N, 1), check_count("seed", self.seed, 0)
         ic, N = self.target, self.N
-        self.x_0 = sample_band_point(ic.q_star, ic.q_o, N, self.seed)
+        self.x_0 = sample_band_point(ic, N, self.seed)
         self.x_star = np.zeros(N)
         self.x_star[0] = ic.q_star * math.sqrt(N)
         if ic.is_rs:

@@ -48,15 +48,6 @@ BRANCH_DEGENERATE = "degenerate"
 BRANCH_PURE_P_DEGENERATE = "pure_p_degenerate"
 
 
-def _on_band_edge(alpha: float) -> bool:
-    """Is the band angle alpha = q_o / q_star within _DEGEN_TOL of +-1?
-
-    Relative to q_star: an absolute test on q_star - |q_o| would call every
-    band of a q_star near _DEGEN_TOL its edge.
-    """
-    return abs(abs(alpha) - 1.0) < _DEGEN_TOL
-
-
 def _band_alpha(q_star: float, q_o: float) -> float:
     """alpha = q_o / q_star of a start with q_star > 0; beyond the edge
     (|alpha| > 1 + _DEGEN_TOL) is a ConfigError."""
@@ -98,8 +89,13 @@ class InitCondition:
 
     @property
     def is_degenerate(self) -> bool:
-        """On the band edge |q_o| = q_star > 0, where the z coordinate vanishes."""
-        return not self.is_rs and _on_band_edge(self.alpha)
+        """On the band edge |q_o| = q_star > 0, where the z coordinate vanishes:
+        the band angle alpha within _DEGEN_TOL of +-1.
+
+        Relative to q_star: an absolute test on q_star - |q_o| would call every
+        band of a q_star near _DEGEN_TOL its edge.
+        """
+        return not self.is_rs and abs(abs(self.alpha) - 1.0) < _DEGEN_TOL
 
     @property
     def alpha(self) -> float:

@@ -289,7 +289,8 @@ class RotatedField:
 
 def random_orthogonal(N: int, seed: int) -> np.ndarray:
     """Orthogonal matrix from a product of random Householder reflections."""
-    rng = np.random.default_rng(check_count("seed", seed, 0))
+    N, seed = check_count("N", N, 1), check_count("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     O = np.eye(N)
     for _ in range(4):
         v = rng.standard_normal(N)

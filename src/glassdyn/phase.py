@@ -84,11 +84,11 @@ def beta_c_dyn(m: Mixture) -> float:
     return _beta_sup_positive(m, 1)
 
 
-def _descending_level_root(f, level: float, x_tol: float):
-    """sup {x in [0,1): f(x) >= level}, or None if only x=0 (or nothing) qualifies.
+def _descending_level_root(f, level: float):
+    """sup {x in [0,1): f(x) >= level}, or None if no grid point qualifies.
 
     Descending scan locates the highest grid cell with f >= level, then a sign
-    bisection on f - level pins the boundary.
+    bisection on f - level pins the boundary to 1e-12.
     """
     xs = np.linspace(0.0, _X_HI, _N_GRID)
     vs = f(xs) - level
@@ -99,7 +99,7 @@ def _descending_level_root(f, level: float, x_tol: float):
     if k == len(xs) - 1:
         return float(xs[-1])
     lo, hi = xs[k], xs[k + 1]  # f(lo) >= level > f(hi)
-    while hi - lo > x_tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) >= level:
             lo = mid
@@ -111,28 +111,26 @@ def _descending_level_root(f, level: float, x_tol: float):
 def q_d(m: Mixture, beta: float) -> float:
     """Long-time plateau of the infinite-temperature-start correlation.
 
-    Largest x in [0,1) with g_beta'(x) >= 0; zero below the dynamical
-    critical temperature.
+    c_inf at gamma = 1/2: largest x in [0,1) with g_beta'(x) >= 0; zero below
+    the dynamical critical temperature.
     """
-    root = _descending_level_root(lambda x: g_beta(m, beta, x, 1), 0.0, 1e-12)
-    if root is None or root < 1e-9:
-        return 0.0
-    return root
+    return c_inf(m, beta, 0.5)
 
 
 def c_inf(m: Mixture, beta: float, gamma: float) -> float:
     """Plateau level sup {x in [0,1]: g_beta'(x) >= 1/2 - gamma}.
 
-    Raises GammaTooSmallError when the admissible set is empty.
+    The one plateau rule: a level below 1e-9 is exactly 0.0.  Raises
+    GammaTooSmallError when the admissible set is empty.
     """
     level = 0.5 - gamma
-    root = _descending_level_root(lambda x: g_beta(m, beta, x, 1), level, 1e-10)
-    if root is not None:
-        return root
-    # the scan grid includes x=0 where g' = 0, so emptiness means level > 0
-    raise GammaTooSmallError(
-        f"no x in [0,1) has g_beta'(x) >= {level}; increase gamma"
-    )
+    root = _descending_level_root(lambda x: g_beta(m, beta, x, 1), level)
+    if root is None:
+        # the scan grid includes x=0 where g' = 0, so emptiness means level > 0
+        raise GammaTooSmallError(
+            f"no x in [0,1) has g_beta'(x) >= {level}; increase gamma"
+        )
+    return 0.0 if root < 1e-9 else root
 
 
 @dataclass(frozen=True)

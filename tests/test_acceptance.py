@@ -4,23 +4,16 @@ Run with -s to see the one-line pass/fail report per criterion.  The slow
 finite-N table (criterion 10) runs last and dominates the wall time.
 """
 
-import warnings
-
 import pytest
 
 from glassdyn import acceptance
-from glassdyn.errors import PlateauWarning
 
 _RESULTS = {}
 
 
 def _run(fn):
     if fn.__name__ not in _RESULTS:
-        with warnings.catch_warnings():
-            # criterion 3's relaxation window ends short of its plateau by
-            # design; any other warning reaches the pytest filters
-            warnings.simplefilter("ignore", PlateauWarning)
-            _RESULTS[fn.__name__] = acceptance.run_criterion(fn)
+        _RESULTS[fn.__name__] = acceptance.run_criterion(fn)
     return _RESULTS[fn.__name__]
 
 

@@ -1,5 +1,6 @@
 """Finite-N field: covariance law, gradients, exact conditioning."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -324,17 +325,32 @@ class TestPackedProperty:
             sample_system(M23, N, seed)
 
 
+BAND_IC = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
+RS_IC = InitCondition(0.0, 0.3)
+
+
 class TestBandPoint:
+    @pytest.mark.parametrize("ic, N, seed, head, digest", [
+        (BAND_IC, 64, 11, [3.428571428571429, 1.423932745762085, 1.282532526461517],
+         "11f756093626be23e588cdb46c751e50bfe476005fa8ea87e75d3680f6b2c290"),
+        (RS_IC, 16, 5, [-0.7967731100186447, -1.3158402358335184, -0.2467640696130156],
+         "4684e22001ab7e29e606c559ee4695221febb702b21de7af378bb430e7a15eed"),
+    ], ids=["band", "rs"])
+    def test_draw_is_pinned_bit_for_bit(self, ic, N, seed, head, digest):
+        # every finite-N result starts from this draw, so its bits are pinned
+        x0 = sample_band_point(ic, N, seed)
+        assert x0[:3].tolist() == head
+        assert hashlib.sha256(x0.tobytes()).hexdigest() == digest
+
     def test_on_sphere_with_prescribed_overlap(self):
         N = 64
-        x0 = sample_band_point(0.7, 0.3, N, 11)
+        x0 = sample_band_point(BAND_IC, N, 11)
         assert x0 @ x0 / N == pytest.approx(1.0, abs=1e-10)
         assert 0.7 * x0[0] / math.sqrt(N) == pytest.approx(0.3, abs=1e-10)
 
     def test_uniform_sphere_mean_vanishes(self):
         N = 16
-        mean = np.mean([sample_band_point(0.0, 0.0, N, s) for s in range(400)],
-                       axis=0)
+        mean = np.mean([sample_band_point(RS_IC, N, s) for s in range(400)], axis=0)
         assert np.abs(mean).max() < 4.0 / math.sqrt(400)
 
 
@@ -365,12 +381,13 @@ class TestBandEdgeIsRelative:
         assert spec.x_0[0] != 4.0
 
     def test_small_q_star_on_the_edge_sits_on_the_axis(self):
-        x0 = sample_band_point(2e-12, -2e-12 * (1 - 1e-13), 16, 3)
+        x0 = sample_band_point(InitCondition(2e-12, 0.3, 0.0, 0.0, -2e-12 * (1 - 1e-13)), 16, 3)
         assert x0.tolist() == [-4.0] + [0.0] * 15
 
     def test_beyond_the_edge_is_refused(self):
+        # the start refuses it, before a point can be drawn
         with pytest.raises(ConfigError, match="q_o"):
-            sample_band_point(2e-12, 2.5e-12, 16, 3)
+            sample_band_point(InitCondition(2e-12, 0.3, 0.0, 0.0, 2.5e-12), 16, 3)
 
 
 class TestConditioningSpec:
@@ -387,7 +404,7 @@ class TestConditioningSpec:
         assert x0 @ x0 == pytest.approx(N, rel=1e-12)
         # a start within _DEGEN_TOL of the band edge sits on it
         assert x0 @ x_star / N == pytest.approx(ic.q_o, rel=1e-12, abs=2e-12)
-        assert x0.tobytes() == sample_band_point(ic.q_star, ic.q_o, N, seed).tobytes()
+        assert x0.tobytes() == sample_band_point(ic, N, seed).tobytes()
         assert (spec.xhat_star is None) == ic.is_rs
         assert (spec.zhat is None) == (ic.is_rs or ic.is_degenerate)
 
@@ -409,14 +426,13 @@ class TestConditioningSpec:
             ConditioningSpec(ic, 8, -1)
 
 
-BAND_IC = InitCondition(0.7, 0.4, -0.3, 0.25, 0.3)
 # each count or seed of the finite-N boundary, as (field, call of its value)
 COUNT_CALLS = [
     ("N", lambda v: sample_system(M23, v, 0).tensors[3]),
     ("seed", lambda v: sample_system(M23, 10, v).tensors[3]),
     ("N", lambda v: check_system_size(M23, v)),
-    ("N", lambda v: sample_band_point(0.7, 0.3, v, 0)),
-    ("seed", lambda v: sample_band_point(0.7, 0.3, 10, v)),
+    ("N", lambda v: sample_band_point(BAND_IC, v, 0)),
+    ("seed", lambda v: sample_band_point(BAND_IC, 10, v)),
     ("N", lambda v: ConditioningSpec(BAND_IC, v, 0).x_0),
     ("seed", lambda v: ConditioningSpec(BAND_IC, 10, v).x_0),
 ]
@@ -609,7 +625,7 @@ class TestConditionedField:
         f = conditioned_field(sample_system(M23, N, 34), spec)
         assert _value(f, x0) == pytest.approx(-N * ic.E, abs=1e-9)
         # a generic second point keeps a random residual
-        other = sample_band_point(0.0, 0.0, N, 35)
+        other = sample_band_point(ic, N, 35)
         assert abs(_value(f, other) + N * ic.E) > 1e-3
 
     @pytest.mark.parametrize("ic", [InitCondition(0.0, 0.9),

@@ -23,6 +23,7 @@ from glassdyn.langevin import (
 from glassdyn.mixture import Mixture
 
 M23 = Mixture({2: 1.0, 3: 0.1})
+RS_IC = InitCondition(0.0, 0.3)
 
 
 def _free_solution(n, h):
@@ -32,7 +33,7 @@ def _free_solution(n, h):
     lag = s[:, None] - s[None, :]
     return TwoTimeSolution(h, np.exp(-0.5 * np.abs(lag)), np.tril(np.exp(-0.5 * lag)),
                            np.zeros(n + 1), np.full(n + 1, 0.5), np.zeros(n + 1),
-                           np.zeros(n + 1), 0.0, InitCondition(0.0, 0.3))
+                           np.zeros(n + 1), 0.0, RS_IC)
 
 
 class ZeroField:
@@ -72,7 +73,7 @@ class TestConfig:
         (10.5, 1, "n_paths"), ("2", 1, "n_paths"), (1, -1.0, "master_seed"),
     ])
     def test_ensemble_rejects_bad_counts(self, n_paths, master_seed, name):
-        x0 = sample_band_point(0.0, 0.0, 10, 1)
+        x0 = sample_band_point(RS_IC, 10, 1)
         cfg = LangevinConfig(beta=0.0, T=0.1, h_obs=0.05)
         with pytest.raises(ConfigError, match=name):
             integrate_ensemble(ZeroField(), x0, cfg, n_paths, master_seed)
@@ -99,7 +100,7 @@ class TestConfig:
 
 class TestIntegrate:
     def test_reproducible_given_seed(self):
-        x0 = sample_band_point(0.0, 0.0, 30, 1)
+        x0 = sample_band_point(RS_IC, 30, 1)
         cfg = LangevinConfig(beta=0.0, T=0.5, h_obs=0.05)
         a = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)
         b = integrate_ensemble(ZeroField(), x0, cfg, 1, 9)
@@ -108,7 +109,7 @@ class TestIntegrate:
 
     def test_spherical_radius_preserved(self):
         N = 40
-        x0 = sample_band_point(0.0, 0.0, N, 2)
+        x0 = sample_band_point(RS_IC, N, 2)
         x = integrate_ensemble(ZeroField(), x0,
                                LangevinConfig(beta=0.0, T=1.0, h_obs=0.05), 1, 3).x[0]
         np.testing.assert_allclose((x**2).sum(axis=1) / N, 1.0, atol=1e-12)
@@ -117,7 +118,7 @@ class TestIntegrate:
         # at beta = 0 the projected dynamics decorrelate at rate 1/2
         N, T = 400, 2.0
         cfg = LangevinConfig(beta=0.0, T=T, h_obs=0.05)
-        x0 = sample_band_point(0.0, 0.0, N, 4)
+        x0 = sample_band_point(RS_IC, N, 4)
         traj = integrate_ensemble(ZeroField(), x0, cfg, 8, master_seed=5)
         C = observables(traj, ZeroField(), None).mean().C[0]
         s = np.arange(cfg.n_obs + 1) * cfg.h_obs
@@ -126,7 +127,7 @@ class TestIntegrate:
 
     def test_fconfined_radius_band(self):
         N, ell = 100, 50.0
-        x0 = sample_band_point(0.0, 0.0, N, 6)
+        x0 = sample_band_point(RS_IC, N, 6)
         cfg = LangevinConfig(beta=0.0, T=1.0, h_obs=0.02, substeps=10,
                              variant="fconfined", ell=ell)
         x = integrate_ensemble(ZeroField(), x0, cfg, 1, 7).x[0]
@@ -139,7 +140,7 @@ class TestIntegrate:
                 return -20.0 * X
 
         N = 30
-        x0 = sample_band_point(0.0, 0.0, N, 8)
+        x0 = sample_band_point(RS_IC, N, 8)
         cfg = LangevinConfig(beta=1.0, T=2.0, h_obs=0.05, variant="fconfined",
                              ell=0.01)
         with pytest.raises(EscapeError):
@@ -177,7 +178,7 @@ class TestIntegrate:
         cfg = LangevinConfig(beta=1.0, T=1.0, h_obs=0.05, variant=variant,
                              ell=0.01 if variant == "fconfined" else None)
         with pytest.raises(EscapeError, match=r"step (\d+)$") as err:
-            integrate_ensemble(Repulsive(), sample_band_point(0.0, 0.0, N, 8),
+            integrate_ensemble(Repulsive(), sample_band_point(RS_IC, N, 8),
                                cfg, 3, 9)
         step = int(err.value.args[0].rsplit(" ", 1)[1])
         assert len(radii) == step
@@ -186,7 +187,7 @@ class TestIntegrate:
     def test_ensemble_matches_single_paths(self):
         # path i of an ensemble is the one-path ensemble seeded master_seed + i
         N = 25
-        x0 = sample_band_point(0.0, 0.0, N, 10)
+        x0 = sample_band_point(RS_IC, N, 10)
         cfg = LangevinConfig(beta=0.0, T=0.3, h_obs=0.05)
         ens = integrate_ensemble(ZeroField(), x0, cfg, 3, master_seed=40)
         assert len(ens) == 3 and ens.seeds == [40, 41, 42]
@@ -240,7 +241,7 @@ class TestObservables:
     def test_reads_the_record_in_place(self, alloc_peak):
         # 4 paths, 11 grid points, N = 2000: stacking the paths' x and B
         # held two copies of the record's states
-        x0 = sample_band_point(0.0, 0.0, 2000, 5)
+        x0 = sample_band_point(RS_IC, 2000, 5)
         traj = integrate_ensemble(ZeroField(), x0, LangevinConfig(beta=0.0, T=0.5, h_obs=0.05),
                                   4, 6)
         obs, peak = alloc_peak(lambda: observables(traj, ZeroField(), None))
@@ -529,6 +530,12 @@ class TestRotationInvariance:
             random_orthogonal(10, seed)
         with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
             rotation_invariance_test(f, np.eye(10), x0, np.zeros(10), cfg, seed)
+
+    @pytest.mark.parametrize("N", [-1, 2.5, True, 0])
+    def test_bad_size_is_config_error(self, N):
+        # numpy refused these with its own errors, and took 0 for an empty matrix
+        with pytest.raises(ConfigError, match="^N must be an integer >= 1"):
+            random_orthogonal(N, 21)
 
     def test_integral_seed_is_the_int_seed(self):
         assert np.array_equal(random_orthogonal(10, 21.0), random_orthogonal(10, 21))

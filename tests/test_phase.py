@@ -86,10 +86,24 @@ class TestPlateaus:
         for _ in range(5):
             m = Mixture({2: rng.uniform(0.2, 1.5), 3: rng.uniform(0.2, 1.5)})
             beta = rng.uniform(0.2, 1.2)
-            assert c_inf(m, beta, 0.5) == pytest.approx(q_d(m, beta), abs=1e-9)
+            assert c_inf(m, beta, 0.5) == q_d(m, beta)
 
     def test_cinf_zero_below_threshold(self):
         assert c_inf(PURE2, 0.3, 0.5) == pytest.approx(0.0, abs=1e-9)
+
+    def test_cinf_vanishing_plateau_is_exactly_zero(self):
+        # a root within the search tolerance of 0 is the zero plateau
+        assert c_inf(M23, 0.25, 0.5) == 0.0
+
+    @pytest.mark.parametrize("m, beta, value", [
+        (M23, 0.5, 0.7675918792442806),
+        (PURE2, 0.36, 0.035493827160483146),
+        (PURE3, 0.5, 0.0),
+    ], ids=["M23", "pure2", "pure3"])
+    def test_qd_pinned_bit_for_bit(self, m, beta, value):
+        # q_d's values from its own root search: c_inf at gamma = 1/2 must
+        # reproduce them bit for bit
+        assert q_d(m, beta) == value
 
     def test_gamma_too_small(self):
         with pytest.raises(GammaTooSmallError):
