@@ -21,7 +21,7 @@ from .hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
     conditioned_field, sample_system,
 )
-from .init_params import InitCondition, check_stationary, gibbs_init, sigma_nu, solve_w
+from .init_params import InitCondition, check_stationary, gibbs_init, sigma_nu
 from .langevin import (
     LangevinConfig, average_error, ensemble_error, integrate_ensemble,
     observables, random_orthogonal, rotation_invariance_test, score,
@@ -74,13 +74,13 @@ def criterion_02_fdt_linear_oracle() -> CriterionResult:
 
 
 def criterion_03_classical_reduction() -> CriterionResult:
-    """Zero-energy start reduces to the classical closed equations."""
+    """Zero-energy start reduces to the classical closed equations; a second
+    solve of the same start repeats the first bit for bit."""
     beta, h, T = 0.25, 0.01, 8.0
     ic = InitCondition(0.0, 0.0)
     cfg = SolverConfig(beta=beta, T=T, h=h)
     a = solve_dynamics(M23, ic, cfg)
-    vf0 = solve_w(ic, M23)
-    b = solve_dynamics(M23, ic, cfg, vf=vf0)
+    b = solve_dynamics(M23, ic, cfg)
     bitwise = (np.array_equal(a.C, b.C) and np.array_equal(a.R, b.R)
                and np.array_equal(a.H, b.H))
     fdt = solve_fdt(M23, beta, 0.5, 2.0, h)
@@ -245,7 +245,7 @@ def _basis_hessian_gap(spec, m, Vhat, u, xt):
             if np.abs(q_r[:, c] @ P[:, :2]).max() < 1e-8][: N - 2]
     P[:, 2:] = q_r[:, cols]
     gam = m.nu(ic.q_star**2, 1)
-    w = np.linalg.lstsq(sigma_nu(m, ic.q_star, ic.q_o), Vhat, rcond=1e-12)[0]
+    w = np.linalg.lstsq(sigma_nu(m, ic), Vhat, rcond=1e-12)[0]
     alpha = ic.alpha
     coords = P.T @ xt
     rho = ic.q_star * coords[0] / math.sqrt(N)
@@ -282,7 +282,7 @@ def criterion_09_sigma_positive_definite() -> CriterionResult:
                 if abs(qo) > qs:
                     continue
                 worst = min(worst, float(np.linalg.eigvalsh(
-                    sigma_nu(m, qs, qo))[0]))
+                    sigma_nu(m, InitCondition(qs, 0.0, q_o=qo)))[0]))
     return CriterionResult(9, "conditioning covariance PD", worst > 0.0,
                            {"min_eig": worst})
 

@@ -213,7 +213,7 @@ def cmd_params(args, out: Path):
         "branch": vf.branch,
         "alpha": ic.alpha,
         # a band edge is never stationary, with residual inf: JSON has no inf
-        "stationary": {"admissible": bool(rep.admissible),
+        "stationary": {"admissible": rep.admissible,
                        "residual": rep.residual if math.isfinite(rep.residual) else None,
                        "beta": args.beta},
     }
@@ -312,18 +312,16 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     lcfg = LangevinConfig(beta=beta, T=T, h_obs=h_obs, substeps=substeps,
                           variant=variant, ell=ell)
     spec = ConditioningSpec(ic, N, seed + 1)
-    vf = None
     if variant == VARIANT_FCONF:
         # the slope of the limit variant 'f', which starts the radius without
         # drift; compare scores these paths against that limit
-        vf = solve_w(ic, m)
-        lcfg = replace(lcfg, f0_slope=default_f0_slope(vf, beta))
+        lcfg = replace(lcfg, f0_slope=default_f0_slope(solve_w(ic, m), beta))
     if want_compare:
         h_lim = _config_value(cfg_obj, "h_limit", _real("h_limit"), h_obs / 2)
         # the paths are scored on the observable grid, which the limit's must hold
         grid_steps(h_obs, h_lim, ("'h_obs'", "'h_limit'"))
-        limit = (SolverConfig(beta=beta, T=T, h=h_lim) if vf is None else
-                 SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell))
+        limit = (SolverConfig(beta=beta, T=T, h=h_lim, variant=VARIANT_F, ell=ell)
+                 if variant == VARIANT_FCONF else SolverConfig(beta=beta, T=T, h=h_lim))
     man, digest = _manifest("simulate", cfg_obj, seed)
 
     f = conditioned_field(sample_system(m, N, seed), spec)
@@ -343,7 +341,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
 
     report = {"N": N, "paths": paths, "seed": seed}
     if want_compare:
-        sol = solve_dynamics(m, ic, limit, vf)
+        sol = solve_dynamics(m, ic, limit)
         terms = score(obs, sol, T)
         err_mean, err_se = average_error(terms)
         report.update({

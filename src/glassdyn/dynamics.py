@@ -231,20 +231,21 @@ class _Kernels:
     A_q are the unscaled kernels (the drifts use beta * A).  ``row`` evaluates
     row a once per pass, from the current C[a, :a+1], R[a, :a+1] and q[:a+1]
     with C[:a+1, :a+1] symmetric; ``rhs`` (the slice right-hand side) and
-    ``H_at`` read that row state and the stored L and mu.  Every trapezoid
+    ``H_at`` read that row state and the stored L and mu.  The drift source
+    is solve_w(sol.ic, m), the solution's own start.  Every trapezoid
     rule is a dot product or matvec over whole rows plus endpoint
     corrections, and those corrections take R(s, s) = 1, the boundary
     condition, instead of reading R's diagonal; ``residual`` checks it.
     """
 
-    def __init__(self, m: Mixture, vf: VFunction, sol: TwoTimeSolution):
-        self.m, self.vf, self.sol = m, vf, sol
+    def __init__(self, m: Mixture, sol: TwoTimeSolution):
+        self.m, self.vf, self.sol = m, solve_w(sol.ic, m), sol
         self.beta, self.h, self.qs2 = sol.beta, sol.h, sol.ic.q_star**2
         # nu'(q): row(a) refreshes entry a and reads the entries below it
         self.dq = m.nu(sol.q, 1)
         # at q_star = 0 every L integrand is an exact zero: inf keeps L at 0
         self.dnu_qs2 = math.inf if sol.ic.is_rs else m.nu(self.qs2, 1)
-        self.c0 = default_f0_slope(vf, sol.beta) if sol.variant == VARIANT_F else None
+        self.c0 = default_f0_slope(self.vf, sol.beta) if sol.variant == VARIANT_F else None
 
     def mu(self, K: float, ad: float) -> float:
         """The multiplier from the squared radius K and ad = A_C(s, s)."""
@@ -309,14 +310,13 @@ class _Kernels:
 
 def default_f0_slope(vf: VFunction, beta: float) -> float:
     """Slope giving zero initial radial drift: 1/2 + beta (q_o vx + vy)(q_o, 1)."""
-    return 0.5 + beta * (vf.q_o * vf.vx(vf.q_o, 1.0) + vf.vy(vf.q_o, 1.0))
+    q_o = vf.ic.q_o
+    return 0.5 + beta * (q_o * vf.vx(q_o, 1.0) + vf.vy(q_o, 1.0))
 
 
-def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
-                   vf: VFunction | None = None) -> TwoTimeSolution:
-    """March the two-time system from the conditioned start to s = T."""
-    if vf is None:
-        vf = solve_w(ic, m)
+def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig) -> TwoTimeSolution:
+    """March the two-time system from the conditioned start to s = T; the drift
+    source is solve_w(ic, m)."""
     n, h, ell = cfg.n, cfg.h, cfg.ell
     q = np.zeros(n + 1)
     q[0] = ic.q_o
@@ -326,7 +326,7 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig,
         np.zeros(n + 1),
         beta=1.0 if cfg.variant == VARIANT_GRADFLOW else cfg.beta, ic=ic,
         variant=cfg.variant, ell=ell)
-    ker = _Kernels(m, vf, sol)
+    ker = _Kernels(m, sol)
     C, R, mu, L, H, beta = sol.C, sol.R, sol.mu, sol.L, sol.H, sol.beta
 
     rw = ker.row(0)
@@ -410,7 +410,7 @@ def residual(sol: TwoTimeSolution, m: Mixture) -> ResidualReport:
     drift source is solve_w(sol.ic, m); the kernels take R(s, s) = 1 as
     given, so sup_res_R also covers R's diagonal against that boundary value.
     """
-    ker = _Kernels(m, solve_w(sol.ic, m), sol)
+    ker = _Kernels(m, sol)
     C, R, q, L, h = sol.C, sol.R, sol.q, sol.L, sol.h
     res_R = float(abs(np.diagonal(R) - 1.0).max())
     res_C = res_q = res_H = res_mu = 0.0

@@ -396,7 +396,7 @@ def _mean_eval(spec: ConditioningSpec, vf: VFunction, u: np.ndarray | None,
     grad -= np.outer(vf.vy(q, y), spec.x_0)
     if u is None:
         return value, grad
-    gam, d1, uterm = m.nu(vf.q_star**2, 1), m.nu(q, 1), X @ u
+    gam, d1, uterm = m.nu(vf.ic.q_star**2, 1), m.nu(q, 1), X @ u
     du = np.outer(m.nu(q, 2) * uterm, spec.x_star / N)
     du += np.outer(d1, u)
     grad -= np.divide(du, gam, out=du)

@@ -5,7 +5,9 @@ the weight vector w through the 4x4 covariance matrix of the conditioned
 values; w in turn defines the scalar field v(x, y) entering the two-time
 equations.  With weights solved for any conditioned values, the same v is
 the finite-N conditional mean of -H/N, so both engines take the algebra
-from here.  This module also carries the Gibbs-initialization map, the
+from here.  The one ``InitCondition`` holds the start: ``sigma_nu``,
+``VFunction`` and ``check_stationary`` read q_star, q_o, the branch and the
+band edge off it.  This module also carries the Gibbs-initialization map, the
 stationarity test, the large-time consistency residual, and the localized
 band solver for pure models.
 """
@@ -48,20 +50,13 @@ BRANCH_DEGENERATE = "degenerate"
 BRANCH_PURE_P_DEGENERATE = "pure_p_degenerate"
 
 
-def _band_alpha(q_star: float, q_o: float) -> float:
-    """alpha = q_o / q_star of a start with q_star > 0; beyond the edge
-    (|alpha| > 1 + _DEGEN_TOL) is a ConfigError."""
-    alpha = q_o / q_star
-    if abs(alpha) > 1.0 + _DEGEN_TOL:
-        raise ConfigError("|q_o| must not exceed q_star")
-    return alpha
-
-
 @dataclass(frozen=True)
 class InitCondition:
     """Conditioning target (q_star, V) with V = (E, E_star, G_star, q_o).
 
     The one RS decision: a q_star below _DEGEN_TOL is stored as exactly 0.0.
+    A band start has |alpha| = |q_o| / q_star <= 1 + _DEGEN_TOL; beyond that
+    edge it is a ConfigError.
     """
 
     q_star: float
@@ -80,8 +75,8 @@ class InitCondition:
         if self.is_rs:
             if self.E_star != 0.0 or self.G_star != 0.0 or self.q_o != 0.0:
                 raise ConfigError("q_star = 0 forces E_star = G_star = q_o = 0")
-        else:
-            _band_alpha(self.q_star, self.q_o)
+        elif abs(self.alpha) > 1.0 + _DEGEN_TOL:
+            raise ConfigError("|q_o| must not exceed q_star")
 
     @property
     def is_rs(self) -> bool:
@@ -130,16 +125,15 @@ class InitCondition:
         return gibbs_init(m, *args)
 
 
-def sigma_nu(m: Mixture, q_star: float, q_o: float) -> np.ndarray:
-    """4x4 covariance of the conditioned values at (x_0, x_star).
+def sigma_nu(m: Mixture, ic: InitCondition) -> np.ndarray:
+    """4x4 covariance of the conditioned values at (x_0, x_star) of a band start.
 
     Symmetric and positive definite for |q_o| < 1 whenever the mixture is not
-    pure; the fourth row/column degenerates gracefully at |q_o| = q_star,
-    and beyond it (as _band_alpha decides) is a ConfigError.
+    pure; the fourth row/column degenerates gracefully at |q_o| = q_star.
     """
-    if q_star <= 0.0:
+    if ic.is_rs:
         raise DomainError("sigma_nu requires q_star > 0")
-    _band_alpha(q_star, q_o)
+    q_star, q_o = ic.q_star, ic.q_o
     qs2 = q_star**2
     root = math.sqrt(max(qs2 - q_o**2, 0.0))
     n_qo, d_qo = m.nu(q_o), m.nu(q_o, 1)
@@ -157,20 +151,25 @@ class VFunction:
 
     x and y are a point's overlaps with x_star and x_0, and v_hat holds the
     covariances of the field there with the conditioned values, so v is also
-    the finite-N conditional mean of -H/N.  In the degenerate branches
-    (including q_star = 0) the auxiliary coordinate z is identically zero
-    and w4 = 0.  Float arguments give Python floats.
+    the finite-N conditional mean of -H/N.  The start ic fixes the geometry
+    and, with the mixture, the branch.  In the degenerate branches (including
+    q_star = 0) the auxiliary coordinate z is identically zero and w4 = 0.
+    Float arguments give Python floats.
     """
 
     w: np.ndarray
-    q_star: float
-    q_o: float
+    ic: InitCondition
     mixture: Mixture
-    branch: str
+    branch: str = field(init=False)
+    # z's scale sqrt(q_star^2 - q_o^2), on the branches that use z
+    _root: float = field(init=False, repr=False, compare=False)
     # w as Python floats, so float arguments never meet numpy scalars
     _wf: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "branch", self.ic.branch(self.mixture))
+        object.__setattr__(self, "_root", math.sqrt(self.ic.q_star**2 - self.ic.q_o**2)
+                           if self.use_z else math.nan)
         object.__setattr__(self, "_wf", tuple(float(c) for c in self.w))
 
     @property
@@ -178,8 +177,7 @@ class VFunction:
         return self.branch in (BRANCH_GENERIC, BRANCH_PURE_P)
 
     def _z(self, x, y):
-        root = math.sqrt(self.q_star**2 - self.q_o**2)
-        return (y - self.q_o * x / self.q_star**2) / root
+        return (y - self.ic.q_o * x / self.ic.q_star**2) / self._root
 
     def v(self, x, y):
         m, (w0, w1, w2, w3) = self.mixture, self._wf
@@ -187,7 +185,7 @@ class VFunction:
         if self.branch == BRANCH_RS:
             return out
         d1 = m.nu(x, 1)
-        out = out + w1 * m.nu(x) + w2 * x * d1 / self.q_star**2
+        out = out + w1 * m.nu(x) + w2 * x * d1 / self.ic.q_star**2
         if self.use_z:
             out = out + w3 * self._z(x, y) * d1
         return out
@@ -198,10 +196,9 @@ class VFunction:
         m, (_, w1, w2, w3) = self.mixture, self._wf
         d1, d2 = m.nu(x, 1), m.nu(x, 2)
         # (d1 + x d2) is psi(x)
-        out = w1 * d1 + w2 * (d1 + x * d2) / self.q_star**2
+        out = w1 * d1 + w2 * (d1 + x * d2) / self.ic.q_star**2
         if self.use_z:
-            root = math.sqrt(self.q_star**2 - self.q_o**2)
-            zx = -self.q_o / (self.q_star**2 * root)
+            zx = -self.ic.q_o / (self.ic.q_star**2 * self._root)
             out = out + w3 * (zx * d1 + self._z(x, y) * d2)
         return out
 
@@ -209,8 +206,7 @@ class VFunction:
         m, (w0, _, _, w3) = self.mixture, self._wf
         out = w0 * m.nu(y, 1)
         if self.use_z:
-            root = math.sqrt(self.q_star**2 - self.q_o**2)
-            out = out + w3 * m.nu(x, 1) / root
+            out = out + w3 * m.nu(x, 1) / self._root
         return out
 
 
@@ -233,7 +229,7 @@ def solve_weights(ic: InitCondition, m: Mixture, vhat) -> VFunction:
     E, E_star, G_star, _ = vhat.tolist()
     branch = ic.branch(m)
     if branch == BRANCH_RS:
-        return VFunction(np.array([E / m.nu(1.0), 0.0, 0.0, 0.0]), 0.0, 0.0, m, branch)
+        return VFunction(np.array([E / m.nu(1.0), 0.0, 0.0, 0.0]), ic, m)
 
     if abs(abs(ic.q_o) - 1.0) < _DEGEN_TOL:
         # the hard constraints at |q_o| = 1 are validated (start point
@@ -267,11 +263,11 @@ def solve_weights(ic: InitCondition, m: Mixture, vhat) -> VFunction:
         # the solved components: pure drops w3, a degenerate band drops w4
         keep = {BRANCH_PURE_P: [0, 1, 3], BRANCH_DEGENERATE: [0, 1, 2]}.get(
             branch, [0, 1, 2, 3])
-        w[keep] = _pd_solve(sigma_nu(m, ic.q_star, ic.q_o)[np.ix_(keep, keep)],
+        w[keep] = _pd_solve(sigma_nu(m, ic)[np.ix_(keep, keep)],
                             vhat[keep], branch == BRANCH_DEGENERATE)
     if not np.isfinite(w).all():
         raise DomainError(f"conditioning weights overflow: w = {w}")
-    return VFunction(w, ic.q_star, ic.q_o, m, branch)
+    return VFunction(w, ic, m)
 
 
 def _pd_solve(a: np.ndarray, b: np.ndarray, degenerate: bool) -> np.ndarray:
@@ -352,20 +348,20 @@ def check_stationary(ic: InitCondition, m: Mixture, beta: float) -> Stationarity
     Builds the constraint vector and tests membership in the column space of
     the associated 4x2 matrix through a least-squares residual, admissible
     below _STATIONARY_TOL (1 + |vector|); q_star = 0 instead checks
-    E = 2 beta nu(1).  The band edge |q_o| = q_star is never
+    E = 2 beta nu(1).  The band edge (``ic.is_degenerate``) is never
     stationary (residual inf); q_star > 0 needs a nonzero beta.  A
     non-finite beta is a ConfigError.
     """
     beta = check_real("beta", beta)
     if ic.is_rs:
         res, scale = abs(ic.E - 2.0 * beta * m.nu(1.0)), abs(ic.E)
-    elif abs(ic.alpha) >= 1.0:
+    elif ic.is_degenerate:
         return StationarityReport(False, np.inf)
     else:
         res, scale = _stationarity_residual(ic, m, beta)
     if not math.isfinite(res):
         raise DomainError(f"stationarity residual overflows at beta = {beta}")
-    return StationarityReport(res < _STATIONARY_TOL * (1.0 + scale), res)
+    return StationarityReport(bool(res < _STATIONARY_TOL * (1.0 + scale)), res)
 
 
 def _stationarity_residual(ic: InitCondition, m: Mixture, beta: float):
@@ -412,8 +408,7 @@ def fdt_regime_residual(m: Mixture, beta: float, ic: InitCondition,
     if ic.is_rs:
         raise ConfigError("large-time consistency residual needs q_star > 0")
     vf = solve_w(ic, m)
-    qs, qo = ic.q_star, ic.q_o
-    alpha_o = qo / qs
+    qs, qo, alpha_o = ic.q_star, ic.q_o, ic.alpha
     gamma = 0.5 - g_beta(m, beta, c_inf_val, 1)
     mu = gamma + 2.0 * beta**2 * m.nu(1.0, 1)
     kappa1 = 2.0 * (m.nu(1.0, 1) - m.nu(c_inf_val, 1))

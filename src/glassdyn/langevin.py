@@ -228,9 +228,11 @@ def score(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> np.ndarray:
 
     One pass walks the limit's rows on the observable grid; each chi row is
     made by ``chi_rows`` and compared with every path's row and the mean's as
-    it is made, so no square of the grid is held.
+    it is made, so no square of the grid is held.  T is a real under
+    ``check_real``; a negative T is a GridMismatchError.
     """
-    if not (math.isfinite(T) and T >= 0.0):
+    T = check_real("T", T)
+    if T < 0.0:
         raise GridMismatchError(f"T must be finite and non-negative, got {T}")
     n_obs, ratio = round(T / obs.h), obs.h / sol.h
     r = round(ratio)

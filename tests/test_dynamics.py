@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from glassdyn import dynamics
 from glassdyn.dynamics import (
     EllRecord, SolverConfig, TwoTimeSolution, _Kernels, chi_rows, ell_limit_check,
     integrated_response, residual, solve_dynamics, sup_distance,
@@ -39,7 +40,7 @@ def _free_solution(n, h=0.01):
 
 def _kernels_at(sol, i):
     """The kernels of the beta = 0 solution and the row state of slice i."""
-    ker = _Kernels(M23, solve_w(IC_GEN, M23), sol)
+    ker = _Kernels(M23, sol)
     return ker, ker.row(i)
 
 
@@ -129,6 +130,14 @@ class TestKernels:
         for v in (rep.sup_res_R, rep.sup_res_C, rep.sup_res_q, rep.sup_res_H):
             assert v < 5 * cfg.h
 
+    def test_residual_of_each_branch_is_small(self, branch_start):
+        # the solve and residual build their kernels from the same start
+        _, m, ic = branch_start
+        cfg = SolverConfig(beta=0.3, T=1.0, h=0.01)
+        rep = residual(solve_dynamics(m, ic, cfg), m)
+        for field in dataclasses.fields(rep):
+            assert getattr(rep, field.name) < 5 * cfg.h, field.name
+
     def test_stored_L_that_disagrees_with_R_is_flagged(self):
         # residual must apply the stored L, not the one the row state takes
         # from R: a wrong L[k] shows in C, q, H and mu
@@ -160,7 +169,7 @@ class TestKernels:
             warnings.simplefilter("ignore", PsdViolationWarning)
             sol = solve_dynamics(M23, IC_GEN, cfg)
         monkeypatch.undo()
-        ker = _Kernels(M23, solve_w(IC_GEN, M23), sol)
+        ker = _Kernels(M23, sol)
         assert sorted(marched) == list(range(sol.n + 1))
         for a, want in marched.items():
             got = ker.row(a)
@@ -193,14 +202,13 @@ class TestKernels:
 
 class TestVariants:
     def test_rs_zero_energy_matches_zero_drift_path(self):
-        # E = 0 makes the drift source vanish identically, so the run must be
-        # bit-for-bit the run with an explicitly zeroed source
+        # E = 0 makes the drift source vanish identically, and a second solve
+        # of the same start repeats the first bit for bit
         ic = InitCondition(0.0, 0.0)
         cfg = SolverConfig(beta=0.45, T=1.0, h=0.01)
         a = solve_dynamics(M23, ic, cfg)
-        vf0 = solve_w(ic, M23)
-        assert vf0.w[0] == 0.0
-        b = solve_dynamics(M23, ic, cfg, vf=vf0)
+        assert solve_w(ic, M23).w[0] == 0.0
+        b = solve_dynamics(M23, ic, cfg)
         assert np.array_equal(a.C, b.C) and np.array_equal(a.R, b.R)
         assert np.array_equal(a.H, b.H)
 
@@ -325,12 +333,13 @@ class TestVariants:
             solve_dynamics(m, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01,
                                                    variant="f", ell=2.0))
 
-    def test_non_finite_state_stops_at_first_slice(self):
+    def test_non_finite_state_stops_at_first_slice(self, monkeypatch):
         # a NaN drift source makes row 1 NaN; the march must stop right there
         vf = solve_w(IC_GEN, M23)
-        vf = dataclasses.replace(vf, w=np.full_like(vf.w, np.nan))
+        nan_vf = dataclasses.replace(vf, w=np.full_like(vf.w, np.nan))
+        monkeypatch.setattr(dynamics, "solve_w", lambda ic, m: nan_vf)
         with pytest.raises(BlowUpError, match="slice 1$"):
-            solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01), vf)
+            solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01))
 
 
 class TestStorage:

@@ -65,22 +65,21 @@ class TestInitConditionValidation:
     def test_alpha_beyond_one_is_refused(self, q_star, q_o):
         with pytest.raises(ConfigError, match="q_o"):
             InitCondition(q_star, 0.3, 0.0, 0.0, q_o)
-        with pytest.raises(ConfigError, match="q_o"):
-            sigma_nu(M23, q_star, q_o)
 
 
 class TestSigmaNu:
     def test_example_matrix(self):
         expect = np.array([[2, 0, 0, 0], [0, 2, 5, 0], [0, 5, 13, 0], [0, 0, 0, 5]],
                           dtype=float)
-        np.testing.assert_allclose(sigma_nu(M23, 1.0, 0.0), expect, atol=1e-14)
+        np.testing.assert_allclose(sigma_nu(M23, InitCondition(1.0, 0.0)), expect,
+                                   atol=1e-14)
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             qs = rng.uniform(0.2, 1.0)
             qo = rng.uniform(-qs, qs)
-            s = sigma_nu(M23, qs, qo)
+            s = sigma_nu(M23, InitCondition(qs, 0.0, q_o=qo))
             np.testing.assert_allclose(s, s.T, atol=1e-14)
 
     def test_positive_definite_grid(self):
@@ -92,7 +91,7 @@ class TestSigmaNu:
                 for qo in np.linspace(-0.95, 0.95, 21):
                     if abs(qo) > qs:
                         continue
-                    eig = np.linalg.eigvalsh(sigma_nu(m, qs, qo))[0]
+                    eig = np.linalg.eigvalsh(sigma_nu(m, InitCondition(qs, 0.0, q_o=qo)))[0]
                     assert eig > 0.0
 
 
@@ -109,7 +108,7 @@ class TestSolveW:
             qo = rng.uniform(-qs * 0.9, qs * 0.9)
             ic = InitCondition(qs, rng.normal(), rng.normal(), rng.normal(), qo)
             vf = solve_w(ic, M23)
-            sigma = sigma_nu(M23, qs, qo)
+            sigma = sigma_nu(M23, ic)
             np.testing.assert_allclose(sigma @ vf.w, [ic.E, ic.E_star, ic.G_star, 0.0],
                                        atol=1e-10)
 
@@ -230,6 +229,53 @@ class TestVEval:
             assert vm.v(-x, y) == pytest.approx(vp.v(x, y), abs=1e-12)
 
 
+# v, vx and vy at the points (X_PIN[k], Y_PIN[k]), one start per branch: the
+# values of the (w, q_star, q_o, mixture, branch) VFunction that the start-only
+# one replaced, which must keep them bit for bit
+X_PIN, Y_PIN = [0.3, -0.2, 0.64], [0.6, 0.45, 0.35]
+V_PINS = {
+    "rs": (
+        [0.3744, 0.19085624999999998, 0.10749375],
+        [0.0, 0.0, 0.0],
+        [1.482, 0.979875, 0.6938749999999999],
+    ),
+    "generic": (
+        [0.004384633628234741, 0.016254428565385937, -0.29999999999999893],
+        [-1.134144333995384, 1.4516636942972516, 0.39999999999999236],
+        [0.8481706546370573, 0.7224104149672651, 0.0],
+    ),
+    "degenerate": (
+        [-5.7141076851862085, -5.404073294111049, 71.94999614520344],
+        [76.81905864198953, -13.142146776408747, 363.3284828532889],
+        [-64.69362222223415, -38.51986666667377, -25.494719444449142],
+    ),
+    "pure_p": (
+        [0.10447096094537395, 0.07300137923301754, -0.3981396315259018],
+        [-0.5543046323825838, -0.07080063873211045, -1.9080460189477915],
+        [0.7995071209181615, 0.45520891100584554, 0.07637302156823234],
+    ),
+    "pure_p_degenerate": (
+        [0.108, 0.045562500000000006, 0.021437499999999995],
+        [0.0, 0.0, 0.0],
+        [0.5399999999999999, 0.30375, 0.18374999999999997],
+    ),
+}
+
+
+class TestVPinned:
+    def test_values_are_pinned_bit_for_bit(self, branch_start):
+        name, m, ic = branch_start
+        vf = solve_w(ic, m)
+        assert vf.branch == name
+        for method, want in zip(("v", "vx", "vy"), V_PINS[name]):
+            f = getattr(vf, method)
+            scalar = [f(x, y) for x, y in zip(X_PIN, Y_PIN)]
+            batch = np.broadcast_to(f(np.array(X_PIN), np.array(Y_PIN)), (3,))
+            want = np.array(want).tobytes()
+            assert np.array(scalar).tobytes() == want, method
+            assert np.array(batch, dtype=float).tobytes() == want, method
+
+
 class TestGibbsInit:
     def test_rs_energy(self):
         ic = gibbs_init(M23, 0.2, 0.0)
@@ -320,6 +366,25 @@ class TestCheckStationary:
         good = InitCondition(0.0, 2 * beta * M23.nu(1.0))
         assert check_stationary(good, M23, beta).admissible
         assert not check_stationary(InitCondition(0.0, 0.0), M23, beta).admissible
+
+    @pytest.mark.parametrize("alpha", [1.0 - 5e-13, 1.0])
+    def test_start_within_tolerance_of_the_edge_is_the_edge(self, alpha):
+        # is_degenerate is the one edge rule: a start it places on the edge is
+        # never stationary, with residual inf, like the edge itself
+        g = gibbs_init(M23, 0.9, 0.5, -1.0)
+        ic = InitCondition(g.q_star, g.E, g.E_star, g.G_star, alpha * g.q_star)
+        assert ic.is_degenerate
+        rep = check_stationary(ic, M23, 0.9)
+        assert rep.residual == math.inf and rep.admissible is False
+
+    @pytest.mark.parametrize("ic,beta", [
+        (InitCondition(0.0, 0.8 * M23.nu(1.0)), 0.4),
+        (gibbs_init(M23, 0.9, 0.5, -1.0), 0.9),
+        (gibbs_init(M23, 0.9, 0.5, -1.0), 1.2),
+        (InitCondition(0.5, 0.3, 0.0, 0.0, 0.5), 0.9),
+    ], ids=["rs", "band", "band-off-line", "edge"])
+    def test_admissible_is_a_python_bool(self, ic, beta):
+        assert type(check_stationary(ic, M23, beta).admissible) is bool
 
 
 class TestFdtRegime:
@@ -455,6 +520,10 @@ class TestConditioningProperty:
             rep = check_stationary(ic, m, beta)
         except GlassdynError:
             return
-        # the band edge is never stationary, and says so with residual inf
-        assert math.isfinite(rep.residual) or (
-            rep.residual == math.inf and abs(ic.alpha) >= 1.0 and not rep.admissible)
+        # the band edge, and no other start, is never stationary, and says so
+        # with residual inf
+        assert type(rep.admissible) is bool
+        if ic.is_degenerate:
+            assert rep.residual == math.inf and not rep.admissible
+        else:
+            assert math.isfinite(rep.residual)

@@ -312,12 +312,14 @@ class TestErrorFunctional:
         with pytest.raises(GridMismatchError):
             score(obs, sol, 0.06)
 
-    @pytest.mark.parametrize("T", [-0.02, np.nan, np.inf])
+    @pytest.mark.parametrize("T", [-0.02, np.nan, np.inf, True, "1.0"])
     def test_T_outside_the_grid_is_refused(self, T):
+        # a negative real is off the grid; anything else is not a finite real
         sol = _free_solution(10, 0.02)
         obs = ObservableSet(h=0.02, C=np.ones((1, 3, 3)), chi=np.ones((1, 3, 3)),
                             q=np.ones((1, 3)), H=np.ones((1, 3)))
-        with pytest.raises(GridMismatchError, match="T must be finite"):
+        err = GridMismatchError if T == -0.02 else ConfigError
+        with pytest.raises(err, match="T must be finite"):
             score(obs, sol, T)
 
     def test_limit_grid_is_the_full_chi_at_the_observation_points(self):
