@@ -8,14 +8,14 @@ i.i.d., but H is the same function of x, so the covariance law is unchanged.
 A symmetric tensor is kept as its packed rows J[i1, ..., i_(p-1), :] with
 i1 <= ... <= i_(p-1), in lexicographic order: N(N+1)/2 rows for p = 3, half
 the bytes of the full tensor, and J itself for p = 2.  The i.i.d. entries
-are drawn slab by slab and summed straight into those rows, so the full
-tensor never exists and the result is the same, bit for bit, as averaging
-the whole drawn tensor.  One matrix product with those rows gives the
-gradient for a whole batch of points, so each SDE step streams half the
-bytes it would over the full tensor.  ConditioningSpec(target, N, seed)
-builds the pinned point x_star and the start x_0 from the InitCondition
-alone.  Conditioning on
-the value at the start point and on value/gradient at a critical point is
+are drawn a few first indices at a time and summed straight into those
+rows, so the full tensor never exists and the result is the same, bit for
+bit, as averaging the whole drawn tensor.  One matrix product with those
+rows gives the gradient for a whole batch of points, so each SDE step
+streams half the bytes it would over the full tensor.
+ConditioningSpec(target, N, seed) builds the pinned point x_star and the
+start x_0 from the InitCondition alone.  Conditioning on the value at the
+start point and on value/gradient at a critical point is
 exact for a Gaussian field and is realized by a mean swap: subtract the
 conditional mean at the observed data, add it back at the target data.  The
 conditional mean is -N v(q, y) for the drift source v of init_params, with
@@ -27,6 +27,7 @@ projected gradient vector.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -55,8 +56,11 @@ __all__ = [
 _P_MAX = 4
 _MAX_TENSOR_ENTRIES = 3e8
 _R_GUARD = 4.0
-_SYM_BLOCK = 25  # slab thickness of the draw, edge of the averaged sub-blocks
-_K_BYTES = 64 * 2**20  # most bytes of the row factor K in one tensor pass
+_DRAW_ROWS = 2  # first-axis indices of the draw per generator call, at least
+_DRAW_RING = 4  # chunk buffers: the worker draws up to three chunks ahead
+_DRAW_VALUES = 2**15  # values of the draw per generator call, at least
+_FILL_COLS = 16  # columns of the sorted positions the draw fills at a time
+_K_BYTES = 8 * 2**20  # most bytes of the row factor K in one product
 
 
 @dataclass
@@ -66,8 +70,9 @@ class SpinSystem:
     tensors[p] holds the packed rows of the p-tensor (see _layout): an
     (N(N+1)/2, N) array for p = 3, (N, N) for p = 2.  The draw writes them
     directly and the full tensor never exists: a p = 3 system keeps
-    4 N^2 (N + 1) bytes, and its draw needs two slabs of _SYM_BLOCK N^2
-    entries more.
+    4 N^2 (N + 1) bytes, its draw needs _DRAW_RING chunks of at least
+    _DRAW_ROWS N^2 entries more, and an evaluation no more than _K_BYTES of
+    row factor.
     """
 
     N: int
@@ -76,28 +81,38 @@ class SpinSystem:
     seed: int
 
     def _contract(self, X: np.ndarray):
-        """Values and gradients at the rows of X, one GEMM per power p.
+        """Values and gradients at the rows of X, one tensor pass per power p.
 
         With J symmetric, grad H_p(x) = p sqrt(b_p) J(x, ..., x, .), and a
         packed row (i1 <= ... <= i_(p-1)) stands for every ordering of its
         indices, so the contraction is K from _row_factor times the packed
         tensor.  Euler's identity x . grad H_p = p H_p gives the values from
-        the same product.  Rows of X go in chunks of at most N rows and at
-        most _K_BYTES = 64 MiB of K, so a pass holds the packed tensors and
-        no more than 64 MiB beside them; for p = 3 up to N = 255 a chunk is
-        N rows.  The dominant cost is streaming each tensor once per chunk.
-        A row outside the radius _R_GUARD sqrt(N) is a DomainError.
+        the same product.  Rows of X go in chunks of at most N rows, and a
+        chunk meets each tensor in tiles of consecutive first indices, whose
+        packed rows are consecutive too, so that K never exceeds
+        _K_BYTES = 8 MiB: a pass holds the packed tensors and no more than
+        8 MiB beside them.  A chunk whose K fits is one GEMM per power; for
+        p = 3 at N = 400 that is up to 13 rows.  The dominant cost is
+        streaming each tensor once per chunk.  A row outside the radius
+        _R_GUARD sqrt(N) is a DomainError.
         """
         k, N = X.shape
         if (np.linalg.norm(X, axis=1) > _R_GUARD * math.sqrt(N)).any():
             raise DomainError("evaluation point outside the radius guard")
         values, grads = np.zeros(k), np.zeros((k, N))
-        widest = max(len(T) for T in self.tensors.values())
+        # the most packed rows one first index holds, over the powers
+        widest = max(_layout(N, p).starts[p - 1][1] for p in self.tensors)
         step = max(1, min(N, _K_BYTES // (8 * widest)))
         for a in range(0, k, step):
             Xc = X[a:a + step]
             for p, b in self.mixture.coeffs.items():
-                G = _row_factor(Xc, p) @ self.tensors[p]
+                starts, lo, G = _layout(N, p).starts[p - 1], 0, None
+                while lo < N:
+                    most = starts[lo] + _K_BYTES // (8 * len(Xc))
+                    hi = max(lo + 1, bisect.bisect_right(starts, most) - 1)
+                    part = _row_factor(Xc, p, lo, hi) @ self.tensors[p][starts[lo]:starts[hi]]
+                    G = part if G is None else G + part
+                    lo = hi
                 bp = math.sqrt(b)
                 values[a:a + step] += bp * (G * Xc).sum(axis=1)
                 grads[a:a + step] += (p * bp) * G
@@ -115,9 +130,11 @@ class SpinSystem:
 class _Layout(NamedTuple):
     starts: list              # starts[m][i]: first sorted m-tuple beginning with i
     source: np.ndarray        # row of each packed row in the (N^(p-1), N) reshape
-    row_of: np.ndarray        # packed row of each (p-1)-tuple's sorted order
+    row_of: np.ndarray        # packed row of each (p-1)-tuple's sorted order, (N,)*(p-1)
+    is_sorted: np.ndarray     # whether each (p-1)-tuple is sorted, (N,)*(p-1)
     repeats: np.ndarray       # packed rows with a repeated index
     repeat_scale: np.ndarray  # their mult / (p-1)!
+    blocks: tuple             # first row and last index of each (h, h_last) row
 
 
 @functools.lru_cache(maxsize=32)
@@ -133,147 +150,180 @@ def _layout(N: int, p: int) -> _Layout:
     row_of = np.empty(digits.shape[1], np.intp)
     row_of[source] = np.arange(len(source))
     row_of = row_of[np.ravel_multi_index(np.sort(digits, axis=0), (N,) * (p - 1))]
+    is_sorted = np.zeros(digits.shape[1], bool)
+    is_sorted[source] = True
     run, denom = np.ones(len(source), int), np.ones(len(source), int)
     for prev, cur in itertools.pairwise(digits[:, source]):
         run = np.where(cur == prev, run + 1, 1)
         denom *= run
     repeats = np.flatnonzero(denom > 1)
+    last = digits[-2:, source]
+    at = np.flatnonzero(last[0] == last[-1]) if p > 2 else np.zeros(1, int)
     # in lexicographic order the C(N - i + m - 1, m) sorted m-tuples
     # beginning with i or more end the list
     starts = [None] + [[math.comb(N + m - 1, m) - math.comb(N - i + m - 1, m)
                         for i in range(N + 1)] for m in range(1, p)]
-    return _Layout(starts, source, row_of, repeats, 1.0 / denom[repeats])
+    return _Layout(starts, source, row_of.reshape((N,) * (p - 1)),
+                   is_sorted.reshape((N,) * (p - 1)), repeats, 1.0 / denom[repeats],
+                   (at.tolist(), last[-1, at].tolist()))
 
 
-def _row_factor(X: np.ndarray, p: int) -> np.ndarray:
-    """K[:, r] = mult_r x_i1 ... x_i(p-1) over the packed rows r of a p-tensor.
+def _row_factor(X: np.ndarray, p: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """K[:, r] = mult_r x_i1 ... x_i(p-1) over the packed rows r of a p-tensor
+    whose first index i1 lies in lo .. hi - 1 (all of them by default).
 
     Built transposed, one contiguous product per level and first index i:
-    level m rows beginning with i are x_i times the level m - 1 suffix.  The
-    factor (p-1)! rides on the first level; the rows with a repeated index
-    are then scaled back to their mult (exactly, for p = 3).
+    level m rows beginning with i are x_i times the level m - 1 suffix, and
+    the last level only for the first indices asked for.  The factor (p-1)!
+    rides on the first level; the rows with a repeated index are then
+    scaled back to their mult (exactly, for p = 3).  Each column is the
+    same, bit for bit, whatever the range.
     """
-    if p == 2:
-        return X
     N = X.shape[1]
+    hi = N if hi is None else hi
+    if p == 2:
+        return X[:, lo:hi]
     lay = _layout(N, p)
     XT = X.T.copy()
     K = math.factorial(p - 1) * XT
     for m in range(2, p):
         prev, new = lay.starts[m - 1], lay.starts[m]
-        out = np.empty((new[N], len(X)))
-        for i in range(N):
-            np.multiply(K[prev[i]:], XT[i], out=out[new[i]:new[i + 1]])
+        a, b = (lo, hi) if m == p - 1 else (0, N)
+        out = np.empty((new[b] - new[a], len(X)))
+        cuts = [r - new[a] for r in new[a:b + 1]]  # the rows of out by first index
+        for i, r0, r1 in zip(range(a, b), cuts, cuts[1:]):
+            np.multiply(K[prev[i]:], XT[i], out=out[r0:r1])
         K = out
-    K[lay.repeats] *= lay.repeat_scale[:, None]
+    r0, r1 = np.searchsorted(lay.repeats, [new[lo], new[hi]])
+    K[lay.repeats[r0:r1] - new[lo]] *= lay.repeat_scale[r0:r1, None]
     return K.T
 
 
 def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
     """Packed rows of standard normals times N^(-(p-1)/2), symmetrized.
 
-    The i.i.d. draw is the stream of one standard_normal call of N^p values,
-    taken in slabs of _SYM_BLOCK along the first axis into two reused
-    buffers: a worker thread draws the next slab while this one is added
-    (the generator releases the GIL).  The entry at a sorted index tuple t is
-    w times the sum of the drawn entries at t permuted by each sg, added in
-    itertools.permutations order.  sg[0] never decreases in that order, so
-    for a sorted tuple s of block starts the terms arrive slab by slab in
-    that same order, and each slab's terms are added to the partial sums
-    kept in the packed box of s (see _add_slab).  The full tensor never
-    exists: the draw peaks at the packed rows plus two slabs, 306 MiB for
-    p = 3 at N = 400.
+    The i.i.d. draw D is the stream of one standard_normal call of N^p
+    values, taken in chunks of whole first-axis indices (at least _DRAW_ROWS
+    of them and _DRAW_VALUES values) into a ring of _DRAW_RING buffers: a
+    worker thread draws up to three chunks ahead while this one folds (the
+    generator releases the GIL), so a slow index, or the fill after it,
+    does not leave the generator idle.  The entry at a sorted index
+    tuple x is w times the sum of D at x permuted by each sg, added in
+    itertools.permutations order; sg[0] never decreases in that order, so
+    the terms arrive index by index, those of D[x_k] when the draw reaches
+    i = x_k (see _fold_index).  Every partial sum waits in a packed
+    position whose row holds the next index to add to it, so each index
+    reads and writes whole row pieces; after each _FILL_COLS indices the
+    finished sums are copied to the sorted positions of those columns (see
+    _fill_sorted).  The full tensor never exists: the draw peaks at the
+    packed rows plus the ring, 259 MiB for p = 3 at N = 400.
     """
     lay = _layout(N, p)
     P = np.empty((len(lay.source), N))
-    perms = list(itertools.permutations(range(p)))
-    w = N ** (-(p - 1) / 2.0) / len(perms)
-    blocks = range(0, N, _SYM_BLOCK)
-    tuples = list(itertools.combinations_with_replacement(blocks, p))
-    bufs = [np.empty((min(_SYM_BLOCK, N),) + (N,) * (p - 1)) for _ in range(2)]
-    slabs = [bufs[a % 2][:min(_SYM_BLOCK, N - b)] for a, b in enumerate(blocks)]
-    with ThreadPoolExecutor(1) as pool:
-        drawn = pool.submit(rng.standard_normal, out=slabs[0])
-        for a, b in enumerate(blocks):
-            drawn.result()
-            if a + 1 < len(slabs):  # its buffer held the slab before this one
-                drawn = pool.submit(rng.standard_normal, out=slabs[a + 1])
-            for s in tuples:
-                if b in s:
-                    _add_slab(P, slabs[a], s, b, perms, w)
+    w = N ** (-(p - 1) / 2.0) / math.factorial(p)
+    after = np.arange(N)[:, None] > np.arange(N)  # after[u, v]: u > v
+    rows = min(N, max(_DRAW_ROWS, _DRAW_VALUES // N ** (p - 1)))  # per chunk
+    heads = range(0, N, rows)
+    bufs = [np.empty((rows,) + (N,) * (p - 1)) for _ in range(_DRAW_RING)]
+    chunks = [bufs[a % _DRAW_RING][:min(rows, N - b)] for a, b in enumerate(heads)]
+    with ThreadPoolExecutor(1) as pool:  # one worker: the chunks are drawn in order
+        drawn = [pool.submit(rng.standard_normal, out=C) for C in chunks[:_DRAW_RING - 1]]
+        for a, b in enumerate(heads):
+            if a + _DRAW_RING - 1 < len(chunks):  # its buffer held chunk a - 1
+                drawn.append(pool.submit(rng.standard_normal, out=chunks[a + _DRAW_RING - 1]))
+            drawn[a].result()
+            for i, M in enumerate(chunks[a], b):
+                _fold_index(P, lay, M, i, w, after)
+                if (i + 1) % _FILL_COLS == 0 or i + 1 == N:
+                    _fill_sorted(P, lay, i - i % _FILL_COLS, i + 1)
     return P
 
 
-def _add_slab(P: np.ndarray, slab: np.ndarray, s: tuple, b: int, perms: list,
-              w: float):
-    """Add the terms drawn in slab b to the packed box of sorted block starts s.
+def _fold_index(P: np.ndarray, lay: _Layout, M: np.ndarray, i: int, w: float,
+                after: np.ndarray):
+    """Add the terms D[i] = M to the partial sums of every tuple holding i.
 
-    The box of s holds the packed rows of the index tuples in the blocks of
-    s[:-1], at the columns of block s[-1].  At b = s[0] the identity term
-    starts the sum; until b = s[-1] the partial sum waits in the box.  After
-    the last term the sum is scaled by w, each entry takes the value at its
-    sorted index, and the result goes, transposed, to every box whose blocks
-    are a reordering of s with sorted row blocks.
+    For each k, the tuples x with x_k = i take the (p-1)! terms M[y permuted]
+    of y, x without x_k, on the box of y: indices up to i before position k
+    and from i on after it.  At k = 0 they start the sum, kept at the sorted
+    position (x_0 .. x_(p-2) | x_(p-1)); later sums are kept at
+    (x_1 .. x_(p-1) | x_0), whose row holds x_(k+1).  The last sum is
+    scaled by w, each entry takes the value at its sorted index, and the
+    result fills the rows whose last index is i, columns up to i.  S keeps
+    the memory order of the rows it was read from, and ax[d] is its axis
+    for box axis d: the terms are turned to S, which is faster than adding
+    into a transposed view.
     """
-    N = P.shape[1]
-    sl = [slice(t, min(t + _SYM_BLOCK, N)) for t in s]
-    terms = [slab[(slice(None),) + tuple(sl[a] for a in sg[1:])].transpose(np.argsort(sg))
-             for sg in perms if s[sg[0]] == b]
-    if b == s[0]:  # perms[0] is the identity
-        S = terms.pop(0).copy()
+    N, p = P.shape[1], M.ndim + 1
+    for k in range(p):
+        box = [slice(0, i + 1)] * k + [slice(i, N)] * (p - 1 - k)  # the ranges of y
+        terms = (M[tuple(box[a] for a in sg)].transpose([sg.index(a) for a in range(p - 1)])
+                 for sg in itertools.permutations(range(p - 1)))
+        if k == 0:
+            S, ax = next(terms).copy(), list(range(p - 1))
+        else:
+            S, ax = _held(P, lay, i, k, p - 1 if k == 1 else 0)
+        back = [ax.index(a) for a in range(p - 1)]  # the box axis of each axis of S
+        for T in terms:
+            S += T.transpose(back)
+        if k < p - 1:
+            _held(P, lay, i, k, p - 1 if k == 0 else 0, S.transpose(ax))
+            continue
+        S *= w
+        # the bubble-sort comparators of p - 1 coordinates, composed last
+        # first: where y_a > y_b, take the entry with the two swapped
+        for a, b in reversed([(a, a + 1) for n in range(p - 2, 0, -1) for a in range(n)]):
+            sa, sb = ax[a], ax[b]
+            m = (after if sa < sb else after.T)[:i + 1, :i + 1]
+            m = m.reshape((i + 1,) + (1,) * (abs(sa - sb) - 1) + (i + 1,)
+                          + (1,) * (p - 2 - max(sa, sb)))
+            np.copyto(S, S.swapaxes(sa, sb), where=m)
+        _held(P, lay, i, k, 0, S.transpose(ax))
+
+
+def _held(P: np.ndarray, lay: _Layout, i: int, k: int, j: int,
+          S: np.ndarray | None = None):
+    """Read, or with S write, the box of y at the positions (x without x_j | x_j).
+
+    The box is that of _fold_index's step k: x_k = i and y is x without
+    x_k.  Rows are the packed rows of x without x_j, and a write skips the
+    entries whose row is not sorted.  With j = k the column is i alone.  A
+    read returns the rows read, and the order of their axes in the box.
+    """
+    N, p = P.shape[1], len(lay.starts)
+    at = [slice(0, i + 1)] * k + [i] + [slice(i, N)] * (p - 1 - k)
+    cols = slice(i, i + 1) if j == k else at[j]
+    at = tuple(at[:j] + at[j + 1:])
+    rows = lay.row_of[at]
+    n, c = rows.ndim, j - (j > k)  # c: the column's axis in the box
+    if S is None:
+        G = P[rows, cols]
+        return (G[..., 0], list(range(n))) if j == k else (G, [*range(c), n, *range(c, n)])
+    S = S.transpose([*range(c), *range(c + 1, n + 1), c])
+    # with one free index or none, a row is sorted
+    if n < 2 or (keep := lay.is_sorted[at]).all():
+        P[rows, cols] = S
     else:
-        S = P[_box_rows(N, s[:-1])[0], sl[-1]]
-    for A in terms:
-        S += A
-    if b < s[-1]:
-        _put(P, S, s)
-        return
-    S *= w
-    if len(set(s)) < len(s):
-        S = S.ravel()[_sorted_in_box(tuple(s.index(t) for t in s), S.shape)]
-    placed = set()
-    for sg in perms:
-        u = tuple(s[a] for a in sg)
-        if u not in placed and list(u[:-1]) == sorted(u[:-1]):
-            placed.add(u)
-            _put(P, S.transpose(sg), u)
+        P[rows[keep], cols] = S[keep]
 
 
-@functools.lru_cache(maxsize=1024)
-def _box_rows(N: int, heads: tuple):
-    """Packed rows of the index tuples in the blocks starting at heads.
+def _fill_sorted(P: np.ndarray, lay: _Layout, c0: int, c1: int):
+    """Copy the finished sums to the sorted positions of columns c0 .. c1 - 1.
 
-    An unsorted tuple gets the row of its sorted one; keep marks the sorted
-    tuples, whose rows are their own, and is None when all of them are.
+    The packed rows (h, y) for y >= h_last, with h a sorted prefix of
+    length p - 2 (for p = 2 the empty one, with h_last = 0), are
+    consecutive, and their entries at the columns c >= h_last form a
+    symmetric block in (y, c).  The draw has written its entries with
+    c <= y, so the entries with y < c of these columns take them transposed.
     """
-    flat = np.ravel_multi_index(
-        np.ix_(*[np.arange(h, min(h + _SYM_BLOCK, N)) for h in heads]), (N,) * len(heads))
-    lay = _layout(N, len(heads) + 1)
-    rows = lay.row_of[flat]
-    keep = lay.source[rows] == flat
-    return rows, None if keep.all() else keep
-
-
-def _put(P: np.ndarray, T: np.ndarray, u: tuple):
-    """Write box T to the packed rows of block starts u[:-1], columns block u[-1]."""
-    rows, keep = _box_rows(P.shape[1], u[:-1])
-    cols = slice(u[-1], u[-1] + T.shape[-1])
-    if keep is None:
-        P[rows, cols] = T
-    else:
-        P[rows[keep], cols] = T[keep]
-
-
-@functools.lru_cache(maxsize=32)
-def _sorted_in_box(pattern: tuple, shape: tuple) -> np.ndarray:
-    """Flat position in a box of the sorted index of each of its entries.
-
-    pattern[a] names the block of axis a (equal for a repeated block); a box
-    never spans two different blocks, so sorting stays inside each block.
-    """
-    off = np.reshape(pattern, (len(shape),) + (1,) * len(shape)) * _SYM_BLOCK
-    idx = np.sort(np.indices(shape) + off, axis=0) - off
-    return np.ravel_multi_index(tuple(idx), shape)
+    upper = np.triu(np.ones((c1 - c0, c1 - c0), bool), 1)
+    for base, lo in zip(*lay.blocks):
+        if lo >= c1:
+            continue
+        a, r = max(c0, lo), base - lo  # r + y is the row of (h, y)
+        P[r + lo:r + a, a:c1] = P[r + a:r + c1, lo:a].T
+        corner, y_lt_c = P[r + a:r + c1, a:c1], upper[:c1 - a, :c1 - a]
+        corner[y_lt_c] = corner.T[y_lt_c]
 
 
 def check_system_size(m: Mixture, N: int) -> int:

@@ -15,7 +15,7 @@ from glassdyn import hamiltonian
 from glassdyn.errors import ConfigError, DomainError
 from glassdyn.hamiltonian import (
     ConditioningSpec, conditional_mean, conditional_mean_hessian,
-    _SYM_BLOCK, check_system_size, conditioned_field, sample_band_point, sample_system,
+    check_system_size, conditioned_field, sample_band_point, sample_system,
 )
 from glassdyn.init_params import InitCondition, solve_w
 from glassdyn.mixture import Mixture
@@ -91,8 +91,6 @@ class TestSampling:
 
     @pytest.mark.parametrize("p, N", [(2, 53), (3, 53), (4, 27)])
     def test_stored_tensor_symmetric_bit_for_bit(self, p, N):
-        # N is not a multiple of the symmetrization block edge
-        assert N % _SYM_BLOCK
         J = _unpack(sample_system(Mixture.pure(p), N, 4).tensors[p], N, p)
         for perm in itertools.permutations(range(p)):
             np.testing.assert_array_equal(J, J.transpose(perm))
@@ -120,8 +118,8 @@ class TestSampling:
                                    atol=1e-12 * np.abs(grad).max())
 
     def test_overlapped_draw_is_reproducible(self):
-        # a worker thread draws one slab ahead of the averaging
-        N = 3 * _SYM_BLOCK + 4
+        # a worker thread draws up to three chunks ahead of the averaging
+        N = 79
         first = sample_system(Mixture.pure(3), N, 9).tensors[3]
         for _ in range(5):
             np.testing.assert_array_equal(
@@ -157,20 +155,22 @@ class TestSampling:
         assert sys.tensors[3].nbytes == 8 * N * N * (N + 1) // 2
 
     def test_draw_peaks_at_packed_rows_plus_two_slabs(self):
-        # the full tensor is never allocated
-        N = 200
-        tracemalloc.start()
-        try:
-            sample_system(Mixture.pure(3), N, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        packed, slab = 8 * N * N * (N + 1) // 2, 8 * _SYM_BLOCK * N * N
-        assert peak <= packed + 2 * slab + 8 * 2**20
+        # the full tensor is never allocated: beside the packed rows the draw
+        # holds its ring of chunks of first indices and a few row pieces
+        for p, N in ((2, 400), (3, 200), (4, 40)):
+            tracemalloc.start()
+            try:
+                packed = sample_system(Mixture.pure(p), N, 0).tensors[p].nbytes
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rows = max(hamiltonian._DRAW_ROWS, hamiltonian._DRAW_VALUES // N ** (p - 1))
+            ring = 8 * hamiltonian._DRAW_RING * min(N, rows) * N ** (p - 1)
+            assert peak <= packed + ring + 8 * 2**20, (p, N)
 
     @pytest.mark.parametrize("p, N", [
         (2, 53), (3, 53), (4, 27),
-        *((p, N) for N in (1, _SYM_BLOCK, 2 * _SYM_BLOCK + 1) for p in (2, 3, 4))])
+        *((p, N) for N in (1, 18, 25, 32, 51) for p in (2, 3, 4))])
     def test_equals_average_of_full_draw_bit_for_bit(self, p, N):
         # the average of the whole drawn tensor over its transposes, summed
         # in permutation order and then scaled, read at each packed entry's
@@ -245,31 +245,65 @@ class TestEvalField:
                                                  (100, 64, None), (40, 41, 40)])
     def test_row_factor_stays_within_its_byte_budget(self, monkeypatch, N, k,
                                                      budget_rows):
-        # K is budget_rows of the widest packed tensor at most, and N rows
-        widths = []
-        row_factor = hamiltonian._row_factor
-
-        def recorded(X, p):
-            widths.append(len(X))
-            return row_factor(X, p)
-
+        # chunks of N rows of X; where the p = 3 K of a chunk is more than
+        # budget_rows of X would make, it is built and used in tiles of
+        # first indices, and no K exceeds _K_BYTES
         sys = sample_system(Mixture({2: 0.7, 3: 0.4}), N, 14)
-        row_bytes = 8 * N * (N + 1) // 2
+        X = np.random.default_rng(15).standard_normal((k, N))
+        monkeypatch.setattr(hamiltonian, "_K_BYTES", 2**60)
+        one_gemm = sys._contract(X)
+        monkeypatch.undo()
+        row_bytes = 8 * N * (N + 1) // 2  # one row of X in the whole p = 3 K
         if budget_rows is not None:
             monkeypatch.setattr(hamiltonian, "_K_BYTES", budget_rows * row_bytes + 7)
-        X = np.random.default_rng(15).standard_normal((k, N))
+        shapes = {2: [], 3: []}
+        row_factor = hamiltonian._row_factor
+
+        def recorded(X, p, *span):
+            K = row_factor(X, p, *span)
+            shapes[p].append(K.shape)
+            return K
+
         monkeypatch.setattr(hamiltonian, "_row_factor", recorded)
         values, grads = sys._contract(X)
-        assert max(widths) == min(N, k, budget_rows or N)
-        assert max(widths) * row_bytes <= hamiltonian._K_BYTES
-        assert sum(widths) == 2 * k  # every row once per power
+        chunks = -(-k // N)
+        assert max(rows for rows, _ in shapes[3]) == min(N, k)
+        assert max(8 * r * c for r, c in shapes[2] + shapes[3]) <= hamiltonian._K_BYTES
+        # every row of X meets every packed row once
+        assert sum(r * c for r, c in shapes[2]) == k * N
+        assert sum(r * c for r, c in shapes[3]) == k * N * (N + 1) // 2
+        tiled = budget_rows is not None and budget_rows < min(N, k)
+        assert (len(shapes[3]) > chunks) == tiled
         monkeypatch.undo()
+        if not tiled:  # one GEMM per power and chunk, as without a budget
+            np.testing.assert_array_equal(values, one_gemm[0])
+            np.testing.assert_array_equal(grads, one_gemm[1])
+        np.testing.assert_allclose(values, one_gemm[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(one_gemm[0]).max())
+        np.testing.assert_allclose(grads, one_gemm[1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(one_gemm[1]).max())
         rows = np.stack([_gradient(sys, x) for x in X])
         np.testing.assert_allclose(grads, rows, rtol=1e-12,
                                    atol=1e-12 * np.abs(rows).max())
         vals = np.array([_value(sys, x) for x in X])
         np.testing.assert_allclose(values, vals, rtol=1e-12,
                                    atol=1e-12 * np.abs(vals).max())
+
+    def test_eight_row_pass_is_one_gemm_bit_for_bit(self):
+        # the SDE steps of an 8-path run at N = 400: K fits the budget, so the
+        # pass is the one product per power that it was before K was tiled
+        N, m = 400, Mixture({2: 1.0, 3: 0.1})
+        sys = sample_system(m, N, 0)
+        X = np.random.default_rng(1).standard_normal((8, N))
+        X *= math.sqrt(N) / np.linalg.norm(X, axis=1)[:, None]
+        values, grads = np.zeros(8), np.zeros((8, N))
+        for p, b in m.coeffs.items():
+            G = hamiltonian._row_factor(X, p) @ sys.tensors[p]
+            values += math.sqrt(b) * (G * X).sum(axis=1)
+            grads += (p * math.sqrt(b)) * G
+        got = sys._contract(X)
+        np.testing.assert_array_equal(got[0], values)
+        np.testing.assert_array_equal(got[1], grads)
 
     def test_radius_guard_covers_every_row(self):
         N = 10
