@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (_MAX_POINTS, VARIANT_F, SolverConfig, default_f0_slope, grid_steps,
                        solve_dynamics)
-from .errors import ConfigError, GlassdynError, check_count, check_real
+from .errors import ConfigError, GlassdynError, check_count, check_keys, check_real
 from .fdt import solve_fdt
 from .hamiltonian import (
     ConditioningSpec, check_system_size, conditioned_field, sample_system,
@@ -302,10 +302,7 @@ def _simulate_core(cfg_obj: dict, out: Path, want_compare: bool):
     variant = cfg_obj.get("variant", "spherical")
     ell = _config_value(cfg_obj, "ell", _real("ell")) if "ell" in cfg_obj else None
     substeps = _config_value(cfg_obj, "substeps", _count("substeps", 1), 5)
-    unknown = sorted(set(cfg_obj) - _SIM_KEYS)
-    if unknown:
-        raise ConfigError(f"config key {unknown[0]!r} is not known; the keys are "
-                          + ", ".join(sorted(_SIM_KEYS)))
+    check_keys("config", cfg_obj, _SIM_KEYS)
     # the size guard, the configs and the start geometry come before the
     # tensor draw, in that order: a bad one costs nothing of size N
     check_system_size(m, N)

@@ -356,27 +356,31 @@ def solve_dynamics(m: Mixture, ic: InitCondition, cfg: SolverConfig) -> TwoTimeS
     # i's own F there, the Euler predictor.
     hh = 0.5 * h
     F = ker.rhs(0, rw)
-    for i in range(n):
-        FR_i, FC_i, Fq_i = F
-        baseR = R[i, : i + 1] + hh * FR_i
-        baseC = C[i, : i + 1] + hh * FC_i
-        baseq = float(q[i]) + hh * Fq_i
-        Rnew, Cnew = R[i + 1, : i + 1], C[i + 1, : i + 1]
-        for _ in range(1 + _CORRECTOR_PASSES):
-            FR_n, FC_n, Fq_n = F
-            np.add(baseR, hh * FR_n[: i + 1], out=Rnew)
-            np.add(baseC, hh * FC_n[: i + 1], out=Cnew)
-            C[: i + 1, i + 1] = Cnew
-            q[i + 1] = baseq + hh * Fq_n
-            rw = close(i + 1)
-            F = ker.rhs(i + 1, rw)
+    # a state that overflows is caught by the check that ends each slice, which
+    # names the slice: numpy's overflow and invalid-value warnings would only
+    # precede that error, or stand in for it under warnings-as-errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            FR_i, FC_i, Fq_i = F
+            baseR = R[i, : i + 1] + hh * FR_i
+            baseC = C[i, : i + 1] + hh * FC_i
+            baseq = float(q[i]) + hh * Fq_i
+            Rnew, Cnew = R[i + 1, : i + 1], C[i + 1, : i + 1]
+            for _ in range(1 + _CORRECTOR_PASSES):
+                FR_n, FC_n, Fq_n = F
+                np.add(baseR, hh * FR_n[: i + 1], out=Rnew)
+                np.add(baseC, hh * FC_n[: i + 1], out=Cnew)
+                C[: i + 1, i + 1] = Cnew
+                q[i + 1] = baseq + hh * Fq_n
+                rw = close(i + 1)
+                F = ker.rhs(i + 1, rw)
 
-        H[i + 1] = ker.H_at(i + 1, rw)
-        # written so that NaN fails it too
-        if not (abs(C[i + 1, : i + 2]).max() <= _BLOWUP
-                and abs(R[i + 1, : i + 2]).max() <= _BLOWUP):
-            raise BlowUpError(f"|C| or |R| exceeded {_BLOWUP} or is not finite "
-                              f"at slice {i + 1}")
+            H[i + 1] = ker.H_at(i + 1, rw)
+            # written so that NaN fails it too
+            if not (abs(C[i + 1, : i + 2]).max() <= _BLOWUP
+                    and abs(R[i + 1, : i + 2]).max() <= _BLOWUP):
+                raise BlowUpError(f"|C| or |R| exceeded {_BLOWUP} or is not finite "
+                                  f"at slice {i + 1}")
 
     sol._check_symmetric()
     _warn_on_psd(sol)

@@ -1,4 +1,4 @@
-"""Exception and warning types, and the count and real rules, of the package."""
+"""Exception and warning types, and the count, real and known-keys rules, of the package."""
 
 import math
 
@@ -67,3 +67,14 @@ def check_real(name: str, value) -> float:
         raise ConfigError(f"{name} must be finite and a real number (not a bool or a "
                           f"string), got {value!r}")
     return float(value)
+
+
+def check_keys(name: str, obj, known) -> None:
+    """The one known-keys rule: obj is a dict (a JSON object) whose keys are all
+    in known; the first unknown key, in sorted order, is named."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"{name} key {unknown[0]!r} is not known; the keys are "
+                          + ", ".join(sorted(known)))

@@ -76,17 +76,20 @@ def solve_fdt(m: Mixture, beta: float, gamma: float, T_tau: float,
     d[0] = -0.5
     kern[0] = phi_gamma(m, beta, gamma, 1.0)
     denom = 1.0 + 0.5 * h * kern[0]
-    for k in range(1, n + 1):
-        inner = float(np.dot(kern[1:k], d[k - 1:0:-1])) if k > 1 else 0.0
-        c[k] = c[k - 1]  # placeholder for the kernel guess below
-        kern[k] = phi_gamma(m, beta, gamma, c[k])
-        for _ in range(2):
-            conv = h * inner + 0.5 * h * kern[k] * d[0]
-            d[k] = -(conv + 0.5) / denom
-            c[k] = c[k - 1] + 0.5 * h * (d[k - 1] + d[k])
+    # the step that leaves the floats is named below; numpy's overflow and
+    # invalid-value warnings would only precede that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            inner = float(np.dot(kern[1:k], d[k - 1:0:-1])) if k > 1 else 0.0
+            c[k] = c[k - 1]  # placeholder for the kernel guess below
             kern[k] = phi_gamma(m, beta, gamma, c[k])
-        if not math.isfinite(c[k]):
-            raise BlowUpError(f"c is not finite at step {k} (tau = {k * h:g})")
+            for _ in range(2):
+                conv = h * inner + 0.5 * h * kern[k] * d[0]
+                d[k] = -(conv + 0.5) / denom
+                c[k] = c[k - 1] + 0.5 * h * (d[k - 1] + d[k])
+                kern[k] = phi_gamma(m, beta, gamma, c[k])
+            if not math.isfinite(c[k]):
+                raise BlowUpError(f"c is not finite at step {k} (tau = {k * h:g})")
     lag = max(1, round(1.0 / h))
     plateaued = n > lag and abs(c[-1] - c[-1 - lag]) < 1e-8
     return FdtSolution(h, c, d, gamma, ci, beta, plateaued)

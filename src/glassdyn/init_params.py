@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DomainError, NoRootError, SingularMatrixError,
-                     check_real)
+                     check_keys, check_real)
 from .mixture import Mixture, g_beta
 
 __all__ = [
@@ -105,13 +105,18 @@ class InitCondition:
 
     @classmethod
     def from_dict(cls, obj: dict, m: Mixture | None = None) -> "InitCondition":
-        """Build from an init-spec dict: explicit V or a "gibbs" block."""
+        """Build from an init-spec dict: explicit V or a "gibbs" block, not both;
+        a key of neither is refused."""
         try:
             if "gibbs" in obj:
+                check_keys("init spec", obj, ("gibbs",))
                 g = obj["gibbs"]
+                check_keys("gibbs", g, ("beta0", "q_EA", "GS"))
                 args = (g["beta0"], g.get("q_EA", 0.0), g.get("GS", 0.0))
             else:
+                check_keys("init spec", obj, ("q_star", "V"))
                 v = obj["V"]
+                check_keys("V", v, ("E", "E_star", "G_star", "q_o"))
                 args = (obj["q_star"], v["E"], v.get("E_star", 0.0),
                         v.get("G_star", 0.0), v.get("q_o", 0.0))
         except KeyError as err:

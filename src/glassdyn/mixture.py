@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_count, check_real
+from .errors import ConfigError, DomainError, check_count, check_keys, check_real
 
 __all__ = [
     "Mixture",
@@ -61,12 +61,17 @@ class Mixture:
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
         cs = [np.zeros(max(clean) + 1)]
         cs[0][list(clean)] = list(clean.values())
-        for _ in range(3):
-            prev = cs[-1]
-            cs.append(prev[1:] * np.arange(1, len(prev)))
+        with np.errstate(over="ignore"):  # refused below
+            for _ in range(3):
+                prev = cs[-1]
+                cs.append(prev[1:] * np.arange(1, len(prev)))
         object.__setattr__(self, "_c_desc",
                            tuple(tuple(c[::-1].tolist()) for c in cs))
         object.__setattr__(self, "_guard", self.radius_bound**2)
+        # the coefficients are >= 0, so nu^(k)(1), their sum, bounds |nu^(k)| on [-1, 1]
+        if not all(math.isfinite(sum(c)) for c in self._c_desc):
+            raise ConfigError(f"mixture weights {clean} are too large: nu, nu', nu'' "
+                              "and nu''' at r = 1 must be finite")
 
     @property
     def p_max(self) -> int:
@@ -133,8 +138,10 @@ class Mixture:
 
     @classmethod
     def from_dict(cls, obj) -> "Mixture":
-        """Build from {"coeffs": {"p": b_p^2, ...}} with an optional "radius_bound"."""
-        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
+        """Build from {"coeffs": {"p": b_p^2, ...}} with an optional "radius_bound";
+        any other key is refused."""
+        check_keys("mixture", obj, ("coeffs", "radius_bound"))
+        if not isinstance(obj.get("coeffs"), dict):
             raise ConfigError('mixture must contain a "coeffs" object')
         try:
             coeffs = {int(p): b for p, b in obj["coeffs"].items()}
@@ -151,15 +158,21 @@ def g_beta(m: Mixture, beta: float, x, order: int = 0):
     """Log-moment comparison function and its derivative.
 
     order 0: 2 beta^2 nu(x) + x/2 + log(1-x)/2
-    order 1: 2 beta^2 nu'(x) + 1/2 - 1/(2(1-x))
-    Defined for x < 1.
+    order 1: 2 beta^2 nu'(x) - x/(2(1-x))
+    Defined for x < 1.  The beta-free part is written without cancellation
+    near x = 0: order 0 by its series -sum_k x^k/(2k) for |x| < 1e-3, so
+    -g_beta(m, 0, x) / x^2 keeps its digits as x -> 0.
     """
     if np.any(np.asarray(x) >= 1.0):
         raise DomainError("g_beta requires x < 1")
     if order == 0:
-        return 2.0 * beta**2 * m.nu(x) + x / 2.0 + 0.5 * np.log1p(-np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        # the terms k = 2..8; the first one left out, x^9/18, is < 1e-21 x^2 there
+        series = -x * x * np.polyval([1 / (2 * k) for k in range(8, 1, -1)], x)
+        g0 = np.where(abs(x) < 1e-3, series, x / 2.0 + 0.5 * np.log1p(-x))[()]
+        return 2.0 * beta**2 * m.nu(x) + g0
     if order == 1:
-        return 2.0 * beta**2 * m.nu(x, 1) + 0.5 - 0.5 / (1.0 - x)
+        return 2.0 * beta**2 * m.nu(x, 1) - 0.5 * x / (1.0 - x)
     raise ConfigError("g_beta supports order 0 or 1")
 
 

@@ -1,10 +1,11 @@
 """Critical temperatures and long-time plateau levels.
 
-All quantities here are scalar functions of the mixture and reduce to sup /
-root finding for g_beta and its derivative on [0, 1).  The scans use a coarse
-grid with local refinement: the derivative diverges to -inf at x -> 1, so the
-suprema are attained in the interior but may sit on narrow interior bumps for
-mixed models.
+All quantities here are scalar functions of the mixture, read off g_beta and
+its derivative on [0, 1).  g_beta is linear in beta^2, so the thresholds are
+infima over x, with no beta search; the plateaus are level roots.  The scans
+use a coarse grid with local refinement: the derivative diverges to -inf at
+x -> 1, so the extrema are attained in the interior but may sit on narrow
+interior bumps for mixed models.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GammaTooSmallError, NoRootError
+from .errors import GammaTooSmallError
 from .init_params import gamma_star
 from .mixture import Mixture, effective_mixture, g_beta
 
@@ -35,53 +36,44 @@ _REFINE_LEVELS = 3
 _PLATEAU_TOL = 1e-6  # a plateau this close to q_beta is the band
 
 
-def _sup_scan(f, n=_N_GRID, levels=_REFINE_LEVELS):
-    """Max of f over (0, 1) by grid scan plus local zoom refinement."""
+def _sup_scan(m: Mixture, order: int) -> tuple[float, float]:
+    """(beta_c, x_c): the smallest beta at which sup g_beta (order 0) or sup
+    g_beta' (order 1) on (0, _X_HI] turns positive, and the overlap where it does.
+
+    g_beta is linear in beta^2, so beta_c^2 is the infimum over x of
+    -g_beta(m, 0, x) / (2 nu^(order)(x)), found by a grid scan with local
+    zoom; its x -> 0+ limit, 1/(8 b_2), is taken exactly when b_2 > 0, and
+    x_c = 0 then.  beta_c scales as 1/sqrt(nu(1)): the scan runs on the
+    mixture scaled to nu(1) = 1, so tiny weights never meet subnormal nu.
+    """
+    scale = sum(m.coeffs.values())  # nu(1)
+    unit = Mixture({p: b / scale for p, b in m.coeffs.items()}, m.radius_bound)
+    best_x, best_v = 0.0, (1.0 / (8.0 * unit.coeffs[2]) if 2 in unit.coeffs else math.inf)
     lo, hi = 0.0, _X_HI
-    best_x, best_v = 0.0, -np.inf
-    for _ in range(levels + 1):
-        xs = np.linspace(lo, hi, n)
-        vs = f(xs)
-        k = int(np.argmax(vs))
-        if vs[k] > best_v:
+    for _ in range(_REFINE_LEVELS + 1):
+        xs = np.linspace(lo, hi, _N_GRID + 1)[1:]  # x = 0 is the limit above
+        # where a high power's nu underflows the ratio is +inf, as it should be
+        with np.errstate(divide="ignore", over="ignore"):
+            vs = -g_beta(unit, 0.0, xs, order) / (2.0 * unit.nu(xs, order))
+        k = int(np.argmin(vs))
+        if vs[k] < best_v:
             best_v, best_x = float(vs[k]), float(xs[k])
         dx = xs[1] - xs[0]
         lo = max(0.0, best_x - 2.0 * dx)
         hi = min(_X_HI, best_x + 2.0 * dx)
-    return best_x, best_v
-
-
-def _bisect_beta(predicate, rel_tol=1e-8):
-    """Smallest beta with predicate(beta) true; predicate monotone in beta."""
-    hi = 1.0
-    while not predicate(hi):
-        hi *= 2.0
-        if hi > 1e8:
-            raise NoRootError("no critical beta up to beta = 1e8: the weights are too small")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _beta_sup_positive(m: Mixture, order: int) -> float:
-    """Smallest beta at which sup of g_beta (order 0) or g_beta' on [0,1) is positive."""
-    return _bisect_beta(
-        lambda beta: _sup_scan(lambda x: g_beta(m, beta, x, order))[1] > 0.0)
+    return math.sqrt(best_v) / math.sqrt(scale), best_x
 
 
 def beta_c_stat(m: Mixture) -> float:
-    """Inverse temperature above which sup g_beta on [0,1] turns positive."""
-    return _beta_sup_positive(m, 0)
+    """Inverse temperature above which sup g_beta on (0, 1) turns positive:
+    beta^2 = inf over x of -(x/2 + log(1-x)/2) / (2 nu(x))."""
+    return _sup_scan(m, 0)[0]
 
 
 def beta_c_dyn(m: Mixture) -> float:
-    """Inverse temperature above which sup g_beta' on [0,1) turns positive."""
-    return _beta_sup_positive(m, 1)
+    """Inverse temperature above which sup g_beta' on (0, 1) turns positive:
+    beta^2 = inf over x of x / (4 (1-x) nu'(x))."""
+    return _sup_scan(m, 1)[0]
 
 
 def _descending_level_root(f, level: float):

@@ -61,6 +61,13 @@ def _mixture_file(files, coeffs):
     return str(path)
 
 
+def _init_file(files, spec):
+    """An init file holding this spec, as a path; one per test."""
+    path = files["dir"] / "init_spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
 def manifest_hash(out):
     return json.loads((out / "manifest.json").read_text())["manifest_hash"]
 
@@ -112,6 +119,15 @@ class TestPhase:
         want = reference_csv(manifest_hash(out),
                              "beta,q_d,regime,beta_c_dyn,beta_c_stat", rows)
         assert (out / "phase.csv").read_bytes() == want
+
+    def test_tiny_weight_has_its_critical_beta(self, files):
+        # the beta search gave up at 1e8 with exit 1; beta_c scales as 1/sqrt(b_2^2)
+        out = files["dir"] / "tiny"
+        assert main(["--out-dir", str(out), "phase", "--mixture",
+                     _mixture_file(files, {"2": 1e-300}), "--beta-grid", "0:1:2"]) == 0
+        row = (out / "phase.csv").read_text().splitlines()[2].split(",")
+        assert float(row[3]) == pytest.approx(1 / np.sqrt(8e-300), rel=1e-9)
+        assert float(row[4]) == pytest.approx(1 / np.sqrt(8e-300), rel=1e-9)
 
 
 class TestWriteCsv:
@@ -439,6 +455,22 @@ class TestErrors:
         (lambda f: ["phase", "--mixture", _mixture_file(
             f, {"2": 1.0, "100000000000000000000": 1.0}), "--beta-grid", "0:1:2"],
          "mixture power 100000000000000000000"),
+        # built with inf coefficients of nu'; the phase then blamed small weights
+        (lambda f: ["phase", "--mixture", _mixture_file(f, {"2": 1e308, "3": 1e308}),
+                    "--beta-grid", "0:1:2"], "mixture weights {2: 1e+308, 3: 1e+308}"),
+        # each of these ran, with the typo's value ignored
+        (lambda f: ["params", "--mixture", str(f["mix"]), "--init", _init_file(
+            f, {"gibbs": {"beta0": 0.3, "qEA": 0.5}}), "--beta", "0.3"],
+         "gibbs key 'qEA' is not known"),
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init", _init_file(
+            f, {"q_star": 0.7, "V": {"E": 0.4, "Estar": -0.3}}), "--beta", "0.3"],
+         "V key 'Estar' is not known"),
+        (lambda f: ["params", "--mixture", str(f["mix"]), "--init", _init_file(
+            f, {"gibbs": {"beta0": 0.3}, "V": {"E": 0.0}}), "--beta", "0.3"],
+         "init spec key 'V' is not known"),
+        (lambda f: ["simulate", "--config", _sim_config(
+            f, mixture={"coeffs": {"2": 1.0}, "radius": 0.5})],
+         "mixture key 'radius' is not known"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
@@ -451,7 +483,9 @@ class TestErrors:
             "out-dir-is-a-file", "N-true", "paths-true", "seed-true", "substeps-true",
             "solve-unindexable-grid", "solve-grid-past-2^63", "fdt-unindexable-grid",
             "fdt-grid-past-array-size", "phase-grid-past-2^63", "phase-grid-past-array-size",
-            "phase-power-past-the-largest"])
+            "phase-power-past-the-largest", "phase-weights-overflow-nu",
+            "params-gibbs-key-typo", "solve-V-key-typo", "params-gibbs-and-V",
+            "simulate-mixture-key-typo"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
@@ -459,10 +493,13 @@ class TestErrors:
         assert named in proc.stderr
 
     @pytest.mark.parametrize("argv, named", [
-        # no critical beta below 1e8: a plain RuntimeError's traceback
-        (lambda f: ["phase", "--mixture", _mixture_file(f, {"2": 1e-300}),
-                    "--beta-grid", "0:1:2"], "beta = 1e8"),
-    ], ids=["phase-no-critical-beta"])
+        (lambda f: ["fdt", "--mixture", str(f["mix"]), "--beta", "0.3",
+                    "--gamma", "-5"], "increase gamma"),
+        # numpy's overflow warnings, with their source lines, came first
+        (lambda f: ["solve", "--mixture", str(f["mix"]), "--init",
+                    _init_file(f, GENERIC_INIT), "--beta", "40", "--T", "2",
+                    "--h", "0.01"], "at slice 3"),
+    ], ids=["fdt-gamma-too-small", "solve-blow-up"])
     def test_failed_computation_is_one_line_exit_1_without_traceback(self, files, argv,
                                                                      named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])

@@ -341,6 +341,12 @@ class TestVariants:
         with pytest.raises(BlowUpError, match="slice 1$"):
             solve_dynamics(M23, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01))
 
+    def test_blow_up_is_one_error_and_no_warning(self):
+        # the state overflows inside slice 3; numpy's overflow and invalid-value
+        # warnings came first, and under warnings-as-errors stood in for the error
+        with pytest.raises(BlowUpError, match="slice 3$"):
+            solve_dynamics(M23, IC_GEN, SolverConfig(beta=40.0, T=2.0, h=0.01))
+
 
 class TestStorage:
     """C is stored symmetric and R lower-triangular, by every variant."""

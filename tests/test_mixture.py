@@ -130,6 +130,18 @@ class TestGBeta:
         with pytest.raises(DomainError):
             g_beta(M23, 1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("x", [1e-12, 1e-6, 9.99e-4])
+    def test_beta_free_part_keeps_its_digits_near_zero(self, x):
+        # 1/2 - 1/(2(1-x)) and x/2 + log1p(-x)/2 both cancel there
+        assert g_beta(M23, 0.0, x, 1) == pytest.approx(-x / (2 * (1 - x)), rel=1e-15)
+        series = -sum(x**k / (2 * k) for k in range(2, 12))
+        assert g_beta(M23, 0.0, x, 0) == pytest.approx(series, rel=1e-15)
+
+    def test_series_meets_the_log_form_at_the_switch(self):
+        xs = np.array([1e-3 - 1e-12, 1e-3, 1e-3 + 1e-12])
+        g = g_beta(M23, 0.0, xs, 0)
+        np.testing.assert_allclose(g, xs / 2 + np.log1p(-xs) / 2, rtol=1e-9)
+
     def test_phi_gamma(self):
         assert phi_gamma(M23, 0.0, 0.0, 0.3) == 0.0
         assert phi_gamma(PURE2, 1.0, 0.5, 1.0) == 4.5
@@ -173,6 +185,13 @@ class TestValidationAndJson:
             Mixture({2: bad, 3: 1.0})
         with pytest.raises(ConfigError, match="b_2"):
             Mixture({2: bad})
+
+    @pytest.mark.parametrize("coeffs", [{2: 1e308, 3: 1e308}, {2: 1e308},
+                                        {1000: 1e300}])
+    def test_rejects_weights_whose_derivatives_overflow(self, coeffs):
+        # these built with inf coefficients behind numpy overflow warnings
+        with pytest.raises(ConfigError, match=r"^mixture weights \{.*\} are too large"):
+            Mixture(coeffs)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):

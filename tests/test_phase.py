@@ -8,7 +8,7 @@ import pytest
 from glassdyn.errors import DomainError, GammaTooSmallError
 from glassdyn.mixture import Mixture, effective_mixture, g_beta
 from glassdyn.phase import (
-    band_relaxation_predicate, beta_c_dyn, beta_c_stat, c_inf, classify, q_d,
+    _sup_scan, band_relaxation_predicate, beta_c_dyn, beta_c_stat, c_inf, classify, q_d,
 )
 
 PURE2 = Mixture.pure(2)
@@ -39,10 +39,12 @@ class TestCriticalBetas:
         assert beta_c_dyn(PURE2) == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-6)
 
     def test_scaling_in_overall_weight(self):
-        c = 2.7
-        scaled = Mixture({2: c})
-        assert beta_c_stat(scaled) == pytest.approx(
-            beta_c_stat(PURE2) / math.sqrt(c), rel=1e-6)
+        # at 1e-300 nu goes subnormal near x = 0; the bisection found no beta
+        # up to 1e8 there
+        for c in (2.7, 1e-300):
+            scaled = Mixture({2: c})
+            assert beta_c_stat(scaled) == pytest.approx(
+                beta_c_stat(PURE2) / math.sqrt(c), rel=1e-6)
 
     def test_pure3_against_brute_force(self):
         assert beta_c_stat(PURE3) == pytest.approx(PURE3_BETA_C_STAT, rel=1e-6)
@@ -64,6 +66,62 @@ class TestCriticalBetas:
         fine = _brute_beta_c(M23, 1, n_x=100_000)
         assert beta_c_dyn(M23) == pytest.approx(fine, abs=1e-7)
         assert abs(coarse - fine) < 1e-7
+
+
+def _pure_static_point(p):
+    """(beta_s, q_s) of the pure p-spin from g_beta = g_beta' = 0: q solves
+    p (1-q) (-q - log(1-q)) = q^2 on (0, 1), by bisection."""
+    lo, hi = 1e-3, 1.0 - 1e-9  # the left side wins at lo, the right side at hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if p * (1 - mid) * (-mid - math.log1p(-mid)) > mid * mid:
+            lo = mid
+        else:
+            hi = mid
+    q = 0.5 * (lo + hi)
+    return math.sqrt(1.0 / (4 * p * (1 - q) * q ** (p - 2))), q
+
+
+class TestClosedForms:
+    """beta_c^2 is an infimum over x, and its minimizer the transition overlap."""
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 1000])
+    def test_pure_p_dynamical_point(self, p):
+        # beta_d^2 = 1 / (4 p m^(p-2) (1 - m)) at m = (p-2)/(p-1)
+        # (Crisanti, Horner & Sommers, Z. Phys. B 92, 257, 1993); at p = 1000
+        # nu' underflows over most of the grid, and the bisection was 2.5e-9 off
+        m = (p - 2) / (p - 1)
+        beta, x = _sup_scan(Mixture.pure(p), 1)
+        assert beta == pytest.approx(1 / math.sqrt(4 * p * m ** (p - 2) * (1 - m)),
+                                     abs=1e-12)
+        assert beta_c_dyn(Mixture.pure(p)) == beta
+        assert x == pytest.approx(m, abs=1e-8)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_pure2_points_are_the_small_x_limit(self, order):
+        # the infimum is the x -> 0+ limit 1/(8 b_2), taken exactly
+        assert _sup_scan(PURE2, order) == (pytest.approx(1 / math.sqrt(8), abs=1e-12),
+                                           0.0)
+
+    def test_band_mixture_dynamical_point(self):
+        assert beta_c_dyn(effective_mixture(M23, 0.5)) == pytest.approx(
+            1 / math.sqrt(5), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 4, 1000])
+    def test_pure_p_static_point(self, p):
+        # at p = 1000 the bisection's beta_c_stat was 1.2e-3 high
+        beta_s, q_s = _pure_static_point(p)
+        beta, x = _sup_scan(Mixture.pure(p), 0)
+        assert beta == pytest.approx(beta_s, abs=1e-12)
+        assert beta_c_stat(Mixture.pure(p)) == beta
+        assert x == pytest.approx(q_s, abs=1e-7)
+
+    def test_pure3_static_point_is_the_classic_one(self):
+        # q_s = 0.645 (Crisanti & Sommers, Z. Phys. B 87, 341, 1992); the
+        # golden number holds to its ten printed digits
+        beta, x = _sup_scan(PURE3, 0)
+        assert beta == pytest.approx(PURE3_BETA_C_STAT, abs=5e-11)
+        assert x == pytest.approx(0.645, abs=1e-3)
 
 
 class TestPlateaus:
