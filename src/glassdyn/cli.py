@@ -125,9 +125,18 @@ def _jsonable(x):
 
 def _read_json(path: str, what: str):
     """Contents of a JSON input file; a file that cannot be read as JSON text
-    (missing, a directory, unreadable, not UTF-8, malformed) is a ConfigError."""
+    (missing, a directory, unreadable, not UTF-8, malformed) is a ConfigError,
+    and so is an object that gives one key twice: json keeps the last one."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what} file {path} gives the key {key!r} twice")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except FileNotFoundError as err:
         raise ConfigError(f"{what} file not found: {path}") from err
     except (OSError, UnicodeDecodeError) as err:
@@ -197,7 +206,7 @@ def cmd_phase(args, out: Path):
                  [pp.regime for pp in points],
                  np.full(len(betas), bcd), np.full(len(betas), bcs)]], digest)
     _write_json(out / "manifest.json", man, digest)
-    print(f"wrote {out / 'phase.csv'} (beta_c_dyn={bcd:.6f}, beta_c_stat={bcs:.6f})")
+    print(f"wrote {out / 'phase.csv'} (beta_c_dyn={bcd:.6g}, beta_c_stat={bcs:.6g})")
     return 0
 
 

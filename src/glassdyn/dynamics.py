@@ -21,12 +21,12 @@ sub-grid cost O(m n) and are never held together.
 
 Per pass the row state is built from the new row alone: the kernels keep
 nu'(q) as an array with one entry refreshed per row (only q at the new
-slice moves during a slice); the mixture's radius guard is checked once per
-row, and not at all when it is infinite; Heun's base rows are built once
-per slice, so a pass writes row i + 1 of R and C with one multiply and one
-add each.  A replica-symmetric start (``InitCondition.is_rs``, which stores
-q_star = 0) takes the band path with nu'(q_star^2) = inf, so every L term
-is an exact zero.
+slice moves during a slice), and nu' and nu'' of the row are two
+``Mixture.nu`` calls; Heun's base rows are built once per slice, so a
+pass writes row i + 1 of R and C with one multiply and one add each.  A
+replica-symmetric start (``InitCondition.is_rs``, which stores q_star = 0)
+takes the band path with nu'(q_star^2) = inf, so every L term is an exact
+zero.
 
 Variants: hard spherical constraint (K = 1), soft radial confinement with
 stiffness ell (K solved semi-implicitly), and gradient flow (noise-free
@@ -259,8 +259,7 @@ class _Kernels:
         Crow, Rrow = sol.C[a, : a + 1], sol.R[a, : a + 1]
         # Python floats take the scalar path of Mixture.nu inside vx and vy
         qa, c0 = float(sol.q[a]), float(Crow[0])
-        m.check_radius(Crow)
-        d1, d2 = m.horner(Crow, 1), m.horner(Crow, 2)
+        d1, d2 = m.nu(Crow, 1), m.nu(Crow, 2)
         mv = Rrow * d2
         vx, vy = vf.vx(qa, c0), vf.vy(qa, c0)
         r0 = float(Rrow[0])

@@ -29,18 +29,15 @@ _MAX_POWER = 1000  # from p = 1030 on, effective_mixture's comb(p, p // 2) overf
 class Mixture:
     """Finite mixture: map p -> b_p^2 with all weights >= 0, at least one > 0.
 
-    ``radius_bound`` is the validity radius guard r_bar; finite mixtures are
-    entire so the default is +inf.  Instances are immutable and safe to share.
+    The coefficients are all an instance holds: nu is a polynomial, finite at
+    every finite r.  Instances are immutable and safe to share.
     """
 
     coeffs: dict[int, float]
-    radius_bound: float = math.inf
     # dense coefficients of nu and its three derivatives, highest power
     # first, as Python floats for Horner
     _c_desc: tuple[tuple[float, ...], ...] = field(init=False, repr=False,
                                                    compare=False)
-    # radius_bound**2, the bound on |r|
-    _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -55,9 +52,6 @@ class Mixture:
                 clean[p] = b
         if not clean:
             raise ConfigError("mixture has no positive weight")
-        rb = self.radius_bound  # +inf, the default, is the one bound not finite
-        if not (rb == math.inf or check_real("radius_bound", rb) > 0.0):
-            raise ConfigError(f"radius_bound must be positive, got {rb!r}")
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
         cs = [np.zeros(max(clean) + 1)]
         cs[0][list(clean)] = list(clean.values())
@@ -67,7 +61,6 @@ class Mixture:
                 cs.append(prev[1:] * np.arange(1, len(prev)))
         object.__setattr__(self, "_c_desc",
                            tuple(tuple(c[::-1].tolist()) for c in cs))
-        object.__setattr__(self, "_guard", self.radius_bound**2)
         # the coefficients are >= 0, so nu^(k)(1), their sum, bounds |nu^(k)| on [-1, 1]
         if not all(math.isfinite(sum(c)) for c in self._c_desc):
             raise ConfigError(f"mixture weights {clean} are too large: nu, nu', nu'' "
@@ -89,42 +82,24 @@ class Mixture:
     def nu(self, r, order: int = 0):
         """Evaluate nu (order 0) or its derivative of the given order at r.
 
-        Horner over the coefficients, from the top one down; r may be a scalar
-        or an ndarray.  Guarded by |r| <= radius_bound**2.  A float r
-        (including np.float64) takes the same Horner steps on Python floats,
-        so the result is bitwise equal to the array path and is a Python float.
+        One Horner loop from the top coefficient down: on Python floats for a
+        float r (np.float64 too), else in place on one new float array of r's
+        shape, a float when 0-d; the two agree bitwise.  Above p_max there is
+        no coefficient, and the value is the zero polynomial.
         """
         if order not in (0, 1, 2, 3):
             raise ConfigError(f"order must be in 0..3, got {order}")
-        if isinstance(r, float):
-            r = float(r)
-            if abs(r) > self._guard:
-                raise DomainError(f"|r| exceeds radius_bound^2 = {self._guard}")
-            cs = self._c_desc[order]
-            acc = cs[0] if cs else 0.0
-            for c in cs[1:]:
-                acc = acc * r + c
-            return acc
-        r = np.asarray(r, dtype=float)
-        self.check_radius(r)
-        acc = self.horner(r, order)
-        return acc if acc.ndim else float(acc)
-
-    def check_radius(self, r: np.ndarray):
-        """Raise DomainError if some |r| exceeds radius_bound**2; free when it is inf."""
-        if self._guard < math.inf and np.any(np.abs(r) > self._guard):
-            raise DomainError(f"|r| exceeds radius_bound^2 = {self._guard}")
-
-    def horner(self, r: np.ndarray, order: int) -> np.ndarray:
-        """``nu(r, order)`` for a float array r without the radius check: the
-        scalar path's steps, in place on one new array.
-        """
         cs = self._c_desc[order]
-        acc = np.full_like(r, cs[0] if cs else 0.0)
+        top = cs[0] if cs else 0.0
+        if isinstance(r, float):
+            r, acc = float(r), top
+        else:
+            r = np.asarray(r, dtype=float)
+            acc = np.full_like(r, top)
         for c in cs[1:]:
             acc *= r
             acc += c
-        return acc
+        return acc if isinstance(acc, float) or acc.ndim else float(acc)
 
     def psi(self, r):
         """(r nu'(r))' = nu'(r) + r nu''(r)."""
@@ -138,16 +113,25 @@ class Mixture:
 
     @classmethod
     def from_dict(cls, obj) -> "Mixture":
-        """Build from {"coeffs": {"p": b_p^2, ...}} with an optional "radius_bound";
-        any other key is refused."""
-        check_keys("mixture", obj, ("coeffs", "radius_bound"))
+        """Build from {"coeffs": {"p": b_p^2, ...}}; any other key is refused.
+
+        A power key is its integer in canonical decimal, "3" and never "03",
+        "+3" or " 3", so no two keys name the same power.
+        """
+        check_keys("mixture", obj, ("coeffs",))
         if not isinstance(obj.get("coeffs"), dict):
             raise ConfigError('mixture must contain a "coeffs" object')
-        try:
-            coeffs = {int(p): b for p, b in obj["coeffs"].items()}
-        except ValueError as err:
-            raise ConfigError(f"mixture coeffs must map integer powers: {err}") from err
-        return cls(coeffs, obj.get("radius_bound", math.inf))
+        coeffs = {}
+        for key, b in obj["coeffs"].items():
+            try:
+                p = int(key)
+            except (TypeError, ValueError):
+                p = None
+            if p is None or str(p) != key:
+                raise ConfigError(f"mixture coeffs key {key!r} must be a power "
+                                  'written as a plain integer, like "3"')
+            coeffs[p] = b
+        return cls(coeffs)
 
     @classmethod
     def pure(cls, p: int, weight: float = 1.0) -> "Mixture":
@@ -194,5 +178,5 @@ def effective_mixture(m: Mixture, q: float) -> Mixture:
     for p, b in m.coeffs.items():
         for k in range(2, p + 1):
             out[k] = out.get(k, 0.0) + b * math.comb(p, k) * q ** (p - k) * (1.0 - q) ** k
-    return Mixture(out, m.radius_bound)
+    return Mixture(out)
 

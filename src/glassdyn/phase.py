@@ -47,7 +47,7 @@ def _sup_scan(m: Mixture, order: int) -> tuple[float, float]:
     mixture scaled to nu(1) = 1, so tiny weights never meet subnormal nu.
     """
     scale = sum(m.coeffs.values())  # nu(1)
-    unit = Mixture({p: b / scale for p, b in m.coeffs.items()}, m.radius_bound)
+    unit = Mixture({p: b / scale for p, b in m.coeffs.items()})
     best_x, best_v = 0.0, (1.0 / (8.0 * unit.coeffs[2]) if 2 in unit.coeffs else math.inf)
     lo, hi = 0.0, _X_HI
     for _ in range(_REFINE_LEVELS + 1):

@@ -68,6 +68,13 @@ def _init_file(files, spec):
     return str(path)
 
 
+def _text_file(files, text):
+    """A file holding this text, as a path; one per test."""
+    path = files["dir"] / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
 def manifest_hash(out):
     return json.loads((out / "manifest.json").read_text())["manifest_hash"]
 
@@ -128,6 +135,19 @@ class TestPhase:
         row = (out / "phase.csv").read_text().splitlines()[2].split(",")
         assert float(row[3]) == pytest.approx(1 / np.sqrt(8e-300), rel=1e-9)
         assert float(row[4]) == pytest.approx(1 / np.sqrt(8e-300), rel=1e-9)
+
+    def test_stdout_prints_the_critical_betas_short(self, files, capsys):
+        # :.6f printed beta_c_dyn = 3.5e149 as a 150-digit integer
+        out = files["dir"] / "tiny"
+        assert main(["--out-dir", str(out), "phase", "--mixture",
+                     _mixture_file(files, {"2": 1e-300}), "--beta-grid", "0:1:2"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert len(line) < len(str(out)) + 80
+        printed = dict(kv.split("=") for kv in line.split("(")[1].rstrip(")").split(", "))
+        row = (out / "phase.csv").read_text().splitlines()[2].split(",")
+        for key, csv_value in (("beta_c_dyn", row[3]), ("beta_c_stat", row[4])):
+            assert float(printed[key]) == pytest.approx(float(csv_value), rel=5e-6)
+            assert float(csv_value) > 1e149
 
 
 class TestWriteCsv:
@@ -298,18 +318,21 @@ class TestSimulateCompare:
         assert f_lim != sph
         assert rep["invariants"]["gram_min_eig"] == f_lim
 
-    def test_radius_bound_is_honoured(self, files):
-        # nu(1) exceeds the guard radius_bound^2 = 0.25: simulate and compare
-        # must fail like solve does, not drop the bound
-        mixture = {"coeffs": {"2": 1.0}, "radius_bound": 0.5}
+    def test_radius_bound_key_is_refused(self, files):
+        # nu is a polynomial, so a mixture takes no validity radius: the key
+        # is an unknown key on every command that reads a mixture
+        mixture = {"coeffs": {"2": 1.0}, "radius_bound": 2.0}
         mix = files["dir"] / "bounded.json"
         mix.write_text(json.dumps(mixture))
-        assert main(["--out-dir", str(files["dir"] / "s"), "solve", "--mixture",
-                     str(mix), "--init", str(files["init"]), "--beta", "0.3",
-                     "--T", "0.1", "--h", "0.01"]) == 1
-        for command in ("simulate", "compare"):
-            assert main(["--out-dir", str(files["dir"] / command), command,
-                         "--config", _sim_config(files, mixture=mixture)]) == 1
+        runs = [["solve", "--mixture", str(mix), "--init", str(files["init"]), "--beta",
+                 "0.3", "--T", "0.1", "--h", "0.01"]]
+        runs += [[command, "--config", _sim_config(files, mixture=mixture)]
+                 for command in ("simulate", "compare")]
+        for argv in runs:
+            proc = _run_cli(["--out-dir", str(files["dir"] / argv[0]), *argv])
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert "mixture key 'radius_bound' is not known" in proc.stderr
 
     def test_tiny_q_star_compares_as_the_rs_start(self, files):
         # q_star = 1e-200 is the RS start: x_star is zero, so q_N is
@@ -471,6 +494,13 @@ class TestErrors:
         (lambda f: ["simulate", "--config", _sim_config(
             f, mixture={"coeffs": {"2": 1.0}, "radius": 0.5})],
          "mixture key 'radius' is not known"),
+        # the last key for a power won: this ran as {2: 5.0}
+        (lambda f: ["simulate", "--config", _sim_config(
+            f, mixture={"coeffs": {"2": 1.0, "02": 5.0}})], "mixture coeffs key '02'"),
+        # json kept the last of two equal keys: this ran as {2: 1e-300}
+        (lambda f: ["phase", "--mixture", _text_file(
+            f, '{"coeffs": {"2": 1.0, "2": 1e-300}}'), "--beta-grid", "0:1:2"],
+         "gives the key '2' twice"),
     ], ids=["missing-config", "mixture-key", "variant-ell", "N-string", "no-paths",
             "N-zero", "N-negative", "seed-negative", "N-missing", "N-fraction",
             "paths-fraction", "seed-fraction", "substeps-fraction", "substep-typo",
@@ -485,7 +515,8 @@ class TestErrors:
             "fdt-grid-past-array-size", "phase-grid-past-2^63", "phase-grid-past-array-size",
             "phase-power-past-the-largest", "phase-weights-overflow-nu",
             "params-gibbs-key-typo", "solve-V-key-typo", "params-gibbs-and-V",
-            "simulate-mixture-key-typo"])
+            "simulate-mixture-key-typo", "simulate-two-keys-for-one-power",
+            "phase-repeated-json-key"])
     def test_bad_input_is_config_error_without_traceback(self, files, argv, named):
         proc = _run_cli(["--out-dir", str(files["dir"] / "e"), *argv(files)])
         assert proc.returncode == 2
@@ -516,8 +547,6 @@ class TestErrors:
         ("simulate", lambda v: {"variant": "fconfined", "ell": v}, "config key 'ell'"),
         ("compare", lambda v: {"h_limit": v}, "config key 'h_limit'"),
         ("simulate", lambda v: {"mixture": {"coeffs": {"2": v}}}, "b_2^2"),
-        ("simulate", lambda v: {"mixture": {"coeffs": {"2": 1.0}, "radius_bound": v}},
-         "radius_bound"),
         ("simulate", lambda v: {"init": {"q_star": v, "V": {"E": 0.12}}}, "q_star"),
         ("simulate", lambda v: {"init": {"q_star": 0.0, "V": {"E": v}}}, "E"),
         ("simulate", lambda v: {"init": {"q_star": 0.7, "V": {"E": 0.4, "E_star": v}}},
@@ -529,8 +558,8 @@ class TestErrors:
         ("simulate", lambda v: {"init": {"gibbs": {"beta0": 0.4, "q_EA": v}}}, "q_EA"),
         ("simulate", lambda v: {"init": {"gibbs": {"beta0": 0.4, "q_EA": 0.5, "GS": v}}},
          "GS"),
-    ], ids=["beta", "T", "h_obs", "ell", "h_limit", "weight", "radius_bound", "q_star",
-            "E", "E_star", "G_star", "q_o", "beta0", "q_EA", "GS"])
+    ], ids=["beta", "T", "h_obs", "ell", "h_limit", "weight", "q_star", "E", "E_star",
+            "G_star", "q_o", "beta0", "q_EA", "GS"])
     def test_real_key_refuses_a_bool_or_a_string(self, files, capsys, command, changes,
                                                  named, bad):
         # float() read JSON true as 1.0 and "0.5" as 0.5, and most of these ran with exit 0

@@ -15,7 +15,7 @@ from glassdyn.dynamics import (
     integrated_response, residual, solve_dynamics, sup_distance,
 )
 from glassdyn.errors import (
-    BlowUpError, ConfigError, DomainError, PsdViolationWarning,
+    BlowUpError, ConfigError, PsdViolationWarning,
 )
 from glassdyn.init_params import InitCondition, gibbs_init, solve_w
 from glassdyn.mixture import Mixture
@@ -320,18 +320,6 @@ class TestVariants:
     def test_f_variant_needs_finite_positive_ell(self, ell):
         with pytest.raises(ConfigError, match="ell"):
             SolverConfig(beta=0.3, T=1.0, h=0.01, variant="f", ell=ell)
-
-    def test_radius_bound_left_by_a_later_row_raises(self):
-        # variant 'f' lets K = C(s, s) grow past 1 (to 1.065 at s = 1 here);
-        # with radius_bound^2 = 1.03 the early rows are inside the bound and
-        # a later row leaves it
-        m = Mixture({2: 1.0, 3: 1.0}, radius_bound=math.sqrt(1.03))
-        early = solve_dynamics(m, IC_GEN, SolverConfig(beta=0.3, T=0.1, h=0.01,
-                                                       variant="f", ell=2.0))
-        assert 1.0 < early.K.max() <= 1.03
-        with pytest.raises(DomainError, match="radius_bound"):
-            solve_dynamics(m, IC_GEN, SolverConfig(beta=0.3, T=1.0, h=0.01,
-                                                   variant="f", ell=2.0))
 
     def test_non_finite_state_stops_at_first_slice(self, monkeypatch):
         # a NaN drift source makes row 1 NaN; the march must stop right there
