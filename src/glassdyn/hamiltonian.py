@@ -5,14 +5,17 @@ p.  Each tensor is drawn with i.i.d. entries of variance N^(1-p), which gives
 the covariance Cov(H(x), H(y)) = N nu(<x,y>/N), and is then symmetrized:
 averaged over all axis permutations.  The stored entries are no longer
 i.i.d., but H is the same function of x, so the covariance law is unchanged.
-A symmetric tensor is kept as its packed rows J[i1, ..., i_(p-1), :] with
-i1 <= ... <= i_(p-1), in lexicographic order: N(N+1)/2 rows for p = 3, half
-the bytes of the full tensor, and J itself for p = 2.  The i.i.d. entries
-are drawn a few first indices at a time and summed straight into those
-rows, so the full tensor never exists and the result is the same, bit for
-bit, as averaging the whole drawn tensor.  One matrix product with those
-rows gives the gradient for a whole batch of points, so each SDE step
-streams half the bytes it would over the full tensor.
+A symmetric tensor is kept once per sorted index tuple x_0 <= ... <=
+x_(p-1), as J there times the tuple's orbit size (its number of distinct
+orderings), in dense blocks of 16 consecutive x_(p-2) with 0.0 at the
+unsorted positions (see _spans): for p = 3 at N = 400 that is 91.4 MiB,
+under a fifth of the full tensor.  The i.i.d. entries are drawn a few
+first indices at a time and summed straight into the tuples' slots, so the
+full tensor never exists and the result is the same, bit for bit, as
+averaging the whole drawn tensor and scaling by the orbit size.  Two
+matrix products per block give the gradient for a whole batch of points,
+so each SDE step streams the stored tensor twice: 183 MiB at N = 400,
+against 488 MiB for one pass over the full tensor.
 ConditioningSpec(target, N, seed) builds the pinned point x_star and the
 start x_0 from the InitCondition alone.  Conditioning on the value at the
 start point and on value/gradient at a critical point is
@@ -27,13 +30,11 @@ projected gradient vector.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,20 +60,22 @@ _R_GUARD = 4.0
 _DRAW_ROWS = 2  # first-axis indices of the draw per generator call, at least
 _DRAW_RING = 4  # chunk buffers: the worker draws up to three chunks ahead
 _DRAW_VALUES = 2**15  # values of the draw per generator call, at least
-_FILL_COLS = 16  # columns of the sorted positions the draw fills at a time
-_K_BYTES = 8 * 2**20  # most bytes of the row factor K in one product
+_GROUP = 16  # consecutive values of x_(p-2) per stored block
+_K_BYTES = 8 * 2**20  # most bytes of one block's scratch in a pass
 
 
 @dataclass
 class SpinSystem:
     """One realization of the symmetrized coupling tensors at size N.
 
-    tensors[p] holds the packed rows of the p-tensor (see _layout): an
-    (N(N+1)/2, N) array for p = 3, (N, N) for p = 2.  The draw writes them
-    directly and the full tensor never exists: a p = 3 system keeps
-    4 N^2 (N + 1) bytes, its draw needs _DRAW_RING chunks of at least
-    _DRAW_ROWS N^2 entries more, and an evaluation no more than _K_BYTES of
-    row factor.
+    tensors[p] holds one entry per sorted index tuple of the p-tensor, in
+    blocks (see _spans): one float64 array per power of
+    8 sum_g (b1 - b0) b1^(p-2) (N - b0) bytes over the blocks [b0, b1) of
+    x_(p-2), against 8 N^p for the full tensor: 91.4 MiB for p = 3 at
+    N = 400.  The draw writes the blocks directly and the full tensor never
+    exists: it needs _DRAW_RING chunks of at least _DRAW_ROWS N^(p-1)
+    entries more, and a pass no more than three pieces of scratch per
+    block, each within _K_BYTES.
     """
 
     N: int
@@ -80,42 +83,42 @@ class SpinSystem:
     tensors: dict[int, np.ndarray]
     seed: int
 
-    def _contract(self, X: np.ndarray):
+    def _contract(self, X: np.ndarray, gradients: bool = True):
         """Values and gradients at the rows of X, one tensor pass per power p.
 
-        With J symmetric, grad H_p(x) = p sqrt(b_p) J(x, ..., x, .), and a
-        packed row (i1 <= ... <= i_(p-1)) stands for every ordering of its
-        indices, so the contraction is K from _row_factor times the packed
-        tensor.  Euler's identity x . grad H_p = p H_p gives the values from
-        the same product.  Rows of X go in chunks of at most N rows, and a
-        chunk meets each tensor in tiles of consecutive first indices, whose
-        packed rows are consecutive too, so that K never exceeds
-        _K_BYTES = 8 MiB: a pass holds the packed tensors and no more than
-        8 MiB beside them.  A chunk whose K fits is one GEMM per power; for
-        p = 3 at N = 400 that is up to 13 rows.  The dominant cost is
-        streaming each tensor once per chunk.  A row outside the radius
+        A stored entry S at a sorted tuple is the symmetric J there times
+        the tuple's orbit size, so H_p(x) = sqrt(b_p) sum S x[x_0] ...
+        x[x_(p-1)] over the sorted tuples, and its gradient takes each
+        position of a tuple in turn (see _block_gradient).  Euler's identity
+        x . grad H_p = p H_p gives the values from the gradients.  Without
+        gradients only the last position's product is made: it counts each
+        sorted tuple once, so G . x is H_p itself.  Rows of X go in chunks
+        of at most N rows whose scratch on the widest block stays within
+        _K_BYTES = 8 MiB, so a pass holds the stored tensors and no more
+        than a few such pieces beside them; for p = 3 at N = 400 a chunk is
+        up to 163 rows.  The dominant cost is streaming each block twice
+        per chunk (once for values alone).  A row outside the radius
         _R_GUARD sqrt(N) is a DomainError.
         """
         k, N = X.shape
         if (np.linalg.norm(X, axis=1) > _R_GUARD * math.sqrt(N)).any():
             raise DomainError("evaluation point outside the radius guard")
-        values, grads = np.zeros(k), np.zeros((k, N))
-        # the most packed rows one first index holds, over the powers
-        widest = max(_layout(N, p).starts[p - 1][1] for p in self.tensors)
+        values, grads = np.zeros(k), np.zeros((k, N)) if gradients else None
+        blocks = {p: _blocks(P, N, p) for p, P in self.tensors.items()}
+        widest = max(B.size // B.shape[-1] for bs in blocks.values() for _, _, B in bs)
         step = max(1, min(N, _K_BYTES // (8 * widest)))
         for a in range(0, k, step):
             Xc = X[a:a + step]
             for p, b in self.mixture.coeffs.items():
-                starts, lo, G = _layout(N, p).starts[p - 1], 0, None
-                while lo < N:
-                    most = starts[lo] + _K_BYTES // (8 * len(Xc))
-                    hi = max(lo + 1, bisect.bisect_right(starts, most) - 1)
-                    part = _row_factor(Xc, p, lo, hi) @ self.tensors[p][starts[lo]:starts[hi]]
-                    G = part if G is None else G + part
-                    lo = hi
-                bp = math.sqrt(b)
-                values[a:a + step] += bp * (G * Xc).sum(axis=1)
-                grads[a:a + step] += (p * bp) * G
+                G = np.zeros(Xc.shape)
+                for b0, b1, B in blocks[p]:
+                    _block_gradient(G, Xc, B, b0, b1, gradients)
+                G *= math.sqrt(b)
+                if not gradients:
+                    values[a:a + step] += (G * Xc).sum(axis=1)
+                    continue
+                values[a:a + step] += (G * Xc).sum(axis=1) / p
+                grads[a:a + step] += G
         return values, grads
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
@@ -124,206 +127,195 @@ class SpinSystem:
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         """Energies at the rows of X: one tensor pass per power p."""
-        return self._contract(X)[0]
-
-
-class _Layout(NamedTuple):
-    starts: list              # starts[m][i]: first sorted m-tuple beginning with i
-    source: np.ndarray        # row of each packed row in the (N^(p-1), N) reshape
-    row_of: np.ndarray        # packed row of each (p-1)-tuple's sorted order, (N,)*(p-1)
-    is_sorted: np.ndarray     # whether each (p-1)-tuple is sorted, (N,)*(p-1)
-    repeats: np.ndarray       # packed rows with a repeated index
-    repeat_scale: np.ndarray  # their mult / (p-1)!
-    blocks: tuple             # first row and last index of each (h, h_last) row
+        return self._contract(X, gradients=False)[0]
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(N: int, p: int) -> _Layout:
-    """Packed rows of a symmetric p-tensor: the sorted (p-1)-tuples, in order.
+def _spans(N: int, p: int) -> tuple:
+    """(b0, b1, start, stop) of each stored block of a p-tensor.
 
-    A row stands for mult = (p-1)!/prod(run length)! orderings of its
-    indices; the product of the run-length factorials is accumulated one
-    position at a time as the length of the run so far.
+    Block g holds the sorted tuples x_0 <= ... <= x_(p-1) with x_(p-2) in
+    [b0, b1) = [16 g, 16 g + 16) ∩ [0, N), as a dense array with axes
+    (x_(p-2), x_0, ..., x_(p-3), x_(p-1)) on [b0, b1) x [0, b1)^(p-2) x
+    [b0, N); an unsorted position holds 0.0.  The blocks follow each other
+    in one flat array, at [start, stop).
     """
-    digits = np.indices((N,) * (p - 1)).reshape(p - 1, -1)
-    source = np.flatnonzero((np.diff(digits, axis=0) >= 0).all(axis=0))
-    row_of = np.empty(digits.shape[1], np.intp)
-    row_of[source] = np.arange(len(source))
-    row_of = row_of[np.ravel_multi_index(np.sort(digits, axis=0), (N,) * (p - 1))]
-    is_sorted = np.zeros(digits.shape[1], bool)
-    is_sorted[source] = True
-    run, denom = np.ones(len(source), int), np.ones(len(source), int)
-    for prev, cur in itertools.pairwise(digits[:, source]):
-        run = np.where(cur == prev, run + 1, 1)
-        denom *= run
-    repeats = np.flatnonzero(denom > 1)
-    last = digits[-2:, source]
-    at = np.flatnonzero(last[0] == last[-1]) if p > 2 else np.zeros(1, int)
-    # in lexicographic order the C(N - i + m - 1, m) sorted m-tuples
-    # beginning with i or more end the list
-    starts = [None] + [[math.comb(N + m - 1, m) - math.comb(N - i + m - 1, m)
-                        for i in range(N + 1)] for m in range(1, p)]
-    return _Layout(starts, source, row_of.reshape((N,) * (p - 1)),
-                   is_sorted.reshape((N,) * (p - 1)), repeats, 1.0 / denom[repeats],
-                   (at.tolist(), last[-1, at].tolist()))
+    spans, stop = [], 0
+    for b0 in range(0, N, _GROUP):
+        b1 = min(N, b0 + _GROUP)
+        start, stop = stop, stop + (b1 - b0) * b1 ** (p - 2) * (N - b0)
+        spans.append((b0, b1, start, stop))
+    return tuple(spans)
 
 
-def _row_factor(X: np.ndarray, p: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """K[:, r] = mult_r x_i1 ... x_i(p-1) over the packed rows r of a p-tensor
-    whose first index i1 lies in lo .. hi - 1 (all of them by default).
+def _blocks(P: np.ndarray, N: int, p: int) -> list:
+    """(b0, b1, block) over the blocks of the flat stored tensor P, as views."""
+    return [(b0, b1, P[start:stop].reshape((b1 - b0,) + (b1,) * (p - 2) + (N - b0,)))
+            for b0, b1, start, stop in _spans(N, p)]
 
-    Built transposed, one contiguous product per level and first index i:
-    level m rows beginning with i are x_i times the level m - 1 suffix, and
-    the last level only for the first indices asked for.  The factor (p-1)!
-    rides on the first level; the rows with a repeated index are then
-    scaled back to their mult (exactly, for p = 3).  Each column is the
-    same, bit for bit, whatever the range.
+
+def _outer(vs: list) -> np.ndarray:
+    """The row-wise outer product of the (k, L) arrays vs, flattened to
+    (k, prod L)."""
+    out = vs[0]
+    for v in vs[1:]:
+        out = np.einsum("ki,kj->kij", out, v).reshape(len(v), -1)
+    return out
+
+
+def _partials(Z: np.ndarray, vs: list) -> list:
+    """Z (k, prod L) contracted, for each d, with every vs[e] but vs[d]."""
+    k, L = vs[0].shape
+    Z = Z.reshape(k, L, -1)
+    if len(vs) == 1:
+        return [Z[:, :, 0]]
+    first = np.matmul(Z, _outer(vs[1:])[:, :, None])[:, :, 0]
+    return [first] + _partials(np.matmul(vs[0][:, None, :], Z)[:, 0], vs[1:])
+
+
+def _block_gradient(G: np.ndarray, X: np.ndarray, B: np.ndarray, b0: int, b1: int,
+                    gradients: bool):
+    """Add to G the gradient at the rows of X of the sum over block B's
+    tuples, or with gradients False its last position's part alone.
+
+    B's rows are the coordinates (x_(p-2), x_0, ..., x_(p-3)) and its
+    columns x_(p-1).  The derivative takes each position of a tuple in
+    turn: for x_(p-1) it is K @ B with K the row-wise products of the row
+    coordinates, and for the others it is Z = X[:, b0:] @ B.T contracted
+    with all row coordinates but one.  An unsorted position holds 0.0, so
+    the rectangular products count each sorted tuple once.
     """
-    N = X.shape[1]
-    hi = N if hi is None else hi
-    if p == 2:
-        return X[:, lo:hi]
-    lay = _layout(N, p)
-    XT = X.T.copy()
-    K = math.factorial(p - 1) * XT
-    for m in range(2, p):
-        prev, new = lay.starts[m - 1], lay.starts[m]
-        a, b = (lo, hi) if m == p - 1 else (0, N)
-        out = np.empty((new[b] - new[a], len(X)))
-        cuts = [r - new[a] for r in new[a:b + 1]]  # the rows of out by first index
-        for i, r0, r1 in zip(range(a, b), cuts, cuts[1:]):
-            np.multiply(K[prev[i]:], XT[i], out=out[r0:r1])
-        K = out
-    r0, r1 = np.searchsorted(lay.repeats, [new[lo], new[hi]])
-    K[lay.repeats[r0:r1] - new[lo]] *= lay.repeat_scale[r0:r1, None]
-    return K.T
+    p, B = B.ndim, B.reshape(-1, B.shape[-1])
+    vs = [X[:, b0:b1]] + [X[:, :b1]] * (p - 2)
+    G[:, b0:] += _outer(vs) @ B
+    if not gradients:
+        return
+    Z = X[:, b0:] @ B.T
+    for (lo, hi), part in zip([(b0, b1)] + [(0, b1)] * (p - 2), _partials(Z, vs)):
+        G[:, lo:hi] += part
+
+
+@functools.lru_cache(maxsize=None)
+def _steps(p: int, k: int) -> tuple:
+    """The orderings sg of y, x without x_k, in itertools.permutations order,
+    each with the axes that turn M[y permuted by sg] to the block's order."""
+    axes = [p - 2, *range(p - 2), p - 1]  # the tuple position of each block axis
+    y = [d - (d > k) for d in axes if d != k]  # their index in y
+    return tuple((sg, tuple(sg.index(a) for a in y))
+                 for sg in itertools.permutations(range(p - 1)))
+
+
+def _orbits(p: int, b0: int, b1: int):
+    """Over a block's rows: the orbit size for x_(p-1) above x_(p-2), the
+    orbit size for x_(p-1) equal to it, and whether the row is unsorted."""
+    grid = np.ix_(np.arange(b0, b1), *[np.arange(b1)] * (p - 2))
+    shape = (b1 - b0,) + (b1,) * (p - 2)
+    unsorted, run, denom = np.zeros(shape, bool), 1, 1
+    for prev, cur in itertools.pairwise([*grid[1:], grid[0]]):
+        unsorted = unsorted | (prev > cur)
+        run = np.where(prev == cur, run + 1, 1)
+        denom = denom * run
+    f = math.factorial(p)
+    return (np.broadcast_to(f / denom, shape), np.broadcast_to(f / (denom * (run + 1)), shape),
+            unsorted)
 
 
 def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
-    """Packed rows of standard normals times N^(-(p-1)/2), symmetrized.
+    """The stored p-tensor (see _spans) of standard normals times
+    N^(-(p-1)/2), symmetrized.
 
     The i.i.d. draw D is the stream of one standard_normal call of N^p
     values, taken in chunks of whole first-axis indices (at least _DRAW_ROWS
     of them and _DRAW_VALUES values) into a ring of _DRAW_RING buffers: a
     worker thread draws up to three chunks ahead while this one folds (the
-    generator releases the GIL), so a slow index, or the fill after it,
-    does not leave the generator idle.  The entry at a sorted index
-    tuple x is w times the sum of D at x permuted by each sg, added in
-    itertools.permutations order; sg[0] never decreases in that order, so
-    the terms arrive index by index, those of D[x_k] when the draw reaches
-    i = x_k (see _fold_index).  Every partial sum waits in a packed
-    position whose row holds the next index to add to it, so each index
-    reads and writes whole row pieces; after each _FILL_COLS indices the
-    finished sums are copied to the sorted positions of those columns (see
-    _fill_sorted).  The full tensor never exists: the draw peaks at the
-    packed rows plus the ring, 259 MiB for p = 3 at N = 400.
+    generator releases the GIL), so a slow index does not leave the
+    generator idle.  The entry at a sorted tuple x is w times the sum of D
+    at x permuted by each sg, added in itertools.permutations order, times
+    the tuple's orbit size; sg[0] never decreases in that order, so the
+    terms arrive index by index, those of D[x_k] when the draw reaches
+    i = x_k, and they are added straight into the tuple's own slot (see
+    _fold).  A chunk's first indices are, as x_(p-1), the columns of the
+    blocks; their last terms come after the chunk's other positions (see
+    _finish), which scales the sums and writes 0.0 at the unsorted
+    positions.  The full tensor never exists: the draw holds the stored
+    tensor, 8 sum_g (b1 - b0) b1^(p-2) (N - b0) bytes, plus the ring:
+    104 MiB traced for p = 3 at N = 400.
     """
-    lay = _layout(N, p)
-    P = np.empty((len(lay.source), N))
+    P = np.zeros(_spans(N, p)[-1][3])
+    blocks = _blocks(P, N, p)
+    orbits = [_orbits(p, b0, b1) for b0, b1, _ in blocks]
     w = N ** (-(p - 1) / 2.0) / math.factorial(p)
-    after = np.arange(N)[:, None] > np.arange(N)  # after[u, v]: u > v
     rows = min(N, max(_DRAW_ROWS, _DRAW_VALUES // N ** (p - 1)))  # per chunk
     heads = range(0, N, rows)
     bufs = [np.empty((rows,) + (N,) * (p - 1)) for _ in range(_DRAW_RING)]
     chunks = [bufs[a % _DRAW_RING][:min(rows, N - b)] for a, b in enumerate(heads)]
     with ThreadPoolExecutor(1) as pool:  # one worker: the chunks are drawn in order
         drawn = [pool.submit(rng.standard_normal, out=C) for C in chunks[:_DRAW_RING - 1]]
-        for a, b in enumerate(heads):
+        for a, c0 in enumerate(heads):
             if a + _DRAW_RING - 1 < len(chunks):  # its buffer held chunk a - 1
                 drawn.append(pool.submit(rng.standard_normal, out=chunks[a + _DRAW_RING - 1]))
             drawn[a].result()
-            for i, M in enumerate(chunks[a], b):
-                _fold_index(P, lay, M, i, w, after)
-                if (i + 1) % _FILL_COLS == 0 or i + 1 == N:
-                    _fill_sorted(P, lay, i - i % _FILL_COLS, i + 1)
+            for i, M in enumerate(chunks[a], c0):
+                for k in range(p - 1):
+                    # the blocks with x_(p-2) = i, or x_(p-2) >= i for k < p - 2
+                    g = i // _GROUP
+                    for b0, b1, B in blocks[g:g + 1] if k == p - 2 else blocks[g:]:
+                        _fold(B, M, k, i, b0, b1)
+            c1 = c0 + len(chunks[a])
+            for (b0, b1, B), orbit in zip(blocks[:(c1 - 1) // _GROUP + 1], orbits):
+                _finish(B, chunks[a], c0, b0, b1, w, orbit)
     return P
 
 
-def _fold_index(P: np.ndarray, lay: _Layout, M: np.ndarray, i: int, w: float,
-                after: np.ndarray):
-    """Add the terms D[i] = M to the partial sums of every tuple holding i.
+def _fold(B: np.ndarray, M: np.ndarray, k: int, i: int, b0: int, b1: int):
+    """Add the terms D[i] = M to the sums of block B's tuples with x_k = i,
+    for k < p - 1.
 
-    For each k, the tuples x with x_k = i take the (p-1)! terms M[y permuted]
-    of y, x without x_k, on the box of y: indices up to i before position k
-    and from i on after it.  At k = 0 they start the sum, kept at the sorted
-    position (x_0 .. x_(p-2) | x_(p-1)); later sums are kept at
-    (x_1 .. x_(p-1) | x_0), whose row holds x_(k+1).  The last sum is
-    scaled by w, each entry takes the value at its sorted index, and the
-    result fills the rows whose last index is i, columns up to i.  S keeps
-    the memory order of the rows it was read from, and ax[d] is its axis
-    for box axis d: the terms are turned to S, which is faster than adding
-    into a transposed view.
+    y, x without x_k, runs over the box of indices up to i before position
+    k and from i on after it, cut to the block; the terms M[y permuted]
+    are turned to the block's axis order.  At k = 0 the first term starts
+    the sum.  The box holds unsorted tuples too; their sums are zeroed when
+    their column is finished, and no term is added after that.
     """
-    N, p = P.shape[1], M.ndim + 1
-    for k in range(p):
-        box = [slice(0, i + 1)] * k + [slice(i, N)] * (p - 1 - k)  # the ranges of y
-        terms = (M[tuple(box[a] for a in sg)].transpose([sg.index(a) for a in range(p - 1)])
-                 for sg in itertools.permutations(range(p - 1)))
-        if k == 0:
-            S, ax = next(terms).copy(), list(range(p - 1))
-        else:
-            S, ax = _held(P, lay, i, k, p - 1 if k == 1 else 0)
-        back = [ax.index(a) for a in range(p - 1)]  # the box axis of each axis of S
-        for T in terms:
-            S += T.transpose(back)
-        if k < p - 1:
-            _held(P, lay, i, k, p - 1 if k == 0 else 0, S.transpose(ax))
-            continue
-        S *= w
-        # the bubble-sort comparators of p - 1 coordinates, composed last
-        # first: where y_a > y_b, take the entry with the two swapped
-        for a, b in reversed([(a, a + 1) for n in range(p - 2, 0, -1) for a in range(n)]):
-            sa, sb = ax[a], ax[b]
-            m = (after if sa < sb else after.T)[:i + 1, :i + 1]
-            m = m.reshape((i + 1,) + (1,) * (abs(sa - sb) - 1) + (i + 1,)
-                          + (1,) * (p - 2 - max(sa, sb)))
-            np.copyto(S, S.swapaxes(sa, sb), where=m)
-        _held(P, lay, i, k, 0, S.transpose(ax))
+    N, p = M.shape[0], M.ndim + 1
+    origin = [0] * (p - 2) + [b0, b0]  # of each position's block axis
+    lo = [0 if d < k else max(i, origin[d]) for d in range(p)]
+    hi = [i + 1 if d < k else b1 for d in range(p - 1)] + [N]
+    y = [slice(lo[d], hi[d]) for d in range(p) if d != k]
+    at = [i - origin[d] if d == k else slice(lo[d] - origin[d], hi[d] - origin[d])
+          for d in range(p)]
+    S = B[(at[p - 2], *at[:p - 2], at[p - 1])]
+    terms = (M[tuple(y[a] for a in sg)].transpose(axes) for sg, axes in _steps(p, k))
+    if k == 0:
+        np.copyto(S, next(terms))
+    for T in terms:
+        S += T
 
 
-def _held(P: np.ndarray, lay: _Layout, i: int, k: int, j: int,
-          S: np.ndarray | None = None):
-    """Read, or with S write, the box of y at the positions (x without x_j | x_j).
+def _finish(B: np.ndarray, D: np.ndarray, c0: int, b0: int, b1: int, w: float, orbit):
+    """Add the terms of the chunk D = D[c0:c1] as the last position x_(p-1)
+    to the columns c0 .. c1 - 1 of block B, then scale each sum by w and by
+    its orbit size, and write 0.0 at the unsorted positions.
 
-    The box is that of _fold_index's step k: x_k = i and y is x without
-    x_k.  Rows are the packed rows of x without x_j, and a write skips the
-    entries whose row is not sorted.  With j = k the column is i alone.  A
-    read returns the rows read, and the order of their axes in the box.
+    Every row of the block takes part, so the column is final: later
+    indices add only to columns beyond it.  S has the columns first and
+    the ufuncs run in its C order, so their inner loops run over a row
+    coordinate, not over the chunk's few columns.
     """
-    N, p = P.shape[1], len(lay.starts)
-    at = [slice(0, i + 1)] * k + [i] + [slice(i, N)] * (p - 1 - k)
-    cols = slice(i, i + 1) if j == k else at[j]
-    at = tuple(at[:j] + at[j + 1:])
-    rows = lay.row_of[at]
-    n, c = rows.ndim, j - (j > k)  # c: the column's axis in the box
-    if S is None:
-        G = P[rows, cols]
-        return (G[..., 0], list(range(n))) if j == k else (G, [*range(c), n, *range(c, n)])
-    S = S.transpose([*range(c), *range(c + 1, n + 1), c])
-    # with one free index or none, a row is sorted
-    if n < 2 or (keep := lay.is_sorted[at]).all():
-        P[rows, cols] = S
-    else:
-        P[rows[keep], cols] = S[keep]
-
-
-def _fill_sorted(P: np.ndarray, lay: _Layout, c0: int, c1: int):
-    """Copy the finished sums to the sorted positions of columns c0 .. c1 - 1.
-
-    The packed rows (h, y) for y >= h_last, with h a sorted prefix of
-    length p - 2 (for p = 2 the empty one, with h_last = 0), are
-    consecutive, and their entries at the columns c >= h_last form a
-    symmetric block in (y, c).  The draw has written its entries with
-    c <= y, so the entries with y < c of these columns take them transposed.
-    """
-    upper = np.triu(np.ones((c1 - c0, c1 - c0), bool), 1)
-    for base, lo in zip(*lay.blocks):
-        if lo >= c1:
-            continue
-        a, r = max(c0, lo), base - lo  # r + y is the row of (h, y)
-        P[r + lo:r + a, a:c1] = P[r + a:r + c1, lo:a].T
-        corner, y_lt_c = P[r + a:r + c1, a:c1], upper[:c1 - a, :c1 - a]
-        corner[y_lt_c] = corner.T[y_lt_c]
+    p = D.ndim
+    open_, tie, unsorted = orbit
+    a, c1 = max(b0, c0), c0 + len(D)
+    y = [slice(0, b1)] * (p - 2) + [slice(b0, b1)]
+    S = np.moveaxis(B[..., a - b0:c1 - b0], -1, 0)
+    for sg, axes in _steps(p, p - 1):
+        T = D[(slice(a - c0, c1 - c0), *(y[j] for j in sg))].transpose([0] + [1 + j for j in axes])
+        np.add(S, T, out=S, order="C")
+    np.multiply(S, w, out=S, order="C")
+    c = np.arange(a, c1).reshape((-1,) + (1,) * (p - 1))
+    xl = np.arange(b0, b1).reshape((-1,) + (1,) * (p - 2))
+    np.multiply(S, np.where(xl < c, open_, tie), out=S, order="C")
+    # x - x is +0.0: the unsorted positions read exactly 0.0
+    np.subtract(S, S, out=S, where=unsorted | (xl > c), order="C")
 
 
 def check_system_size(m: Mixture, N: int) -> int:

@@ -39,18 +39,45 @@ def _gradient(field, x):
     return field.gradient_batch(x[None])[0]
 
 
-def _unpack(P, N, p):
-    """The full p-tensor from its packed rows.
+def _block_sizes(N, p):
+    """Entries of each block of the stored p-tensor, one block per 16
+    values of x_(p-2): the grid of its rows times its N - b0 columns."""
+    return [(min(b0 + 16, N) - b0) * min(b0 + 16, N) ** (p - 2) * (N - b0)
+            for b0 in range(0, N, 16)]
 
-    Row r of P is J[h_r, :] for the r-th sorted (p-1)-tuple h_r in
-    lexicographic order; every other row of J repeats the row of its sorted
-    index tuple.
+
+def _slots(N, p):
+    """The stored position of each of the N^p index tuples (in C order), the
+    size of its orbit (its number of distinct orderings), and whether it is
+    sorted.
+
+    A tuple is kept at its sorted copy x_0 <= ... <= x_(p-1): in block
+    g = x_(p-2) // 16, spanning b0 = 16 g to b1 = min(b0 + 16, N), at row
+    (x_(p-2) - b0, x_0, ..., x_(p-3)) of the grid [b0, b1) x [0, b1)^(p-2),
+    column x_(p-1) - b0 of N - b0.  The blocks follow each other in order.
     """
-    heads = list(itertools.combinations_with_replacement(range(N), p - 1))
-    assert P.shape == (len(heads), N)
-    row = {h: r for r, h in enumerate(heads)}
-    idx = [row[tuple(sorted(t))] for t in itertools.product(range(N), repeat=p - 1)]
-    return P[idx].reshape((N,) * p)
+    t = np.indices((N,) * p).reshape(p, -1)
+    s = np.sort(t, axis=0)
+    b0 = s[p - 2] // 16 * 16
+    b1 = np.minimum(b0 + 16, N)
+    first = np.cumsum([0] + _block_sizes(N, p))
+    row = s[p - 2] - b0
+    for d in range(p - 2):
+        row = row * b1 + s[d]
+    pos = first[s[p - 2] // 16] + row * (N - b0) + s[p - 1] - b0
+    run, repeats = np.ones(t.shape[1], int), np.ones(t.shape[1], int)
+    for d in range(1, p):
+        run = np.where(s[d] == s[d - 1], run + 1, 1)
+        repeats *= run
+    return pos, math.factorial(p) // repeats, (t == s).all(axis=0)
+
+
+def _unpack(P, N, p):
+    """The full p-tensor from its stored form: every ordering of a tuple
+    reads the tuple's sorted slot, divided by the tuple's orbit size."""
+    assert P.shape == (sum(_block_sizes(N, p)),)
+    pos, orbit, _ = _slots(N, p)
+    return (P[pos] / orbit).reshape((N,) * p)
 
 
 class TestSampling:
@@ -142,6 +169,11 @@ class TestSampling:
         plain = sample_system(Mixture.pure(3), 12, 0).tensors[3]
         np.testing.assert_array_equal(traced, plain)
 
+    @staticmethod
+    def _ring_bytes(N, p):
+        rows = max(hamiltonian._DRAW_ROWS, hamiltonian._DRAW_VALUES // N ** (p - 1))
+        return 8 * hamiltonian._DRAW_RING * min(N, rows) * N ** (p - 1)
+
     def test_symmetrization_does_not_double_memory(self):
         N = 200
         tracemalloc.start()
@@ -150,50 +182,66 @@ class TestSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * N**3 + 8 * 2**20
-        # only the packed rows are kept after the draw
-        assert sys.tensors[3].nbytes == 8 * N * N * (N + 1) // 2
+        # only the one entry per sorted tuple, in blocks, is kept after the draw
+        stored = sys.tensors[3].nbytes
+        assert stored == 8 * sum(_block_sizes(N, 3)) == 8 * 1663488
+        assert peak <= stored + self._ring_bytes(N, 3) + 8 * 2**20
 
     def test_draw_peaks_at_packed_rows_plus_two_slabs(self):
-        # the full tensor is never allocated: beside the packed rows the draw
-        # holds its ring of chunks of first indices and a few row pieces
+        # the full tensor is never allocated: beside the stored blocks the
+        # draw holds its ring of chunks of first indices and a few pieces
         for p, N in ((2, 400), (3, 200), (4, 40)):
             tracemalloc.start()
             try:
-                packed = sample_system(Mixture.pure(p), N, 0).tensors[p].nbytes
+                stored = sample_system(Mixture.pure(p), N, 0).tensors[p].nbytes
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            rows = max(hamiltonian._DRAW_ROWS, hamiltonian._DRAW_VALUES // N ** (p - 1))
-            ring = 8 * hamiltonian._DRAW_RING * min(N, rows) * N ** (p - 1)
-            assert peak <= packed + ring + 8 * 2**20, (p, N)
+            assert stored == 8 * sum(_block_sizes(N, p)), (p, N)
+            assert peak <= stored + self._ring_bytes(N, p) + 8 * 2**20, (p, N)
 
     @pytest.mark.parametrize("p, N", [
         (2, 53), (3, 53), (4, 27),
         *((p, N) for N in (1, 18, 25, 32, 51) for p in (2, 3, 4))])
     def test_equals_average_of_full_draw_bit_for_bit(self, p, N):
         # the average of the whole drawn tensor over its transposes, summed
-        # in permutation order and then scaled, read at each packed entry's
-        # sorted index
+        # in permutation order and then scaled, times the orbit size, at each
+        # sorted tuple's slot, and 0.0 at every other position
         seed = 8
         J = np.random.default_rng(seed).standard_normal((N,) * p)
         perms = list(itertools.permutations(range(p)))
         S = sum(J.transpose(np.argsort(sg)) for sg in perms)
         S *= N ** (-(p - 1) / 2.0) / len(perms)
-        heads = list(itertools.combinations_with_replacement(range(N), p - 1))
-        index = np.empty((len(heads), N, p), dtype=int)
-        index[..., :-1] = np.array(heads)[:, None]
-        index[..., -1] = np.arange(N)
-        expected = S[tuple(np.moveaxis(np.sort(index, axis=2), 2, 0))]
+        pos, orbit, is_sorted = _slots(N, p)
+        expected = np.zeros(sum(_block_sizes(N, p)))
+        expected[pos[is_sorted]] = S.ravel()[is_sorted] * orbit[is_sorted]
         np.testing.assert_array_equal(
             sample_system(Mixture.pure(p), N, seed).tensors[p], expected)
+
+    @pytest.mark.parametrize("p, N", [(p, N) for N in (1, 2, 17, 33) for p in (2, 3, 4)])
+    def test_padding_is_zero_after_the_draw_and_after_passes(self, p, N):
+        # the positions no sorted tuple owns hold +0.0, and no pass writes
+        # the stored tensor
+        pos, _, is_sorted = _slots(N, p)
+        pad = np.ones(sum(_block_sizes(N, p)), bool)
+        pad[pos[is_sorted]] = False
+        assert pad.sum() == pad.size - math.comb(N + p - 1, p)
+        sys = sample_system(Mixture({2: 0.7, p: 0.4}), N, 3)
+        P = sys.tensors[p]
+        assert (P[pad] == 0.0).all() and not np.signbit(P[pad]).any()
+        drawn = P.copy()
+        X = np.random.default_rng(4).standard_normal((2 * N + 3, N))
+        sys.gradient_batch(X)
+        sys.value_batch(X)
+        np.testing.assert_array_equal(sys.tensors[p], drawn)
+        assert not np.signbit(sys.tensors[p][pad]).any()
 
 
 class TestEvalField:
     def test_pure2_quadratic_form(self):
         N = 15
         sys = sample_system(Mixture.pure(2), N, 3)
-        J = sys.tensors[2]
+        J = _unpack(sys.tensors[2], N, 2)
         rng = np.random.default_rng(4)
         x = _random_sphere_point(rng, N)
         assert _value(sys, x) == pytest.approx(x @ J @ x)
@@ -245,43 +293,44 @@ class TestEvalField:
                                                  (100, 64, None), (40, 41, 40)])
     def test_row_factor_stays_within_its_byte_budget(self, monkeypatch, N, k,
                                                      budget_rows):
-        # chunks of N rows of X; where the p = 3 K of a chunk is more than
-        # budget_rows of X would make, it is built and used in tiles of
-        # first indices, and no K exceeds _K_BYTES
+        # chunks of N rows of X; where the scratch of the widest block for a
+        # chunk is more than budget_rows of X would make, the chunks are
+        # smaller, and no block's K, Z or K @ B exceeds _K_BYTES
         sys = sample_system(Mixture({2: 0.7, 3: 0.4}), N, 14)
         X = np.random.default_rng(15).standard_normal((k, N))
         monkeypatch.setattr(hamiltonian, "_K_BYTES", 2**60)
-        one_gemm = sys._contract(X)
+        unbudgeted = sys._contract(X)
         monkeypatch.undo()
-        row_bytes = 8 * N * (N + 1) // 2  # one row of X in the whole p = 3 K
+        # one row of X in the K of the widest p = 3 block: its rows are the
+        # grid [b0, b1) x [0, b1)
+        row_bytes = 8 * max((min(b0 + 16, N) - b0) * min(b0 + 16, N) for b0 in range(0, N, 16))
         if budget_rows is not None:
             monkeypatch.setattr(hamiltonian, "_K_BYTES", budget_rows * row_bytes + 7)
-        shapes = {2: [], 3: []}
-        row_factor = hamiltonian._row_factor
+        calls = {2: [], 3: []}  # (rows of X, rows of the block, its columns)
+        block_gradient = hamiltonian._block_gradient
 
-        def recorded(X, p, *span):
-            K = row_factor(X, p, *span)
-            shapes[p].append(K.shape)
-            return K
+        def recorded(G, X, B, *rest):
+            calls[B.ndim].append((len(X), B.size // B.shape[-1], B.shape[-1]))
+            return block_gradient(G, X, B, *rest)
 
-        monkeypatch.setattr(hamiltonian, "_row_factor", recorded)
+        monkeypatch.setattr(hamiltonian, "_block_gradient", recorded)
         values, grads = sys._contract(X)
-        chunks = -(-k // N)
-        assert max(rows for rows, _ in shapes[3]) == min(N, k)
-        assert max(8 * r * c for r, c in shapes[2] + shapes[3]) <= hamiltonian._K_BYTES
-        # every row of X meets every packed row once
-        assert sum(r * c for r, c in shapes[2]) == k * N
-        assert sum(r * c for r, c in shapes[3]) == k * N * (N + 1) // 2
-        tiled = budget_rows is not None and budget_rows < min(N, k)
-        assert (len(shapes[3]) > chunks) == tiled
+        chunk = min(N, k, budget_rows or N)
+        assert max(r for r, _, _ in calls[3]) == chunk
+        assert max(8 * r * max(m, c) for r, m, c in calls[2] + calls[3]) <= hamiltonian._K_BYTES
+        # every row of X meets every stored entry once
+        assert sum(r * m * c for r, m, c in calls[2]) == k * sum(_block_sizes(N, 2))
+        assert sum(r * m * c for r, m, c in calls[3]) == k * sum(_block_sizes(N, 3))
+        assert len(calls[3]) == -(-k // chunk) * -(-N // 16)
+        smaller = budget_rows is not None and budget_rows < min(N, k)
         monkeypatch.undo()
-        if not tiled:  # one GEMM per power and chunk, as without a budget
-            np.testing.assert_array_equal(values, one_gemm[0])
-            np.testing.assert_array_equal(grads, one_gemm[1])
-        np.testing.assert_allclose(values, one_gemm[0], rtol=1e-12,
-                                   atol=1e-12 * np.abs(one_gemm[0]).max())
-        np.testing.assert_allclose(grads, one_gemm[1], rtol=1e-12,
-                                   atol=1e-12 * np.abs(one_gemm[1]).max())
+        if not smaller:  # the chunks of a pass with no budget
+            np.testing.assert_array_equal(values, unbudgeted[0])
+            np.testing.assert_array_equal(grads, unbudgeted[1])
+        np.testing.assert_allclose(values, unbudgeted[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(unbudgeted[0]).max())
+        np.testing.assert_allclose(grads, unbudgeted[1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(unbudgeted[1]).max())
         rows = np.stack([_gradient(sys, x) for x in X])
         np.testing.assert_allclose(grads, rows, rtol=1e-12,
                                    atol=1e-12 * np.abs(rows).max())
@@ -289,21 +338,28 @@ class TestEvalField:
         np.testing.assert_allclose(values, vals, rtol=1e-12,
                                    atol=1e-12 * np.abs(vals).max())
 
-    def test_eight_row_pass_is_one_gemm_bit_for_bit(self):
-        # the SDE steps of an 8-path run at N = 400: K fits the budget, so the
-        # pass is the one product per power that it was before K was tiled
+    def test_eight_row_pass_is_one_gemm_bit_for_bit(self, monkeypatch):
+        # the SDE steps of an 8-path run at N = 400: the scratch of every
+        # block fits the budget, so the pass is one chunk, the same bit for
+        # bit as a pass with no budget
         N, m = 400, Mixture({2: 1.0, 3: 0.1})
         sys = sample_system(m, N, 0)
         X = np.random.default_rng(1).standard_normal((8, N))
         X *= math.sqrt(N) / np.linalg.norm(X, axis=1)[:, None]
-        values, grads = np.zeros(8), np.zeros((8, N))
-        for p, b in m.coeffs.items():
-            G = hamiltonian._row_factor(X, p) @ sys.tensors[p]
-            values += math.sqrt(b) * (G * X).sum(axis=1)
-            grads += (p * math.sqrt(b)) * G
+        calls = []
+        block_gradient = hamiltonian._block_gradient
+
+        def recorded(G, X, B, *rest):
+            calls.append(8 * len(X) * max(B.size // B.shape[-1], B.shape[-1]))
+            return block_gradient(G, X, B, *rest)
+
+        monkeypatch.setattr(hamiltonian, "_block_gradient", recorded)
         got = sys._contract(X)
-        np.testing.assert_array_equal(got[0], values)
-        np.testing.assert_array_equal(got[1], grads)
+        assert len(calls) == 2 * 25 and max(calls) <= hamiltonian._K_BYTES
+        monkeypatch.setattr(hamiltonian, "_K_BYTES", 2**60)
+        unbudgeted = sys._contract(X)
+        np.testing.assert_array_equal(got[0], unbudgeted[0])
+        np.testing.assert_array_equal(got[1], unbudgeted[1])
 
     def test_radius_guard_covers_every_row(self):
         N = 10
