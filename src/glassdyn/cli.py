@@ -383,6 +383,7 @@ def cmd_accept(args, out: Path):
               "seconds": round(r.seconds, 2), "stats": r.stats}
              for r in results]
     _write_json(out / "acceptance.json", {"criteria": table}, digest)
+    _write_json(out / "manifest.json", man, digest)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -18,7 +18,7 @@ class ConfigError(GlassdynError, ValueError):
 
 
 class SingularMatrixError(GlassdynError, ValueError):
-    """Conditioning covariance is singular (|q_o| = 1 style degeneracy)."""
+    """Conditioning covariance is singular, or the data lie outside its range."""
 
 
 class GammaTooSmallError(GlassdynError, ValueError):

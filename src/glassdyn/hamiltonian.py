@@ -84,7 +84,8 @@ class SpinSystem:
     seed: int
 
     def _contract(self, X: np.ndarray, gradients: bool = True):
-        """Values and gradients at the rows of X, one tensor pass per power p.
+        """Values and gradients at the rows of the (k, N) batch X, one tensor
+        pass per power p; a batch of any other shape is a DomainError.
 
         A stored entry S at a sorted tuple is the symmetric J there times
         the tuple's orbit size, so H_p(x) = sqrt(b_p) sum S x[x_0] ...
@@ -100,6 +101,9 @@ class SpinSystem:
         per chunk (once for values alone).  A row outside the radius
         _R_GUARD sqrt(N) is a DomainError.
         """
+        if X.ndim != 2 or X.shape[1] != self.N:
+            raise DomainError(f"batch of shape {X.shape}: the system takes rows of "
+                              f"width N = {self.N}")
         k, N = X.shape
         if (np.linalg.norm(X, axis=1) > _R_GUARD * math.sqrt(N)).any():
             raise DomainError("evaluation point outside the radius guard")
@@ -495,6 +499,8 @@ class ConditionedField:
     """
 
     def __init__(self, sys: SpinSystem, spec: ConditioningSpec):
+        if spec.N != sys.N:
+            raise ConfigError(f"spec N = {spec.N} differs from the system's N = {sys.N}")
         self.sys = sys
         self.spec = spec
         m, ic, N = sys.mixture, spec.target, spec.N

@@ -56,7 +56,8 @@ class InitCondition:
 
     The one RS decision: a q_star below _DEGEN_TOL is stored as exactly 0.0.
     A band start has |alpha| = |q_o| / q_star <= 1 + _DEGEN_TOL; beyond that
-    edge it is a ConfigError.
+    edge it is a ConfigError.  So is |q_o| within _DEGEN_TOL of 1: that start
+    is +-x_star, where the conditioning covariance is singular.
     """
 
     q_star: float
@@ -77,6 +78,9 @@ class InitCondition:
                 raise ConfigError("q_star = 0 forces E_star = G_star = q_o = 0")
         elif abs(self.alpha) > 1.0 + _DEGEN_TOL:
             raise ConfigError("|q_o| must not exceed q_star")
+        if abs(abs(self.q_o) - 1.0) < _DEGEN_TOL:
+            raise ConfigError(f"q_o = {self.q_o}: a start with |q_o| = 1 is +-x_star, "
+                              "where the conditioning covariance is singular")
 
     @property
     def is_rs(self) -> bool:
@@ -224,31 +228,16 @@ def solve_weights(ic: InitCondition, m: Mixture, vhat) -> VFunction:
     """Solve Sigma w = vhat on the geometry and branch of ic; v with those weights.
 
     vhat holds conditioned values (start energy, critical energy, radial
-    and z gradient, all as -H/N and -grad H/|x_star|).  Branches: q_star = 0
-    reduces to v(y) = vhat_1 nu(y)/nu(1); pure models force w3 = 0 (their
-    radial derivative is redundant) and solve the reduced system;
-    |q_o| = q_star forces w4 = 0 and drops the z coordinate.  The pure
-    models' redundant values must match their value rows.
+    and z gradient, all as -H/N and -grad H/|x_star|).  Branches: pure
+    models force w3 = 0 (their radial derivative is redundant) and solve
+    the reduced system; |q_o| = q_star forces w4 = 0 and drops the z
+    coordinate.  The pure models' redundant values must match their value
+    rows.  Two branches keep one weight, w = (vhat_1 / nu(1), 0, 0, 0):
+    q_star = 0, where v(y) = vhat_1 nu(y) / nu(1), and the pure band edge.
     """
     vhat = np.asarray(vhat, dtype=float)
     E, E_star, G_star, _ = vhat.tolist()
     branch = ic.branch(m)
-    if branch == BRANCH_RS:
-        return VFunction(np.array([E / m.nu(1.0), 0.0, 0.0, 0.0]), ic, m)
-
-    if abs(abs(ic.q_o) - 1.0) < _DEGEN_TOL:
-        # the hard constraints at |q_o| = 1 are validated (start point
-        # coincides with +-x_star), but the covariance is singular there
-        target = None
-        if ic.q_o > 0.0 or m.is_even():
-            target = E_star
-        elif m.is_odd():
-            target = -E_star
-        if target is not None and abs(E - target) > 1e-8 * (1.0 + abs(E)):
-            raise ConfigError(
-                "|q_o| = 1 requires E matching E_star (up to mixture parity)")
-        raise SingularMatrixError("conditioning covariance singular at |q_o| = 1")
-
     w = np.zeros(4)
     if branch in (BRANCH_PURE_P, BRANCH_PURE_P_DEGENERATE):
         p = m.p_max
@@ -263,7 +252,8 @@ def solve_weights(ic: InitCondition, m: Mixture, vhat) -> VFunction:
             raise ConfigError(
                 f"pure degenerate branch requires E_star = E q_o^p = {e_star_implied}"
             )
-        w[0] = E / m.coeffs[p]
+    if branch in (BRANCH_RS, BRANCH_PURE_P_DEGENERATE):
+        w[0] = E / m.nu(1.0)
     else:
         # the solved components: pure drops w3, a degenerate band drops w4
         keep = {BRANCH_PURE_P: [0, 1, 3], BRANCH_DEGENERATE: [0, 1, 2]}.get(

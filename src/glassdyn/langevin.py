@@ -229,7 +229,8 @@ def score(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> np.ndarray:
     One pass walks the limit's rows on the observable grid; each chi row is
     made by ``chi_rows`` and compared with every path's row and the mean's as
     it is made, so no square of the grid is held.  T is a real under
-    ``check_real``; a negative T is a GridMismatchError.
+    ``check_real``; a negative T is a GridMismatchError, and so is an
+    observable step that is not a whole multiple r >= 1 of the solver's.
     """
     T = check_real("T", T)
     if T < 0.0:
@@ -238,7 +239,7 @@ def score(obs: ObservableSet, sol: TwoTimeSolution, T: float) -> np.ndarray:
     r = round(ratio)
     if abs(T / obs.h - n_obs) > _GRID_TOL or n_obs > obs.q.shape[1] - 1:
         raise GridMismatchError("T incompatible with the observable grid")
-    if abs(ratio - r) > _GRID_TOL:
+    if r < 1 or abs(ratio - r) > _GRID_TOL:
         raise GridMismatchError("observable step not a multiple of the solver step")
     if n_obs * r > sol.n:
         raise GridMismatchError("solution horizon shorter than the observable window")

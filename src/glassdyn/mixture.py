@@ -73,12 +73,6 @@ class Mixture:
     def is_pure(self) -> bool:
         return len(self.coeffs) == 1
 
-    def is_even(self) -> bool:
-        return all(p % 2 == 0 for p in self.coeffs)
-
-    def is_odd(self) -> bool:
-        return all(p % 2 == 1 for p in self.coeffs)
-
     def nu(self, r, order: int = 0):
         """Evaluate nu (order 0) or its derivative of the given order at r.
 

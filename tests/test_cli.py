@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import glassdyn
-from glassdyn import cli
+from glassdyn import acceptance, cli
 from glassdyn.cli import TRIANGLE_MAGIC, main
 from glassdyn.dynamics import SolverConfig, solve_dynamics
 from glassdyn.init_params import InitCondition
@@ -383,7 +384,56 @@ class TestSimulateCompare:
         assert body1 == body2
 
 
+def _stub_criterion(cid, seconds):
+    def criterion():
+        time.sleep(seconds)
+        return acceptance.CriterionResult(cid, f"stub {cid}", True, {"err": 0.0})
+    return criterion
+
+
+class TestAccept:
+    def test_table_exit_code_and_runtime_cap(self, tmp_path, monkeypatch, capsys):
+        # two stubs stand in for the suite; the second overruns its cap
+        monkeypatch.setattr(acceptance, "CRITERIA",
+                            [_stub_criterion(1, 0.0), _stub_criterion(2, 0.02)])
+        monkeypatch.setattr(acceptance, "RUNTIME_CAPS", {2: 0.01})
+        out = tmp_path / "capped"
+        assert main(["--out-dir", str(out), "accept"]) == 1
+        table = json.loads((out / "acceptance.json").read_text())
+        assert [(row["id"], row["passed"], row["stats"].get("runtime_cap_exceeded"))
+                for row in table["criteria"]] == [(1, True, None), (2, False, 0.01)]
+        assert table["manifest_hash"] == manifest_hash(out)
+        assert capsys.readouterr().out.endswith("1/2 acceptance criteria passed\n")
+        monkeypatch.setattr(acceptance, "RUNTIME_CAPS", {})
+        out = tmp_path / "uncapped"
+        assert main(["--out-dir", str(out), "accept"]) == 0
+        table = json.loads((out / "acceptance.json").read_text())
+        assert [row["passed"] for row in table["criteria"]] == [True, True]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("q_o", [1.0, -1.0])
+    @pytest.mark.parametrize("command", ["solve", "params", "compare"])
+    def test_qo_one_start_is_one_config_error_line(self, files, monkeypatch, capsys,
+                                                   command, q_o):
+        # the start is +-x_star: refused with the start, before any draw
+        def no_draw(*args):
+            raise AssertionError("the coupling tensor was drawn")
+
+        monkeypatch.setattr(cli, "sample_system", no_draw)
+        init = {"q_star": 1.0, "V": {"E": 0.5, "E_star": 0.5, "G_star": 0.3, "q_o": q_o}}
+        if command == "compare":
+            argv = ["--config", _sim_config(files, mixture={"coeffs": {"2": 1, "3": 1}},
+                                            init=init)]
+        else:
+            path = files["dir"] / "qo_one.json"
+            path.write_text(json.dumps(init))
+            argv = ["--mixture", str(files["mix"]), "--init", str(path), "--beta", "0.5"]
+        rc = main(["--out-dir", str(files["dir"] / "q"), command, *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith(f"config error: q_o = {q_o}: ")
+
     def test_missing_mixture_file(self, files):
         rc = main(["--out-dir", str(files["dir"] / "x"), "phase", "--mixture",
                    str(files["dir"] / "absent.json"), "--beta-grid", "0:1:2"])

@@ -372,6 +372,16 @@ class TestEvalField:
             with pytest.raises(DomainError, match="radius guard"):
                 evaluate(X)
 
+    @pytest.mark.parametrize("shape", [(2, 29), (2, 31), (30,)],
+                             ids=["narrower", "wider", "one_d"])
+    def test_batch_of_another_width_is_refused(self, shape):
+        # laid out at its own width, a narrower batch would evaluate without error
+        sys = sample_system(M23, 30, 1)
+        X = np.full(shape, 0.5)
+        for evaluate in (sys.value_batch, sys.gradient_batch):
+            with pytest.raises(DomainError, match=rf"shape \({shape[0]},.*N = 30"):
+                evaluate(X)
+
 
 class TestPackedProperty:
     @settings(max_examples=40, deadline=None)
@@ -451,11 +461,13 @@ def spec_starts(draw):
     if kind == "rs":
         return InitCondition(draw(st.floats(0.0, 1e-12, exclude_max=True),
                                   label="q_star"), 0.3)
-    q_star = draw(st.floats(1e-12, 1.0), label="q_star")
+    # InitCondition refuses |q_o| within 1e-12 of 1, so |q_o| stops short of it
+    q_max = 1.0 - 2e-12
+    q_star = draw(st.floats(1e-12, q_max if kind == "edge" else 1.0), label="q_star")
     if kind == "edge":
         q_o = draw(st.sampled_from([-1.0, 1.0]), label="sign") * q_star
     else:
-        q_o = draw(st.floats(-q_star, q_star), label="q_o")
+        q_o = draw(st.floats(-min(q_star, q_max), min(q_star, q_max)), label="q_o")
     return InitCondition(q_star, 0.4, -0.3, 0.25, q_o)
 
 
@@ -631,28 +643,32 @@ class TestConditionalMean:
         with pytest.raises(ConfigError, match="unknown what 'hessian'"):
             conditional_mean(spec, M23, Vhat, None, x0, "hessian")
 
-    def test_gradient_and_hessian_match_differences(self):
+    def test_gradient_and_hessian_match_differences(self, branch_start):
+        _, m, ic = branch_start
         N = 8
-        x_star, x0, spec = _brute_setup(M23, InitCondition(0.7, 0.4, -0.3, 0.25, 0.3),
-                                        N, 26)
-        ic = spec.target
+        x_star, x0, spec = _brute_setup(m, ic, N, 26)
         Vhat = np.array([ic.E, ic.E_star, ic.G_star, 0.0])
         rng = np.random.default_rng(27)
-        u = rng.standard_normal(N)
-        u -= (u @ spec.xhat_star) * spec.xhat_star + (u @ spec.zhat) * spec.zhat
+        u = None
+        if not ic.is_rs:
+            # u is orthogonal to the conditioned directions the spec has
+            u = rng.standard_normal(N)
+            for d in (spec.xhat_star, spec.zhat):
+                if d is not None:
+                    u -= (u @ d) * d
         xt = _random_sphere_point(rng, N)
         eps = 1e-5
         eye = np.eye(N)
-        g = conditional_mean(spec, M23, Vhat, u, xt, "gradient")
+        g = conditional_mean(spec, m, Vhat, u, xt, "gradient")
         gfd = np.array([
-            (conditional_mean(spec, M23, Vhat, u, xt + eps * eye[i], "value")
-             - conditional_mean(spec, M23, Vhat, u, xt - eps * eye[i], "value"))
+            (conditional_mean(spec, m, Vhat, u, xt + eps * eye[i], "value")
+             - conditional_mean(spec, m, Vhat, u, xt - eps * eye[i], "value"))
             / (2 * eps) for i in range(N)])
         np.testing.assert_allclose(g, gfd, rtol=1e-5, atol=1e-5)
-        hess = conditional_mean_hessian(spec, M23, Vhat, u, xt)
+        hess = conditional_mean_hessian(spec, m, Vhat, u, xt)
         hfd = np.stack([
-            (conditional_mean(spec, M23, Vhat, u, xt + eps * eye[i], "gradient")
-             - conditional_mean(spec, M23, Vhat, u, xt - eps * eye[i], "gradient"))
+            (conditional_mean(spec, m, Vhat, u, xt + eps * eye[i], "gradient")
+             - conditional_mean(spec, m, Vhat, u, xt - eps * eye[i], "gradient"))
             / (2 * eps) for i in range(N)])
         np.testing.assert_allclose(hess, hfd, rtol=1e-5, atol=1e-5)
 
@@ -744,6 +760,11 @@ class TestConditionedField:
             f = conditioned_field(sample_system(M23, N, seed), spec)
             np.testing.assert_allclose(f.value_batch(np.stack([x0, x_star])),
                                        [-N * ic.E, -N * ic.E_star], atol=1e-9)
+
+    def test_spec_of_another_size_is_refused(self):
+        spec = ConditioningSpec(InitCondition(0.6, 0.5, -0.2, 0.35, 0.2), 40, 2)
+        with pytest.raises(ConfigError, match="spec N = 40 .* N = 50"):
+            conditioned_field(sample_system(M23, 50, 1), spec)
 
     def test_far_point_outside_radius_guard_raises(self):
         # the spec builds x_star and x_0 on the sphere, so the guard is met by

@@ -66,6 +66,15 @@ class TestInitConditionValidation:
         with pytest.raises(ConfigError, match="q_o"):
             InitCondition(q_star, 0.3, 0.0, 0.0, q_o)
 
+    @pytest.mark.parametrize("q_o", [1.0, -1.0, 1.0 - 5e-13, -(1.0 - 5e-13)])
+    def test_qo_one_is_refused(self, q_o):
+        # the start is +-x_star, where the conditioning covariance is singular
+        with pytest.raises(ConfigError, match=rf"^q_o = {q_o!r}: .*\|q_o\| = 1"):
+            InitCondition(1.0, 0.5, 0.5, 0.3, q_o)
+
+    def test_qo_just_short_of_one_is_a_band_edge(self):
+        assert InitCondition(1.0 - 2e-12, 0.5, 0.5, 0.3, 1.0 - 2e-12).is_degenerate
+
 
 class TestSigmaNu:
     def test_example_matrix(self):
@@ -186,10 +195,10 @@ class TestSolveW:
         with pytest.raises(SingularMatrixError, match=hint), pytest.warns(UserWarning):
             solve_w(InitCondition(0.6, 0.3, 0.1, 0.5, 0.6), M23)
 
-    def test_qo_one_singular(self):
-        ic = InitCondition(1.0, 0.5, 0.5, 0.3, 1.0)
-        with pytest.raises(SingularMatrixError):
-            solve_w(ic, M23)
+    def test_rs_weight_overflow_is_refused(self):
+        # the one-weight branches share the weight check with the solved ones
+        with pytest.raises(DomainError, match="weights overflow"):
+            solve_w(InitCondition(0.0, 1e300), Mixture({2: 1e-300}))
 
 
 class TestVEval:

@@ -304,13 +304,21 @@ class TestErrorFunctional:
         assert (terms > 90.0).all()  # the terms themselves are uncapped
         assert error_functional(terms).tolist() == [4.0, 4.0]
 
-    def test_grid_mismatch_raises(self):
-        ic = InitCondition(0.0, 0.0)
-        sol = solve_dynamics(M23, ic, SolverConfig(beta=0.3, T=1.0, h=0.02))
-        obs = ObservableSet(h=0.03, C=np.ones((1, 3, 3)), chi=np.ones((1, 3, 3)),
-                            q=np.ones((1, 3)), H=np.ones((1, 3)))
-        with pytest.raises(GridMismatchError):
-            score(obs, sol, 0.06)
+    @pytest.mark.parametrize("n, h, h_obs, points, T, match", [
+        (10, 0.02, 0.02, 3, 0.03, "T incompatible"),
+        (10, 0.02, 0.02, 3, 0.06, "T incompatible"),
+        (10, 0.02, 0.03, 3, 0.06, "not a multiple"),
+        (4, 0.5, 1e-12, 3, 2e-12, "not a multiple"),
+        (10, 0.02, 0.1, 5, 0.4, "horizon shorter"),
+    ], ids=["T_off_the_grid", "T_beyond_the_observations", "step_not_a_multiple",
+            "step_below_the_solver_step", "horizon_too_short"])
+    def test_grid_mismatch_raises(self, n, h, h_obs, points, T, match):
+        sol = _free_solution(n, h)
+        obs = ObservableSet(h=h_obs, C=np.ones((1, points, points)),
+                            chi=np.ones((1, points, points)), q=np.ones((1, points)),
+                            H=np.ones((1, points)))
+        with pytest.raises(GridMismatchError, match=match):
+            score(obs, sol, T)
 
     @pytest.mark.parametrize("T", [-0.02, np.nan, np.inf, True, "1.0"])
     def test_T_outside_the_grid_is_refused(self, T):
