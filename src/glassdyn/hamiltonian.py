@@ -13,9 +13,10 @@ under a fifth of the full tensor.  The i.i.d. entries are drawn a few
 first indices at a time and summed straight into the tuples' slots, so the
 full tensor never exists and the result is the same, bit for bit, as
 averaging the whole drawn tensor and scaling by the orbit size.  Two
-matrix products per block give the gradient for a whole batch of points,
-so each SDE step streams the stored tensor twice: 183 MiB at N = 400,
-against 488 MiB for one pass over the full tensor.
+products per block give the gradient for a whole batch of points, one of
+them batched over the block's 16 values of x_(p-2), so each SDE step
+streams the stored tensor twice: 183 MiB at N = 400, against 488 MiB for
+one pass over the full tensor.
 ConditioningSpec(target, N, seed) builds the pinned point x_star and the
 start x_0 from the InitCondition alone.  Conditioning on the value at the
 start point and on value/gradient at a critical point is
@@ -61,7 +62,7 @@ _DRAW_ROWS = 2  # first-axis indices of the draw per generator call, at least
 _DRAW_RING = 4  # chunk buffers: the worker draws up to three chunks ahead
 _DRAW_VALUES = 2**15  # values of the draw per generator call, at least
 _GROUP = 16  # consecutive values of x_(p-2) per stored block
-_K_BYTES = 8 * 2**20  # most bytes of one block's scratch in a pass
+_K_BYTES = 8 * 2**20  # most bytes of one piece of a block's scratch in a pass
 
 
 @dataclass
@@ -74,32 +75,49 @@ class SpinSystem:
     x_(p-2), against 8 N^p for the full tensor: 91.4 MiB for p = 3 at
     N = 400.  The draw writes the blocks directly and the full tensor never
     exists: it needs _DRAW_RING chunks of at least _DRAW_ROWS N^(p-1)
-    entries more, and a pass no more than three pieces of scratch per
-    block, each within _K_BYTES.
+    entries more.  The block views and the widest block are built once, at
+    construction.  A pass writes its large pieces of scratch per block (see
+    _block_gradient) into two rows of one buffer the system keeps and
+    grows, so a pass allocates nothing of a block's size, and one system
+    evaluates one batch at a time.
     """
 
     N: int
     mixture: Mixture
     tensors: dict[int, np.ndarray]
     seed: int
+    _blocks: dict = field(init=False, repr=False, compare=False)
+    _widest: int = field(init=False, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _contract(self, X: np.ndarray, gradients: bool = True):
-        """Values and gradients at the rows of the (k, N) batch X, one tensor
-        pass per power p; a batch of any other shape is a DomainError.
+    def __post_init__(self):
+        self._blocks = {p: _blocks(P, self.N, p) for p, P in self.tensors.items()}
+        # a block's rows or columns, whichever are more: each piece of a
+        # pass's scratch holds at most that many entries per row of X
+        self._widest = max(max(B.size // B.shape[-1], B.shape[-1])
+                           for bs in self._blocks.values() for _, _, B in bs)
+        self._scratch = np.empty((2, 0))
+
+    def _contract(self, X: np.ndarray, values: bool = True, gradients: bool = True):
+        """Values and gradients at the rows of the (k, N) batch X, either of
+        them None when not asked for, one tensor pass per power p; a batch of
+        any other shape is a DomainError.
 
         A stored entry S at a sorted tuple is the symmetric J there times
         the tuple's orbit size, so H_p(x) = sqrt(b_p) sum S x[x_0] ...
         x[x_(p-1)] over the sorted tuples, and its gradient takes each
-        position of a tuple in turn (see _block_gradient).  Euler's identity
-        x . grad H_p = p H_p gives the values from the gradients.  Without
-        gradients only the last position's product is made: it counts each
-        sorted tuple once, so G . x is H_p itself.  Rows of X go in chunks
-        of at most N rows whose scratch on the widest block stays within
-        _K_BYTES = 8 MiB, so a pass holds the stored tensors and no more
-        than a few such pieces beside them; for p = 3 at N = 400 a chunk is
-        up to 163 rows.  The dominant cost is streaming each block twice
-        per chunk (once for values alone).  A row outside the radius
-        _R_GUARD sqrt(N) is a DomainError.
+        position of a tuple in turn (see _block_gradient).  With both asked
+        for, Euler's identity x . grad H_p = p H_p gives the values from the
+        gradients, and the gradients are the same, bit for bit, as a pass for
+        gradients alone.  For values alone only the last position's product
+        is made: it counts each sorted tuple once, so G . x is H_p itself.
+        Rows of X go in chunks of at most N rows, fewer where a piece of a
+        block's scratch would pass _K_BYTES = 8 MiB: each holds at most the
+        chunk's rows times the block's rows or columns, whichever are more
+        (a p = 2 block's columns, N - b0, outnumber its 16 rows).  For p = 3
+        at N = 400 a chunk is up to 163 rows.  The dominant cost is
+        streaming each block twice per chunk (once for values alone).  A
+        row outside the radius _R_GUARD sqrt(N) is a DomainError.
         """
         if X.ndim != 2 or X.shape[1] != self.N:
             raise DomainError(f"batch of shape {X.shape}: the system takes rows of "
@@ -107,27 +125,28 @@ class SpinSystem:
         k, N = X.shape
         if (np.linalg.norm(X, axis=1) > _R_GUARD * math.sqrt(N)).any():
             raise DomainError("evaluation point outside the radius guard")
-        values, grads = np.zeros(k), np.zeros((k, N)) if gradients else None
-        blocks = {p: _blocks(P, N, p) for p, P in self.tensors.items()}
-        widest = max(B.size // B.shape[-1] for bs in blocks.values() for _, _, B in bs)
-        step = max(1, min(N, _K_BYTES // (8 * widest)))
+        out_values = np.zeros(k) if values else None
+        out_grads = np.zeros((k, N)) if gradients else None
+        step = max(1, min(N, _K_BYTES // (8 * self._widest)))
+        if self._scratch.shape[1] < min(k, step) * self._widest:
+            self._scratch = np.empty((2, min(k, step) * self._widest))
         for a in range(0, k, step):
             Xc = X[a:a + step]
+            work = self._scratch[:, :len(Xc) * self._widest].reshape(2, len(Xc), -1)
             for p, b in self.mixture.coeffs.items():
                 G = np.zeros(Xc.shape)
-                for b0, b1, B in blocks[p]:
-                    _block_gradient(G, Xc, B, b0, b1, gradients)
+                for b0, b1, B in self._blocks[p]:
+                    _block_gradient(G, Xc, B, b0, b1, gradients, work)
                 G *= math.sqrt(b)
-                if not gradients:
-                    values[a:a + step] += (G * Xc).sum(axis=1)
-                    continue
-                values[a:a + step] += (G * Xc).sum(axis=1) / p
-                grads[a:a + step] += G
-        return values, grads
+                if values:  # Euler's identity, or without gradients H_p itself
+                    out_values[a:a + step] += (G * Xc).sum(axis=1) / (p if gradients else 1)
+                if gradients:
+                    out_grads[a:a + step] += G
+        return out_values, out_grads
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Gradients at the rows of X: one tensor pass per power p."""
-        return self._contract(X)[1]
+        return self._contract(X, values=False)[1]
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         """Energies at the rows of X: one tensor pass per power p."""
@@ -158,13 +177,18 @@ def _blocks(P: np.ndarray, N: int, p: int) -> list:
             for b0, b1, start, stop in _spans(N, p)]
 
 
-def _outer(vs: list) -> np.ndarray:
+def _outer(vs: list, out: np.ndarray | None = None) -> np.ndarray:
     """The row-wise outer product of the (k, L) arrays vs, flattened to
-    (k, prod L)."""
-    out = vs[0]
-    for v in vs[1:]:
-        out = np.einsum("ki,kj->kij", out, v).reshape(len(v), -1)
-    return out
+    (k, prod L), in the first entries of the flat array out if one is given;
+    a single array is its own product."""
+    if len(vs) == 1:
+        return vs[0]
+    shape = (len(vs[0]),) + tuple(v.shape[1] for v in vs)
+    axes = "abcdefgh"[:len(vs)]
+    if out is not None:
+        out = out[:math.prod(shape)].reshape(shape)
+    return np.einsum(",".join("k" + a for a in axes) + "->k" + axes, *vs,
+                     out=out).reshape(shape[0], -1)
 
 
 def _partials(Z: np.ndarray, vs: list) -> list:
@@ -178,25 +202,44 @@ def _partials(Z: np.ndarray, vs: list) -> list:
 
 
 def _block_gradient(G: np.ndarray, X: np.ndarray, B: np.ndarray, b0: int, b1: int,
-                    gradients: bool):
+                    gradients: bool, work: np.ndarray):
     """Add to G the gradient at the rows of X of the sum over block B's
     tuples, or with gradients False its last position's part alone.
 
-    B's rows are the coordinates (x_(p-2), x_0, ..., x_(p-3)) and its
-    columns x_(p-1).  The derivative takes each position of a tuple in
-    turn: for x_(p-1) it is K @ B with K the row-wise products of the row
-    coordinates, and for the others it is Z = X[:, b0:] @ B.T contracted
-    with all row coordinates but one.  An unsorted position holds 0.0, so
-    the rectangular products count each sorted tuple once.
+    B's axes are the coordinates (x_(p-2), x_0, ..., x_(p-3), x_(p-1)),
+    and the derivative takes each position of a tuple in turn.  One batched
+    product T_i = K @ B[i] over the block's values i of x_(p-2), with K the
+    row-wise products of x_0, ..., x_(p-3) (X[:, :b1] itself for p = 3),
+    gives two of them: sum_i x_i T_i is the part of x_(p-1), and T_i . x
+    that of x_(p-2).  For x_0, ..., x_(p-3), Z = X[:, b0:] @ B.T is
+    contracted with x_(p-2) and then with all the others but one.  For
+    p = 2 the parts are X[:, b0:b1] @ B and X[:, b0:] @ B.T.  An unsorted
+    position holds 0.0, so the products count each sorted tuple once.  T
+    goes to work[0] of work (2, k, width), for as many values i at a time
+    as width allows, and K and then Z to work[1].
     """
-    p, B = B.ndim, B.reshape(-1, B.shape[-1])
-    vs = [X[:, b0:b1]] + [X[:, :b1]] * (p - 2)
-    G[:, b0:] += _outer(vs) @ B
+    (_, k, width), p, C = work.shape, B.ndim, B.shape[-1]
+    xl = X[:, b0:]
+    if p == 2:
+        G[:, b0:] += X[:, b0:b1] @ B
+        if gradients:
+            G[:, b0:b1] += xl @ B.T
+        return
+    (w0, w1), xs, vs = work.reshape(2, -1), X[:, None, b0:b1], [X[:, :b1]] * (p - 2)
+    K, B = _outer(vs, w1), B.reshape(b1 - b0, -1, C)
+    n = min(b1 - b0, width // C)  # values i per batched product, so T fits w0
+    for i in range(0, b1 - b0, n):
+        Bi = B[i:i + n]
+        T = np.matmul(K, Bi, out=w0[:len(Bi) * k * C].reshape(-1, k, C)).transpose(1, 0, 2)
+        G[:, b0:] += np.matmul(xs[:, :, i:i + n], T)[:, 0]
+        if gradients:
+            G[:, b0 + i:b0 + i + len(Bi)] += np.matmul(T, xl[:, :, None])[:, :, 0]
     if not gradients:
         return
-    Z = X[:, b0:] @ B.T
-    for (lo, hi), part in zip([(b0, b1)] + [(0, b1)] * (p - 2), _partials(Z, vs)):
-        G[:, lo:hi] += part
+    R = B.size // C
+    Z = np.matmul(xl, B.reshape(R, C).T, out=w1[:k * R].reshape(k, R))
+    for part in _partials(np.matmul(xs, Z.reshape(k, b1 - b0, -1))[:, 0], vs):
+        G[:, :b1] += part
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,8 +458,8 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     """
     if what not in ("value", "gradient"):
         raise ConfigError(f"unknown what {what!r}")
-    out = _mean_eval(spec, solve_weights(spec.target, m, Vhat), u_perp,
-                     np.atleast_2d(x))[what == "gradient"]
+    out = _mean_eval(spec, solve_weights(spec.target, m, Vhat), u_perp, what == "value",
+                     what == "gradient", np.atleast_2d(x))[what == "gradient"]
     if not np.isfinite(out).all():
         raise DomainError("conditional mean overflows at these conditioned values")
     if np.ndim(x) == 2:
@@ -425,28 +468,38 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
 
 
 def _mean_eval(spec: ConditioningSpec, vf: VFunction, u: np.ndarray | None,
-               X: np.ndarray):
-    """Conditional mean and its gradient at the rows of X.
+               values: bool, gradients: bool, X: np.ndarray):
+    """Conditional mean and its gradient at the rows of X, each None when
+    not asked for.
 
     The mean is -N v(q, y) - nu'(q) (X . u) / nu'(q_star^2), with q and y
-    the overlaps of a row with x_star and x_0, so its gradient is
-    -(vx x_star + vy x_0) plus the terms of u.  Linear in (vf.w, u): the
-    mean with weights w1 - w2 and handle u1 - u2 is the difference of the
-    two means.
+    the overlaps of a row with x_star and x_0.  One product X @ R.T over
+    the rows R = (x_star, x_0, u) gives q, y and X . u, and one
+    (k, 3) @ (3, N) product C @ R the gradient: the coefficient of x_star
+    is -vx - nu''(q) (X . u) / (N nu'(q_star^2)), of x_0 -vy, and of u
+    -nu'(q) / nu'(q_star^2).  Without u, R has its first two rows.  Linear
+    in (vf.w, u): the mean with weights w1 - w2 and handle u1 - u2 is the
+    difference of the two means.
     """
     N, m = spec.N, vf.mixture
-    q, y = X @ spec.x_star / N, X @ spec.x_0 / N
-    value = -N * vf.v(q, y)
-    # in place: value_batch builds the gradient too, so its temporaries stay few
-    grad = np.outer(vf.vx(q, y), -spec.x_star)
-    grad -= np.outer(vf.vy(q, y), spec.x_0)
-    if u is None:
-        return value, grad
-    gam, d1, uterm = m.nu(vf.ic.q_star**2, 1), m.nu(q, 1), X @ u
-    du = np.outer(m.nu(q, 2) * uterm, spec.x_star / N)
-    du += np.outer(d1, u)
-    grad -= np.divide(du, gam, out=du)
-    return value - d1 * uterm / gam, grad
+    R = np.stack([spec.x_star, spec.x_0] + ([] if u is None else [u]))
+    P = X @ R.T
+    q, y = P[:, 0] / N, P[:, 1] / N
+    value = grad = None
+    if u is not None:
+        gam, d1 = m.nu(vf.ic.q_star**2, 1), m.nu(q, 1)
+    if values:
+        value = -N * vf.v(q, y)
+        if u is not None:
+            value -= d1 * P[:, 2] / gam
+    if gradients:
+        C = np.empty(P.shape)
+        C[:, 0], C[:, 1] = -vf.vx(q, y), -vf.vy(q, y)
+        if u is not None:
+            C[:, 0] -= m.nu(q, 2) * P[:, 2] / (N * gam)
+            C[:, 2] = -d1 / gam
+        grad = C @ R
+    return value, grad
 
 
 def conditional_mean_hessian(spec: ConditioningSpec, m: Mixture,
@@ -492,10 +545,11 @@ class ConditionedField:
     subtracts it at the observed data.  The mean is linear in the weights
     of its drift source v and in u, the observed gradient orthogonal to the
     conditioned directions, so the field keeps v with the weights
-    w_tgt - w_obs and u, and each batch call makes one mean evaluation.  The
-    batch values and gradients interpolate the target data exactly: the
-    start-point energy is -N E, the critical-point energy -N E_star and its
-    gradient -G_star x_star, up to round-off.
+    w_tgt - w_obs and u.  Each batch call makes one tensor pass and one
+    mean evaluation, both for the energies alone or for the gradients
+    alone.  The batch values and gradients interpolate the target data
+    exactly: the start-point energy is -N E, the critical-point energy
+    -N E_star and its gradient -G_star x_star, up to round-off.
     """
 
     def __init__(self, sys: SpinSystem, spec: ConditioningSpec):
@@ -519,10 +573,12 @@ class ConditionedField:
         self._vf = replace(vf, w=vf.w - solve_weights(ic, m, Vhat_obs).w)
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.gradient_batch(X) + _mean_eval(self.spec, self._vf, self._u, X)[1]
+        return self.sys.gradient_batch(X) + _mean_eval(self.spec, self._vf, self._u,
+                                                       False, True, X)[1]
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.value_batch(X) + _mean_eval(self.spec, self._vf, self._u, X)[0]
+        return self.sys.value_batch(X) + _mean_eval(self.spec, self._vf, self._u,
+                                                    True, False, X)[0]
 
 
 def conditioned_field(sys: SpinSystem, spec: ConditioningSpec) -> ConditionedField:

@@ -91,14 +91,21 @@ def _check_start(x0: np.ndarray):
         raise ConfigError(f"x0 radius {rad:.3f} is outside ({_R_FLOOR}, {_R_GUARD})")
 
 
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot product of each row of A with the same row of B."""
+    return np.einsum("ij,ij->i", A, B)
+
+
 def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
                     draw) -> Trajectory:
     """Step one copy of x0 per seed in lockstep, one row of X per path.
 
-    ``draw(k)`` returns the (len(seeds), N) Brownian increments of SDE step
-    k; each step makes one field.gradient_batch call for all rows, and checks
-    the radii it computes anyway: an escape is an EscapeError at its step.  A
-    start it cannot take is a ConfigError naming x0, raised before step 1.
+    ``draw(j, out)`` writes the Brownian increments of observable step j to
+    out, of shape (len(seeds), substeps, N), and SDE step s of that
+    observable step takes out[:, s].  Each SDE step makes one
+    field.gradient_batch call for all rows, and checks the radii it computes
+    anyway: an escape is an EscapeError at its SDE step.  A start it cannot
+    take is a ConfigError naming x0, raised before step 1.
     """
     _check_start(x0)
     N, n_paths = len(x0), len(seeds)
@@ -111,31 +118,33 @@ def _euler_maruyama(field, x0: np.ndarray, cfg: LangevinConfig, seeds: list,
     rootN = math.sqrt(N)
     spherical = cfg.variant == VARIANT_SPHERICAL
     r = (X * X).sum(axis=1, keepdims=True) / N
-    for k in range(n_obs * sub):
-        dB = draw(k)
-        G = field.gradient_batch(X)
-        if spherical:
-            xx = (X * X).sum(axis=1, keepdims=True)
-            gsp = G - ((G * X).sum(axis=1, keepdims=True) / xx) * X
-            noise = dB - ((dB * X).sum(axis=1, keepdims=True) / xx) * X
-            X = X + h * (-cfg.beta * gsp - (N - 1) / (2.0 * N) * X) + noise
-            norm = np.linalg.norm(X, axis=1, keepdims=True)
-            rad = norm[:, 0] / rootN
-            X *= rootN / norm
-        else:
-            X = X + h * (-(2.0 * cfg.ell * (r - 1.0) + cfg.f0_slope) * X
-                         - cfg.beta * G) + dB
-            r = (X * X).sum(axis=1, keepdims=True) / N
-            rad = np.sqrt(r[:, 0])
-        out = np.flatnonzero(~((rad > _R_FLOOR) & (rad < _R_GUARD)))  # NaN fails too
-        if len(out):
-            i = out[0]
-            raise EscapeError(f"path {i} (seed {seeds[i]}) radius {rad[i]:.3f} left "
-                              f"({_R_FLOOR}, {_R_GUARD}) at SDE step {k + 1}")
-        B = B + dB
-        if (k + 1) % sub == 0:
-            j = (k + 1) // sub
-            xs[:, j], Bs[:, j] = X, B
+    increments = np.empty((n_paths, sub, N))
+    for j in range(n_obs):
+        draw(j, increments)
+        for s in range(sub):
+            dB = increments[:, s]
+            G = field.gradient_batch(X)
+            if spherical:
+                # the drift and the noise are projected on the tangent space
+                # together: the projection is linear
+                D = dB - (h * cfg.beta) * G
+                D -= (_row_dots(D, X) / _row_dots(X, X))[:, None] * X
+                X = X * (1.0 - h * (N - 1) / (2.0 * N)) + D
+                norm = np.sqrt(_row_dots(X, X))
+                rad = norm / rootN
+                X *= (rootN / norm)[:, None]
+            else:
+                X = X + h * (-(2.0 * cfg.ell * (r - 1.0) + cfg.f0_slope) * X
+                             - cfg.beta * G) + dB
+                r = (X * X).sum(axis=1, keepdims=True) / N
+                rad = np.sqrt(r[:, 0])
+            out = np.flatnonzero(~((rad > _R_FLOOR) & (rad < _R_GUARD)))  # NaN fails too
+            if len(out):
+                i = out[0]
+                raise EscapeError(f"path {i} (seed {seeds[i]}) radius {rad[i]:.3f} left "
+                                  f"({_R_FLOOR}, {_R_GUARD}) at SDE step {j * sub + s + 1}")
+            B += dB
+        xs[:, j + 1], Bs[:, j + 1] = X, B
     return Trajectory(cfg.h_obs, xs, Bs, seeds)
 
 
@@ -147,17 +156,24 @@ def integrate_ensemble(field, x0: np.ndarray, cfg: LangevinConfig,
     over the coupling tensors through field.gradient_batch.  Path i is seeded
     master_seed + i and is row i of the record's x and B; a single path is
     the one-path ensemble, integrate_ensemble(field, x0, cfg, 1, seed).x[0].
-    A start that is not a finite 1-D point inside the escape band is a
-    ConfigError naming x0, raised before the first step.
+    Each path's generator writes the increments of a whole observable step
+    with one standard_normal call: the same stream, bit for bit, as one call
+    per SDE step.  A start that is not a finite
+    1-D point inside the escape band is a ConfigError naming x0, raised
+    before the first step.
     """
     n_paths = check_count("n_paths", n_paths, 1)
     master_seed = check_count("master_seed", master_seed, 0)
     sqrt_h = math.sqrt(cfg.h_obs / cfg.substeps)
     seeds = [master_seed + i for i in range(n_paths)]
     rngs = [np.random.default_rng(s) for s in seeds]
-    return _euler_maruyama(
-        field, x0, cfg, seeds,
-        lambda k: np.stack([r.standard_normal(len(x0)) for r in rngs]) * sqrt_h)
+
+    def draw(j, out):
+        for rng, rows in zip(rngs, out):
+            rng.standard_normal(out=rows)
+        out *= sqrt_h
+
+    return _euler_maruyama(field, x0, cfg, seeds, draw)
 
 
 @dataclass
@@ -314,12 +330,12 @@ def rotation_invariance_test(field, O: np.ndarray, x0: np.ndarray,
     N = len(x0)
     rng = np.random.default_rng(check_count("seed", seed, 0))
     h = cfg.h_obs / cfg.substeps
-    dB = rng.standard_normal((cfg.n_obs * cfg.substeps, N)) * math.sqrt(h)
-    t1 = _euler_maruyama(field, x0, cfg, [seed], lambda k: dB[k:k + 1])
+    dB = rng.standard_normal((cfg.n_obs, cfg.substeps, N)) * math.sqrt(h)
+    t1 = _euler_maruyama(field, x0, cfg, [seed], lambda j, out: np.copyto(out[0], dB[j]))
     o1 = observables(t1, field, x_star)
     dB2 = dB @ O.T if rotate_noise else dB
     f2 = RotatedField(field, O)
-    t2 = _euler_maruyama(f2, O @ x0, cfg, [seed], lambda k: dB2[k:k + 1])
+    t2 = _euler_maruyama(f2, O @ x0, cfg, [seed], lambda j, out: np.copyto(out[0], dB2[j]))
     o2 = observables(t2, f2, O @ x_star)
     dev = max(sup_distance(getattr(o1, k), getattr(o2, k)) for k in ("C", "chi", "q", "H"))
     return dev <= _ROTATION_TOL, dev

@@ -338,6 +338,32 @@ class TestEvalField:
         np.testing.assert_allclose(values, vals, rtol=1e-12,
                                    atol=1e-12 * np.abs(vals).max())
 
+    def test_pure_two_pass_stays_within_its_byte_budget(self, monkeypatch):
+        # a p = 2 block has 16 rows and N - b0 columns, so the columns size
+        # the chunks: 10 rows of X here, where the rows alone would allow 25
+        # and make a K @ B of 8000 bytes
+        N, k, budget_rows = 40, 41, 10
+        sys = sample_system(Mixture.pure(2), N, 16)
+        X = np.random.default_rng(17).standard_normal((k, N))
+        unbudgeted = sys._contract(X)
+        monkeypatch.setattr(hamiltonian, "_K_BYTES", budget_rows * 8 * N + 7)
+        calls = []  # (rows of X, rows of the block, its columns)
+        block_gradient = hamiltonian._block_gradient
+
+        def recorded(G, X, B, *rest):
+            calls.append((len(X), B.size // B.shape[-1], B.shape[-1]))
+            return block_gradient(G, X, B, *rest)
+
+        monkeypatch.setattr(hamiltonian, "_block_gradient", recorded)
+        values, grads = sys._contract(X)
+        assert max(r for r, _, _ in calls) == budget_rows
+        assert max(8 * r * max(m, c) for r, m, c in calls) <= hamiltonian._K_BYTES
+        assert sum(r * m * c for r, m, c in calls) == k * sum(_block_sizes(N, 2))
+        np.testing.assert_allclose(values, unbudgeted[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(unbudgeted[0]).max())
+        np.testing.assert_allclose(grads, unbudgeted[1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(unbudgeted[1]).max())
+
     def test_eight_row_pass_is_one_gemm_bit_for_bit(self, monkeypatch):
         # the SDE steps of an 8-path run at N = 400: the scratch of every
         # block fits the budget, so the pass is one chunk, the same bit for
@@ -810,6 +836,46 @@ class TestConditionedField:
         f.value_batch(x0[None])
         f.gradient_batch(np.stack([x0, x0]))
         assert calls == [1, 2]
+
+
+class TestGradientOnly:
+    # A call for gradients alone makes the products of the combined value
+    # and gradient evaluation and skips the energies, so its gradients equal
+    # the combined ones bit for bit.  A call for energies alone makes only
+    # the last position's product, so its energies agree with the combined
+    # ones (Euler's identity) to 1e-14 of the batch's largest energy.
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_system_matches_the_combined_pass(self, p):
+        N = 23  # 2N + 3 rows: three chunks
+        sys = sample_system(Mixture.pure(p), N, 60 + p)
+        X = np.random.default_rng(p).standard_normal((2 * N + 3, N))
+        values, grads = sys._contract(X)
+        np.testing.assert_array_equal(sys.gradient_batch(X), grads)
+        np.testing.assert_allclose(sys.value_batch(X), values, rtol=0,
+                                   atol=1e-14 * np.abs(values).max())
+
+    def test_field_matches_the_combined_evaluation(self, branch_start):
+        _, m, ic = branch_start
+        N = 20
+        spec = ConditioningSpec(ic, N, 61)
+        f = conditioned_field(sample_system(m, N, 62), spec)
+        rng = np.random.default_rng(63)
+        X = np.stack([spec.x_0, spec.x_star] + [_random_sphere_point(rng, N) for _ in range(5)])
+        (h, g), (mh, mg) = (f.sys._contract(X),
+                            hamiltonian._mean_eval(spec, f._vf, f._u, True, True, X))
+        np.testing.assert_array_equal(f.gradient_batch(X), g + mg)
+        np.testing.assert_allclose(f.value_batch(X), h + mh, rtol=0,
+                                   atol=1e-14 * np.abs(h + mh).max())
+        # the combined evaluation is the constructor's observation: it reads
+        # -N E at x_0, up to the round-off of the weight solve (1.7e-12 on
+        # the degenerate branch)
+        assert h[0] + mh[0] == pytest.approx(-N * ic.E, abs=1e-10)
+        for values, gradients in ((True, False), (False, True)):
+            mean = hamiltonian._mean_eval(spec, f._vf, f._u, values, gradients, X)
+            assert (mean[0] is None) != values and (mean[1] is None) != gradients
+            np.testing.assert_array_equal(mean[0] if values else mean[1],
+                                          mh if values else mg)
 
 
 def _two_evaluation_swap(sys, spec, X, what):

@@ -184,6 +184,27 @@ class TestIntegrate:
         assert len(radii) == step
         assert all(((r > 0.5) & (r < 2.0)).all() for r in radii)
 
+    @pytest.mark.parametrize("substeps", [1, 5])
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_brownian_record_is_the_per_step_draws(self, substeps, n_paths):
+        # path i's increments are default_rng(master_seed + i).standard_normal(N)
+        # times sqrt(h), one draw per SDE step, summed in step order: drawing
+        # an observable step's increments at once leaves the record as it is
+        N, master_seed = 12, 70
+        cfg = LangevinConfig(beta=0.3, T=0.2, h_obs=0.05, substeps=substeps)
+        spec = ConditioningSpec(InitCondition(0.8, 0.5, -0.3, 0.4, 0.35), N, 2)
+        field = conditioned_field(sample_system(Mixture({2: 1.0, 3: 1.0}), N, 3), spec)
+        traj = integrate_ensemble(field, spec.x_0, cfg, n_paths, master_seed)
+        sqrt_h = math.sqrt(cfg.h_obs / substeps)
+        for i in range(n_paths):
+            rng, B = np.random.default_rng(master_seed + i), np.zeros(N)
+            expected = [B]
+            for _ in range(cfg.n_obs):
+                for _ in range(substeps):
+                    B = B + rng.standard_normal(N) * sqrt_h
+                expected.append(B)
+            np.testing.assert_array_equal(traj.B[i], np.stack(expected))
+
     def test_ensemble_matches_single_paths(self):
         # path i of an ensemble is the one-path ensemble seeded master_seed + i
         N = 25
