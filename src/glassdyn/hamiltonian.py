@@ -13,10 +13,12 @@ under a fifth of the full tensor.  The i.i.d. entries are drawn a few
 first indices at a time and summed straight into the tuples' slots, so the
 full tensor never exists and the result is the same, bit for bit, as
 averaging the whole drawn tensor and scaling by the orbit size.  Two
-products per block give the gradient for a whole batch of points, one of
-them batched over the block's 16 values of x_(p-2), so each SDE step
-streams the stored tensor twice: 183 MiB at N = 400, against 488 MiB for
-one pass over the full tensor.
+products per slice of a block, made back to back while the slice is in
+cache, give the gradient for a whole batch of points, so each SDE step
+reads the stored tensor from memory once: 91 MiB at N = 400, against 488
+MiB for one pass over the full tensor.  A pass splits each power's blocks
+into two halves of equal stored bytes, one for the calling thread and one
+for the process's one worker thread, which also draws the tensor.
 ConditioningSpec(target, N, seed) builds the pinned point x_star and the
 start x_0 from the InitCondition alone.  Conditioning on the value at the
 start point and on value/gradient at a critical point is
@@ -34,7 +36,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +67,11 @@ _DRAW_RING = 4  # chunk buffers: the worker draws up to three chunks ahead
 _DRAW_VALUES = 2**15  # values of the draw per generator call, at least
 _GROUP = 16  # consecutive values of x_(p-2) per stored block
 _K_BYTES = 8 * 2**20  # most bytes of one piece of a block's scratch in a pass
+# least stored bytes in the worker thread's half of a pass: below it (N up
+# to about 130 for p = 3) the hand-off costs about what the second core saves
+_HALF_BYTES = 2 * 2**20
+_L2_BYTES = 2**20  # most stored bytes read by both products of a block back to back
+_BLAS_MADDS = 2**19  # OpenBLAS runs a product with fewer multiply-adds on one thread
 
 
 @dataclass
@@ -75,33 +84,40 @@ class SpinSystem:
     x_(p-2), against 8 N^p for the full tensor: 91.4 MiB for p = 3 at
     N = 400.  The draw writes the blocks directly and the full tensor never
     exists: it needs _DRAW_RING chunks of at least _DRAW_ROWS N^(p-1)
-    entries more.  The block views and the widest block are built once, at
-    construction.  A pass writes its large pieces of scratch per block (see
-    _block_gradient) into two rows of one buffer the system keeps and
-    grows, so a pass allocates nothing of a block's size, and one system
-    evaluates one batch at a time.
+    entries more.  The block views, the widest block and the two halves of
+    each power's blocks, split by stored bytes, are built once, at
+    construction.  A pass runs one half on the calling thread and the other
+    on the process's worker thread (see _worker), each into its own
+    gradients and its own scratch buffer, which the system keeps and grows,
+    so a pass allocates nothing of a block's size, and one system evaluates
+    one batch at a time.
     """
 
     N: int
     mixture: Mixture
     tensors: dict[int, np.ndarray]
     seed: int
-    _blocks: dict = field(init=False, repr=False, compare=False)
+    _halves: tuple = field(init=False, repr=False, compare=False)
     _widest: int = field(init=False, repr=False, compare=False)
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._blocks = {p: _blocks(P, self.N, p) for p, P in self.tensors.items()}
+        blocks = {p: _blocks(P, self.N, p) for p, P in self.tensors.items()}
         # a block's rows or columns, whichever are more: each piece of a
         # pass's scratch holds at most that many entries per row of X
         self._widest = max(max(B.size // B.shape[-1], B.shape[-1])
-                           for bs in self._blocks.values() for _, _, B in bs)
-        self._scratch = np.empty((2, 0))
+                           for bs in blocks.values() for _, _, B in bs)
+        cuts = {p: _halfway(bs) for p, bs in blocks.items()}
+        if sum(B.nbytes for p, bs in blocks.items() for _, _, B in bs[cuts[p]:]) < _HALF_BYTES:
+            cuts = {p: len(bs) for p, bs in blocks.items()}  # the caller takes all
+        self._halves = tuple({p: bs[:cuts[p]] if h == 0 else bs[cuts[p]:]
+                              for p, bs in blocks.items()} for h in (0, 1))
+        self._scratch = [np.empty((3, 0)), np.empty((3, 0))]
 
     def _contract(self, X: np.ndarray, values: bool = True, gradients: bool = True):
         """Values and gradients at the rows of the (k, N) batch X, either of
-        them None when not asked for, one tensor pass per power p; a batch of
-        any other shape is a DomainError.
+        them None when not asked for, one read of the stored tensors per
+        chunk of rows; a batch of any other shape is a DomainError.
 
         A stored entry S at a sorted tuple is the symmetric J there times
         the tuple's orbit size, so H_p(x) = sqrt(b_p) sum S x[x_0] ...
@@ -111,13 +127,17 @@ class SpinSystem:
         gradients, and the gradients are the same, bit for bit, as a pass for
         gradients alone.  For values alone only the last position's product
         is made: it counts each sorted tuple once, so G . x is H_p itself.
+        The calling thread takes the first half of each power's blocks and
+        the process's worker thread the second (see _halfway), when that
+        half holds _HALF_BYTES or more; their two sums are added in that
+        order, so a pass is the same bit for bit every time, and an
+        exception in either half reaches the caller once both are done.
         Rows of X go in chunks of at most N rows, fewer where a piece of a
         block's scratch would pass _K_BYTES = 8 MiB: each holds at most the
         chunk's rows times the block's rows or columns, whichever are more
         (a p = 2 block's columns, N - b0, outnumber its 16 rows).  For p = 3
-        at N = 400 a chunk is up to 163 rows.  The dominant cost is
-        streaming each block twice per chunk (once for values alone).  A
-        row outside the radius _R_GUARD sqrt(N) is a DomainError.
+        at N = 400 a chunk is up to 163 rows.  A row outside the radius
+        _R_GUARD sqrt(N) is a DomainError.
         """
         if X.ndim != 2 or X.shape[1] != self.N:
             raise DomainError(f"batch of shape {X.shape}: the system takes rows of "
@@ -128,15 +148,16 @@ class SpinSystem:
         out_values = np.zeros(k) if values else None
         out_grads = np.zeros((k, N)) if gradients else None
         step = max(1, min(N, _K_BYTES // (8 * self._widest)))
-        if self._scratch.shape[1] < min(k, step) * self._widest:
-            self._scratch = np.empty((2, min(k, step) * self._widest))
         for a in range(0, k, step):
             Xc = X[a:a + step]
-            work = self._scratch[:, :len(Xc) * self._widest].reshape(2, len(Xc), -1)
+            theirs = (_worker().submit(self._half, 1, Xc, gradients)
+                      if any(self._halves[1].values()) else None)
+            try:
+                mine = self._half(0, Xc, gradients)
+            finally:  # the worker is done with the scratch before anything moves on
+                theirs = theirs.result() if theirs is not None else {}
             for p, b in self.mixture.coeffs.items():
-                G = np.zeros(Xc.shape)
-                for b0, b1, B in self._blocks[p]:
-                    _block_gradient(G, Xc, B, b0, b1, gradients, work)
+                G = mine[p] + theirs[p] if p in theirs else mine[p]
                 G *= math.sqrt(b)
                 if values:  # Euler's identity, or without gradients H_p itself
                     out_values[a:a + step] += (G * Xc).sum(axis=1) / (p if gradients else 1)
@@ -144,12 +165,25 @@ class SpinSystem:
                     out_grads[a:a + step] += G
         return out_values, out_grads
 
+    def _half(self, h: int, X: np.ndarray, gradients: bool) -> dict:
+        """Each power's gradient part over half h of its blocks, at the rows
+        of X, in scratch buffer h, grown to the rows of X if it holds fewer."""
+        if self._scratch[h].shape[1] < len(X) * self._widest:
+            self._scratch[h] = np.empty((3, len(X) * self._widest))
+        work = self._scratch[h][:, :len(X) * self._widest].reshape(3, len(X), -1)
+        parts = {}
+        for p, blocks in self._halves[h].items():
+            G = parts[p] = np.zeros(X.shape)
+            for b0, b1, B in blocks:
+                _block_gradient(G, X, B, b0, b1, gradients, work)
+        return parts
+
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of X: one tensor pass per power p."""
+        """Gradients at the rows of X: one read of the stored tensors."""
         return self._contract(X, values=False)[1]
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        """Energies at the rows of X: one tensor pass per power p."""
+        """Energies at the rows of X: one read of the stored tensors."""
         return self._contract(X, gradients=False)[0]
 
 
@@ -177,6 +211,32 @@ def _blocks(P: np.ndarray, N: int, p: int) -> list:
             for b0, b1, start, stop in _spans(N, p)]
 
 
+def _halfway(blocks: list) -> int:
+    """The cut s that splits the blocks into blocks[:s] and blocks[s:] of
+    the nearest stored bytes, the first half the larger on a tie."""
+    sizes = [0, *itertools.accumulate(B.size for _, _, B in blocks)]
+    return min(range(len(sizes)), key=lambda s: (abs(2 * sizes[s] - sizes[-1]), -s))
+
+
+_WORKER: tuple = (None, None)  # (pid, executor) of the process's one worker thread
+_WORKER_LOCK = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The process's one worker thread, made on first use and again in a
+    child after os.fork (which copies the executor but not its thread).
+    The tensor draw's generator and the second half of every pass run on
+    it; neither waits on anything, so work queued from several threads
+    runs in turn."""
+    global _WORKER
+    with _WORKER_LOCK:
+        pid, pool = _WORKER
+        if pid != os.getpid():
+            pool = ThreadPoolExecutor(1, thread_name_prefix="glassdyn")
+            _WORKER = (os.getpid(), pool)
+    return pool
+
+
 def _outer(vs: list, out: np.ndarray | None = None) -> np.ndarray:
     """The row-wise outer product of the (k, L) arrays vs, flattened to
     (k, prod L), in the first entries of the flat array out if one is given;
@@ -201,44 +261,68 @@ def _partials(Z: np.ndarray, vs: list) -> list:
     return [first] + _partials(np.matmul(vs[0][:, None, :], Z)[:, 0], vs[1:])
 
 
+def _pieces(k: int, size: int) -> list:
+    """Row ranges [r0, r1) that cut k rows, each row a product of size
+    multiply-adds, into products under _BLAS_MADDS (one row at least)."""
+    step = max(1, (_BLAS_MADDS - 1) // size)
+    return [(r0, min(k, r0 + step)) for r0 in range(0, k, step)]
+
+
 def _block_gradient(G: np.ndarray, X: np.ndarray, B: np.ndarray, b0: int, b1: int,
                     gradients: bool, work: np.ndarray):
     """Add to G the gradient at the rows of X of the sum over block B's
     tuples, or with gradients False its last position's part alone.
 
     B's axes are the coordinates (x_(p-2), x_0, ..., x_(p-3), x_(p-1)),
-    and the derivative takes each position of a tuple in turn.  One batched
-    product T_i = K @ B[i] over the block's values i of x_(p-2), with K the
+    and the derivative takes each position of a tuple in turn.  Per slice
+    B[i], i a value of x_(p-2), two products: T_i = K @ B[i], with K the
     row-wise products of x_0, ..., x_(p-3) (X[:, :b1] itself for p = 3),
-    gives two of them: sum_i x_i T_i is the part of x_(p-1), and T_i . x
-    that of x_(p-2).  For x_0, ..., x_(p-3), Z = X[:, b0:] @ B.T is
-    contracted with x_(p-2) and then with all the others but one.  For
-    p = 2 the parts are X[:, b0:b1] @ B and X[:, b0:] @ B.T.  An unsorted
-    position holds 0.0, so the products count each sorted tuple once.  T
-    goes to work[0] of work (2, k, width), for as many values i at a time
-    as width allows, and K and then Z to work[1].
+    and Z_i = B[i] @ Y, with Y the columns x_(p-1) of X, transposed.  They
+    run back to back over a few slices at a time, at most _L2_BYTES of
+    them, so the second reads the slices from cache: the block is read
+    from memory once.  Rows of X go through them in pieces (see _pieces)
+    so that no product reaches OpenBLAS's threshold for threading, and no
+    BLAS thread wakes up beside the pass's own two.  Then, once per block:
+    sum_i x_i T_i is the part of x_(p-1) and T_i . x that of x_(p-2), and
+    sum_i x_i Z_i, contracted with all other row coordinates but one, those
+    of x_0, ..., x_(p-3).  For p = 2 the parts are X[:, b0:b1] @ B and
+    X[:, b0:] @ B.T.  An unsorted position holds 0.0, so the products
+    count each sorted tuple once.  T goes to work[0] of work (3, k, width),
+    for as many slices at a time as width allows (all of them unless
+    N - b0 is more than a sixteenth of the width), Z to work[1] and K to
+    work[2].
     """
     (_, k, width), p, C = work.shape, B.ndim, B.shape[-1]
-    xl = X[:, b0:]
+    xl, n = X[:, b0:], b1 - b0
     if p == 2:
-        G[:, b0:] += X[:, b0:b1] @ B
-        if gradients:
-            G[:, b0:b1] += xl @ B.T
+        for r0, r1 in _pieces(k, n * C):
+            G[r0:r1, b0:] += np.matmul(X[r0:r1, b0:b1], B)
+            if gradients:
+                G[r0:r1, b0:b1] += np.matmul(xl[r0:r1], B.T)
         return
-    (w0, w1), xs, vs = work.reshape(2, -1), X[:, None, b0:b1], [X[:, :b1]] * (p - 2)
-    K, B = _outer(vs, w1), B.reshape(b1 - b0, -1, C)
-    n = min(b1 - b0, width // C)  # values i per batched product, so T fits w0
-    for i in range(0, b1 - b0, n):
-        Bi = B[i:i + n]
-        T = np.matmul(K, Bi, out=w0[:len(Bi) * k * C].reshape(-1, k, C)).transpose(1, 0, 2)
-        G[:, b0:] += np.matmul(xs[:, :, i:i + n], T)[:, 0]
+    w0, w1, w2 = work.reshape(3, -1)
+    vs, B = [X[:, :b1]] * (p - 2), B.reshape(n, -1, C)
+    K, R, xs = _outer(vs, w2), B.shape[1], X[:, None, b0:b1]
+    Z, Y = w1[:n * R * k].reshape(n, R, k), xl.T.copy()
+    per_t = min(n, width // C)  # slices whose T fits w0
+    per_read = max(1, min(per_t, _L2_BYTES // B[0].nbytes))
+    pieces = _pieces(k, R * C)
+    for t0 in range(0, n, per_t):
+        t1 = min(n, t0 + per_t)
+        T = w0[:(t1 - t0) * k * C].reshape(t1 - t0, k, C)
+        for i in range(t0, t1, per_read):
+            Bi = B[i:min(t1, i + per_read)]
+            for r0, r1 in pieces:
+                np.matmul(K[r0:r1], Bi, out=T[i - t0:i - t0 + len(Bi), r0:r1])
+                if gradients:
+                    np.matmul(Bi, Y[:, r0:r1], out=Z[i:i + len(Bi), :, r0:r1])
+        T = T.transpose(1, 0, 2)
+        G[:, b0:] += np.matmul(xs[:, :, t0:t1], T)[:, 0]
         if gradients:
-            G[:, b0 + i:b0 + i + len(Bi)] += np.matmul(T, xl[:, :, None])[:, :, 0]
+            G[:, b0 + t0:b0 + t1] += np.matmul(T, xl[:, :, None])[:, :, 0]
     if not gradients:
         return
-    R = B.size // C
-    Z = np.matmul(xl, B.reshape(R, C).T, out=w1[:k * R].reshape(k, R))
-    for part in _partials(np.matmul(xs, Z.reshape(k, b1 - b0, -1))[:, 0], vs):
+    for part in _partials(np.matmul(xs, Z.transpose(2, 0, 1))[:, 0], vs):
         G[:, :b1] += part
 
 
@@ -273,44 +357,53 @@ def _draw_symmetric(rng: np.random.Generator, N: int, p: int) -> np.ndarray:
 
     The i.i.d. draw D is the stream of one standard_normal call of N^p
     values, taken in chunks of whole first-axis indices (at least _DRAW_ROWS
-    of them and _DRAW_VALUES values) into a ring of _DRAW_RING buffers: a
-    worker thread draws up to three chunks ahead while this one folds (the
-    generator releases the GIL), so a slow index does not leave the
-    generator idle.  The entry at a sorted tuple x is w times the sum of D
-    at x permuted by each sg, added in itertools.permutations order, times
-    the tuple's orbit size; sg[0] never decreases in that order, so the
-    terms arrive index by index, those of D[x_k] when the draw reaches
-    i = x_k, and they are added straight into the tuple's own slot (see
-    _fold).  A chunk's first indices are, as x_(p-1), the columns of the
-    blocks; their last terms come after the chunk's other positions (see
-    _finish), which scales the sums and writes 0.0 at the unsorted
-    positions.  The full tensor never exists: the draw holds the stored
-    tensor, 8 sum_g (b1 - b0) b1^(p-2) (N - b0) bytes, plus the ring:
-    104 MiB traced for p = 3 at N = 400.
+    of them and _DRAW_VALUES values) into a ring of _DRAW_RING buffers: the
+    process's worker thread (see _worker) draws up to three chunks ahead
+    while this one folds (the generator releases the GIL), so a slow index
+    does not leave the generator idle.  The entry at a sorted tuple x is w
+    times the sum of D at x permuted by each sg, added in
+    itertools.permutations order, times the tuple's orbit size; sg[0]
+    never decreases in that order, so the terms arrive index by index,
+    those of D[x_k] when the draw reaches i = x_k, and they are added
+    straight into the tuple's own slot (see _fold).  A chunk's first
+    indices are, as x_(p-1), the columns of the blocks; their last terms
+    come after the chunk's other positions (see _finish).  Once every
+    chunk is in, each block is scaled and its unsorted positions written
+    0.0 in one sweep (see _scale), which gives each slot the same
+    operations in the same order as scaling it column by column.  The
+    full tensor never exists: the draw holds the stored tensor,
+    8 sum_g (b1 - b0) b1^(p-2) (N - b0) bytes, plus the ring: 104 MiB
+    traced for p = 3 at N = 400.
     """
     P = np.zeros(_spans(N, p)[-1][3])
     blocks = _blocks(P, N, p)
-    orbits = [_orbits(p, b0, b1) for b0, b1, _ in blocks]
-    w = N ** (-(p - 1) / 2.0) / math.factorial(p)
     rows = min(N, max(_DRAW_ROWS, _DRAW_VALUES // N ** (p - 1)))  # per chunk
     heads = range(0, N, rows)
     bufs = [np.empty((rows,) + (N,) * (p - 1)) for _ in range(_DRAW_RING)]
     chunks = [bufs[a % _DRAW_RING][:min(rows, N - b)] for a, b in enumerate(heads)]
-    with ThreadPoolExecutor(1) as pool:  # one worker: the chunks are drawn in order
-        drawn = [pool.submit(rng.standard_normal, out=C) for C in chunks[:_DRAW_RING - 1]]
+    pool = _worker()  # one thread: the chunks are drawn in order
+    drawn = [pool.submit(rng.standard_normal, out=C) for C in chunks[:_DRAW_RING - 1]]
+    try:
         for a, c0 in enumerate(heads):
             if a + _DRAW_RING - 1 < len(chunks):  # its buffer held chunk a - 1
                 drawn.append(pool.submit(rng.standard_normal, out=chunks[a + _DRAW_RING - 1]))
             drawn[a].result()
             for i, M in enumerate(chunks[a], c0):
+                g = i // _GROUP
                 for k in range(p - 1):
                     # the blocks with x_(p-2) = i, or x_(p-2) >= i for k < p - 2
-                    g = i // _GROUP
                     for b0, b1, B in blocks[g:g + 1] if k == p - 2 else blocks[g:]:
                         _fold(B, M, k, i, b0, b1)
             c1 = c0 + len(chunks[a])
-            for (b0, b1, B), orbit in zip(blocks[:(c1 - 1) // _GROUP + 1], orbits):
-                _finish(B, chunks[a], c0, b0, b1, w, orbit)
+            for b0, b1, B in blocks[:(c1 - 1) // _GROUP + 1]:
+                _finish(B, chunks[a], c0, b0, b1)
+    finally:  # no draw is left writing into the ring
+        for f in drawn:
+            f.cancel()
+        wait(drawn)
+    w = N ** (-(p - 1) / 2.0) / math.factorial(p)
+    for b0, b1, B in blocks:
+        _scale(B, b0, b1, w)
     return P
 
 
@@ -321,8 +414,8 @@ def _fold(B: np.ndarray, M: np.ndarray, k: int, i: int, b0: int, b1: int):
     y, x without x_k, runs over the box of indices up to i before position
     k and from i on after it, cut to the block; the terms M[y permuted]
     are turned to the block's axis order.  At k = 0 the first term starts
-    the sum.  The box holds unsorted tuples too; their sums are zeroed when
-    their column is finished, and no term is added after that.
+    the sum.  The box holds unsorted tuples too; their sums are zeroed
+    when the draw is complete (see _scale).
     """
     N, p = M.shape[0], M.ndim + 1
     origin = [0] * (p - 2) + [b0, b0]  # of each position's block axis
@@ -339,30 +432,46 @@ def _fold(B: np.ndarray, M: np.ndarray, k: int, i: int, b0: int, b1: int):
         S += T
 
 
-def _finish(B: np.ndarray, D: np.ndarray, c0: int, b0: int, b1: int, w: float, orbit):
+def _finish(B: np.ndarray, D: np.ndarray, c0: int, b0: int, b1: int):
     """Add the terms of the chunk D = D[c0:c1] as the last position x_(p-1)
-    to the columns c0 .. c1 - 1 of block B, then scale each sum by w and by
-    its orbit size, and write 0.0 at the unsorted positions.
+    to the columns c0 .. c1 - 1 of block B.
 
-    Every row of the block takes part, so the column is final: later
-    indices add only to columns beyond it.  S has the columns first and
-    the ufuncs run in its C order, so their inner loops run over a row
+    Every row of the block takes part, so the column's sums are complete:
+    later indices add only to columns beyond it.  S has the columns first
+    and the adds run in its C order, so their inner loops run over a row
     coordinate, not over the chunk's few columns.
     """
     p = D.ndim
-    open_, tie, unsorted = orbit
     a, c1 = max(b0, c0), c0 + len(D)
     y = [slice(0, b1)] * (p - 2) + [slice(b0, b1)]
     S = np.moveaxis(B[..., a - b0:c1 - b0], -1, 0)
     for sg, axes in _steps(p, p - 1):
         T = D[(slice(a - c0, c1 - c0), *(y[j] for j in sg))].transpose([0] + [1 + j for j in axes])
         np.add(S, T, out=S, order="C")
-    np.multiply(S, w, out=S, order="C")
-    c = np.arange(a, c1).reshape((-1,) + (1,) * (p - 1))
-    xl = np.arange(b0, b1).reshape((-1,) + (1,) * (p - 2))
-    np.multiply(S, np.where(xl < c, open_, tie), out=S, order="C")
-    # x - x is +0.0: the unsorted positions read exactly 0.0
-    np.subtract(S, S, out=S, where=unsorted | (xl > c), order="C")
+
+
+def _scale(B: np.ndarray, b0: int, b1: int, w: float):
+    """Scale block B's sums by w and then by their orbit sizes, and write
+    0.0 at its unsorted positions: the rows that are not sorted and, in a
+    row with x_(p-2) = b0 + i, the columns below it.
+
+    The two scales run over a few rows at a time, at most _L2_BYTES of
+    them, so the block is read from memory once.  A sum at x_(p-1) =
+    x_(p-2), on the block's diagonal, takes the orbit size with the tie.
+    """
+    open_, tie, unsorted = _orbits(B.ndim, b0, b1)
+    n, i = b1 - b0, np.arange(b1 - b0)
+    diagonal = B[i, ..., i] * w * tie
+    rows, factors = B.reshape(-1, B.shape[-1]), open_.reshape(-1, 1)
+    step = max(1, _L2_BYTES // (8 * B.shape[-1]))
+    for r in range(0, len(rows), step):
+        S = rows[r:r + step]
+        np.multiply(S, w, out=S)
+        np.multiply(S, factors[r:r + step], out=S)
+    B[i, ..., i] = diagonal
+    below = (i[None, :] < i[:, None]).reshape((n,) + (1,) * (B.ndim - 2) + (n,))
+    np.copyto(B[..., :n], 0.0, where=below)
+    B[unsorted] = 0.0
 
 
 def check_system_size(m: Mixture, N: int) -> int:
@@ -458,7 +567,8 @@ def conditional_mean(spec: ConditioningSpec, m: Mixture, Vhat: np.ndarray,
     """
     if what not in ("value", "gradient"):
         raise ConfigError(f"unknown what {what!r}")
-    out = _mean_eval(spec, solve_weights(spec.target, m, Vhat), u_perp, what == "value",
+    u = None if u_perp is None else u_perp / m.nu(spec.target.q_star**2, 1)
+    out = _mean_eval(spec, solve_weights(spec.target, m, Vhat), u, what == "value",
                      what == "gradient", np.atleast_2d(x))[what == "gradient"]
     if not np.isfinite(out).all():
         raise DomainError("conditional mean overflows at these conditioned values")
@@ -472,32 +582,34 @@ def _mean_eval(spec: ConditioningSpec, vf: VFunction, u: np.ndarray | None,
     """Conditional mean and its gradient at the rows of X, each None when
     not asked for.
 
-    The mean is -N v(q, y) - nu'(q) (X . u) / nu'(q_star^2), with q and y
-    the overlaps of a row with x_star and x_0.  One product X @ R.T over
-    the rows R = (x_star, x_0, u) gives q, y and X . u, and one
-    (k, 3) @ (3, N) product C @ R the gradient: the coefficient of x_star
-    is -vx - nu''(q) (X . u) / (N nu'(q_star^2)), of x_0 -vy, and of u
-    -nu'(q) / nu'(q_star^2).  Without u, R has its first two rows.  Linear
-    in (vf.w, u): the mean with weights w1 - w2 and handle u1 - u2 is the
-    difference of the two means.
+    u is the observed gradient orthogonal to the conditioned directions
+    divided by nu'(q_star^2), a constant its caller computes once.  The
+    mean is -N v(q, y) - nu'(q) (X . u), with q and y the overlaps of a
+    row with x_star and x_0.  One product X @ R.T over the rows R =
+    (x_star, x_0, u) gives q, y and X . u, and one (k, 3) @ (3, N) product
+    C @ R the gradient: the coefficient of x_star is -vx - nu''(q) (X . u)
+    / N, of x_0 -vy, and of u -nu'(q).  nu'(q) and nu''(q) are evaluated
+    once and shared with vx and vy.  Without u, R has its first two rows.
+    Linear in (vf.w, u): the mean with weights w1 - w2 and handle u1 - u2
+    is the difference of the two means.
     """
     N, m = spec.N, vf.mixture
     R = np.stack([spec.x_star, spec.x_0] + ([] if u is None else [u]))
     P = X @ R.T
     q, y = P[:, 0] / N, P[:, 1] / N
     value = grad = None
-    if u is not None:
-        gam, d1 = m.nu(vf.ic.q_star**2, 1), m.nu(q, 1)
+    d1 = m.nu(q, 1) if gradients or u is not None else None
     if values:
         value = -N * vf.v(q, y)
         if u is not None:
-            value -= d1 * P[:, 2] / gam
+            value -= d1 * P[:, 2]
     if gradients:
+        d2 = m.nu(q, 2)
         C = np.empty(P.shape)
-        C[:, 0], C[:, 1] = -vf.vx(q, y), -vf.vy(q, y)
+        C[:, 0], C[:, 1] = -vf.vx(q, y, d1, d2), -vf.vy(q, y, d1)
         if u is not None:
-            C[:, 0] -= m.nu(q, 2) * P[:, 2] / (N * gam)
-            C[:, 2] = -d1 / gam
+            C[:, 0] -= d2 * P[:, 2] / N
+            C[:, 2] = -d1
         grad = C @ R
     return value, grad
 
@@ -545,7 +657,8 @@ class ConditionedField:
     subtracts it at the observed data.  The mean is linear in the weights
     of its drift source v and in u, the observed gradient orthogonal to the
     conditioned directions, so the field keeps v with the weights
-    w_tgt - w_obs and u.  Each batch call makes one tensor pass and one
+    w_tgt - w_obs and u, divided once by the constant nu'(q_star^2) (see
+    _mean_eval).  Each batch call makes one tensor pass and one
     mean evaluation, both for the energies alone or for the gradients
     alone.  The batch values and gradients interpolate the target data
     exactly: the start-point energy is -N E, the critical-point energy
@@ -569,6 +682,7 @@ class ConditionedField:
                 g2 = gs @ spec.zhat
                 self._u -= g2 * spec.zhat
             Vhat_obs = np.array([-h0 / N, -hs / N, -g1 / norm_star, -g2 / norm_star])
+            self._u /= m.nu(ic.q_star**2, 1)  # the mean's constant, once per field
         vf = solve_w(ic, m)
         self._vf = replace(vf, w=vf.w - solve_weights(ic, m, Vhat_obs).w)
 

@@ -199,11 +199,13 @@ class VFunction:
             out = out + w3 * self._z(x, y) * d1
         return out
 
-    def vx(self, x, y):
+    def vx(self, x, y, d1=None, d2=None):
+        """dv/dx; d1 and d2 are nu'(x) and nu''(x) where the caller has them."""
         if self.branch == BRANCH_RS:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
         m, (_, w1, w2, w3) = self.mixture, self._wf
-        d1, d2 = m.nu(x, 1), m.nu(x, 2)
+        d1 = m.nu(x, 1) if d1 is None else d1
+        d2 = m.nu(x, 2) if d2 is None else d2
         # (d1 + x d2) is psi(x)
         out = w1 * d1 + w2 * (d1 + x * d2) / self.ic.q_star**2
         if self.use_z:
@@ -211,11 +213,12 @@ class VFunction:
             out = out + w3 * (zx * d1 + self._z(x, y) * d2)
         return out
 
-    def vy(self, x, y):
+    def vy(self, x, y, d1=None):
+        """dv/dy; d1 is nu'(x) where the caller has it."""
         m, (w0, _, _, w3) = self.mixture, self._wf
         out = w0 * m.nu(y, 1)
         if self.use_z:
-            out = out + w3 * m.nu(x, 1) / self._root
+            out = out + w3 * (m.nu(x, 1) if d1 is None else d1) / self._root
         return out
 
 

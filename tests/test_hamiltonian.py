@@ -1,9 +1,16 @@
 """Finite-N field: covariance law, gradients, exact conditioning."""
 
+import functools
 import hashlib
 import itertools
 import math
+import os
+import signal
+import sys as sys_module
+import threading
+import time
 import tracemalloc
+import warnings
 from sys import gettrace, settrace
 
 import numpy as np
@@ -898,3 +905,219 @@ def _two_evaluation_swap(sys, spec, X, what):
         u_obs = -(gs - g1 * spec.xhat_star - g2 * spec.zhat)
     return (conditional_mean(spec, m, target, None, X, what)
             - conditional_mean(spec, m, observed, u_obs, X, what))
+
+
+@functools.lru_cache(maxsize=1)
+def _drawn(p, N):
+    """The stored tensors of {2: 0.7, p: 0.4} (pure 2-spin for p = 2) at N;
+    the last ones drawn are kept for the next test, which builds a system
+    on them."""
+    m = Mixture.pure(2) if p == 2 else Mixture({2: 0.7, p: 0.4})
+    return m, sample_system(m, N, 70 + p).tensors
+
+
+def _system(p, N):
+    m, tensors = _drawn(p, N)
+    return hamiltonian.SpinSystem(N, m, tensors, 70 + p)
+
+
+def _serial_pass(sys, X):
+    """Values and gradients with every block through the one-thread kernel,
+    on this thread, all rows at once."""
+    work = np.empty((3, len(X), sys._widest))
+    values, grads = np.zeros(len(X)), np.zeros(X.shape)
+    for p, b in sys.mixture.coeffs.items():
+        G = np.zeros(X.shape)
+        for b0, b1, B in hamiltonian._blocks(sys.tensors[p], sys.N, p):
+            hamiltonian._block_gradient(G, X, B, b0, b1, True, work)
+        G *= math.sqrt(b)
+        values += (G * X).sum(axis=1) / p
+        grads += G
+    return values, grads
+
+
+class _ProductRecorder:
+    """numpy, with each matmul's multiply-adds per product recorded."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return np.matmul(a, b, **kwargs)
+
+
+class TestTwoThreadPass:
+    # A pass runs the first half of each power's blocks on the calling
+    # thread and the second on the process's worker thread; below
+    # _HALF_BYTES in the second half the caller takes all, so these tests
+    # set it to 0 to split every size
+
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    @pytest.mark.parametrize("p, N", [(p, N) for p in (2, 3) for N in (40, 64, 100, 400)]
+                             + [(4, 40), (4, 64)])
+    def test_matches_the_serial_reference(self, monkeypatch, p, N, k):
+        monkeypatch.setattr(hamiltonian, "_HALF_BYTES", 0)
+        sys = _system(p, N)
+        assert all(sys._halves[1].values())
+        X = np.random.default_rng(k).standard_normal((k, N))
+        X *= math.sqrt(N) / np.linalg.norm(X, axis=1)[:, None]
+        values, grads = sys._contract(X)
+        ref_values, ref_grads = _serial_pass(sys, X)
+        np.testing.assert_allclose(values, ref_values, rtol=0,
+                                   atol=1e-14 * np.abs(ref_values).max())
+        np.testing.assert_allclose(grads, ref_grads, rtol=0,
+                                   atol=1e-14 * np.abs(ref_grads).max())
+
+    def test_repeated_calls_are_bit_identical(self):
+        sys = _system(3, 400)
+        assert all(sys._halves[1].values())  # the worker takes its half
+        X = np.random.default_rng(71).standard_normal((8, 400))
+        first = sys._contract(X), sys.gradient_batch(X), sys.value_batch(X)
+        for _ in range(4):
+            again = sys._contract(X), sys.gradient_batch(X), sys.value_batch(X)
+            for a, b in zip(first[0] + first[1:], again[0] + again[1:]):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("N, k, mixture", [(400, 8, {2: 1.0, 3: 0.1}),
+                                               (64, 64, {2: 1.0, 3: 0.1})])
+    def test_no_product_reaches_the_blas_threading_threshold(self, monkeypatch, N, k,
+                                                             mixture):
+        # OpenBLAS runs a product of fewer than 2^19 multiply-adds on the
+        # calling thread, so no BLAS thread competes with the pass's two
+        sys = sample_system(Mixture(mixture), N, 0)
+        X = np.random.default_rng(72).standard_normal((k, N))
+        recorder = _ProductRecorder()
+        monkeypatch.setattr(hamiltonian, "np", recorder)
+        sys.gradient_batch(X)
+        sys.value_batch(X)
+        monkeypatch.undo()
+        assert recorder.sizes and max(recorder.sizes) <= 2**19
+
+    def test_worker_exception_propagates_and_the_next_call_succeeds(self, monkeypatch):
+        sys = _system(3, 400)
+        X = np.random.default_rng(73).standard_normal((8, 400))
+        expected = sys.gradient_batch(X)
+        block_gradient = hamiltonian._block_gradient
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker half failed")
+            return block_gradient(*args)
+
+        monkeypatch.setattr(hamiltonian, "_block_gradient", failing)
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            sys.gradient_batch(X)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(sys.gradient_batch(X), expected)
+
+    def test_passes_from_more_threads_than_cores(self, monkeypatch):
+        # every thread's second half queues on the one worker thread; each
+        # system keeps its own scratch, so no pass sees another's
+        monkeypatch.setattr(hamiltonian, "_HALF_BYTES", 0)
+        systems = [_system(3, 64) for _ in range(4)]
+        X = np.random.default_rng(75).standard_normal((8, 64))
+        expected = systems[0].gradient_batch(X)
+        wrong = []
+
+        def run(sys):
+            for _ in range(20):
+                if not np.array_equal(sys.gradient_batch(X), expected):
+                    wrong.append(sys)
+
+        interval = sys_module.getswitchinterval()
+        sys_module.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(s,)) for s in systems]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys_module.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_evaluates_a_pass(self):
+        # the child has a copy of the parent's executor but not its thread:
+        # work queued there would never run
+        sys = _system(3, 400)
+        X = np.random.default_rng(74).standard_normal((8, 400))
+        expected = sys.gradient_batch(X)
+        with warnings.catch_warnings():  # forking a process with threads warns
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 2
+            try:
+                code = 0 if np.array_equal(sys.gradient_batch(X), expected) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's pass did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def _parent_mean(spec, vf, u, X):
+    """The mean and its gradient as the mean swap evaluated them before it
+    shared nu'(q) and nu''(q): u is the observed orthogonal gradient itself,
+    and nu'(q_star^2) is evaluated on each call."""
+    N, m = spec.N, vf.mixture
+    R = np.stack([spec.x_star, spec.x_0] + ([] if u is None else [u]))
+    P = X @ R.T
+    q, y = P[:, 0] / N, P[:, 1] / N
+    value, C = -N * vf.v(q, y), np.empty(P.shape)
+    C[:, 0], C[:, 1] = -vf.vx(q, y), -vf.vy(q, y)
+    if u is not None:
+        gam, d1 = m.nu(vf.ic.q_star**2, 1), m.nu(q, 1)
+        value -= d1 * P[:, 2] / gam
+        C[:, 0] -= m.nu(q, 2) * P[:, 2] / (N * gam)
+        C[:, 2] = -d1 / gam
+    return value, C @ R
+
+
+class TestMeanEvaluation:
+    def test_matches_the_parent_formula(self, branch_start):
+        _, m, ic = branch_start
+        N = 20
+        spec = ConditioningSpec(ic, N, 75)
+        f = conditioned_field(sample_system(m, N, 76), spec)
+        u = None
+        if not ic.is_rs:  # the observed gradient at x_star, off the conditioned directions
+            u = _gradient(f.sys, spec.x_star)
+            for d in (spec.xhat_star, spec.zhat):
+                if d is not None:
+                    u -= (u @ d) * d
+        rng = np.random.default_rng(77)
+        X = np.stack([spec.x_0, spec.x_star] + [_random_sphere_point(rng, N) for _ in range(6)])
+        value, grad = hamiltonian._mean_eval(spec, f._vf, f._u, True, True, X)
+        ref_value, ref_grad = _parent_mean(spec, f._vf, u, X)
+        np.testing.assert_allclose(value, ref_value, rtol=0,
+                                   atol=1e-15 * np.abs(ref_value).max())
+        np.testing.assert_allclose(grad, ref_grad, rtol=0,
+                                   atol=1e-15 * np.abs(ref_grad).max())
+
+    def test_three_nu_evaluations_per_gradient_call(self, branch_start, monkeypatch):
+        # nu'(q) and nu''(q) once, shared with vx and vy, and nu'(y) in vy;
+        # nu'(q_star^2) is the field's, evaluated when it is built
+        _, m, ic = branch_start
+        N = 20
+        spec = ConditioningSpec(ic, N, 78)
+        f = conditioned_field(sample_system(m, N, 79), spec)
+        orders, nu = [], Mixture.nu
+
+        def counted(self, r, order=0):
+            orders.append(order)
+            return nu(self, r, order)
+
+        monkeypatch.setattr(Mixture, "nu", counted)
+        hamiltonian._mean_eval(spec, f._vf, f._u, False, True, spec.x_0[None])
+        assert sorted(orders) == [1, 1, 2]
